@@ -17,18 +17,23 @@ which grows like (2 nu)^m instead of tending to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cones import HamiltonianSymbol, hamiltonian_real_values
+from .cones import (  # noqa: F401  symbol_quadratic_matrix is re-exported
+    HamiltonianSymbol,
+    hamiltonian_real_values,
+    symbol_quadratic_matrix,
+)
 from .linalg import ShapeError
 
-
-class CausticError(RuntimeError):
-    """The oracle's determinant homotopy passed through (numerical) zero."""
-
+# smallest step count of a measure and sample count of an estimate; config
+# validation rejects smaller values with the same limits
+MIN_STEPS = 16
+MIN_SAMPLES = 1000
+# loops per batch of the estimator; the merge order of batches is fixed
+CHUNK = 4096
 
 VARIANCE_RULES: Mapping[str, Callable[[float], float]] = {
     "nu": lambda nu: nu,
@@ -51,8 +56,8 @@ class MeasureSpec:
     def __post_init__(self):
         if self.nu <= 0:
             raise ValueError("nu must be positive")
-        if self.steps < 16:
-            raise ValueError("need at least 16 steps")
+        if self.steps < MIN_STEPS:
+            raise ValueError(f"need at least {MIN_STEPS} steps")
         if self.variance_rule not in VARIANCE_RULES:
             raise ValueError(f"unknown variance rule {self.variance_rule!r}")
 
@@ -134,53 +139,24 @@ def action(path: LoopPath, H: Callable[[np.ndarray], np.ndarray] | None) -> floa
     return s
 
 
-def cutoff_h(sym: HamiltonianSymbol, tau: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The real integrand i h_A^(tau): the pure-imaginary quadratic symbol
-    times i, clipped to [-tau, tau]."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-
-    def values(pts: np.ndarray) -> np.ndarray:
-        return np.clip(hamiltonian_real_values(sym, pts), -tau, tau)
-
-    return values
-
-
-def real_symbol(sym: HamiltonianSymbol) -> Callable[[np.ndarray], np.ndarray]:
-    """The unclipped real integrand i h_A."""
-
-    def values(pts: np.ndarray) -> np.ndarray:
-        return hamiltonian_real_values(sym, pts)
-
-    return values
-
-
 def estimate(
     spec: MeasureSpec,
     sym: HamiltonianSymbol | None = None,
     tau: float | None = None,
     samples: int = 10_000,
-    threads: int = 1,
-    chunk: int = 4096,
 ) -> EstimateReport:
     """The scaled estimator e^{nu m} E[e^{i S}], with S the loop action for
     the (tau-clipped) symbol, or the bare stochastic-area action when sym is
-    None.  Deterministic in (seed, sample index); accumulation is chunked
-    with a fixed merge order, so the thread count never changes the result.
+    None.  Deterministic in (seed, sample index); loops are drawn and summed
+    in batches of CHUNK, merged in a fixed order.
     """
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples for a meaningful stderr")
-    if sym is None:
-        H = None
-    elif tau is None:
-        H = real_symbol(sym)
-    else:
-        H = cutoff_h(sym, tau)
-
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples for a meaningful stderr")
     K, d = spec.steps, 2 * spec.m
     mm = spec.m
-
-    def chunk_sums(lo: int, hi: int):
+    total, total2 = 0, 0.0
+    for lo in range(0, samples, CHUNK):
+        hi = min(lo + CHUNK, samples)
         # identical draws to sample_loop(spec, index), batched for speed
         pts = np.empty((hi - lo, K + 1, d))
         for i, index in enumerate(range(lo, hi)):
@@ -188,27 +164,16 @@ def estimate(
         x, y = pts[:, :, :mm], pts[:, :, mm:]
         xm, ym = (x[:, :-1] + x[:, 1:]) / 2, (y[:, :-1] + y[:, 1:]) / 2
         svals = np.sum(ym * np.diff(x, axis=1) - xm * np.diff(y, axis=1), axis=(1, 2))
-        if H is not None:
+        if sym is not None:
             mid = ((pts[:, :-1] + pts[:, 1:]) / 2).reshape(-1, d)
-            svals = svals + np.asarray(H(mid), dtype=float).reshape(hi - lo, K).mean(axis=1)
+            svals = svals + hamiltonian_real_values(sym, mid, tau).reshape(hi - lo, K).mean(axis=1)
         vals = np.exp(1j * svals)
-        return complex(np.sum(vals)), float(np.sum(np.abs(vals) ** 2))
-
-    bounds = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: chunk_sums(*b), bounds))
-    else:
-        parts = [chunk_sums(*b) for b in bounds]
-    total = sum(p[0] for p in parts)
-    total2 = sum(p[1] for p in parts)
+        total += complex(np.sum(vals))
+        total2 += float(np.sum(np.abs(vals) ** 2))
 
     mean = total / samples
-    if samples > 1:
-        var = (total2 - abs(total) ** 2 / samples) / (samples - 1)
-        stderr = float(np.sqrt(max(var.real, 0.0) / samples))
-    else:
-        stderr = 0.0
+    var = (total2 - abs(total) ** 2 / samples) / (samples - 1)
+    stderr = float(np.sqrt(max(var.real, 0.0) / samples))
     scale = float(np.exp(spec.nu * spec.m))
     params = {"tau": tau, "has_symbol": sym is not None}
     return EstimateReport(
@@ -231,21 +196,6 @@ class QuadraticAction:
 
     include_area: bool = True
     hmatrix: np.ndarray | None = None
-
-
-def symbol_quadratic_matrix(sym: HamiltonianSymbol) -> np.ndarray:
-    """The real symmetric matrix M with i h_A(p) = p^T M p on R^{2m}."""
-    d = 2 * sym.m
-    M = np.zeros((d, d))
-    E = np.eye(d)
-    diag = hamiltonian_real_values(sym, E)
-    for i in range(d):
-        M[i, i] = diag[i]
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = hamiltonian_real_values(sym, (E[i] + E[j])[None, :])[0]
-            M[i, j] = M[j, i] = (v - diag[i] - diag[j]) / 2
-    return M
 
 
 def _bridge_covariance(spec: MeasureSpec) -> np.ndarray:
@@ -284,34 +234,23 @@ def discrete_quadratic_form(spec: MeasureSpec, q: QuadraticAction) -> np.ndarray
     return Q
 
 
-def gaussian_oracle(
-    spec: MeasureSpec, q: QuadraticAction, homotopy_steps: int = 32, det_tol: float = 1e-12
-) -> complex:
+def gaussian_oracle(spec: MeasureSpec, q: QuadraticAction) -> complex:
     """E[e^{i x^T Q x}] = det(I - 2i Sigma^{1/2} Q Sigma^{1/2})^{-1/2} with
     Sigma the exact discrete bridge covariance (no e^{nu m} factor).
 
-    The square root of the determinant is tracked continuously along a
-    homotopy from the zero action; a determinant magnitude collapsing below
-    ``det_tol`` (a caustic) raises CausticError instead of branch-hopping.
+    T = L^T Q L is real symmetric, so along the path lambda -> I - 2i lambda T
+    from the zero action every eigenvalue factor 1 - 2i lambda mu has modulus
+    >= 1 and argument in (-pi/2, pi/2): the determinant never vanishes and no
+    factor crosses the branch cut, so the continuous square root is the
+    product of the principal ones.
     """
     Q = discrete_quadratic_form(spec, q)
     Sigma = _bridge_covariance(spec)
     L = np.linalg.cholesky(Sigma)
     T = L.T @ Q @ L
     mu = np.linalg.eigvalsh((T + T.T) / 2)
-
-    prev = np.zeros_like(mu)
-    for step in range(1, homotopy_steps + 1):
-        lam = step / homotopy_steps
-        factors = 1.0 - 2j * lam * mu
-        if np.min(np.abs(factors)) < det_tol:
-            raise CausticError(f"determinant factor vanished at homotopy {lam:.3f}")
-        args = np.angle(factors)
-        jump = args - prev
-        if np.max(np.abs(jump)) > np.pi / 2:
-            raise CausticError("branch tracking lost continuity")
-        prev = args
-    half_log = -0.5 * np.sum(np.log(np.abs(1.0 - 2j * mu)) + 1j * prev)
+    factors = 1.0 - 2j * mu
+    half_log = -0.5 * np.sum(np.log(np.abs(factors)) + 1j * np.angle(factors))
     return complex(np.exp(half_log))
 
 

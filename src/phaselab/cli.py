@@ -78,10 +78,6 @@ def cmd_run(args) -> int:
     try:
         if args.seed_override is not None:
             config.setdefault("parameters", {})["seed"] = args.seed_override
-        if args.threads is not None:
-            tag = config.get("experiment")
-            if tag in EXPERIMENTS and "threads" in EXPERIMENTS[tag].defaults:
-                config.setdefault("parameters", {})["threads"] = args.threads
         report = run_experiment(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -116,7 +112,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config", help="path to the JSON config")
     p_run.add_argument("--out", default="out", help="output directory (default: ./out)")
     p_run.add_argument("--seed-override", type=int, default=None, help="replace the config seed")
-    p_run.add_argument("--threads", type=int, default=None, help="worker threads for sampling experiments")
     p_run.set_defaults(func=cmd_run)
 
     args = parser.parse_args(argv)

@@ -184,14 +184,6 @@ def classify(M, S: StructuralMatrices, tol: Tolerances = DEFAULT_TOL) -> Members
     return MembershipReport(n=S.n, checks=checks)
 
 
-def is_spc_lie(M, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Quick sp_c(2n,R) block-pattern test."""
-    M = as_cmatrix(M)
-    if M.shape[0] != M.shape[1] or M.shape[0] % 2:
-        return False
-    return spc_residual(M) <= tol.eq_tol
-
-
 def split_diss(X, S: StructuralMatrices, tol: Tolerances = DEFAULT_TOL):
     """Split X in Diss(n,n) as Xu + Xs with Xu in u(n,n) and Xs Ical-self-
     adjoint dissipative (the direct sum Diss = u(n,n) + SDiss)."""
@@ -272,25 +264,39 @@ def hamiltonian_value(sym: HamiltonianSymbol, z) -> complex:
     return complex(0.5 * zstar @ (S.Ical @ sym.A @ zvec))
 
 
-def hamiltonian_real_values(sym: HamiltonianSymbol, pts) -> np.ndarray:
+def symbol_quadratic_matrix(sym: HamiltonianSymbol) -> np.ndarray:
+    """The real symmetric matrix M with i h_A(x + iy) = p^T M p, p = (x, y).
+
+    With C = (I, -iI; I, iI) the doubled vector is (conj z, z) = C p and its
+    row partner (z, conj z) is conj(C) p, so i h_A(p) = p^T K p with
+    K = (i/2) C* Ical A C; M is the symmetric part of K, which is real for
+    A in sp_c(2m,R).
+    """
+    m = sym.m
+    I = np.eye(m)
+    C = np.block([[I, -1j * I], [I, 1j * I]])
+    K = 0.5j * C.conj().T @ make_structural(m).Ical @ sym.A @ C
+    return ((K + K.T) / 2).real
+
+
+def hamiltonian_real_values(sym: HamiltonianSymbol, pts, tau: float | None = None) -> np.ndarray:
     """Vectorized evaluation of the real symbol i h_A on phase-space points.
 
     ``pts`` has shape (N, 2m) with rows (x_1..x_m, y_1..y_m); returns the
-    real values of i times the (pure imaginary) quadratic symbol.
+    real values p^T M p of i times the (pure imaginary) quadratic symbol,
+    clipped to [-tau, tau] when ``tau`` is given (the cutoff Hamiltonian).
     """
+    if tau is not None and tau <= 0:
+        raise ValueError("tau must be positive")
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-    m = sym.m
-    if pts.shape[1] != 2 * m:
-        raise ShapeError(f"expected points of dimension {2 * m}")
-    z = pts[:, :m] + 1j * pts[:, m:]
-    S = make_structural(m)
-    M = 0.5 * (S.Ical @ sym.A)
-    zvec = np.concatenate([z.conj(), z], axis=1)
-    zstar = np.concatenate([z, z.conj()], axis=1)
-    vals = np.einsum("gi,ij,gj->g", zstar, M, zvec)
-    return np.real(1j * vals)
+    if pts.shape[1] != 2 * sym.m:
+        raise ShapeError(f"expected points of dimension {2 * sym.m}")
+    vals = np.einsum("gi,gi->g", pts @ symbol_quadratic_matrix(sym), pts)
+    if tau is not None:
+        vals = np.clip(vals, -tau, tau)
+    return vals
 
 
 def hat_lift(sym: HamiltonianSymbol) -> np.ndarray:

@@ -49,6 +49,8 @@ from .landau import (
     low_spectrum,
 )
 from .bridge import (
+    MIN_SAMPLES,
+    MIN_STEPS,
     MeasureSpec,
     QuadraticAction,
     calibrate,
@@ -426,7 +428,7 @@ def run_pathint(p: dict) -> RunReport:
             spec = MeasureSpec(nu=float(nu), steps=p["steps"], seed=p["seed"])
             scale = float(np.exp(spec.nu * spec.m))
             oracle = scale * gaussian_oracle(spec, q)
-            rep = estimate(spec, sym=s, tau=None, samples=p["samples"], threads=p.get("threads", 1))
+            rep = estimate(spec, sym=s, tau=None, samples=p["samples"])
             dev = abs(rep.mean - oracle)
             checks.append(
                 Check.le(f"mc_vs_oracle_{label}_nu{nu:g}_in_stderr", dev / rep.stderr, 3.0)
@@ -586,7 +588,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             "samples": 200000,
             "symbol_norm": 0.25,
             "refinement_tol": 1e-3,
-            "threads": 1,
         },
     ),
     "calibrate": ExperimentDef(
@@ -605,9 +606,31 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
 }
 
 
+# the sampling experiments hand steps to MeasureSpec and samples to estimate
+LOWER_BOUNDS = {
+    tag: {"steps": MIN_STEPS, "samples": MIN_SAMPLES} for tag in ("pathint", "calibrate")
+}
+
+
+def _type_ok(value, default) -> bool:
+    """Whether ``value`` has the type of ``default``: an int also passes for a
+    float, a bool never passes for a number, and a list passes when each
+    element is a number (or a string) like the default's first element."""
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        proto = 0.0 if isinstance(default[0], (int, float)) else default[0]
+        return isinstance(value, list) and all(_type_ok(v, proto) for v in value)
+    return isinstance(value, type(default))
+
+
 def validate_config(config: dict) -> tuple[str, dict]:
     """Validate a config dict against the experiment schema; returns the tag
-    and the parameter dict with defaults filled in."""
+    and the parameter dict with defaults filled in.  Each value must have
+    the type of its default (``seed`` is an int) and stay within the
+    experiment's lower bounds."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     unknown_top = set(config) - {"experiment", "parameters"}
@@ -628,8 +651,18 @@ def validate_config(config: dict) -> tuple[str, dict]:
     unknown = set(params) - set(spec.defaults) - set(spec.required)
     if unknown:
         raise ConfigError(f"unknown parameters for {tag!r}: {sorted(unknown)}")
+    types = {"seed": 0, **spec.defaults}
+    for key, value in params.items():
+        if not _type_ok(value, types[key]):
+            raise ConfigError(
+                f"parameter {key!r} of {tag!r} must be {type(types[key]).__name__}, "
+                f"got {value!r}"
+            )
     filled = dict(spec.defaults)
     filled.update(params)
+    for key, least in LOWER_BOUNDS.get(tag, {}).items():
+        if filled[key] < least:
+            raise ConfigError(f"parameter {key!r} of {tag!r} must be at least {least}")
     return tag, filled
 
 

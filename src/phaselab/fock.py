@@ -343,21 +343,6 @@ def resolution_check(space: FockSpace, radius: float, grid: int, max_occ: int = 
     return float(np.linalg.norm(P @ (Q - E_b) @ P, 2))
 
 
-def symbol_clip(sym: HamiltonianSymbol, tau: float | None) -> Callable[[np.ndarray], np.ndarray]:
-    """The real function i h_A (clipped to [-tau, tau] when tau is given) on
-    complex grid points; this is i times the cutoff Hamiltonian."""
-
-    def values(z: np.ndarray) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        pts = np.stack([z.real, z.imag], axis=1)
-        real = hamiltonian_real_values(sym, pts)
-        if tau is not None:
-            real = np.clip(real, -tau, tau)
-        return real
-
-    return values
-
-
 def vacuum_expectation(
     space: FockSpace,
     sym: HamiltonianSymbol,
@@ -381,7 +366,12 @@ def vacuum_expectation(
         if tau is None:
             G = antinormal_quantize(sp, h_A_operator(sp, sym))
         else:
-            G = -1j * quantize_integral(sp, symbol_clip(sym, tau), radius, grid)
+            G = -1j * quantize_integral(
+                sp,
+                lambda z: hamiltonian_real_values(sym, np.stack([z.real, z.imag], axis=1), tau),
+                radius,
+                grid,
+            )
         vac = vacuum_state(sp)
         return complex(vac.conj() @ (expm(G) @ vac))
 

@@ -105,8 +105,16 @@ def landau_hamiltonian(grid: Grid2D) -> sp.csr_matrix:
 
 
 def low_spectrum(H: sp.csr_matrix, k: int, sigma: float = -0.6) -> np.ndarray:
-    """Lowest k eigenvalues via shift-invert Lanczos (sigma below the spectrum)."""
-    vals = spla.eigsh(H, k=k, sigma=sigma, which="LM", return_eigenvectors=False)
+    """Lowest k eigenvalues via shift-invert Lanczos (sigma below the spectrum).
+
+    Lanczos starts from a fixed complex normal vector, so a run repeats
+    exactly.  A constant start vector would not do: it is invariant under the
+    90-degree grid rotation, which commutes with H, and would confine the
+    Krylov space to one symmetry sector.
+    """
+    rng = np.random.default_rng(0)
+    v0 = rng.normal(size=H.shape[0]) + 1j * rng.normal(size=H.shape[0])
+    vals = spla.eigsh(H, k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False)
     return np.sort(vals.real)
 
 

@@ -162,12 +162,3 @@ def hermitian_part(M) -> np.ndarray:
     M = _require_square(M)
     return (M + M.conj().T) / 2
 
-
-def max_eig_herm(M) -> float:
-    """Largest eigenvalue of the Hermitian part of M."""
-    return float(np.linalg.eigvalsh(hermitian_part(M)).max())
-
-
-def min_eig_herm(M) -> float:
-    """Smallest eigenvalue of the Hermitian part of M."""
-    return float(np.linalg.eigvalsh(hermitian_part(M)).min())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phaselab.bridge import (
     EstimateReport,
@@ -8,16 +9,14 @@ from phaselab.bridge import (
     QuadraticAction,
     action,
     calibrate,
-    cutoff_h,
     discrete_quadratic_form,
     estimate,
     gaussian_oracle,
     line_integral_alpha,
-    real_symbol,
     sample_loop,
     symbol_quadratic_matrix,
 )
-from phaselab.cones import HamiltonianSymbol, hamiltonian_real_values, sample
+from phaselab.cones import HamiltonianSymbol, hamiltonian_real_values, hamiltonian_value, sample
 
 
 def spec64(nu=1.0, seed=0, rule="nu"):
@@ -82,29 +81,17 @@ def test_action_constant_hamiltonian():
     assert action(loop, lambda p: np.full(p.shape[0], 2.5)) == pytest.approx(base + 2.5)
 
 
-def test_cutoff_h_clipping():
-    sym = HamiltonianSymbol(1, sample("sp_c", 1, 1.0, 1))
-    f = cutoff_h(sym, 1.5)
-    g = real_symbol(sym)
-    pts = np.array([[0.1, 0.2], [4.0, -3.0], [0.5, 0.0]])
-    clipped, raw = f(pts), g(pts)
-    assert np.all(np.abs(clipped) <= 1.5 + 1e-15)
-    small = np.abs(raw) <= 1.5
-    assert np.allclose(clipped[small], raw[small])
-    # tau -> infinity pointwise recovery on a bounded set
-    assert np.allclose(cutoff_h(sym, 1e9)(pts), raw)
-    with pytest.raises(ValueError):
-        cutoff_h(sym, 0.0)
-
-
 def test_quadratic_matrix_matches_symbol():
-    sym = HamiltonianSymbol(1, sample("sp_c", 1, 1.0, 7))
-    M = symbol_quadratic_matrix(sym)
+    # the closed-form M against the complex reference value i h_A(z)
     rng = np.random.default_rng(0)
-    pts = rng.normal(size=(20, 2))
-    direct = hamiltonian_real_values(sym, pts)
-    quad = np.einsum("gi,ij,gj->g", pts, M, pts)
-    assert np.allclose(direct, quad, atol=1e-12)
+    for m in (1, 2, 3):
+        sym = HamiltonianSymbol(m, sample("sp_c", m, 1.0, 7 + m))
+        M = symbol_quadratic_matrix(sym)
+        assert M.dtype == float and np.array_equal(M, M.T)
+        for _ in range(20):
+            p = rng.normal(size=2 * m)
+            direct = (1j * hamiltonian_value(sym, p[:m] + 1j * p[m:])).real
+            assert p @ M @ p == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 def test_discrete_form_matches_action():
@@ -114,7 +101,7 @@ def test_discrete_form_matches_action():
     for i in range(5):
         path = sample_loop(spec, i)
         x = np.concatenate([path.points[1:-1, 0], path.points[1:-1, 1]])
-        assert x @ Q @ x == pytest.approx(action(path, real_symbol(sym)), abs=1e-12)
+        assert x @ Q @ x == pytest.approx(action(path, lambda p: hamiltonian_real_values(sym, p)), abs=1e-12)
 
 
 def test_oracle_trivial_and_closed_form():
@@ -131,7 +118,7 @@ def test_estimate_matches_per_index_loop():
     sym = HamiltonianSymbol(1, sample("sp_c", 1, 0.3, 8))
     spec = spec64(nu=1.0, seed=6)
     direct = np.mean(
-        [np.exp(1j * action(sample_loop(spec, i), real_symbol(sym))) for i in range(1000)]
+        [np.exp(1j * action(sample_loop(spec, i), lambda p: hamiltonian_real_values(sym, p))) for i in range(1000)]
     )
     rep = estimate(spec, sym=sym, samples=1000)
     assert abs(rep.mean / np.exp(1.0) - direct) < 1e-13
@@ -162,13 +149,59 @@ def test_estimate_clt_scaling_and_independence():
     assert abs(ra.mean - rb.mean) < 3 * np.hypot(ra.stderr, rb.stderr)
 
 
-def test_estimate_deterministic_and_thread_invariant():
+def test_estimate_deterministic():
     spec = spec64(nu=1.0, seed=4)
     sym = HamiltonianSymbol(1, sample("sp_c", 1, 0.3, 5))
-    r1 = estimate(spec, sym=sym, samples=5000, threads=1)
-    r2 = estimate(spec, sym=sym, samples=5000, threads=4)
+    r1 = estimate(spec, sym=sym, samples=5000)
+    r2 = estimate(spec, sym=sym, samples=5000)
     assert r1.mean == r2.mean and r1.stderr == r2.stderr
     assert isinstance(r1, EstimateReport) and r1.samples == 5000
+
+
+def tracked_oracle(spec, q, grid):
+    """det(I - 2i lam Sigma Q)^{-1/2} at lam = 1, with the square root tracked
+    continuously from lam = 0 (sign nearest the previous step), and the
+    total phase of the determinant; Sigma is built here independently."""
+    t = np.arange(1, spec.steps) / spec.steps
+    Sigma = np.kron(np.eye(2 * spec.m), spec.sigma2 * (np.minimum.outer(t, t) - np.outer(t, t)))
+    SQ = Sigma @ discrete_quadratic_form(spec, q)
+    eye = np.eye(SQ.shape[0])
+    root, phase = 1.0 + 0j, 0.0
+    for lam in np.linspace(0.0, 1.0, grid + 1)[1:]:
+        r = np.sqrt(np.linalg.det(eye - 2j * lam * SQ))
+        if abs(r + root) < abs(r - root):
+            r = -r
+        step = np.angle(r / root)
+        assert abs(step) < np.pi / 8  # the grid resolves the phase
+        root, phase = r, phase + 2 * step
+    return 1.0 / root, phase
+
+
+def test_oracle_branch_pinned():
+    # the determinant winds past pi, so the principal square root of det
+    # alone has the wrong sign here; the tracked root and the oracle agree
+    sym = HamiltonianSymbol(1, sample("sp_c", 1, 30.0, 5))
+    spec = MeasureSpec(nu=4.0, steps=64, seed=0)
+    q = QuadraticAction(hmatrix=symbol_quadratic_matrix(sym))
+    want, phase = tracked_oracle(spec, q, grid=512)
+    assert abs(phase) > np.pi
+    got = gaussian_oracle(spec, q)
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    norm=st.floats(0.0, 40.0, exclude_min=True),
+    nu=st.floats(0.5, 16.0),
+)
+def test_oracle_branch_property(seed, norm, nu):
+    sym = HamiltonianSymbol(1, sample("sp_c", 1, norm, seed))
+    spec = MeasureSpec(nu=nu, steps=32, seed=0)
+    q = QuadraticAction(hmatrix=symbol_quadratic_matrix(sym))
+    want, _ = tracked_oracle(spec, q, grid=2000)
+    got = gaussian_oracle(spec, q)
+    assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_oracle_refinement_reported():

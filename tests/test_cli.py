@@ -66,6 +66,24 @@ def test_run_missing_seed_exits_2_without_outputs(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": 1, "steps": 8},
+        {"seed": 1, "samples": "many"},
+    ],
+    ids=["float_seed", "bool_seed", "too_few_steps", "string_samples"],
+)
+def test_malformed_parameters_exit_2_without_outputs(tmp_path, capsys, params):
+    cfg = write_config(tmp_path, {"experiment": "pathint", "parameters": params})
+    out_dir = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_writes_report_and_csv(tmp_path, capsys):
     cfg = write_config(tmp_path, small_membership())
     out_dir = tmp_path / "out"

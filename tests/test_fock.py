@@ -19,7 +19,6 @@ from phaselab.fock import (
     quantize_integral,
     resolution_check,
     strong_limit_run,
-    symbol_clip,
     vacuum_expectation,
     vacuum_state,
     z_ops,
@@ -275,17 +274,6 @@ def test_quantize_integral_monomials_and_hermiticity():
     # real f gives a Hermitian operator
     Qr = quantize_integral(space, lambda z: z.real.astype(complex), 6.0, 120)
     assert np.linalg.norm(Qr - Qr.conj().T, 2) < 1e-12
-
-
-def test_symbol_clip():
-    s = sym1(4)
-    f = symbol_clip(s, 2.0)
-    g = symbol_clip(s, None)
-    zs = np.array([0.1 + 0.1j, 3.0 - 2.0j, 0.5j])
-    clipped, raw = f(zs), g(zs)
-    assert np.all(clipped <= 2.0 + 1e-15) and np.all(clipped >= -2.0 - 1e-15)
-    small = np.abs(raw) <= 2.0
-    assert np.allclose(clipped[small], raw[small])
 
 
 def test_vacuum_expectation():

@@ -18,6 +18,15 @@ def small_grid():
     return Grid2D(4.0, 0.25)
 
 
+def test_low_spectrum_repeats_exactly():
+    H = landau_hamiltonian(Grid2D(2.0, 0.125))
+    a = low_spectrum(H, k=12)
+    b = low_spectrum(H, k=12)
+    assert np.array_equal(a, b)
+    dense = np.linalg.eigvalsh(H.toarray())[:12]
+    assert np.max(np.abs(a - dense)) < 1e-10
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid2D(4.0, 0.5)  # ratio 8 < 16
