@@ -81,6 +81,22 @@ def test_action_constant_hamiltonian():
     assert action(loop, lambda p: np.full(p.shape[0], 2.5)) == pytest.approx(base + 2.5)
 
 
+def test_cutoff_h_clipping():
+    # the estimator's cutoff H_tau: hamiltonian_real_values clipped to [-tau, tau]
+    sym = HamiltonianSymbol(1, sample("sp_c", 1, 1.0, 1))
+    pts = np.array([[0.1, 0.2], [4.0, -3.0], [0.5, 0.0]])
+    clipped, raw = hamiltonian_real_values(sym, pts, 1.5), hamiltonian_real_values(sym, pts)
+    assert np.all(np.abs(clipped) <= 1.5 + 1e-15)
+    assert np.any(np.abs(raw) > 1.5)  # the clip is exercised
+    small = np.abs(raw) <= 1.5
+    assert np.allclose(clipped[small], raw[small])
+    # tau -> infinity pointwise recovery on a bounded set
+    assert np.allclose(hamiltonian_real_values(sym, pts, 1e9), raw)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            hamiltonian_real_values(sym, pts, bad)
+
+
 def test_quadratic_matrix_matches_symbol():
     # the closed-form M against the complex reference value i h_A(z)
     rng = np.random.default_rng(0)

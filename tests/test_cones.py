@@ -238,25 +238,6 @@ def test_hamiltonian_additivity_and_real_values():
         assert abs(rv - direct.real) < 1e-12 * max(1.0, abs(rv))
 
 
-def test_hamiltonian_real_values_clipping():
-    for seed, tau, pts in (
-        (1, 1.5, [[0.1, 0.2], [4.0, -3.0], [0.5, 0.0]]),
-        (4, 2.0, [[0.1, 0.1], [3.0, -2.0], [0.0, 0.5]]),
-    ):
-        sym = HamiltonianSymbol(1, sample("sp_c", 1, 1.0, seed))
-        pts = np.array(pts)
-        clipped, raw = hamiltonian_real_values(sym, pts, tau), hamiltonian_real_values(sym, pts)
-        assert np.all(np.abs(clipped) <= tau + 1e-15)
-        assert np.any(np.abs(raw) > tau)  # the clip is exercised
-        small = np.abs(raw) <= tau
-        assert np.allclose(clipped[small], raw[small])
-        # tau -> infinity pointwise recovery on a bounded set
-        assert np.allclose(hamiltonian_real_values(sym, pts, 1e9), raw)
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                hamiltonian_real_values(sym, pts, bad)
-
-
 def test_hat_lift():
     assert np.linalg.norm(hat_lift(HamiltonianSymbol(1, np.zeros((2, 2))))) == 0
     for i in range(100):

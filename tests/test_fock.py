@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phaselab.cones import HamiltonianSymbol, hat_lift, sample
+from phaselab.cones import HamiltonianSymbol, hamiltonian_real_values, hat_lift, sample
 from phaselab.fock import (
     ConvergenceGuardError,
     FockSpace,
@@ -274,6 +274,21 @@ def test_quantize_integral_monomials_and_hermiticity():
     # real f gives a Hermitian operator
     Qr = quantize_integral(space, lambda z: z.real.astype(complex), 6.0, 120)
     assert np.linalg.norm(Qr - Qr.conj().T, 2) < 1e-12
+
+
+def test_symbol_clip():
+    # the quadrature's clipped symbol, at z = x + iy given as points p = (x, y)
+    s = sym1(4)
+    pts = np.array([[0.1, 0.1], [3.0, -2.0], [0.0, 0.5]])
+    clipped, raw = hamiltonian_real_values(s, pts, 2.0), hamiltonian_real_values(s, pts)
+    assert np.all(clipped <= 2.0 + 1e-15) and np.all(clipped >= -2.0 - 1e-15)
+    assert np.any(np.abs(raw) > 2.0)  # the clip is exercised
+    small = np.abs(raw) <= 2.0
+    assert np.allclose(clipped[small], raw[small])
+    assert np.allclose(hamiltonian_real_values(s, pts, 1e9), raw)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            hamiltonian_real_values(s, pts, bad)
 
 
 def test_vacuum_expectation():
