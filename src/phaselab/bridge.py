@@ -198,60 +198,60 @@ class QuadraticAction:
     hmatrix: np.ndarray | None = None
 
 
-def _bridge_covariance(spec: MeasureSpec) -> np.ndarray:
-    K = spec.steps
-    t = np.arange(1, K) / K
-    S1 = np.minimum.outer(t, t) - np.outer(t, t)
-    return np.kron(np.eye(2 * spec.m), spec.sigma2 * S1)
+def _form_blocks(spec: MeasureSpec, q: QuadraticAction) -> tuple[np.ndarray, np.ndarray]:
+    """The 2m x 2m blocks of the discretized action in time-major order:
+    x_j^T diag x_j per free point, x_j^T coupling x_{j+1} per step.  The
+    midpoint line integral telescopes to sum_j (x_{j+1} y_j - x_j y_{j+1});
+    the Hamiltonian part is the midpoint time quadrature of x^T M x."""
+    K, d = spec.steps, 2 * spec.m
+    diag, coupling = np.zeros((d, d)), np.zeros((d, d))
+    if q.include_area:
+        coupling -= 0.5 * np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(spec.m))
+    if q.hmatrix is not None:
+        M = np.asarray(q.hmatrix, dtype=float)
+        if M.shape != (d, d):
+            raise ShapeError(f"hmatrix must be {(d, d)}")
+        M = (M + M.T) / 2
+        diag += M / (2.0 * K)
+        coupling += M / (4.0 * K)
+    return diag, coupling
 
 
 def discrete_quadratic_form(spec: MeasureSpec, q: QuadraticAction) -> np.ndarray:
     """Assemble the exact discretized action as a symmetric form on the free
-    coordinates (coordinate-major layout: coordinate block, then time).
-
-    The midpoint line integral telescopes to sum_j (x_{j+1} y_j - x_j y_{j+1});
-    the Hamiltonian part is the midpoint time quadrature of x^T M x.
-    """
-    K, m = spec.steps, spec.m
-    nfree = K - 1
-    d = nfree * 2 * m
-    Q = np.zeros((d, d))
-    if q.include_area:
-        for k in range(m):
-            xb, yb = k * nfree, (m + k) * nfree
-            for j in range(1, K - 1):
-                Q[xb + j, yb + j - 1] += 0.5
-                Q[yb + j - 1, xb + j] += 0.5
-                Q[xb + j - 1, yb + j] -= 0.5
-                Q[yb + j, xb + j - 1] -= 0.5
-    if q.hmatrix is not None:
-        M = np.asarray(q.hmatrix, dtype=float)
-        if M.shape != (2 * m, 2 * m):
-            raise ShapeError(f"hmatrix must be {(2 * m, 2 * m)}")
-        T = 2.0 * np.eye(nfree)
-        T += np.diag(np.ones(nfree - 1), 1) + np.diag(np.ones(nfree - 1), -1)
-        Q += np.kron(M, T) / (4.0 * K)
-    return Q
+    coordinates (coordinate-major layout: coordinate block, then time)."""
+    diag, coupling = _form_blocks(spec, q)
+    shift = np.eye(spec.steps - 1, k=1)
+    return np.kron(diag, np.eye(len(shift))) + np.kron(coupling, shift) + np.kron(coupling.T, shift.T)
 
 
 def gaussian_oracle(spec: MeasureSpec, q: QuadraticAction) -> complex:
-    """E[e^{i x^T Q x}] = det(I - 2i Sigma^{1/2} Q Sigma^{1/2})^{-1/2} with
-    Sigma the exact discrete bridge covariance (no e^{nu m} factor).
+    """E[e^{i x^T Q x}] = (det P / det(P - 2i Q))^{1/2}, P = Sigma^{-1} the
+    exact discrete bridge precision (no e^{nu m} factor), in O(K m^3).
 
-    T = L^T Q L is real symmetric, so along the path lambda -> I - 2i lambda T
-    from the zero action every eigenvalue factor 1 - 2i lambda mu has modulus
-    >= 1 and argument in (-pi/2, pi/2): the determinant never vanishes and no
-    factor crosses the branch cut, so the continuous square root is the
-    product of the principal ones.
+    Time-major and scaled by sigma^2/K, P = tridiag(-1, 2, -1) (x) I_{2m} and
+    A = P - 2i (sigma^2/K) Q are block tridiagonal, so det A/det P is the
+    product of the block LDL^T pivots D_j = A_d - A_o^T D_{j-1}^{-1} A_o (the
+    discrete Gel'fand-Yaglom recursion) over P's scalar pivots p_j = (j+1)/j.
+    It runs on E_j = D_j/p_j - I, which keeps the O(K^2 eps) rounding of the
+    O(1) Laplacian part out of prod det(I + E_j).  Re A = P > 0 and Schur
+    complements of accretive matrices stay accretive, so along
+    lambda -> P - 2i lambda Q every pivot eigenvalue keeps Re > 0 and the sum
+    of their principal logs is the continuous branch; the principal log of
+    det D_j is not (for m >= 2 the arguments can sum outside (-pi, pi]).
     """
-    Q = discrete_quadratic_form(spec, q)
-    Sigma = _bridge_covariance(spec)
-    L = np.linalg.cholesky(Sigma)
-    T = L.T @ Q @ L
-    mu = np.linalg.eigvalsh((T + T.T) / 2)
-    factors = 1.0 - 2j * mu
-    half_log = -0.5 * np.sum(np.log(np.abs(factors)) + 1j * np.angle(factors))
-    return complex(np.exp(half_log))
+    K, d = spec.steps, 2 * spec.m
+    g, a = 2j * spec.sigma2 / K * np.array(_form_blocks(spec, q))
+    b, c = np.eye(d) + a, a + a.T + a.T @ a
+    p = 1.0 + 1.0 / np.arange(1, K)
+    dev = np.empty((K - 1, d, d), dtype=complex)
+    dev[0] = -g / 2
+    for j in range(1, K - 1):
+        f = np.linalg.solve(np.eye(d) + dev[j - 1], dev[j - 1])
+        dev[j] = -(g + (c - b.T @ f @ b) / p[j - 1]) / p[j]
+    mu = np.linalg.eigvals(dev)  # log(1 + mu) by hand: complex np.log1p is inaccurate near 0
+    log_det = np.sum(np.log1p(2 * mu.real + np.abs(mu) ** 2) / 2 + 1j * np.angle(1 + mu))
+    return complex(np.exp(-0.5 * log_det))
 
 
 def calibrate(

@@ -77,6 +77,8 @@ def cmd_run(args) -> int:
         return 2
     try:
         if args.seed_override is not None:
+            if not isinstance(config, dict) or not isinstance(config.get("parameters", {}), dict):
+                raise ConfigError("config and its parameters must be JSON objects")
             config.setdefault("parameters", {})["seed"] = args.seed_override
         report = run_experiment(config)
     except ConfigError as exc:

@@ -530,7 +530,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         {
             "m": 1,
             "samples": 50,
-            "nu_list": list(range(4, 17)),
+            "nu_list": [float(nu) for nu in range(4, 17)],
             "gap_threshold": 1e-6,
             "fd_samples": 50,
             "fd_epsilon": 1e-5,
@@ -547,7 +547,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             "lemma_tol": 1e-10,
             "strong_cutoff": 14,
             "strong_norm": 1.0,
-            "strong_nu_list": [4, 5, 6, 7, 8, 9, 10, 11, 12],
+            "strong_nu_list": [4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0],
             "strong_tol": 5e-3,
             "antinormal_cutoff": 10,
             "antinormal_tol": 1e-12,
@@ -557,7 +557,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             "quad_tol": 1e-3,
             "cutoff_cutoff": 16,
             "cutoff_norm": 0.5,
-            "tau_list": [4, 8, 16],
+            "tau_list": [4.0, 8.0, 16.0],
             "cutoff_tol": 1e-3,
         },
     ),
@@ -572,7 +572,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             "ground_tol": 0.02,
             "cluster_tol": 0.05,
             "seed": 0,
-            "strong_limit_nu_list": [2, 4, 8],
+            "strong_limit_nu_list": [2.0, 4.0, 8.0],
             "strong_limit_half_width": 6.0,
             "strong_limit_spacing": 0.25,
             "strong_limit_norm": 0.3,
@@ -583,7 +583,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "oscillatory path-integral Monte Carlo vs the exact Gaussian determinant",
         ("seed",),
         {
-            "nu_list": [1, 2, 4],
+            "nu_list": [1.0, 2.0, 4.0],
             "steps": 256,
             "samples": 200000,
             "symbol_norm": 0.25,
@@ -595,7 +595,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "reference-measure normalization study for the scaled loop estimator",
         ("seed",),
         {
-            "nu_list": [1, 2, 4, 8],
+            "nu_list": [1.0, 2.0, 4.0, 8.0],
             "rules": ["nu", "nu_half", "two_nu", "nu_plus_log"],
             "steps": 256,
             "samples": 20000,
@@ -615,14 +615,13 @@ LOWER_BOUNDS = {
 def _type_ok(value, default) -> bool:
     """Whether ``value`` has the type of ``default``: an int also passes for a
     float, a bool never passes for a number, and a list passes when each
-    element is a number (or a string) like the default's first element."""
+    element has the type of the default's first element."""
     if isinstance(value, bool):
         return isinstance(default, bool)
     if isinstance(default, float):
         return isinstance(value, (int, float))
     if isinstance(default, list):
-        proto = 0.0 if isinstance(default[0], (int, float)) else default[0]
-        return isinstance(value, list) and all(_type_ok(v, proto) for v in value)
+        return isinstance(value, list) and all(_type_ok(v, default[0]) for v in value)
     return isinstance(value, type(default))
 
 
@@ -654,10 +653,9 @@ def validate_config(config: dict) -> tuple[str, dict]:
     types = {"seed": 0, **spec.defaults}
     for key, value in params.items():
         if not _type_ok(value, types[key]):
-            raise ConfigError(
-                f"parameter {key!r} of {tag!r} must be {type(types[key]).__name__}, "
-                f"got {value!r}"
-            )
+            want = types[key]
+            kind = f"list of {type(want[0]).__name__}" if isinstance(want, list) else type(want).__name__
+            raise ConfigError(f"parameter {key!r} of {tag!r} must be {kind}, got {value!r}")
     filled = dict(spec.defaults)
     filled.update(params)
     for key, least in LOWER_BOUNDS.get(tag, {}).items():

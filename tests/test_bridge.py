@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from phaselab.bridge import (
+    VARIANCE_RULES,
     EstimateReport,
     LoopPath,
     MeasureSpec,
@@ -111,13 +112,15 @@ def test_quadratic_matrix_matches_symbol():
 
 
 def test_discrete_form_matches_action():
-    sym = HamiltonianSymbol(1, sample("sp_c", 1, 0.5, 9))
-    spec = spec64(nu=1.5, seed=2)
-    Q = discrete_quadratic_form(spec, QuadraticAction(hmatrix=symbol_quadratic_matrix(sym)))
-    for i in range(5):
-        path = sample_loop(spec, i)
-        x = np.concatenate([path.points[1:-1, 0], path.points[1:-1, 1]])
-        assert x @ Q @ x == pytest.approx(action(path, lambda p: hamiltonian_real_values(sym, p)), abs=1e-12)
+    # coordinate-major free coordinates; m = 2 exercises the block assembly
+    for m in (1, 2):
+        sym = HamiltonianSymbol(m, sample("sp_c", m, 0.5, 9))
+        spec = MeasureSpec(nu=1.5, steps=64, seed=2, m=m)
+        Q = discrete_quadratic_form(spec, QuadraticAction(hmatrix=symbol_quadratic_matrix(sym)))
+        for i in range(5):
+            path = sample_loop(spec, i)
+            x = path.points[1:-1].T.ravel()
+            assert x @ Q @ x == pytest.approx(action(path, lambda p: hamiltonian_real_values(sym, p)), abs=1e-12)
 
 
 def test_oracle_trivial_and_closed_form():
@@ -174,13 +177,27 @@ def test_estimate_deterministic():
     assert isinstance(r1, EstimateReport) and r1.samples == 5000
 
 
+def bridge_covariance(spec):
+    """The discrete bridge covariance sigma^2 (min(s, t) - s t) on the free
+    grid times, coordinate-major, built here independently of the oracle."""
+    t = np.arange(1, spec.steps) / spec.steps
+    return np.kron(np.eye(2 * spec.m), spec.sigma2 * (np.minimum.outer(t, t) - np.outer(t, t)))
+
+
+def dense_oracle(spec, q):
+    """prod (1 - 2i mu)^{-1/2} over the eigenvalues mu of L^T Q L, with
+    Sigma = L L^T: each factor has argument in (-pi/2, pi/2), so the product
+    of principal roots is the continuous one.  O((2mK)^3)."""
+    L = np.linalg.cholesky(bridge_covariance(spec))
+    mu = np.linalg.eigvalsh(L.T @ discrete_quadratic_form(spec, q) @ L)
+    return complex(np.exp(-0.5 * np.sum(np.log(1.0 - 2j * mu))))
+
+
 def tracked_oracle(spec, q, grid):
     """det(I - 2i lam Sigma Q)^{-1/2} at lam = 1, with the square root tracked
     continuously from lam = 0 (sign nearest the previous step), and the
-    total phase of the determinant; Sigma is built here independently."""
-    t = np.arange(1, spec.steps) / spec.steps
-    Sigma = np.kron(np.eye(2 * spec.m), spec.sigma2 * (np.minimum.outer(t, t) - np.outer(t, t)))
-    SQ = Sigma @ discrete_quadratic_form(spec, q)
+    total phase of the determinant."""
+    SQ = bridge_covariance(spec) @ discrete_quadratic_form(spec, q)
     eye = np.eye(SQ.shape[0])
     root, phase = 1.0 + 0j, 0.0
     for lam in np.linspace(0.0, 1.0, grid + 1)[1:]:
@@ -218,6 +235,46 @@ def test_oracle_branch_property(seed, norm, nu):
     want, _ = tracked_oracle(spec, q, grid=2000)
     got = gaussian_oracle(spec, q)
     assert abs(got - want) <= 1e-10 * abs(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    steps=st.integers(16, 256),
+    nu=st.floats(0.5, 32.0),
+    norm=st.floats(0.0, 1e3, exclude_min=True),
+    rule=st.sampled_from(sorted(VARIANCE_RULES)),
+    seed=st.integers(0, 2**16),
+)
+def test_oracle_matches_dense_property(m, steps, nu, norm, rule, seed):
+    # the pivot recursion against the dense eigenvalue route
+    sym = HamiltonianSymbol(m, sample("sp_c", m, norm, seed))
+    spec = MeasureSpec(nu=nu, steps=steps, seed=0, variance_rule=rule, m=m)
+    q = QuadraticAction(hmatrix=symbol_quadratic_matrix(sym))
+    want = dense_oracle(spec, q)
+    assume(abs(want) > 1e-290)  # relative accuracy is void once the value underflows
+    got = gaussian_oracle(spec, q)
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_oracle_pivot_eigenvalue_branch():
+    # a definite M turns all eigenvalues of a pivot the same way: for m = 2
+    # their arguments sum to about -3.97 < -pi at every pivot, so the
+    # principal log of det D_j would flip the sign of the value
+    spec = MeasureSpec(nu=16.0, steps=16, seed=0, m=2)
+    q = QuadraticAction(hmatrix=100.0 * np.eye(4))
+    want = dense_oracle(spec, q)
+    assert abs(gaussian_oracle(spec, q) - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("nu", [1.0, 4.0])
+def test_oracle_rate_constant_beyond_dense_reach(nu):
+    # at 16384 steps (a dense form would be 32766 x 32766) the discrete area
+    # law exceeds the continuum nu / sinh nu by (1/2) nu^2 / steps (relative)
+    steps = 16384
+    value = gaussian_oracle(MeasureSpec(nu=nu, steps=steps, seed=0), QuadraticAction())
+    closed = nu / np.sinh(nu)
+    assert 0.499 <= abs(abs(value) - closed) / closed * steps / nu**2 <= 0.501
 
 
 def test_oracle_refinement_reported():

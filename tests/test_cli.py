@@ -84,6 +84,40 @@ def test_malformed_parameters_exit_2_without_outputs(tmp_path, capsys, params):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "experiment, params",
+    [
+        ("membership", {"seed": 1, "n_list": [1.5]}),
+        ("potapov", {"seed": 1, "contraction_n_list": [2.0]}),
+        ("pathint", {"seed": 1, "nu_list": [1, "two"]}),
+    ],
+    ids=["float_in_int_list", "float_in_contraction_list", "string_in_float_list"],
+)
+def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experiment, params):
+    # list elements carry the type of the default's elements; an int still
+    # passes for a float (nu_list [1, ...] above fails only on "two")
+    cfg = write_config(tmp_path, {"experiment": experiment, "parameters": params})
+    out_dir = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert "config error" in err and "must be list of " in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[], {"experiment": "decompose", "parameters": []}],
+    ids=["list_config", "list_parameters"],
+)
+def test_seed_override_on_non_object_exits_2(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, payload)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["run", cfg, "--out", str(out_dir), "--seed-override", "3"]) == 2
+    assert list(out_dir.iterdir()) == []
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_writes_report_and_csv(tmp_path, capsys):
     cfg = write_config(tmp_path, small_membership())
     out_dir = tmp_path / "out"
