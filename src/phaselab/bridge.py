@@ -3,11 +3,13 @@ integral: Stratonovich line integral of the symplectic 1-form, discretized
 actions, the scaled estimator e^{nu m} E[e^{iS}], and an exact Gaussian
 determinant oracle for quadratic actions.
 
-Loops are pinned to 0 at both ends of [0, 1].  The default variance rule
-sigma^2(nu) = nu is the literal time rescaling phi(nu t) of the standard
-bridge; alternative rules exist only for the calibration study, which
-documents (rather than resolves) the normalization gap of the reference
-measure: for sigma^2 = nu the exact value is
+Loops are pinned to 0 at both ends of [0, 1]; loop i of a seed's stream is
+drawn from default_rng((seed, i // CHUNK)), a block of CHUNK loops at a
+time.  The default variance rule sigma^2(nu) = nu is the literal time
+rescaling phi(nu t) of the standard bridge; alternative rules exist only for
+the calibration study, which documents (rather than resolves) the
+normalization gap of the reference measure: for sigma^2 = nu the exact
+value is
 
     e^{nu m} E[e^{i S_0}] = (e^{nu} nu / sinh nu)^m = (2 nu / (1 - e^{-2 nu}))^m,
 
@@ -32,7 +34,8 @@ from .linalg import ShapeError
 # validation rejects smaller values with the same limits
 MIN_STEPS = 16
 MIN_SAMPLES = 1000
-# loops per batch of the estimator; the merge order of batches is fixed
+# loops per block of the sample stream and per batch of the estimator; part
+# of the stream's definition, so changing it changes every Monte Carlo value
 CHUNK = 4096
 
 VARIANCE_RULES: Mapping[str, Callable[[float], float]] = {
@@ -94,95 +97,92 @@ class EstimateReport:
     action_params: dict = field(default_factory=dict)
 
 
-def _bridge_points(rng: np.random.Generator, spec: MeasureSpec) -> np.ndarray:
+def sample_loops(spec: MeasureSpec, lo: int, hi: int) -> np.ndarray:
+    """Loops lo, ..., hi-1 of the seed's stream as a (hi-lo, steps+1, 2m)
+    array of exact discrete bridges (covariance sigma^2 (min(s,t) - s t) per
+    coordinate at grid times s, t): the increments of a block's first n loops
+    are default_rng((seed, block)).normal(0, sqrt(sigma^2/steps),
+    size=(n, steps, 2m)), a prefix of any longer draw of that block."""
+    if not 0 <= lo < hi:
+        raise ValueError("need 0 <= lo < hi")
     K, d = spec.steps, 2 * spec.m
-    incr = rng.normal(0.0, np.sqrt(spec.sigma2 / K), size=(K, d))
-    walk = np.vstack([np.zeros((1, d)), np.cumsum(incr, axis=0)])
-    t = (np.arange(K + 1) / K)[:, None]
-    pts = walk - t * walk[-1]
-    pts[0] = 0.0
-    pts[-1] = 0.0
+    pts = np.zeros((hi - lo, K + 1, d))
+    for block in range(lo // CHUNK, (hi - 1) // CHUNK + 1):
+        first, end = block * CHUNK, min(hi, (block + 1) * CHUNK)
+        incr = np.random.default_rng((spec.seed, block)).normal(0.0, np.sqrt(spec.sigma2 / K), (end - first, K, d))
+        pts[max(first - lo, 0):end - lo, 1:] = incr[max(lo - first, 0):]
+    walk = np.cumsum(pts[:, 1:], axis=1, out=pts[:, 1:])
+    walk -= (np.arange(1, K + 1) / K)[:, None] * walk[:, -1:]
     return pts
 
 
 def sample_loop(spec: MeasureSpec, index: int) -> LoopPath:
-    """Exact discrete Brownian bridge, deterministic in (seed, index).
+    """Loop ``index`` of ``sample_loops``, from default_rng((seed, index //
+    CHUNK)); it redraws the block up to ``index``, so batch with
+    ``sample_loops`` when many loops are wanted."""
+    return LoopPath(points=sample_loops(spec, index, index + 1)[0])
 
-    Per-coordinate covariance at grid times s, t is sigma^2 (min(s,t) - s t).
-    """
-    rng = np.random.default_rng((spec.seed, index))
-    return LoopPath(points=_bridge_points(rng, spec))
+
+def _actions(pts: np.ndarray, hams: Sequence[Callable | None]) -> list[np.ndarray]:
+    """Actions of the loops pts (n, steps+1, 2m), one array per Hamiltonian
+    in ``hams`` (None = area only): the shoelace sum, computed once, plus the
+    midpoint time quadrature of each Hamiltonian."""
+    n, K, d = pts.shape[0], pts.shape[1] - 1, pts.shape[2]
+    if d % 2:
+        raise ShapeError("points must have even dimension 2m")
+    x, y = pts[:, :, : d // 2], pts[:, :, d // 2 :]
+    area = np.sum(x[:, 1:] * y[:, :-1] - x[:, :-1] * y[:, 1:], axis=(1, 2))
+    if any(H is not None for H in hams):
+        mid = ((pts[:, :-1] + pts[:, 1:]) / 2).reshape(-1, d)
+    return [area if H is None else area + np.asarray(H(mid), dtype=float).reshape(n, K).mean(axis=1) for H in hams]
 
 
 def line_integral_alpha(path: LoopPath) -> float:
     """Stratonovich (midpoint) line integral of sum_k (y_k dx_k - x_k dy_k).
 
-    Telescopes to the shoelace sum; equals -2 times the signed area.
+    Telescopes to the shoelace sum sum_j (x_{j+1} y_j - x_j y_{j+1}); equals
+    -2 times the signed area.
     """
-    pts = path.points
-    d = pts.shape[1]
-    if d % 2:
-        raise ShapeError("points must have even dimension 2m")
-    m = d // 2
-    x, y = pts[:, :m], pts[:, m:]
-    xm, ym = (x[:-1] + x[1:]) / 2, (y[:-1] + y[1:]) / 2
-    return float(np.sum(ym * np.diff(x, axis=0) - xm * np.diff(y, axis=0)))
+    return action(path, None)
 
 
 def action(path: LoopPath, H: Callable[[np.ndarray], np.ndarray] | None) -> float:
     """S_H = line integral of the symplectic form + midpoint time quadrature
     of H along the loop (H maps (N, 2m) points to real values; None = 0)."""
-    s = line_integral_alpha(path)
-    if H is not None:
-        mid = (path.points[:-1] + path.points[1:]) / 2
-        s += float(np.mean(np.asarray(H(mid), dtype=float)))
-    return s
+    return float(_actions(path.points[None], [H])[0][0])
 
 
-def estimate(
-    spec: MeasureSpec,
-    sym: HamiltonianSymbol | None = None,
-    tau: float | None = None,
-    samples: int = 10_000,
-) -> EstimateReport:
-    """The scaled estimator e^{nu m} E[e^{i S}], with S the loop action for
-    the (tau-clipped) symbol, or the bare stochastic-area action when sym is
-    None.  Deterministic in (seed, sample index); loops are drawn and summed
-    in batches of CHUNK, merged in a fixed order.
+def estimate_actions(
+    spec: MeasureSpec, syms: Sequence[HamiltonianSymbol | None], tau: float | None = None, samples: int = 10_000
+) -> list[EstimateReport]:
+    """The scaled estimator e^{nu m} E[e^{i S}] for each entry of ``syms``,
+    with S the loop action for the (tau-clipped) symbol, or the bare
+    stochastic-area action for None.  Each block of CHUNK loops of
+    ``sample_loops`` is drawn once and serves every action; the blocks'
+    sums are merged in a fixed order.
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples for a meaningful stderr")
-    K, d = spec.steps, 2 * spec.m
-    mm = spec.m
-    total, total2 = 0, 0.0
+    hams = [None if s is None else (lambda p, s=s: hamiltonian_real_values(s, p, tau)) for s in syms]
+    total = np.zeros(len(syms), dtype=complex)
     for lo in range(0, samples, CHUNK):
-        hi = min(lo + CHUNK, samples)
-        # identical draws to sample_loop(spec, index), batched for speed
-        pts = np.empty((hi - lo, K + 1, d))
-        for i, index in enumerate(range(lo, hi)):
-            pts[i] = _bridge_points(np.random.default_rng((spec.seed, index)), spec)
-        x, y = pts[:, :, :mm], pts[:, :, mm:]
-        xm, ym = (x[:, :-1] + x[:, 1:]) / 2, (y[:, :-1] + y[:, 1:]) / 2
-        svals = np.sum(ym * np.diff(x, axis=1) - xm * np.diff(y, axis=1), axis=(1, 2))
-        if sym is not None:
-            mid = ((pts[:, :-1] + pts[:, 1:]) / 2).reshape(-1, d)
-            svals = svals + hamiltonian_real_values(sym, mid, tau).reshape(hi - lo, K).mean(axis=1)
-        vals = np.exp(1j * svals)
-        total += complex(np.sum(vals))
-        total2 += float(np.sum(np.abs(vals) ** 2))
-
-    mean = total / samples
-    var = (total2 - abs(total) ** 2 / samples) / (samples - 1)
-    stderr = float(np.sqrt(max(var.real, 0.0) / samples))
+        total += [np.sum(np.exp(1j * s)) for s in _actions(sample_loops(spec, lo, min(lo + CHUNK, samples)), hams)]
+    # every sample has modulus 1, so the sum of squared moduli is ``samples``
+    var = (samples - np.abs(total) ** 2 / samples) / (samples - 1)
     scale = float(np.exp(spec.nu * spec.m))
-    params = {"tau": tau, "has_symbol": sym is not None}
-    return EstimateReport(
-        mean=complex(scale * mean),
-        stderr=scale * stderr,
-        samples=samples,
-        spec=spec,
-        action_params=params,
-    )
+    return [
+        EstimateReport(complex(scale * (t / samples)), scale * float(np.sqrt(max(v, 0.0) / samples)), samples, spec,
+                       {"tau": tau, "has_symbol": sym is not None})
+        for sym, t, v in zip(syms, total, var)
+    ]
+
+
+def estimate(
+    spec: MeasureSpec, sym: HamiltonianSymbol | None = None, tau: float | None = None, samples: int = 10_000
+) -> EstimateReport:
+    """``estimate_actions`` for one action: the symbol's, or the bare area's
+    when sym is None."""
+    return estimate_actions(spec, [sym], tau, samples)[0]
 
 
 # ---------------------------------------------------------------------------

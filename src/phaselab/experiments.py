@@ -10,7 +10,7 @@ seeds), so identical configs produce byte-identical CSV output.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,8 +53,9 @@ from .bridge import (
     MIN_STEPS,
     MeasureSpec,
     QuadraticAction,
+    VARIANCE_RULES,
     calibrate,
-    estimate,
+    estimate_actions,
     gaussian_oracle,
     symbol_quadratic_matrix,
 )
@@ -419,25 +420,18 @@ def run_landau(p: dict) -> RunReport:
 def run_pathint(p: dict) -> RunReport:
     checks = []
     sym = HamiltonianSymbol(1, _spc_unit_sample(1, p["seed"] + 77, p["symbol_norm"]))
-    hmat = symbol_quadratic_matrix(sym)
+    quadratic = QuadraticAction(hmatrix=symbol_quadratic_matrix(sym))
     for nu in p["nu_list"]:
-        for label, s, q in (
-            ("area", None, QuadraticAction()),
-            ("quadratic", sym, QuadraticAction(hmatrix=hmat)),
-        ):
-            spec = MeasureSpec(nu=float(nu), steps=p["steps"], seed=p["seed"])
-            scale = float(np.exp(spec.nu * spec.m))
-            oracle = scale * gaussian_oracle(spec, q)
-            rep = estimate(spec, sym=s, tau=None, samples=p["samples"])
-            dev = abs(rep.mean - oracle)
-            checks.append(
-                Check.le(f"mc_vs_oracle_{label}_nu{nu:g}_in_stderr", dev / rep.stderr, 3.0)
-            )
+        spec = MeasureSpec(nu=float(nu), steps=p["steps"], seed=p["seed"])
+        scale = float(np.exp(spec.nu * spec.m))
+        v1 = gaussian_oracle(spec, quadratic)
+        # both actions are estimated on one draw of the loops
+        reps = estimate_actions(spec, [None, sym], tau=None, samples=p["samples"])
+        for label, oracle, rep in zip(("area", "quadratic"), (gaussian_oracle(spec, QuadraticAction()), v1), reps):
+            dev = abs(rep.mean - scale * oracle)
+            checks.append(Check.le(f"mc_vs_oracle_{label}_nu{nu:g}_in_stderr", dev / rep.stderr, 3.0))
             checks.append(Check.report(f"mc_stderr_{label}_nu{nu:g}", rep.stderr))
-        spec1 = MeasureSpec(nu=float(nu), steps=p["steps"], seed=p["seed"])
-        spec2 = MeasureSpec(nu=float(nu), steps=2 * p["steps"], seed=p["seed"])
-        v1 = gaussian_oracle(spec1, QuadraticAction(hmatrix=hmat))
-        v2 = gaussian_oracle(spec2, QuadraticAction(hmatrix=hmat))
+        v2 = gaussian_oracle(replace(spec, steps=2 * spec.steps), quadratic)
         # stated refinement tolerance; the honest discretization error is
         # Theta(nu^2/steps) (see ledger), reported as-is
         checks.append(Check.le(f"oracle_refinement_nu{nu:g}", abs(v1 - v2) / abs(v2), p["refinement_tol"]))
@@ -448,12 +442,8 @@ def run_pathint(p: dict) -> RunReport:
 # calibrate: reference-measure normalization study (report-only)
 
 def run_calibrate(p: dict) -> RunReport:
-    table = calibrate(
-        p["nu_list"], p["rules"], p["steps"], p["samples"], p["seed"], m=p.get("m", 1)
-    )
-    table2 = calibrate(
-        p["nu_list"], p["rules"], p["steps"], p["samples"], p["seed"], m=p.get("m", 1)
-    )
+    # run twice: the table must repeat exactly
+    table, table2 = (calibrate(p["nu_list"], p["rules"], p["steps"], p["samples"], p["seed"], m=p["m"]) for _ in range(2))
     deterministic = all(
         r1["oracle"] == r2["oracle"] and r1.get("mc_mean") == r2.get("mc_mean")
         for r1, r2 in zip(table["rows"], table2["rows"])
@@ -606,9 +596,18 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
 }
 
 
-# the sampling experiments hand steps to MeasureSpec and samples to estimate
-LOWER_BOUNDS = {
-    tag: {"steps": MIN_STEPS, "samples": MIN_SAMPLES} for tag in ("pathint", "calibrate")
+# range checks after the type checks, key -> (holds, what the value must be);
+# the sampling experiments hand steps, nu and the rules to MeasureSpec
+_SAMPLING = {
+    "steps": (lambda v: v >= MIN_STEPS, f"at least {MIN_STEPS}"),
+    "samples": (lambda v: v >= MIN_SAMPLES, f"at least {MIN_SAMPLES}"),
+    "nu_list": (lambda v: len(v) > 0 and all(nu > 0 for nu in v), "a non-empty list of positive numbers"),
+}
+RANGES = {
+    "pathint": _SAMPLING,
+    "calibrate": {**_SAMPLING, "rules": (lambda v: len(v) > 0 and set(v) <= set(VARIANCE_RULES),
+                                         f"a non-empty list of {sorted(VARIANCE_RULES)}")},
+    "landau": {"eig_count": (lambda v: v >= 1, "at least 1"), "spacing": (lambda v: v > 0, "positive")},
 }
 
 
@@ -629,7 +628,7 @@ def validate_config(config: dict) -> tuple[str, dict]:
     """Validate a config dict against the experiment schema; returns the tag
     and the parameter dict with defaults filled in.  Each value must have
     the type of its default (``seed`` is an int) and stay within the
-    experiment's lower bounds."""
+    experiment's ``RANGES``."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     unknown_top = set(config) - {"experiment", "parameters"}
@@ -658,9 +657,9 @@ def validate_config(config: dict) -> tuple[str, dict]:
             raise ConfigError(f"parameter {key!r} of {tag!r} must be {kind}, got {value!r}")
     filled = dict(spec.defaults)
     filled.update(params)
-    for key, least in LOWER_BOUNDS.get(tag, {}).items():
-        if filled[key] < least:
-            raise ConfigError(f"parameter {key!r} of {tag!r} must be at least {least}")
+    for key, (holds, want) in RANGES.get(tag, {}).items():
+        if not holds(filled[key]):
+            raise ConfigError(f"parameter {key!r} of {tag!r} must be {want}, got {filled[key]!r}")
     return tag, filled
 
 

@@ -9,12 +9,15 @@ from phaselab.bridge import (
     MeasureSpec,
     QuadraticAction,
     action,
+    CHUNK,
     calibrate,
     discrete_quadratic_form,
     estimate,
+    estimate_actions,
     gaussian_oracle,
     line_integral_alpha,
     sample_loop,
+    sample_loops,
     symbol_quadratic_matrix,
 )
 from phaselab.cones import HamiltonianSymbol, hamiltonian_real_values, hamiltonian_value, sample
@@ -43,6 +46,34 @@ def test_sample_loop_pinned_and_deterministic():
     assert np.all(p1.points[0] == 0) and np.all(p1.points[-1] == 0)
     p3 = sample_loop(spec, 18)
     assert not np.array_equal(p1.points, p3.points)
+    block = sample_loops(spec, 0, 100)
+    assert block.shape == (100, 65, 2) and np.array_equal(block, sample_loops(spec, 0, 100))
+    assert np.all(block[:, 0] == 0) and np.all(block[:, -1] == 0)
+    assert np.array_equal(block[17], p1.points)
+    for lo, hi in ((5, 5), (-1, 3)):
+        with pytest.raises(ValueError):
+            sample_loops(spec, lo, hi)
+
+
+def stream_loop(spec, i):
+    """Loop i built here from the stream's definition: the last of the first
+    i % CHUNK + 1 increment draws of default_rng((seed, i // CHUNK)), summed
+    and pinned at t = 1."""
+    K, d = spec.steps, 2 * spec.m
+    draw = np.random.default_rng((spec.seed, i // CHUNK)).normal(0.0, np.sqrt(spec.sigma2 / K), (i % CHUNK + 1, K, d))
+    walk = np.vstack([np.zeros((1, d)), np.cumsum(draw[-1], axis=0)])
+    return walk - (np.arange(K + 1) / K)[:, None] * walk[-1]
+
+
+def test_sample_loops_across_chunk_boundary():
+    # loop i comes from default_rng((seed, i // CHUNK)) whatever range is
+    # asked for: 4090..4099 straddle the first two blocks
+    spec = spec64(seed=3)
+    lo, hi = CHUNK - 6, CHUNK + 4
+    loops = sample_loops(spec, lo, hi)
+    assert np.array_equal(loops, np.stack([sample_loop(spec, i).points for i in range(lo, hi)]))
+    assert np.array_equal(loops, np.stack([stream_loop(spec, i) for i in range(lo, hi)]))
+    assert np.array_equal(loops, sample_loops(spec, 0, hi + 10)[lo:hi])
 
 
 def test_bridge_covariance_monte_carlo():
@@ -50,10 +81,8 @@ def test_bridge_covariance_monte_carlo():
     spec = MeasureSpec(nu=2.0, steps=32, seed=5)
     i_s, i_t = 8, 16  # t = 1/4, 1/2
     n = 20000
-    prods = np.empty(n)
-    for i in range(n):
-        pts = sample_loop(spec, i).points
-        prods[i] = pts[i_s, 0] * pts[i_t, 0]
+    pts = sample_loops(spec, 0, n)
+    prods = pts[:, i_s, 0] * pts[:, i_t, 0]
     want = spec.sigma2 * (0.25 - 0.125)
     stderr = np.std(prods, ddof=1) / np.sqrt(n)
     assert abs(prods.mean() - want) < 3 * stderr
@@ -117,8 +146,8 @@ def test_discrete_form_matches_action():
         sym = HamiltonianSymbol(m, sample("sp_c", m, 0.5, 9))
         spec = MeasureSpec(nu=1.5, steps=64, seed=2, m=m)
         Q = discrete_quadratic_form(spec, QuadraticAction(hmatrix=symbol_quadratic_matrix(sym)))
-        for i in range(5):
-            path = sample_loop(spec, i)
+        for pts in sample_loops(spec, 0, 5):
+            path = LoopPath(points=pts)
             x = path.points[1:-1].T.ravel()
             assert x @ Q @ x == pytest.approx(action(path, lambda p: hamiltonian_real_values(sym, p)), abs=1e-12)
 
@@ -133,7 +162,7 @@ def test_oracle_trivial_and_closed_form():
 
 
 def test_estimate_matches_per_index_loop():
-    # the batched internals reproduce the per-index sample_loop/action route
+    # the estimator's blocks reproduce the per-loop sample_loop/action route
     sym = HamiltonianSymbol(1, sample("sp_c", 1, 0.3, 8))
     spec = spec64(nu=1.0, seed=6)
     direct = np.mean(
@@ -143,6 +172,19 @@ def test_estimate_matches_per_index_loop():
     assert abs(rep.mean / np.exp(1.0) - direct) < 1e-13
     with pytest.raises(ValueError):
         estimate(spec, samples=10)
+
+
+def test_estimate_actions_match_separate_estimates():
+    # one draw serves every action, bit for bit as separate estimates
+    sym = HamiltonianSymbol(1, sample("sp_c", 1, 0.3, 8))
+    spec = spec64(nu=1.0, seed=6)
+    for tau in (None, 0.5):
+        both = estimate_actions(spec, [None, sym], tau=tau, samples=CHUNK + 1000)
+        for rep, s in zip(both, (None, sym)):
+            alone = estimate(spec, sym=s, tau=tau, samples=CHUNK + 1000)
+            assert rep.mean == alone.mean and rep.stderr == alone.stderr
+            assert rep.action_params == alone.action_params
+    assert both[0].mean != both[1].mean
 
 
 def test_mc_matches_oracle_within_stderr():
@@ -291,8 +333,7 @@ def test_stratonovich_refinement_statistics():
     # difference is O(1/K), the spread O(K^{-1/2})
     fine = MeasureSpec(nu=1.0, steps=128, seed=21)
     diffs = []
-    for i in range(2000):
-        pts = sample_loop(fine, i).points
+    for pts in sample_loops(fine, 0, 2000):
         s_fine = line_integral_alpha(LoopPath(points=pts))
         s_coarse = line_integral_alpha(LoopPath(points=pts[::2].copy()))
         diffs.append(s_fine - s_coarse)

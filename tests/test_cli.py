@@ -105,6 +105,38 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
 
 
 @pytest.mark.parametrize(
+    "experiment, params",
+    [
+        ("pathint", {"seed": 1, "nu_list": []}),
+        ("pathint", {"seed": 1, "nu_list": [-1]}),
+        ("pathint", {"seed": 1, "nu_list": [1, 0]}),
+        ("calibrate", {"seed": 1, "rules": ["bogus"]}),
+        ("calibrate", {"seed": 1, "rules": []}),
+        ("calibrate", {"seed": 1, "nu_list": []}),
+        ("landau", {"eig_count": 0}),
+        ("landau", {"spacing": -0.1}),
+    ],
+    ids=[
+        "pathint_empty_nu_list",
+        "pathint_negative_nu",
+        "pathint_zero_nu",
+        "calibrate_unknown_rule",
+        "calibrate_no_rules",
+        "calibrate_empty_nu_list",
+        "landau_no_eigenvalues",
+        "landau_negative_spacing",
+    ],
+)
+def test_out_of_range_parameters_exit_2_without_outputs(tmp_path, capsys, experiment, params):
+    cfg = write_config(tmp_path, {"experiment": experiment, "parameters": params})
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["run", cfg, "--out", str(out_dir)]) == 2
+    assert list(out_dir.iterdir()) == []
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "payload",
     [[], {"experiment": "decompose", "parameters": []}],
     ids=["list_config", "list_parameters"],
