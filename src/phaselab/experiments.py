@@ -596,8 +596,8 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
 }
 
 
-# range checks after the type checks, key -> (holds, what the value must be);
-# the sampling experiments hand steps, nu and the rules to MeasureSpec
+# range checks after the type checks, key -> (holds, what the value must be):
+# outside them MeasureSpec, estimate_actions or low_spectrum raise, or a run checks nothing
 _SAMPLING = {
     "steps": (lambda v: v >= MIN_STEPS, f"at least {MIN_STEPS}"),
     "samples": (lambda v: v >= MIN_SAMPLES, f"at least {MIN_SAMPLES}"),
