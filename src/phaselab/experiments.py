@@ -41,12 +41,14 @@ from .fock import (
     z_ops,
 )
 from .landau import (
+    MIN_HALF_CELLS,
     Grid2D,
     cluster_center,
     flux_count,
     grid_strong_limit,
     landau_hamiltonian,
     low_spectrum,
+    max_eig_count,
 )
 from .bridge import (
     MIN_SAMPLES,
@@ -596,18 +598,35 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
 }
 
 
-# range checks after the type checks, key -> (holds, what the value must be):
-# outside them MeasureSpec, estimate_actions or low_spectrum raise, or a run checks nothing
+# range checks after the type checks, key -> (holds(value, params), what the
+# value must be), in order, so a check may read a key checked before it:
+# outside them a runner raises, or a run checks nothing
+_POSITIVE_LIST = (lambda v, p: len(v) > 0 and all(x > 0 for x in v), "a non-empty list of positive numbers")
+_AT_LEAST_ONE = (lambda v, p: v >= 1, "at least 1")
 _SAMPLING = {
-    "steps": (lambda v: v >= MIN_STEPS, f"at least {MIN_STEPS}"),
-    "samples": (lambda v: v >= MIN_SAMPLES, f"at least {MIN_SAMPLES}"),
-    "nu_list": (lambda v: len(v) > 0 and all(nu > 0 for nu in v), "a non-empty list of positive numbers"),
+    "steps": (lambda v, p: v >= MIN_STEPS, f"at least {MIN_STEPS}"),
+    "samples": (lambda v, p: v >= MIN_SAMPLES, f"at least {MIN_SAMPLES}"),
+    "nu_list": _POSITIVE_LIST,
 }
+_POSITIVE = (lambda v, p: v > 0, "positive")
+_FINE = f"at least {MIN_HALF_CELLS} times the spacing"
 RANGES = {
+    "membership": {"n_list": _POSITIVE_LIST},
+    "potapov": {"contraction_n_list": _POSITIVE_LIST},
+    "graph-limit": {"m": _AT_LEAST_ONE, "nu_list": _POSITIVE_LIST},
+    "fock-limit": {"strong_nu_list": _POSITIVE_LIST, "tau_list": _POSITIVE_LIST},
     "pathint": _SAMPLING,
-    "calibrate": {**_SAMPLING, "rules": (lambda v: len(v) > 0 and set(v) <= set(VARIANCE_RULES),
-                                         f"a non-empty list of {sorted(VARIANCE_RULES)}")},
-    "landau": {"eig_count": (lambda v: v >= 1, "at least 1"), "spacing": (lambda v: v > 0, "positive")},
+    "calibrate": {**_SAMPLING, "m": _AT_LEAST_ONE,
+                  "rules": (lambda v, p: len(v) > 0 and set(v) <= set(VARIANCE_RULES),
+                            f"a non-empty list of {sorted(VARIANCE_RULES)}")},
+    "landau": {
+        "spacing": _POSITIVE,
+        "half_width": (lambda v, p: v / p["spacing"] >= MIN_HALF_CELLS, _FINE),
+        "eig_count": (lambda v, p: 1 <= v <= max_eig_count(Grid2D(p["half_width"], p["spacing"]).npoints),
+                      "at least 1 and at most landau.max_eig_count of the grid's point count"),
+        "strong_limit_spacing": _POSITIVE,
+        "strong_limit_half_width": (lambda v, p: v / p["strong_limit_spacing"] >= MIN_HALF_CELLS, _FINE),
+    },
 }
 
 
@@ -658,7 +677,7 @@ def validate_config(config: dict) -> tuple[str, dict]:
     filled = dict(spec.defaults)
     filled.update(params)
     for key, (holds, want) in RANGES.get(tag, {}).items():
-        if not holds(filled[key]):
+        if not holds(filled[key], filled):
             raise ConfigError(f"parameter {key!r} of {tag!r} must be {want}, got {filled[key]!r}")
     return tag, filled
 

@@ -13,7 +13,7 @@ between clusters by the Dirichlet wall.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isqrt
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +23,10 @@ import scipy.sparse.linalg as spla
 from .cones import HamiltonianSymbol, hamiltonian_real_values
 from .fock import FockSpace, antinormal_quantize, h_A_operator, number_ops, vacuum_state
 from .linalg import expm
+
+
+# the fewest spacings in a half width that Grid2D accepts
+MIN_HALF_CELLS = 16
 
 
 @dataclass(frozen=True)
@@ -35,8 +39,8 @@ class Grid2D:
     def __post_init__(self):
         if self.spacing <= 0:
             raise ValueError("spacing must be positive")
-        if self.half_width / self.spacing < 16:
-            raise ValueError("grid too coarse: need half_width/spacing >= 16")
+        if self.half_width / self.spacing < MIN_HALF_CELLS:
+            raise ValueError(f"grid too coarse: need half_width/spacing >= {MIN_HALF_CELLS}")
 
     @property
     def side(self) -> int:
@@ -104,18 +108,142 @@ def landau_hamiltonian(grid: Grid2D) -> sp.csr_matrix:
     return (0.25 * magnetic_laplacian(grid) - 0.5 * sp.identity(N, format="csr")).tocsr()
 
 
-def low_spectrum(H: sp.csr_matrix, k: int, sigma: float = -0.6) -> np.ndarray:
-    """Lowest k eigenvalues via shift-invert Lanczos (sigma below the spectrum).
+class SymmetryError(ValueError):
+    """The operator is not on a square grid, or does not commute with the
+    90-degree rotation of that grid."""
 
-    Lanczos starts from a fixed complex normal vector, so a run repeats
-    exactly.  A constant start vector would not do: it is invariant under the
-    90-degree grid rotation, which commutes with H, and would confine the
-    Krylov space to one symmetry sector.
+
+class InertiaError(ArithmeticError):
+    """The Sylvester inertia count does not certify a computed spectrum."""
+
+
+# Each sector starts with a quarter of k plus this margin; a sector that the
+# inertia count finds short reruns with half as many values again, at most
+# RERUNS times.
+SECTOR_MARGIN = 4
+RERUNS = 3
+# Largest |Im d| / |Re d| over the pivots d of an inertia factorization: in
+# exact arithmetic every d is real, so Im d measures the rounding, and
+# beyond this bound it could flip the sign of Re d.
+PIVOT_RATIO_MAX = 1e-6
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def rotation_sectors(H: sp.spmatrix) -> list[sp.csc_matrix]:
+    """H restricted to the four eigenspaces of the 90-degree grid rotation R.
+
+    The side of the grid is isqrt(N), with site (i, j) at index i*side + j,
+    and R maps (x, y) to (-y, x).  Entry q is B_q^H H B_q, where the columns
+    of B_q, one per orbit of R, are (1/2) sum_s i^{-qs} e_{R^s a} (a the
+    orbit's smallest index): R B_q = i^q B_q.  The sites fixed by R (the
+    centre of an odd grid) add unit columns to B_0.  The four spectra
+    together are the spectrum of H.  Raises ``SymmetryError`` unless N is a
+    square and R H R^T == H holds exactly.
     """
+    N = H.shape[0]
+    side = isqrt(N)
+    if side * side != N:
+        raise SymmetryError(f"{N} points do not make a square grid")
+    i, j = np.divmod(np.arange(N), side)
+    s1 = (side - 1 - j) * side + i  # the index of R e_a
+    R = sp.csr_matrix((np.ones(N), (s1, np.arange(N))), shape=(N, N))
+    if (R @ H @ R.T != H).nnz:
+        raise SymmetryError("H does not commute with the 90-degree grid rotation")
+    orbit = [np.arange(N), s1, s1[s1], s1[s1[s1]]]
+    reps = np.flatnonzero((orbit[0] < orbit[1]) & (orbit[0] < orbit[2]) & (orbit[0] < orbit[3]))
+    fixed = np.flatnonzero(s1 == orbit[0])
+    n = reps.size
+    rows = np.concatenate([o[reps] for o in orbit])
+    cols = np.tile(np.arange(n), 4)
+    sectors = []
+    for q in range(4):
+        vals = np.repeat(_I_POWERS[(-q * np.arange(4)) % 4], n) / 2
+        B = sp.csr_matrix((vals, (rows, cols)), shape=(N, n))
+        if q == 0 and fixed.size:
+            centre = sp.csr_matrix((np.ones(fixed.size), (fixed, np.arange(fixed.size))), shape=(N, fixed.size))
+            B = sp.hstack([B, centre], format="csr")
+        sectors.append((B.conj().T @ H @ B).tocsc())
+    return sectors
+
+
+def max_eig_count(npoints: int) -> int:
+    """The largest k that ``low_spectrum`` takes on an npoints-site grid:
+    every sector must hold its first k_q plus the two ARPACK needs."""
+    return 4 * ((npoints - 1) // 4 - 2 - SECTOR_MARGIN)
+
+
+def _sector_low(Hq: sp.csc_matrix, k: int, sigma: float) -> np.ndarray:
+    # a fixed complex normal start vector, so that a run repeats exactly
     rng = np.random.default_rng(0)
-    v0 = rng.normal(size=H.shape[0]) + 1j * rng.normal(size=H.shape[0])
-    vals = spla.eigsh(H, k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False)
+    v0 = rng.normal(size=Hq.shape[0]) + 1j * rng.normal(size=Hq.shape[0])
+    vals = spla.eigsh(Hq, k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False)
     return np.sort(vals.real)
+
+
+def count_below(Hq: sp.spmatrix, cut: float) -> int:
+    """The number of eigenvalues of the Hermitian Hq below ``cut``, by
+    Sylvester's law of inertia.
+
+    With the same row and column permutation P, P (Hq - cut I) P^T = L U
+    with L unit lower triangular is the congruence L D L^H, D = diag(U), so
+    Hq - cut I and D have the same number of negative values.  The
+    factorization does not pivot for stability, so raises ``InertiaError``
+    when it pivots off the diagonal, meets a zero pivot, or has a pivot whose
+    |Im d| / |Re d| exceeds ``PIVOT_RATIO_MAX``.
+    """
+    shifted = (Hq - cut * sp.identity(Hq.shape[0], format="csc")).tocsc()
+    try:
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise InertiaError(f"no inertia count at cut {cut}: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise InertiaError(f"the factorization at cut {cut} pivoted off the diagonal")
+    d = lu.U.diagonal()
+    ratio = np.max(np.abs(d.imag) / np.abs(d.real))
+    if not ratio <= PIVOT_RATIO_MAX:
+        raise InertiaError(f"pivot |Im d|/|Re d| = {ratio:.3g} at cut {cut} exceeds {PIVOT_RATIO_MAX:g}")
+    return int(np.sum(d.real < 0))
+
+
+def low_spectrum(H: sp.csr_matrix, k: int, sigma: float = -0.6) -> np.ndarray:
+    """Lowest k eigenvalues of a rotation-symmetric grid operator, by
+    shift-invert Lanczos (sigma below the spectrum) in each rotation sector.
+
+    ``rotation_sectors`` splits H into four blocks of about N/4 (raising
+    ``SymmetryError`` for a non-square N or an H that does not commute with
+    the rotation).  Each block gives its lowest ceil(k/4) + SECTOR_MARGIN
+    values, from a fixed start vector, so a run repeats exactly; the lowest
+    k of the merged values are the result.  They are certified by a cut
+    halfway between the merged k-th and (k+1)-th values: in every sector the
+    inertia count below the cut (``count_below``) must equal the number of
+    computed values below it.  A sector that falls short, because Lanczos
+    missed a value of a near-degenerate cluster, reruns with half as many
+    values again; after RERUNS reruns, or on a count above the computed one,
+    ``InertiaError`` is raised.  k must lie in [1, max_eig_count(N)].
+    """
+    if not 1 <= k <= max_eig_count(H.shape[0]):
+        raise ValueError(f"k = {k} outside [1, {max_eig_count(H.shape[0])}] for N = {H.shape[0]}")
+    sectors = rotation_sectors(H)
+    ks = [-(-k // 4) + SECTOR_MARGIN] * 4
+    vals = [_sector_low(Hq, kq, sigma) for Hq, kq in zip(sectors, ks)]
+    for rerun in range(RERUNS + 1):
+        merged = np.sort(np.concatenate(vals))
+        cut = (merged[k - 1] + merged[k]) / 2
+        short = []
+        for q, Hq in enumerate(sectors):
+            found, count = int(np.sum(vals[q] < cut)), count_below(Hq, cut)
+            if count < found:
+                raise InertiaError(f"sector {q}: {found} computed values below {cut} but an inertia count of {count}")
+            if count > found:
+                short.append(q)
+        if not short:
+            return merged[:k]
+        if rerun < RERUNS:
+            for q in short:
+                ks[q] = min(ks[q] + ks[q] // 2, sectors[q].shape[0] - 2)
+                vals[q] = _sector_low(sectors[q], ks[q], sigma)
+    raise InertiaError(f"sectors {short} stay short of their inertia count below {cut} after {RERUNS} reruns")
 
 
 def cluster_center(eigs: np.ndarray, near: float, halfwidth: float = 0.45, width: float = 0.02) -> float:

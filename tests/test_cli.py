@@ -115,6 +115,16 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("calibrate", {"seed": 1, "nu_list": []}),
         ("landau", {"eig_count": 0}),
         ("landau", {"spacing": -0.1}),
+        ("landau", {"half_width": 4.0, "spacing": 0.5}),
+        ("landau", {"half_width": 4.0, "spacing": 0.25, "eig_count": 5000}),
+        ("landau", {"strong_limit_half_width": 4.0, "strong_limit_spacing": 0.5}),
+        ("membership", {"seed": 1, "n_list": []}),
+        ("potapov", {"seed": 1, "contraction_n_list": []}),
+        ("graph-limit", {"seed": 1, "nu_list": []}),
+        ("graph-limit", {"seed": 1, "m": 0}),
+        ("fock-limit", {"seed": 1, "tau_list": []}),
+        ("fock-limit", {"seed": 1, "strong_nu_list": []}),
+        ("calibrate", {"seed": 1, "m": 0}),
     ],
     ids=[
         "pathint_empty_nu_list",
@@ -125,6 +135,16 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         "calibrate_empty_nu_list",
         "landau_no_eigenvalues",
         "landau_negative_spacing",
+        "landau_coarse_grid",
+        "landau_eig_count_beyond_grid",
+        "landau_coarse_strong_limit_grid",
+        "membership_empty_n_list",
+        "potapov_empty_contraction_n_list",
+        "graph_limit_empty_nu_list",
+        "graph_limit_zero_m",
+        "fock_limit_empty_tau_list",
+        "fock_limit_empty_strong_nu_list",
+        "calibrate_zero_m",
     ],
 )
 def test_out_of_range_parameters_exit_2_without_outputs(tmp_path, capsys, experiment, params):

@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import phaselab.landau as landau
 from phaselab.cones import HamiltonianSymbol, sample
 from phaselab.landau import (
     Grid2D,
+    InertiaError,
+    SymmetryError,
     cluster_center,
+    count_below,
     flux_count,
     grid_strong_limit,
     landau_hamiltonian,
     low_spectrum,
     magnetic_laplacian,
+    rotation_sectors,
 )
 
 
@@ -25,6 +30,102 @@ def test_low_spectrum_repeats_exactly():
     assert np.array_equal(a, b)
     dense = np.linalg.eigvalsh(H.toarray())[:12]
     assert np.max(np.abs(a - dense)) < 1e-10
+
+
+def test_rotation_sectors_split_the_spectrum():
+    H = landau_hamiltonian(small_grid())
+    N = H.shape[0]
+    sectors = rotation_sectors(H)
+    assert [Hq.shape[0] for Hq in sectors] == [(N - 1) // 4 + 1] + [(N - 1) // 4] * 3
+    for Hq in sectors:
+        assert abs(Hq - Hq.getH()).max() < 1e-14
+    split = np.sort(np.concatenate([np.linalg.eigvalsh(Hq.toarray()) for Hq in sectors]))
+    assert np.max(np.abs(split - np.linalg.eigvalsh(H.toarray()))) < 1e-10
+
+
+def test_inertia_count_matches_dense_count():
+    # at the checked-in spacing the first excited level is a near-degenerate
+    # cluster at 0.990; one cut goes between its two closest members
+    H = landau_hamiltonian(Grid2D(4.0, 0.125))
+    sectors = rotation_sectors(H)
+    dense = [np.linalg.eigvalsh(Hq.toarray()) for Hq in sectors]
+    w = np.sort(np.concatenate(dense))
+    cluster = w[(w > 0.98) & (w < 1.0)]
+    i = np.argmin(np.diff(cluster))
+    assert cluster[i + 1] - cluster[i] < 1e-4
+    for cut in (-0.1, 0.5, (cluster[i] + cluster[i + 1]) / 2, 0.9903, 1.2):
+        counts = [count_below(Hq, cut) for Hq in sectors]
+        assert counts == [int(np.sum(d < cut)) for d in dense]
+        assert count_below(H, cut) == sum(counts)
+
+
+def _short_first_sector(monkeypatch, kind, every_run=False):
+    """Make the first Lanczos run of sector 0 fall short (or every run of it):
+    compute 4 values fewer ("k_down") or lose the third value ("missed_value",
+    as Lanczos may in a near-degenerate cluster).  Returns (size, k) per run."""
+    original = landau._sector_low
+    runs = []
+
+    def short(Hq, k, sigma):
+        runs.append((Hq.shape[0], k))
+        sector_zero = Hq.shape[0] == runs[0][0]  # runs first; the only sector holding the centre
+        if not sector_zero or (len(runs) > 1 and not every_run):
+            return original(Hq, k, sigma)
+        if kind == "k_down":
+            return original(Hq, k - 4, sigma)
+        return np.delete(original(Hq, k, sigma), 2)
+
+    monkeypatch.setattr(landau, "_sector_low", short)
+    return runs
+
+
+@pytest.mark.parametrize("kind", ["k_down", "missed_value"])
+def test_short_sector_is_rerun(monkeypatch, kind):
+    H = landau_hamiltonian(small_grid())
+    dense = np.linalg.eigvalsh(H.toarray())[:24]
+    runs = _short_first_sector(monkeypatch, kind)
+    vals = low_spectrum(H, k=24)
+    assert len(runs) > 4  # the inertia count sent the short sector back
+    assert np.max(np.abs(vals - dense)) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["k_down", "missed_value"])
+def test_short_sector_without_reruns_raises(monkeypatch, kind):
+    monkeypatch.setattr(landau, "RERUNS", 0)
+    _short_first_sector(monkeypatch, kind)
+    with pytest.raises(InertiaError, match="after 0 reruns"):
+        low_spectrum(landau_hamiltonian(small_grid()), k=24)
+
+
+def test_sector_short_on_every_run_raises(monkeypatch):
+    runs = _short_first_sector(monkeypatch, "missed_value", every_run=True)
+    with pytest.raises(InertiaError, match=f"after {landau.RERUNS} reruns"):
+        low_spectrum(landau_hamiltonian(small_grid()), k=24)
+    assert len(runs) == 4 + landau.RERUNS
+
+
+def test_inertia_pivot_guards(monkeypatch):
+    # a complex pivot: Im d / Re d = 1e-3
+    with pytest.raises(InertiaError, match="pivot"):
+        count_below(sp.diags([1 + 1e-3j, -1.0], format="csc"), 0.0)
+    # a zero pivot: the cut is an eigenvalue
+    with pytest.raises(InertiaError):
+        count_below(sp.diags([1.0, 2.0], format="csc", dtype=complex), 1.0)
+    # the guard holds inside low_spectrum: no pivot is free of rounding
+    monkeypatch.setattr(landau, "PIVOT_RATIO_MAX", 0.0)
+    with pytest.raises(InertiaError, match="pivot"):
+        low_spectrum(landau_hamiltonian(small_grid()), k=24)
+
+
+def test_low_spectrum_rejects_asymmetric_operators():
+    with pytest.raises(SymmetryError, match="square"):
+        low_spectrum(sp.identity(1090, dtype=complex, format="csr"), k=4)
+    H = landau_hamiltonian(small_grid()).tolil()
+    H[0, 0] += 1e-12  # still Hermitian, no longer rotation-symmetric
+    with pytest.raises(SymmetryError, match="rotation"):
+        low_spectrum(H.tocsr(), k=4)
+    with pytest.raises(ValueError, match="outside"):
+        low_spectrum(landau_hamiltonian(small_grid()), k=landau.max_eig_count(1089) + 1)
 
 
 def test_grid_validation():
