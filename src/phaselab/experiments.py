@@ -609,7 +609,7 @@ _SAMPLING = {
     "nu_list": _POSITIVE_LIST,
 }
 _POSITIVE = (lambda v, p: v > 0, "positive")
-_FINE = f"at least {MIN_HALF_CELLS} times the spacing"
+_FINE_GRID = f"at least {MIN_HALF_CELLS} times the spacing"
 RANGES = {
     "membership": {"n_list": _POSITIVE_LIST},
     "potapov": {"contraction_n_list": _POSITIVE_LIST},
@@ -621,11 +621,11 @@ RANGES = {
                             f"a non-empty list of {sorted(VARIANCE_RULES)}")},
     "landau": {
         "spacing": _POSITIVE,
-        "half_width": (lambda v, p: v / p["spacing"] >= MIN_HALF_CELLS, _FINE),
+        "half_width": (lambda v, p: v / p["spacing"] >= MIN_HALF_CELLS, _FINE_GRID),
         "eig_count": (lambda v, p: 1 <= v <= max_eig_count(Grid2D(p["half_width"], p["spacing"]).npoints),
                       "at least 1 and at most landau.max_eig_count of the grid's point count"),
         "strong_limit_spacing": _POSITIVE,
-        "strong_limit_half_width": (lambda v, p: v / p["strong_limit_spacing"] >= MIN_HALF_CELLS, _FINE),
+        "strong_limit_half_width": (lambda v, p: v / p["strong_limit_spacing"] >= MIN_HALF_CELLS, _FINE_GRID),
     },
 }
 

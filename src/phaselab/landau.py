@@ -126,6 +126,11 @@ RERUNS = 3
 # exact arithmetic every d is real, so Im d measures the rounding, and
 # beyond this bound it could flip the sign of Re d.
 PIVOT_RATIO_MAX = 1e-6
+# The cut sits in the first gap above the k-th value at least this wide,
+# relative to max |H_ij|: the rounding in the pivots is of order
+# eps max |H_ij|, and a narrower gap (the bulk of a Landau level is
+# degenerate to 1e-15) cannot be resolved by an inertia count.
+CUT_GAP_MIN = 1e-8
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
@@ -215,35 +220,44 @@ def low_spectrum(H: sp.csr_matrix, k: int, sigma: float = -0.6) -> np.ndarray:
     the rotation).  Each block gives its lowest ceil(k/4) + SECTOR_MARGIN
     values, from a fixed start vector, so a run repeats exactly; the lowest
     k of the merged values are the result.  They are certified by a cut
-    halfway between the merged k-th and (k+1)-th values: in every sector the
-    inertia count below the cut (``count_below``) must equal the number of
-    computed values below it.  A sector that falls short, because Lanczos
-    missed a value of a near-degenerate cluster, reruns with half as many
-    values again; after RERUNS reruns, or on a count above the computed one,
+    halfway across the first gap between consecutive merged values, from the
+    k-th on, that is at least CUT_GAP_MIN max |H_ij| wide (mostly the gap
+    between the k-th and (k+1)-th): in every sector the inertia count below
+    the cut (``count_below``) must equal the number of computed values below
+    it.  A sector that falls short, because Lanczos missed a value of a
+    near-degenerate cluster or stopped below the cut, reruns with half as
+    many values again, and so does every sector when no gap is wide enough;
+    after RERUNS reruns, or on a count above the computed one,
     ``InertiaError`` is raised.  k must lie in [1, max_eig_count(N)].
     """
     if not 1 <= k <= max_eig_count(H.shape[0]):
         raise ValueError(f"k = {k} outside [1, {max_eig_count(H.shape[0])}] for N = {H.shape[0]}")
     sectors = rotation_sectors(H)
+    min_gap = CUT_GAP_MIN * abs(H).max()
     ks = [-(-k // 4) + SECTOR_MARGIN] * 4
     vals = [_sector_low(Hq, kq, sigma) for Hq, kq in zip(sectors, ks)]
     for rerun in range(RERUNS + 1):
         merged = np.sort(np.concatenate(vals))
-        cut = (merged[k - 1] + merged[k]) / 2
-        short = []
-        for q, Hq in enumerate(sectors):
-            found, count = int(np.sum(vals[q] < cut)), count_below(Hq, cut)
-            if count < found:
-                raise InertiaError(f"sector {q}: {found} computed values below {cut} but an inertia count of {count}")
-            if count > found:
-                short.append(q)
-        if not short:
-            return merged[:k]
+        wide = np.flatnonzero(np.diff(merged[k - 1:]) >= min_gap)
+        if not wide.size:
+            cut, short = None, [0, 1, 2, 3]
+        else:
+            cut = (merged[k - 1 + wide[0]] + merged[k + wide[0]]) / 2
+            short = []
+            for q, Hq in enumerate(sectors):
+                found, count = int(np.sum(vals[q] < cut)), count_below(Hq, cut)
+                if count < found:
+                    raise InertiaError(f"sector {q}: {found} computed values below {cut} but an inertia count of {count}")
+                if count > found:
+                    short.append(q)
+            if not short:
+                return merged[:k]
         if rerun < RERUNS:
             for q in short:
                 ks[q] = min(ks[q] + ks[q] // 2, sectors[q].shape[0] - 2)
                 vals[q] = _sector_low(sectors[q], ks[q], sigma)
-    raise InertiaError(f"sectors {short} stay short of their inertia count below {cut} after {RERUNS} reruns")
+    where = f"no gap of {min_gap:.3g} above value {k}" if cut is None else f"short below the cut {cut}"
+    raise InertiaError(f"sectors {short} stay uncertified ({where}) after {RERUNS} reruns")
 
 
 def cluster_center(eigs: np.ndarray, near: float, halfwidth: float = 0.45, width: float = 0.02) -> float:

@@ -59,6 +59,21 @@ def test_inertia_count_matches_dense_count():
         assert count_below(H, cut) == sum(counts)
 
 
+@pytest.mark.parametrize("k", [3, 36])
+def test_cut_moves_past_a_degenerate_boundary(monkeypatch, k):
+    # on this grid the k-th and (k+1)-th values (in the lowest level, and in
+    # the cluster at 0.961) are closer than an inertia count can resolve
+    H = landau_hamiltonian(Grid2D(5.0, 0.25))
+    dense = np.sort(np.concatenate([np.linalg.eigvalsh(Hq.toarray()) for Hq in rotation_sectors(H)]))
+    assert dense[k] - dense[k - 1] < landau.CUT_GAP_MIN * abs(H).max()
+    cuts = []
+    original = landau.count_below
+    monkeypatch.setattr(landau, "count_below", lambda Hq, cut: cuts.append(cut) or original(Hq, cut))
+    vals = low_spectrum(H, k=k)
+    assert np.max(np.abs(vals - dense[:k])) < 1e-10
+    assert cuts and min(cuts) > dense[k]
+
+
 def _short_first_sector(monkeypatch, kind, every_run=False):
     """Make the first Lanczos run of sector 0 fall short (or every run of it):
     compute 4 values fewer ("k_down") or lose the third value ("missed_value",
