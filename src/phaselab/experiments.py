@@ -9,6 +9,7 @@ seeds), so identical configs produce byte-identical CSV output.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -609,7 +610,13 @@ _SAMPLING = {
     "nu_list": _POSITIVE_LIST,
 }
 _POSITIVE = (lambda v, p: v > 0, "positive")
-_FINE_GRID = f"at least {MIN_HALF_CELLS} times the spacing"
+
+
+def _fine_grid(spacing: str) -> tuple:
+    return (lambda v, p: MIN_HALF_CELLS <= v / p[spacing] < math.inf,
+            f"finite and at least {MIN_HALF_CELLS} times {spacing}")
+
+
 RANGES = {
     "membership": {"n_list": _POSITIVE_LIST},
     "potapov": {"contraction_n_list": _POSITIVE_LIST},
@@ -621,11 +628,11 @@ RANGES = {
                             f"a non-empty list of {sorted(VARIANCE_RULES)}")},
     "landau": {
         "spacing": _POSITIVE,
-        "half_width": (lambda v, p: v / p["spacing"] >= MIN_HALF_CELLS, _FINE_GRID),
+        "half_width": _fine_grid("spacing"),
         "eig_count": (lambda v, p: 1 <= v <= max_eig_count(Grid2D(p["half_width"], p["spacing"]).npoints),
                       "at least 1 and at most landau.max_eig_count of the grid's point count"),
         "strong_limit_spacing": _POSITIVE,
-        "strong_limit_half_width": (lambda v, p: v / p["strong_limit_spacing"] >= MIN_HALF_CELLS, _FINE_GRID),
+        "strong_limit_half_width": _fine_grid("strong_limit_spacing"),
     },
 }
 

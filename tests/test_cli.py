@@ -116,6 +116,7 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("landau", {"eig_count": 0}),
         ("landau", {"spacing": -0.1}),
         ("landau", {"half_width": 4.0, "spacing": 0.5}),
+        ("landau", {"half_width": float("inf")}),
         ("landau", {"half_width": 4.0, "spacing": 0.25, "eig_count": 5000}),
         ("landau", {"strong_limit_half_width": 4.0, "strong_limit_spacing": 0.5}),
         ("membership", {"seed": 1, "n_list": []}),
@@ -136,6 +137,7 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         "landau_no_eigenvalues",
         "landau_negative_spacing",
         "landau_coarse_grid",
+        "landau_infinite_grid",
         "landau_eig_count_beyond_grid",
         "landau_coarse_strong_limit_grid",
         "membership_empty_n_list",
