@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -64,8 +65,10 @@ class StructuralMatrices:
         return 2 * self.n
 
 
+@lru_cache(maxsize=None, typed=True)
 def make_structural(n: int) -> StructuralMatrices:
-    """Build J, W, Ical for block size n (matrices are 2n x 2n)."""
+    """J, W, Ical for block size n (matrices are 2n x 2n), built once per n
+    and shared, so the arrays are read-only."""
     if n < 1:
         raise ValueError("n must be >= 1")
     Z = np.zeros((n, n))
@@ -73,6 +76,8 @@ def make_structural(n: int) -> StructuralMatrices:
     J = np.block([[Z, I], [-I, Z]]).astype(complex)
     W = np.block([[I, 1j * I], [I, -1j * I]]) / np.sqrt(2.0)
     Ical = np.diag(np.concatenate([-np.ones(n), np.ones(n)])).astype(complex)
+    for A in (J, W, Ical):
+        A.flags.writeable = False
     return StructuralMatrices(n=n, J=J, W=W, Ical=Ical)
 
 
@@ -99,28 +104,6 @@ class Membership:
     residual: float
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    """Per-predicate flags, each paired with a quantitative residual."""
-
-    n: int
-    checks: Mapping[str, Membership]
-
-    PREDICATES = (
-        "Sp_R", "Sp_C", "sp_R", "sp_C", "sp_c", "U", "u",
-        "GammaU", "GammaSp_c", "Diss", "SDiss", "Diss_spc", "SDiss_spc",
-    )
-
-    def __getitem__(self, key: str) -> Membership:
-        return self.checks[key]
-
-    def flag(self, key: str) -> bool:
-        return self.checks[key].flag
-
-    def residual(self, key: str) -> float:
-        return self.checks[key].residual
-
-
 def _norm(M) -> float:
     return float(np.linalg.norm(M, 2))
 
@@ -138,50 +121,123 @@ def spc_residual(M: np.ndarray) -> float:
     )
 
 
-def classify(M, S: StructuralMatrices, tol: Tolerances = DEFAULT_TOL) -> MembershipReport:
-    """Evaluate every group/cone predicate on M, with residuals.
+class MembershipReport:
+    """Per-predicate flags, each paired with a quantitative residual.
 
-    Equality-type residuals gate on tol.eq_tol, semidefinite ones on
-    tol.psd_tol; conjunction predicates require both parts.
+    Each residual is computed on the first read of a predicate that needs
+    it and kept for later reads, so a caller pays only for what it asks.
+    The report holds its own copy of M.  Equality-type residuals gate on
+    tol.eq_tol, semidefinite ones on tol.psd_tol; a conjunction predicate
+    needs every gate and reports the largest of its residuals.
     """
+
+    # predicate -> its residuals, each with the tolerance it gates on
+    _GATES = {
+        "Sp_R": (("sp_grp", "eq"), ("realness", "eq")),
+        "Sp_C": (("sp_grp", "eq"),),
+        "sp_R": (("sp_alg", "eq"), ("realness", "eq")),
+        "sp_C": (("sp_alg", "eq"),),
+        "sp_c": (("spc", "eq"),),
+        "U": (("u_grp", "eq"),),
+        "u": (("u_alg", "eq"),),
+        "GammaU": (("gamma_u", "psd"),),
+        "GammaSp_c": (("gamma_u", "psd"), ("sp_grp", "eq")),
+        "Diss": (("diss", "psd"),),
+        "SDiss": (("iu_alg", "eq"), ("icalM_top", "psd")),
+        "Diss_spc": (("sp_alg", "eq"), ("diss", "psd")),
+        "SDiss_spc": (("ispc", "eq"), ("icalM_top", "psd")),
+    }
+    PREDICATES = tuple(_GATES)
+
+    def __init__(self, M: np.ndarray, S: StructuralMatrices, tol: Tolerances):
+        self.n = S.n
+        self._M = M.copy()
+        self._S = S
+        self._tol = {"eq": tol.eq_tol, "psd": tol.psd_tol}
+
+    def __getitem__(self, key: str) -> Membership:
+        gates = self._GATES[key]
+        res = tuple(getattr(self, name) for name, _ in gates)
+        return Membership(all(r <= self._tol[kind] for r, (_, kind) in zip(res, gates)), max(res))
+
+    @property
+    def checks(self) -> Mapping[str, Membership]:
+        return {key: self[key] for key in self.PREDICATES}
+
+    def flag(self, key: str) -> bool:
+        return self[key].flag
+
+    def residual(self, key: str) -> float:
+        return self[key].residual
+
+    @cached_property
+    def realness(self) -> float:
+        return _norm(self._M.imag)
+
+    @cached_property
+    def sp_grp(self) -> float:
+        M, J = self._M, self._S.J
+        return _norm(M.T @ J @ M - J)
+
+    @cached_property
+    def sp_alg(self) -> float:
+        M, J = self._M, self._S.J
+        return _norm(J @ M + M.T @ J)
+
+    @cached_property
+    def spc(self) -> float:
+        return spc_residual(self._M)
+
+    @cached_property
+    def u_grp(self) -> float:
+        M, Ical = self._M, self._S.Ical
+        return _norm(M.conj().T @ Ical @ M - Ical)
+
+    @cached_property
+    def u_alg(self) -> float:
+        M, Ical = self._M, self._S.Ical
+        return _norm(Ical @ M + M.conj().T @ Ical)
+
+    @cached_property
+    def iu_alg(self) -> float:
+        # zero when Ical M is Hermitian
+        M, Ical = self._M, self._S.Ical
+        return _norm(Ical @ M - M.conj().T @ Ical)
+
+    @cached_property
+    def ispc(self) -> float:
+        return spc_residual(-1j * self._M)
+
+    @cached_property
+    def gamma_u(self) -> float:
+        M, Ical = self._M, self._S.Ical
+        return max(-float(np.linalg.eigvalsh(hermitian_part(Ical - M.conj().T @ Ical @ M)).min()), 0.0)
+
+    @cached_property
+    def _ical_top(self) -> float:
+        # the largest eigenvalue of the Hermitian part of Ical M, read by
+        # both diss and icalM_top
+        return float(np.linalg.eigvalsh(hermitian_part(self._S.Ical @ self._M)).max())
+
+    @cached_property
+    def diss(self) -> float:
+        return max(self._ical_top * 2, 0.0)
+
+    @cached_property
+    def icalM_top(self) -> float:
+        # for X in i.u(n,n), Ical X is Hermitian; its largest eigenvalue is
+        # the cone residual for SDiss-type membership
+        return max(self._ical_top, 0.0)
+
+
+def classify(M, S: StructuralMatrices, tol: Tolerances = DEFAULT_TOL) -> MembershipReport:
+    """The group/cone predicates on M, with residuals, each evaluated on
+    first use (see ``MembershipReport``)."""
     M = as_cmatrix(M)
     d = S.dim
     if M.shape != (d, d):
         raise ShapeError(f"expected shape {(d, d)}, got {M.shape}")
-    J, Ical = S.J, S.Ical
-
-    realness = _norm(M.imag)
-    sp_grp = _norm(M.T @ J @ M - J)
-    sp_alg = _norm(J @ M + M.T @ J)
-    spc = spc_residual(M)
-    u_grp = _norm(M.conj().T @ Ical @ M - Ical)
-    u_alg = _norm(Ical @ M + M.conj().T @ Ical)
-    iu_alg = _norm(Ical @ M - M.conj().T @ Ical)  # Ical M Hermitian
-    ispc = spc_residual(-1j * M)
-
-    gamma_u = max(-float(np.linalg.eigvalsh(hermitian_part(Ical - M.conj().T @ Ical @ M)).min()), 0.0)
-    diss = max(float(np.linalg.eigvalsh(hermitian_part(Ical @ M)).max()) * 2, 0.0)
-    # for X in i.u(n,n), Ical X is Hermitian; its largest eigenvalue is the
-    # cone residual for SDiss-type membership
-    icalM_top = max(float(np.linalg.eigvalsh(hermitian_part(Ical @ M)).max()), 0.0)
-
-    eq, psd = tol.eq_tol, tol.psd_tol
-    checks = {
-        "Sp_R": Membership(sp_grp <= eq and realness <= eq, max(sp_grp, realness)),
-        "Sp_C": Membership(sp_grp <= eq, sp_grp),
-        "sp_R": Membership(sp_alg <= eq and realness <= eq, max(sp_alg, realness)),
-        "sp_C": Membership(sp_alg <= eq, sp_alg),
-        "sp_c": Membership(spc <= eq, spc),
-        "U": Membership(u_grp <= eq, u_grp),
-        "u": Membership(u_alg <= eq, u_alg),
-        "GammaU": Membership(gamma_u <= psd, gamma_u),
-        "GammaSp_c": Membership(gamma_u <= psd and sp_grp <= eq, max(gamma_u, sp_grp)),
-        "Diss": Membership(diss <= psd, diss),
-        "SDiss": Membership(iu_alg <= eq and icalM_top <= psd, max(iu_alg, icalM_top)),
-        "Diss_spc": Membership(sp_alg <= eq and diss <= psd, max(sp_alg, diss)),
-        "SDiss_spc": Membership(ispc <= eq and icalM_top <= psd, max(ispc, icalM_top)),
-    }
-    return MembershipReport(n=S.n, checks=checks)
+    return MembershipReport(M, S, tol)
 
 
 def split_diss(X, S: StructuralMatrices, tol: Tolerances = DEFAULT_TOL):

@@ -617,6 +617,14 @@ def _fine_grid(spacing: str) -> tuple:
             f"finite and at least {MIN_HALF_CELLS} times {spacing}")
 
 
+def _eig_count_ok(k: int, grid: Grid2D) -> bool:
+    # the lowest level holds about flux_count states; on grids with half
+    # widths 2-8 and spacings 1/8-1/4 the first value that cluster_center
+    # can place near level 1 (above 0.55) came at most ceil(flux_count) + 1
+    # values in
+    return math.ceil(flux_count(grid)) + 2 <= k <= max_eig_count(grid.npoints)
+
+
 RANGES = {
     "membership": {"n_list": _POSITIVE_LIST},
     "potapov": {"contraction_n_list": _POSITIVE_LIST},
@@ -629,8 +637,9 @@ RANGES = {
     "landau": {
         "spacing": _POSITIVE,
         "half_width": _fine_grid("spacing"),
-        "eig_count": (lambda v, p: 1 <= v <= max_eig_count(Grid2D(p["half_width"], p["spacing"]).npoints),
-                      "at least 1 and at most landau.max_eig_count of the grid's point count"),
+        "eig_count": (lambda v, p: _eig_count_ok(v, Grid2D(p["half_width"], p["spacing"])),
+                      "at least ceil(landau.flux_count) + 2 of the grid, enough to reach the "
+                      "first excited level, and at most landau.max_eig_count of its point count"),
         "strong_limit_spacing": _POSITIVE,
         "strong_limit_half_width": _fine_grid("strong_limit_spacing"),
     },

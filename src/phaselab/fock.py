@@ -17,6 +17,7 @@ from math import factorial
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 
 from .cones import HamiltonianSymbol, hamiltonian_real_values, make_structural
 from .linalg import ShapeError, expm
@@ -105,6 +106,25 @@ def band_projector(space: FockSpace, max_occ: int, modes: Sequence[int] | None =
     return np.diag(keep.astype(complex))
 
 
+def _b_vacuum(space: FockSpace) -> np.ndarray:
+    """Boolean mask of the b-vacuum sector ran E_b = ker N_b: the basis
+    states whose b-occupations are all 0 (D^m of the D^{2m})."""
+    occ = _occupation_diagonals(space.m, space.cutoff)
+    return ~occ[space.m:].any(axis=0)
+
+
+def _sector_expm(space: FockSpace, G: np.ndarray) -> np.ndarray:
+    """e^{E_b G E_b} on the b-vacuum sector, as a D^m x D^m matrix over the
+    sector's basis states in their order in the full space.
+
+    E_b G E_b vanishes off the sector, so its exponential is this block
+    there and the identity elsewhere; E_b e^{E_b G E_b} E_b is the block
+    alone.  For G = E_b G E_b that is E_b e^G E_b.
+    """
+    idx = np.flatnonzero(_b_vacuum(space))
+    return expm(G[np.ix_(idx, idx)])
+
+
 def number_ops(space: FockSpace):
     """(N_a, N_b, E_b): the two number operators (sums over the first and
     second half of the modes) and the orthogonal projector onto ker N_b."""
@@ -113,11 +133,7 @@ def number_ops(space: FockSpace):
     N_b = sum(
         creator(space, m + k) @ annihilator(space, m + k) for k in range(1, m + 1)
     )
-    occ = _occupation_diagonals(space.m, space.cutoff)
-    b_vac = np.ones(space.dim, dtype=bool)
-    for k in range(m, 2 * m):
-        b_vac &= occ[k] == 0
-    E_b = np.diag(b_vac.astype(complex))
+    E_b = np.diag(_b_vacuum(space).astype(complex))
     return N_a, N_b, E_b
 
 
@@ -164,8 +180,8 @@ def antinormal_quantize(space: FockSpace, X) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     if X.shape != (space.dim, space.dim):
         raise ShapeError("operator dimension mismatch")
-    _, _, E_b = number_ops(space)
-    return E_b @ X @ E_b
+    keep = _b_vacuum(space)
+    return np.where(keep[:, None] & keep[None, :], X, 0)
 
 
 def h_A_operator(space: FockSpace, sym: HamiltonianSymbol) -> np.ndarray:
@@ -262,20 +278,26 @@ def strong_limit_run(
     below ``band_tol`` (a hard support cutoff would exclude coherent states,
     whose tails are small but nowhere zero).  r(nu) decays like ||A||/nu.
     """
-    _, N_b, E_b = number_ops(space)
+    _, N_b, _ = number_ops(space)
+    b_vac = _b_vacuum(space)
     occ = _occupation_diagonals(space.m, space.cutoff)
     safe = occ.max(axis=0) <= space.cutoff / 3
     for psi in vectors:
-        if np.linalg.norm((np.eye(space.dim) - E_b) @ psi) > 1e-12:
+        if np.linalg.norm(psi[~b_vac]) > 1e-12:
             raise ValueError("test vector not in ran E_b")
         if np.linalg.norm(psi[~safe]) > band_tol:
             raise TruncationError("test vector occupies the unsafe band")
     H = h_A_operator(space, sym)
-    target = expm(E_b @ H @ E_b) @ E_b
+    block = _sector_expm(space, H)
+    targets = []
+    for p in vectors:
+        t = np.zeros(space.dim, dtype=complex)
+        t[b_vac] = block @ p[b_vac]
+        targets.append(t)
     rows = []
     for nu in nu_list:
         U = expm(H - nu * N_b)
-        rows.append((float(nu), [float(np.linalg.norm(U @ p - target @ p)) for p in vectors]))
+        rows.append((float(nu), [float(np.linalg.norm(U @ p - t)) for p, t in zip(vectors, targets)]))
     return rows
 
 
@@ -298,7 +320,8 @@ def _disc_grid(radius: float, grid: int):
 
 
 def _coherent_amplitudes(z: np.ndarray, D: int) -> np.ndarray:
-    """Gaussian coherent amplitudes C[g, j] = e^{-|z|^2/2} z_g^j / sqrt(j!).
+    """Gaussian coherent amplitudes C[j, g] = e^{-|z_g|^2/2} z_g^j / sqrt(j!),
+    one contiguous row per occupation j, by C[j] = C[j-1] z / sqrt(j).
 
     These are the amplitudes of the exact (infinite-dimensional, normalized)
     coherent states, truncated.  Renormalizing the truncated rows instead
@@ -306,10 +329,11 @@ def _coherent_amplitudes(z: np.ndarray, D: int) -> np.ndarray:
     of identity, so the tail mass is deliberately left missing; it only
     affects occupations near the cutoff.
     """
-    js = np.arange(D)
-    fact = np.sqrt(np.array([float(factorial(int(j))) for j in js]))
-    C = z[:, None] ** js[None, :] / fact[None, :]
-    return C * np.exp(-np.abs(z) ** 2 / 2)[:, None]
+    C = np.empty((D, z.size), dtype=complex)
+    C[0] = np.exp(-np.abs(z) ** 2 / 2)
+    for j in range(1, D):
+        np.multiply(C[j - 1], z / np.sqrt(j), out=C[j])
+    return C
 
 
 def quantize_integral(
@@ -325,7 +349,10 @@ def quantize_integral(
     fvals = np.asarray(f(z), dtype=complex).reshape(-1)
     if fvals.shape != z.shape:
         raise ShapeError("f must map the grid to one value per point")
-    Qa = (C * (w * fvals)[:, None]).T @ C.conj()
+    # Qa = (C w f) C^H, as the transpose of conj(C) (C w f)^T: BLAS reads
+    # the Fortran-ordered C.T conjugate-transposed in place, where C.conj()
+    # would copy the whole table
+    Qa = zgemm(1.0, C.T, (C * (w * fvals)).T, trans_a=2).T
     Eb0 = np.zeros((D, D), dtype=complex)
     Eb0[0, 0] = 1.0
     return np.kron(Qa, Eb0)
@@ -338,7 +365,7 @@ def resolution_check(space: FockSpace, radius: float, grid: int, max_occ: int = 
     if radius < 5 or grid < 100:
         raise ValueError("resolution check needs radius >= 5 and grid >= 100")
     Q = quantize_integral(space, lambda z: np.ones_like(z, dtype=complex), radius, grid)
-    _, _, E_b = number_ops(space)
+    E_b = np.diag(_b_vacuum(space).astype(complex))
     P = band_projector(space, max_occ, modes=[1]) @ E_b
     return float(np.linalg.norm(P @ (Q - E_b) @ P, 2))
 
@@ -364,7 +391,7 @@ def vacuum_expectation(
     def value_at(D: int) -> complex:
         sp = FockSpace(space.m, D)
         if tau is None:
-            G = antinormal_quantize(sp, h_A_operator(sp, sym))
+            G = h_A_operator(sp, sym)
         else:
             G = -1j * quantize_integral(
                 sp,
@@ -372,8 +399,8 @@ def vacuum_expectation(
                 radius,
                 grid,
             )
-        vac = vacuum_state(sp)
-        return complex(vac.conj() @ (expm(G) @ vac))
+        # the vacuum is the sector's first basis state
+        return complex(_sector_expm(sp, G)[0, 0])
 
     val = value_at(space.cutoff)
     if guard is not None:

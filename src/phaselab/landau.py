@@ -21,8 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cones import HamiltonianSymbol, hamiltonian_real_values
-from .fock import FockSpace, antinormal_quantize, h_A_operator, number_ops, vacuum_state
-from .linalg import expm
+from .fock import FockSpace, _sector_expm, h_A_operator
 
 
 # the fewest spacings in a half width that Grid2D accepts
@@ -70,33 +69,18 @@ def magnetic_laplacian(grid: Grid2D, with_gauge: bool = True) -> sp.csr_matrix:
     side = grid.side
     _, X, Y = grid.coordinates()
     N = grid.npoints
-
-    def idx(i, j):
-        return i * side + j
-
-    rows, cols, vals = [], [], []
-
-    def add_hop(a, b, phase):
-        # hop amplitude -e^{i phase}/h^2 from site b into site a, plus h.c.
-        rows.append(a)
-        cols.append(b)
-        vals.append(-np.exp(1j * phase) / h**2)
-        rows.append(b)
-        cols.append(a)
-        vals.append(-np.exp(-1j * phase) / h**2)
-
+    i, j = np.divmod(np.arange(N), side)  # site (i, j) at index i*side + j
+    # x-links (i, j) -> (i+1, j), where alpha_x = y is constant along the
+    # link; y-links (i, j) -> (i, j+1), where alpha_y = -x
+    ax, ay = np.flatnonzero(i + 1 < side), np.flatnonzero(j + 1 < side)
+    a = np.concatenate([ax, ay])
+    b = np.concatenate([ax + side, ay + 1])
+    phase = np.concatenate([h * Y[ax], -h * X[ay]]) if with_gauge else np.zeros(a.size)
+    # hop amplitude -e^{i phase}/h^2 from site b into site a, plus h.c.
+    rows = np.concatenate([a, b])
+    cols = np.concatenate([b, a])
+    vals = np.concatenate([-np.exp(1j * phase) / h**2, -np.exp(-1j * phase) / h**2])
     diag = np.full(N, 4.0 / h**2, dtype=complex)
-    for i in range(side):
-        for j in range(side):
-            a = idx(i, j)
-            if i + 1 < side:
-                # x-link: alpha_x = y, constant along the link
-                phase = h * Y[a] if with_gauge else 0.0
-                add_hop(a, idx(i + 1, j), phase)
-            if j + 1 < side:
-                # y-link: alpha_y = -x
-                phase = -h * X[a] if with_gauge else 0.0
-                add_hop(a, idx(i, j + 1), phase)
     H = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
     H = H + sp.diags(diag)
     return H.tocsr()
@@ -282,10 +266,8 @@ def _fock_prediction_on_grid(grid: Grid2D, sym: HamiltonianSymbol, t: float, cut
     """exp(E_b h E_b) E_b Omega_0 from the Fock side, sampled on the grid via
     the b-vacuum wavefunctions z^j e^{-|z|^2/2}/sqrt(pi j!)."""
     space = FockSpace(1, cutoff)
-    G = antinormal_quantize(space, t * h_A_operator(space, sym))
-    _, _, E_b = number_ops(space)
-    phi = expm(G) @ (E_b @ vacuum_state(space))
-    coeff = phi.reshape(cutoff, cutoff)[:, 0]  # b-occupation zero column
+    # the vacuum is the first of the sector's states |j, 0>, j = 0..cutoff-1
+    coeff = _sector_expm(space, t * h_A_operator(space, sym))[:, 0]
     _, X, Y = grid.coordinates()
     z = X + 1j * Y
     out = np.zeros_like(z, dtype=complex)

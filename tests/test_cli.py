@@ -118,6 +118,7 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("landau", {"half_width": 4.0, "spacing": 0.5}),
         ("landau", {"half_width": float("inf")}),
         ("landau", {"half_width": 4.0, "spacing": 0.25, "eig_count": 5000}),
+        ("landau", {"half_width": 4.0, "spacing": 0.25, "eig_count": 8}),
         ("landau", {"strong_limit_half_width": 4.0, "strong_limit_spacing": 0.5}),
         ("membership", {"seed": 1, "n_list": []}),
         ("potapov", {"seed": 1, "contraction_n_list": []}),
@@ -139,6 +140,7 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         "landau_coarse_grid",
         "landau_infinite_grid",
         "landau_eig_count_beyond_grid",
+        "landau_eig_count_short_of_level_1",
         "landau_coarse_strong_limit_grid",
         "membership_empty_n_list",
         "potapov_empty_contraction_n_list",

@@ -17,7 +17,7 @@ from phaselab.cones import (
     split_diss,
     spc_residual,
 )
-from phaselab.linalg import BranchCutError, expm
+from phaselab.linalg import DEFAULT_TOL, BranchCutError, expm
 from phaselab.relations import make_Nb
 
 
@@ -86,6 +86,89 @@ def test_classify_examples():
     assert classify(Nb, S2).flag("SDiss_spc")
     assert not classify(-Nb, S2).flag("SDiss_spc")
     assert classify(Nb, S2).flag("Diss_spc")
+
+
+def _eager_classify(M, S, tol=DEFAULT_TOL):
+    # every residual up front, by the formulas classify evaluates lazily
+    M = np.asarray(M, dtype=complex)
+    J, Ical = S.J, S.Ical
+
+    def norm(A):
+        return float(np.linalg.norm(A, 2))
+
+    realness = norm(M.imag)
+    sp_grp = norm(M.T @ J @ M - J)
+    sp_alg = norm(J @ M + M.T @ J)
+    spc = spc_residual(M)
+    u_grp = norm(M.conj().T @ Ical @ M - Ical)
+    u_alg = norm(Ical @ M + M.conj().T @ Ical)
+    iu_alg = norm(Ical @ M - M.conj().T @ Ical)
+    ispc = spc_residual(-1j * M)
+    herm = Ical - M.conj().T @ Ical @ M
+    gamma_u = max(-float(np.linalg.eigvalsh((herm + herm.conj().T) / 2).min()), 0.0)
+    IM = Ical @ M
+    top = float(np.linalg.eigvalsh((IM + IM.conj().T) / 2).max())
+    diss = max(top * 2, 0.0)
+    icalM_top = max(top, 0.0)
+    eq, psd = tol.eq_tol, tol.psd_tol
+    return {
+        "Sp_R": (sp_grp <= eq and realness <= eq, max(sp_grp, realness)),
+        "Sp_C": (sp_grp <= eq, sp_grp),
+        "sp_R": (sp_alg <= eq and realness <= eq, max(sp_alg, realness)),
+        "sp_C": (sp_alg <= eq, sp_alg),
+        "sp_c": (spc <= eq, spc),
+        "U": (u_grp <= eq, u_grp),
+        "u": (u_alg <= eq, u_alg),
+        "GammaU": (gamma_u <= psd, gamma_u),
+        "GammaSp_c": (gamma_u <= psd and sp_grp <= eq, max(gamma_u, sp_grp)),
+        "Diss": (diss <= psd, diss),
+        "SDiss": (iu_alg <= eq and icalM_top <= psd, max(iu_alg, icalM_top)),
+        "Diss_spc": (sp_alg <= eq and diss <= psd, max(sp_alg, diss)),
+        "SDiss_spc": (ispc <= eq and icalM_top <= psd, max(ispc, icalM_top)),
+    }
+
+
+def _bits(flag, residual):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return bool(flag), float(residual).hex()
+
+
+def test_lazy_classify_matches_eager_reference():
+    for n in (1, 2, 3):
+        S = make_structural(n)
+        for i, kind in enumerate(SAMPLE_KINDS):
+            M = sample(kind, n, 0.7, 40 + i)
+            ref = {k: _bits(*v) for k, v in _eager_classify(M, S).items()}
+            rep = classify(M, S)
+            assert tuple(ref) == rep.PREDICATES
+            # read in reverse, so each residual is first computed for a
+            # different predicate than in the reference's order
+            for key in reversed(rep.PREDICATES):
+                assert _bits(rep.flag(key), rep.residual(key)) == ref[key], (n, kind, key)
+                assert rep[key].flag == rep.flag(key) and rep[key].residual == rep.residual(key)
+            full = classify(M, S).checks
+            assert {k: _bits(m.flag, m.residual) for k, m in full.items()} == ref
+
+
+def test_classify_keeps_its_own_copy():
+    S = make_structural(2)
+    M = sample("GammaSp_c", 2, 0.5, 3)
+    ref = {k: _bits(*v) for k, v in _eager_classify(M, S).items()}
+    rep = classify(M, S)
+    first = _bits(rep.flag("GammaU"), rep.residual("GammaU"))
+    M[:] = 7.0  # M is already complex, so classify saw this very array
+    assert first == ref["GammaU"]
+    assert {k: _bits(m.flag, m.residual) for k, m in rep.checks.items()} == ref
+
+
+def test_make_structural_is_shared_and_read_only():
+    for n in (1, 2, 3):
+        S = make_structural(n)
+        assert make_structural(n) is S
+        for A in (S.J, S.W, S.Ical):
+            assert not A.flags.writeable
+            with pytest.raises(ValueError):
+                A[0, 0] = 2.0
 
 
 def test_classify_group_inclusions():

@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from phaselab.fock import (
     vacuum_state,
     z_ops,
 )
+from phaselab.fock import _coherent_amplitudes, _disc_grid, _sector_expm
 from phaselab.linalg import expm
 from phaselab.relations import make_Nb
 
@@ -136,6 +139,46 @@ def test_antinormal_quantize_basics():
     X = np.random.default_rng(0).normal(size=(space.dim, space.dim))
     C = antinormal_quantize(space, X)
     assert np.linalg.norm(antinormal_quantize(space, C) - C, 2) < 1e-12
+
+
+def test_antinormal_quantize_equals_projector_compression():
+    # E_b is an exact 0/1 diagonal, so the masked compression is exact
+    for space in (FockSpace(1, 7), FockSpace(2, 3)):
+        _, _, E_b = number_ops(space)
+        rng = np.random.default_rng(space.dim)
+        X = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
+        assert np.array_equal(antinormal_quantize(space, X), E_b @ X @ E_b)
+
+
+def test_sector_expm_matches_full_space():
+    cases = [(FockSpace(1, 9), sym1(7)), (FockSpace(2, 3), HamiltonianSymbol(2, sample("sp_c", 2, 1.0, 8)))]
+    for space, s in cases:
+        _, _, E_b = number_ops(space)
+        idx = np.flatnonzero(np.diag(E_b).real)
+        assert idx.size == space.cutoff**space.m and idx[0] == 0
+        G = antinormal_quantize(space, h_A_operator(space, s))
+        full = expm(G)
+        block = _sector_expm(space, G)
+        assert np.max(np.abs(block - full[np.ix_(idx, idx)])) < 1e-13
+        # off the sector e^G is the identity and does not mix in
+        off = np.flatnonzero(np.diag(E_b).real == 0)
+        assert np.max(np.abs(full[np.ix_(off, idx)])) == 0
+        # a generator outside E_b . E_b is compressed first
+        assert np.array_equal(_sector_expm(space, h_A_operator(space, s)), block)
+    space, s = FockSpace(1, 10), sym1(9, 0.5)
+    vac = vacuum_state(space)
+    G = antinormal_quantize(space, h_A_operator(space, s))
+    want = vac.conj() @ expm(G) @ vac
+    assert abs(vacuum_expectation(space, s, None, guard=None) - want) < 1e-13
+
+
+def test_coherent_amplitude_table():
+    z, _ = _disc_grid(8.0, 60)
+    D = 18
+    C = _coherent_amplitudes(z, D)
+    assert C.shape == (D, z.size) and C.flags.c_contiguous
+    ref = np.array([z**j * np.exp(-np.abs(z) ** 2 / 2) / np.sqrt(float(factorial(j))) for j in range(D)])
+    assert np.max(np.abs(C - ref)) < 1e-14
 
 
 def test_antinormal_word_identity():

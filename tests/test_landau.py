@@ -153,6 +153,36 @@ def test_grid_validation():
     assert X.shape == (g.npoints,)
 
 
+def _loop_laplacian(grid, with_gauge):
+    # link by link over the sites, one hop and its conjugate at a time
+    h, side = grid.spacing, grid.side
+    _, X, Y = grid.coordinates()
+    rows, cols, vals = [], [], []
+    for i in range(side):
+        for j in range(side):
+            a = i * side + j
+            links = []
+            if i + 1 < side:
+                links.append((a + side, h * Y[a] if with_gauge else 0.0))
+            if j + 1 < side:
+                links.append((a + 1, -h * X[a] if with_gauge else 0.0))
+            for b, phase in links:
+                rows += [a, b]
+                cols += [b, a]
+                vals += [-np.exp(1j * phase) / h**2, -np.exp(-1j * phase) / h**2]
+    H = sp.csr_matrix((vals, (rows, cols)), shape=(grid.npoints,) * 2)
+    return (H + sp.diags(np.full(grid.npoints, 4.0 / h**2, dtype=complex))).tocsr()
+
+
+@pytest.mark.parametrize("with_gauge", [True, False])
+def test_magnetic_laplacian_matches_loop_assembly(with_gauge):
+    g = Grid2D(2.5, 0.125)
+    H, ref = magnetic_laplacian(g, with_gauge), _loop_laplacian(g, with_gauge)
+    assert H.nnz == ref.nnz == g.npoints + 4 * (g.side - 1) * g.side
+    assert np.array_equal(H.indptr, ref.indptr) and np.array_equal(H.indices, ref.indices)
+    assert np.array_equal(H.data, ref.data)
+
+
 def test_zero_gauge_reduces_to_five_point_laplacian():
     g = small_grid()
     H = magnetic_laplacian(g, with_gauge=False)
