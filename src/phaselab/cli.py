@@ -27,7 +27,7 @@ def write_outputs(report: RunReport, out_dir: Path) -> tuple[Path, Path]:
     json_path = out_dir / f"{base}_report.json"
     csv_path = out_dir / f"{base}_measurements.csv"
     with open(json_path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, default=_json_default)
+        json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
     lines = ["experiment,check,value,threshold,comparator,status"]
     for c in report.checks:
@@ -37,14 +37,6 @@ def write_outputs(report: RunReport, out_dir: Path) -> tuple[Path, Path]:
         )
     csv_path.write_text("\n".join(lines) + "\n")
     return json_path, csv_path
-
-
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def cmd_list(args) -> int:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -124,16 +125,7 @@ class RunReport:
             "version": self.version,
             "wall_time_s": self.wall_time,
             "ok": self.ok,
-            "checks": [
-                {
-                    "name": c.name,
-                    "value": c.value,
-                    "threshold": c.threshold,
-                    "comparator": c.comparator,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -473,148 +465,24 @@ def run_calibrate(p: dict) -> RunReport:
 
 
 # ---------------------------------------------------------------------------
-# registry and config validation
+# registry and config validation: one frozen dataclass per experiment, its
+# docstring the topic.  A field's annotation is its type, its default the
+# default (none: required), and its metadata "range" is (holds(value,
+# params), what the value must be), run on the filled parameters after the
+# type checks, so a range may read any field.  Outside a range a runner
+# raises, or a run checks nothing.
 
-@dataclass(frozen=True)
-class ExperimentDef:
-    runner: object
-    topic: str
-    required: tuple
-    defaults: dict
-
-
-EXPERIMENTS: dict[str, ExperimentDef] = {
-    "membership": ExperimentDef(
-        run_membership,
-        "structural matrices and the dissipative-cone / contraction-semigroup equivalence",
-        ("seed",),
-        {
-            "n_list": [1, 2, 3],
-            "n": 2,
-            "samples": 200,
-            "structural_tol": 1e-14,
-        },
-    ),
-    "decompose": ExperimentDef(
-        run_decompose,
-        "unitary-times-dissipative factorization of semigroup elements",
-        ("seed",),
-        {"n": 2, "samples": 200, "recon_tol": 1e-9, "recover_tol": 1e-7},
-    ),
-    "potapov": ExperimentDef(
-        run_potapov,
-        "graph transform of contraction relations: explicit limit, product formula, norm bound",
-        ("seed",),
-        {
-            "n": 2,
-            "pairs": 100,
-            "contraction_samples": 500,
-            "contraction_n_list": [1, 2],
-            "example_tol": 1e-12,
-            "gap_tol": 1e-6,
-            "product_tol": 1e-9,
-            "norm_tol": 1e-10,
-        },
-    ),
-    "graph-limit": ExperimentDef(
-        run_graph_limit,
-        "Grassmannian limits of one-parameter contraction families and the cluster-projector derivative",
-        ("seed",),
-        {
-            "m": 1,
-            "samples": 50,
-            "nu_list": [float(nu) for nu in range(4, 17)],
-            "gap_threshold": 1e-6,
-            "fd_samples": 50,
-            "fd_epsilon": 1e-5,
-            "fd_tol": 1e-3,
-        },
-    ),
-    "fock-limit": ExperimentDef(
-        run_fock_limit,
-        "truncated-Fock quantization: operator lemma, strong limits, antinormal identities, coherent resolution",
-        ("seed",),
-        {
-            "lemma_cutoff": 10,
-            "lemma_samples": 50,
-            "lemma_tol": 1e-10,
-            "strong_cutoff": 14,
-            "strong_norm": 1.0,
-            "strong_nu_list": [4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0],
-            "strong_tol": 5e-3,
-            "antinormal_cutoff": 10,
-            "antinormal_tol": 1e-12,
-            "quad_cutoff": 12,
-            "quad_radius": 6.0,
-            "quad_grid": 200,
-            "quad_tol": 1e-3,
-            "cutoff_cutoff": 16,
-            "cutoff_norm": 0.5,
-            "tau_list": [4.0, 8.0, 16.0],
-            "cutoff_tol": 1e-3,
-        },
-    ),
-    "landau": ExperimentDef(
-        run_landau,
-        "Landau levels of the gauge-covariant lattice Laplacian",
-        (),
-        {
-            "half_width": 8.0,
-            "spacing": 0.125,
-            "eig_count": 120,
-            "ground_tol": 0.02,
-            "cluster_tol": 0.05,
-            "seed": 0,
-            "strong_limit_nu_list": [2.0, 4.0, 8.0],
-            "strong_limit_half_width": 6.0,
-            "strong_limit_spacing": 0.25,
-            "strong_limit_norm": 0.3,
-        },
-    ),
-    "pathint": ExperimentDef(
-        run_pathint,
-        "oscillatory path-integral Monte Carlo vs the exact Gaussian determinant",
-        ("seed",),
-        {
-            "nu_list": [1.0, 2.0, 4.0],
-            "steps": 256,
-            "samples": 200000,
-            "symbol_norm": 0.25,
-            "refinement_tol": 1e-3,
-        },
-    ),
-    "calibrate": ExperimentDef(
-        run_calibrate,
-        "reference-measure normalization study for the scaled loop estimator",
-        ("seed",),
-        {
-            "nu_list": [1.0, 2.0, 4.0, 8.0],
-            "rules": ["nu", "nu_half", "two_nu", "nu_plus_log"],
-            "steps": 256,
-            "samples": 20000,
-            "m": 1,
-            "closed_form_tol": 5e-3,
-        },
-    ),
-}
+def _range(holds: Callable[[object, dict], bool], want: str) -> dict:
+    return {"range": (holds, want)}
 
 
-# range checks after the type checks, key -> (holds(value, params), what the
-# value must be), in order, so a check may read a key checked before it:
-# outside them a runner raises, or a run checks nothing
-_POSITIVE_LIST = (lambda v, p: len(v) > 0 and all(x > 0 for x in v), "a non-empty list of positive numbers")
-_AT_LEAST_ONE = (lambda v, p: v >= 1, "at least 1")
-_SAMPLING = {
-    "steps": (lambda v, p: v >= MIN_STEPS, f"at least {MIN_STEPS}"),
-    "samples": (lambda v, p: v >= MIN_SAMPLES, f"at least {MIN_SAMPLES}"),
-    "nu_list": _POSITIVE_LIST,
-}
-_POSITIVE = (lambda v, p: v > 0, "positive")
+def _at_least(low, why: str = "") -> dict:
+    return _range(lambda v, p: v >= low, f"at least {low}{why}")
 
 
-def _fine_grid(spacing: str) -> tuple:
-    return (lambda v, p: MIN_HALF_CELLS <= v / p[spacing] < math.inf,
-            f"finite and at least {MIN_HALF_CELLS} times {spacing}")
+def _fine_grid(spacing: str) -> dict:
+    return _range(lambda v, p: p[spacing] > 0 and MIN_HALF_CELLS <= v / p[spacing] < math.inf,
+                  f"finite and at least {MIN_HALF_CELLS} times a positive {spacing}")
 
 
 def _eig_count_ok(k: int, grid: Grid2D) -> bool:
@@ -625,45 +493,182 @@ def _eig_count_ok(k: int, grid: Grid2D) -> bool:
     return math.ceil(flux_count(grid)) + 2 <= k <= max_eig_count(grid.npoints)
 
 
-RANGES = {
-    "membership": {"n_list": _POSITIVE_LIST},
-    "potapov": {"contraction_n_list": _POSITIVE_LIST},
-    "graph-limit": {"m": _AT_LEAST_ONE, "nu_list": _POSITIVE_LIST},
-    "fock-limit": {"strong_nu_list": _POSITIVE_LIST, "tau_list": _POSITIVE_LIST},
-    "pathint": _SAMPLING,
-    "calibrate": {**_SAMPLING, "m": _AT_LEAST_ONE,
-                  "rules": (lambda v, p: len(v) > 0 and set(v) <= set(VARIANCE_RULES),
-                            f"a non-empty list of {sorted(VARIANCE_RULES)}")},
-    "landau": {
-        "spacing": _POSITIVE,
-        "half_width": _fine_grid("spacing"),
-        "eig_count": (lambda v, p: _eig_count_ok(v, Grid2D(p["half_width"], p["spacing"])),
-                      "at least ceil(landau.flux_count) + 2 of the grid, enough to reach the "
-                      "first excited level, and at most landau.max_eig_count of its point count"),
-        "strong_limit_spacing": _POSITIVE,
-        "strong_limit_half_width": _fine_grid("strong_limit_spacing"),
-    },
+_AT_LEAST_ONE = _at_least(1)
+_POSITIVE = _range(lambda v, p: v > 0, "positive")
+_POSITIVE_LIST = _range(lambda v, p: len(v) > 0 and all(x > 0 for x in v), "a non-empty list of positive numbers")
+_Z_OPS_CUTOFF = _at_least(3, ", the cutoff fock.z_ops needs")
+# the coherent test vector (amplitude 0.5) must fit strong_limit_run's safe band, occupations <= cutoff / 3
+_STRONG_CUTOFF = _at_least(12, ", so that the test vectors fit the safe band of fock.strong_limit_run")
+_ANTINORMAL_CUTOFF = _at_least(5, ", so that the safe band (occupations <= cutoff - 5) is not empty")
+# spread evenly over contraction_n_list, so at least one sample per n
+_CONTRACTION_SAMPLES = _range(lambda v, p: v >= max(1, len(p["contraction_n_list"])),
+                              "at least 1 and at least len(contraction_n_list)")
+_EIG_COUNT = _range(lambda v, p: _eig_count_ok(v, Grid2D(p["half_width"], p["spacing"])),
+                    "at least ceil(landau.flux_count) + 2 of the grid, enough to reach the "
+                    "first excited level, and at most landau.max_eig_count of its point count")
+_RULES = _range(lambda v, p: len(v) > 0 and set(v) <= set(VARIANCE_RULES), f"a non-empty list of {sorted(VARIANCE_RULES)}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class MembershipParams:
+    """structural matrices and the dissipative-cone / contraction-semigroup equivalence"""
+    seed: int
+    n_list: tuple[int, ...] = field(default=(1, 2, 3), metadata=_POSITIVE_LIST)
+    n: int = field(default=2, metadata=_AT_LEAST_ONE)
+    samples: int = field(default=200, metadata=_AT_LEAST_ONE)
+    structural_tol: float = field(default=1e-14, metadata=_POSITIVE)
+
+
+@dataclass(frozen=True, kw_only=True)
+class DecomposeParams:
+    """unitary-times-dissipative factorization of semigroup elements"""
+    seed: int
+    n: int = field(default=2, metadata=_AT_LEAST_ONE)
+    samples: int = field(default=200, metadata=_AT_LEAST_ONE)
+    recon_tol: float = field(default=1e-9, metadata=_POSITIVE)
+    recover_tol: float = field(default=1e-7, metadata=_POSITIVE)
+
+
+@dataclass(frozen=True, kw_only=True)
+class PotapovParams:
+    """graph transform of contraction relations: explicit limit, product formula, norm bound"""
+    seed: int
+    n: int = field(default=2, metadata=_AT_LEAST_ONE)
+    pairs: int = field(default=100, metadata=_AT_LEAST_ONE)
+    contraction_samples: int = field(default=500, metadata=_CONTRACTION_SAMPLES)
+    contraction_n_list: tuple[int, ...] = field(default=(1, 2), metadata=_POSITIVE_LIST)
+    example_tol: float = field(default=1e-12, metadata=_POSITIVE)
+    gap_tol: float = field(default=1e-6, metadata=_POSITIVE)
+    product_tol: float = field(default=1e-9, metadata=_POSITIVE)
+    norm_tol: float = field(default=1e-10, metadata=_POSITIVE)
+
+
+@dataclass(frozen=True, kw_only=True)
+class GraphLimitParams:
+    """Grassmannian limits of one-parameter contraction families and the cluster-projector derivative"""
+    seed: int
+    m: int = field(default=1, metadata=_AT_LEAST_ONE)
+    samples: int = field(default=50, metadata=_AT_LEAST_ONE)
+    nu_list: tuple[float, ...] = field(default=tuple(float(nu) for nu in range(4, 17)), metadata=_POSITIVE_LIST)
+    gap_threshold: float = field(default=1e-6, metadata=_POSITIVE)
+    fd_samples: int = field(default=50, metadata=_AT_LEAST_ONE)
+    fd_epsilon: float = field(default=1e-5, metadata=_POSITIVE)
+    fd_tol: float = field(default=1e-3, metadata=_POSITIVE)
+
+
+@dataclass(frozen=True, kw_only=True)
+class FockLimitParams:
+    """truncated-Fock quantization: operator lemma, strong limits, antinormal identities, coherent resolution"""
+    seed: int
+    lemma_cutoff: int = field(default=10, metadata=_Z_OPS_CUTOFF)
+    lemma_samples: int = field(default=50, metadata=_AT_LEAST_ONE)
+    lemma_tol: float = field(default=1e-10, metadata=_POSITIVE)
+    strong_cutoff: int = field(default=14, metadata=_STRONG_CUTOFF)
+    strong_norm: float = 1.0
+    strong_nu_list: tuple[float, ...] = field(default=tuple(float(nu) for nu in range(4, 13)), metadata=_POSITIVE_LIST)
+    strong_tol: float = field(default=5e-3, metadata=_POSITIVE)
+    antinormal_cutoff: int = field(default=10, metadata=_ANTINORMAL_CUTOFF)
+    antinormal_tol: float = field(default=1e-12, metadata=_POSITIVE)
+    quad_cutoff: int = field(default=12, metadata=_Z_OPS_CUTOFF)
+    quad_radius: float = field(default=6.0, metadata=_at_least(5, ", as fock.resolution_check needs"))
+    quad_grid: int = field(default=200, metadata=_at_least(100, ", as fock.resolution_check needs"))
+    quad_tol: float = field(default=1e-3, metadata=_POSITIVE)
+    cutoff_cutoff: int = field(default=16, metadata=_Z_OPS_CUTOFF)
+    cutoff_norm: float = 0.5
+    tau_list: tuple[float, ...] = field(default=(4.0, 8.0, 16.0), metadata=_POSITIVE_LIST)
+    cutoff_tol: float = field(default=1e-3, metadata=_POSITIVE)
+
+
+@dataclass(frozen=True, kw_only=True)
+class LandauParams:
+    """Landau levels of the gauge-covariant lattice Laplacian"""
+    half_width: float = field(default=8.0, metadata=_fine_grid("spacing"))
+    spacing: float = field(default=0.125, metadata=_POSITIVE)
+    eig_count: int = field(default=120, metadata=_EIG_COUNT)
+    ground_tol: float = field(default=0.02, metadata=_POSITIVE)
+    cluster_tol: float = field(default=0.05, metadata=_POSITIVE)
+    seed: int = 0
+    strong_limit_nu_list: tuple[float, ...] = (2.0, 4.0, 8.0)
+    strong_limit_half_width: float = field(default=6.0, metadata=_fine_grid("strong_limit_spacing"))
+    strong_limit_spacing: float = field(default=0.25, metadata=_POSITIVE)
+    strong_limit_norm: float = 0.3
+
+
+@dataclass(frozen=True, kw_only=True)
+class PathintParams:
+    """oscillatory path-integral Monte Carlo vs the exact Gaussian determinant"""
+    seed: int
+    nu_list: tuple[float, ...] = field(default=(1.0, 2.0, 4.0), metadata=_POSITIVE_LIST)
+    steps: int = field(default=256, metadata=_at_least(MIN_STEPS))
+    samples: int = field(default=200000, metadata=_at_least(MIN_SAMPLES))
+    symbol_norm: float = 0.25
+    refinement_tol: float = field(default=1e-3, metadata=_POSITIVE)
+
+
+@dataclass(frozen=True, kw_only=True)
+class CalibrateParams:
+    """reference-measure normalization study for the scaled loop estimator"""
+    seed: int
+    nu_list: tuple[float, ...] = field(default=(1.0, 2.0, 4.0, 8.0), metadata=_POSITIVE_LIST)
+    rules: tuple[str, ...] = field(default=("nu", "nu_half", "two_nu", "nu_plus_log"), metadata=_RULES)
+    steps: int = field(default=256, metadata=_at_least(MIN_STEPS))
+    samples: int = field(default=20000, metadata=_at_least(MIN_SAMPLES))
+    m: int = field(default=1, metadata=_AT_LEAST_ONE)
+    closed_form_tol: float = field(default=5e-3, metadata=_POSITIVE)
+
+
+@dataclass(frozen=True)
+class ExperimentDef:
+    runner: Callable[[dict], RunReport]
+    params: type  # the parameter dataclass
+
+    @property
+    def topic(self) -> str:
+        return self.params.__doc__
+
+    @property
+    def required(self) -> tuple:
+        return tuple(f.name for f in fields(self.params) if f.default is MISSING)
+
+    @property
+    def defaults(self) -> dict:
+        """The defaults in field order, a tuple default as the JSON list it stands for."""
+        return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+                for f in fields(self.params) if f.default is not MISSING}
+
+
+EXPERIMENTS: dict[str, ExperimentDef] = {
+    "membership": ExperimentDef(run_membership, MembershipParams),
+    "decompose": ExperimentDef(run_decompose, DecomposeParams),
+    "potapov": ExperimentDef(run_potapov, PotapovParams),
+    "graph-limit": ExperimentDef(run_graph_limit, GraphLimitParams),
+    "fock-limit": ExperimentDef(run_fock_limit, FockLimitParams),
+    "landau": ExperimentDef(run_landau, LandauParams),
+    "pathint": ExperimentDef(run_pathint, PathintParams),
+    "calibrate": ExperimentDef(run_calibrate, CalibrateParams),
 }
 
 
-def _type_ok(value, default) -> bool:
-    """Whether ``value`` has the type of ``default``: an int also passes for a
-    float, a bool never passes for a number, and a list passes when each
-    element has the type of the default's first element."""
+def _type_ok(value, kind) -> bool:
+    """Whether the JSON ``value`` has the field type ``kind``: an int also
+    passes for a float, a bool never passes for a number (no field is a
+    bool), and a list passes for ``tuple[T, ...]`` when each element passes
+    for T."""
+    if get_origin(kind) is tuple:
+        return isinstance(value, list) and all(_type_ok(v, get_args(kind)[0]) for v in value)
     if isinstance(value, bool):
-        return isinstance(default, bool)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    if isinstance(default, list):
-        return isinstance(value, list) and all(_type_ok(v, default[0]) for v in value)
-    return isinstance(value, type(default))
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _type_name(kind) -> str:
+    return f"list of {get_args(kind)[0].__name__}" if get_origin(kind) is tuple else kind.__name__
 
 
 def validate_config(config: dict) -> tuple[str, dict]:
-    """Validate a config dict against the experiment schema; returns the tag
-    and the parameter dict with defaults filled in.  Each value must have
-    the type of its default (``seed`` is an int) and stay within the
-    experiment's ``RANGES``."""
+    """Validate a config dict against the experiment's parameter dataclass;
+    returns the tag and the parameter dict with defaults filled in.  Each
+    value must have its field's type and stay within its field's range."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     unknown_top = set(config) - {"experiment", "parameters"}
@@ -681,20 +686,19 @@ def validate_config(config: dict) -> tuple[str, dict]:
     for key in spec.required:
         if key not in params:
             raise ConfigError(f"experiment {tag!r} requires parameter {key!r}")
-    unknown = set(params) - set(spec.defaults) - set(spec.required)
+    types = get_type_hints(spec.params)
+    unknown = set(params) - set(types)
     if unknown:
         raise ConfigError(f"unknown parameters for {tag!r}: {sorted(unknown)}")
-    types = {"seed": 0, **spec.defaults}
     for key, value in params.items():
         if not _type_ok(value, types[key]):
-            want = types[key]
-            kind = f"list of {type(want[0]).__name__}" if isinstance(want, list) else type(want).__name__
-            raise ConfigError(f"parameter {key!r} of {tag!r} must be {kind}, got {value!r}")
-    filled = dict(spec.defaults)
-    filled.update(params)
-    for key, (holds, want) in RANGES.get(tag, {}).items():
-        if not holds(filled[key], filled):
-            raise ConfigError(f"parameter {key!r} of {tag!r} must be {want}, got {filled[key]!r}")
+            raise ConfigError(f"parameter {key!r} of {tag!r} must be {_type_name(types[key])}, got {value!r}")
+    filled = {**spec.defaults, **params}
+    for f in fields(spec.params):
+        if "range" in f.metadata:
+            holds, want = f.metadata["range"]
+            if not holds(filled[f.name], filled):
+                raise ConfigError(f"parameter {f.name!r} of {tag!r} must be {want}, got {filled[f.name]!r}")
     return tag, filled
 
 

@@ -1,6 +1,9 @@
 import json
+from dataclasses import fields
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phaselab.cli import main
 from phaselab.experiments import EXPERIMENTS, ConfigError, validate_config
@@ -127,6 +130,44 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("fock-limit", {"seed": 1, "tau_list": []}),
         ("fock-limit", {"seed": 1, "strong_nu_list": []}),
         ("calibrate", {"seed": 1, "m": 0}),
+        ("membership", {"seed": 1, "samples": 0}),
+        ("membership", {"seed": 1, "n": 0}),
+        ("membership", {"seed": 1, "structural_tol": 0.0}),
+        ("decompose", {"seed": 1, "samples": 0}),
+        ("decompose", {"seed": 1, "n": 0}),
+        ("decompose", {"seed": 1, "recon_tol": -1e-9}),
+        ("decompose", {"seed": 1, "recover_tol": 0}),
+        ("potapov", {"seed": 1, "pairs": 0}),
+        ("potapov", {"seed": 1, "n": 0}),
+        ("potapov", {"seed": 1, "contraction_samples": 1}),
+        ("potapov", {"seed": 1, "contraction_samples": 0, "contraction_n_list": [1]}),
+        ("potapov", {"seed": 1, "example_tol": 0}),
+        ("potapov", {"seed": 1, "gap_tol": 0}),
+        ("potapov", {"seed": 1, "product_tol": 0}),
+        ("potapov", {"seed": 1, "norm_tol": -1.0}),
+        ("graph-limit", {"seed": 1, "samples": 0}),
+        ("graph-limit", {"seed": 1, "fd_samples": 0}),
+        ("graph-limit", {"seed": 1, "gap_threshold": 0}),
+        ("graph-limit", {"seed": 1, "fd_epsilon": 0}),
+        ("graph-limit", {"seed": 1, "fd_tol": 0}),
+        ("fock-limit", {"seed": 1, "lemma_cutoff": 2}),
+        ("fock-limit", {"seed": 1, "lemma_samples": 0}),
+        ("fock-limit", {"seed": 1, "strong_cutoff": 11}),
+        ("fock-limit", {"seed": 1, "antinormal_cutoff": 4}),
+        ("fock-limit", {"seed": 1, "quad_cutoff": 2}),
+        ("fock-limit", {"seed": 1, "quad_radius": 4.5}),
+        ("fock-limit", {"seed": 1, "quad_grid": 50}),
+        ("fock-limit", {"seed": 1, "cutoff_cutoff": 2}),
+        ("fock-limit", {"seed": 1, "lemma_tol": 0}),
+        ("fock-limit", {"seed": 1, "strong_tol": 0}),
+        ("fock-limit", {"seed": 1, "antinormal_tol": 0}),
+        ("fock-limit", {"seed": 1, "quad_tol": 0}),
+        ("fock-limit", {"seed": 1, "cutoff_tol": 0}),
+        ("landau", {"spacing": 0.0}),
+        ("landau", {"ground_tol": 0}),
+        ("landau", {"cluster_tol": -0.05}),
+        ("pathint", {"seed": 1, "refinement_tol": 0}),
+        ("calibrate", {"seed": 1, "closed_form_tol": 0}),
     ],
     ids=[
         "pathint_empty_nu_list",
@@ -149,6 +190,44 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         "fock_limit_empty_tau_list",
         "fock_limit_empty_strong_nu_list",
         "calibrate_zero_m",
+        "membership_zero_samples",
+        "membership_zero_n",
+        "membership_zero_structural_tol",
+        "decompose_zero_samples",
+        "decompose_zero_n",
+        "decompose_negative_recon_tol",
+        "decompose_zero_recover_tol",
+        "potapov_zero_pairs",
+        "potapov_zero_n",
+        "potapov_fewer_contraction_samples_than_n_values",
+        "potapov_zero_contraction_samples",
+        "potapov_zero_example_tol",
+        "potapov_zero_gap_tol",
+        "potapov_zero_product_tol",
+        "potapov_negative_norm_tol",
+        "graph_limit_zero_samples",
+        "graph_limit_zero_fd_samples",
+        "graph_limit_zero_gap_threshold",
+        "graph_limit_zero_fd_epsilon",
+        "graph_limit_zero_fd_tol",
+        "fock_limit_lemma_cutoff_below_z_ops",
+        "fock_limit_zero_lemma_samples",
+        "fock_limit_strong_cutoff_short_of_test_vectors",
+        "fock_limit_empty_antinormal_band",
+        "fock_limit_quad_cutoff_below_z_ops",
+        "fock_limit_quad_radius_below_5",
+        "fock_limit_quad_grid_below_100",
+        "fock_limit_cutoff_cutoff_below_z_ops",
+        "fock_limit_zero_lemma_tol",
+        "fock_limit_zero_strong_tol",
+        "fock_limit_zero_antinormal_tol",
+        "fock_limit_zero_quad_tol",
+        "fock_limit_zero_cutoff_tol",
+        "landau_zero_spacing",
+        "landau_zero_ground_tol",
+        "landau_negative_cluster_tol",
+        "pathint_zero_refinement_tol",
+        "calibrate_zero_closed_form_tol",
     ],
 )
 def test_out_of_range_parameters_exit_2_without_outputs(tmp_path, capsys, experiment, params):
@@ -158,6 +237,45 @@ def test_out_of_range_parameters_exit_2_without_outputs(tmp_path, capsys, experi
     assert main(["run", cfg, "--out", str(out_dir)]) == 2
     assert list(out_dir.iterdir()) == []
     assert "config error" in capsys.readouterr().err
+
+
+FIELDS = [(tag, f.name) for tag, d in EXPERIMENTS.items() for f in fields(d.params)]
+
+
+def other_json_type(kind):
+    """JSON values that are not of the field type ``kind``: a string, a
+    bool, a non-empty nested list, and a float for an int (also as a list
+    element)."""
+    nested = st.lists(st.lists(st.integers(), max_size=2), min_size=1, max_size=3)
+    wrong = st.text(max_size=4) | st.booleans() | nested
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    if kind is int:
+        wrong |= floats
+    if get_origin(kind) is tuple and get_args(kind)[0] is int:
+        wrong |= st.lists(floats, min_size=1, max_size=3)
+    return wrong
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIELDS), st.data())
+def test_value_of_another_json_type_is_a_config_error(tag_field, data):
+    tag, name = tag_field
+    kind = get_type_hints(EXPERIMENTS[tag].params)[name]
+    value = data.draw(other_json_type(kind))
+    params = {**{key: 1 for key in EXPERIMENTS[tag].required}, name: value}
+    want = f"list of {get_args(kind)[0].__name__}" if get_origin(kind) is tuple else kind.__name__
+    with pytest.raises(ConfigError, match=f"parameter '{name}' of '{tag}' must be {want}, got"):
+        validate_config({"experiment": tag, "parameters": params})
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(EXPERIMENTS)), st.integers(0, 2**31 - 1))
+def test_defaults_spelled_out_validate_like_the_bare_required_keys(tag, seed):
+    spec = EXPERIMENTS[tag]
+    bare = {key: seed for key in spec.required}
+    _, filled_bare = validate_config({"experiment": tag, "parameters": bare})
+    _, filled_full = validate_config({"experiment": tag, "parameters": {**spec.defaults, **bare}})
+    assert list(filled_full.items()) == list(filled_bare.items())
 
 
 @pytest.mark.parametrize(
