@@ -64,7 +64,9 @@ def cmd_list(args) -> int:
 def cmd_run(args) -> int:
     try:
         config = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: a JSONDecodeError, or an integer literal past
+        # Python's int digit limit
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:

@@ -271,7 +271,8 @@ def po_decompose(g, S: StructuralMatrices, tol: Tolerances = DEFAULT_TOL) -> POD
     g^[*] g = e^{2X} (X is Ical-self-adjoint), and the spectrum of e^{2X} is
     strictly positive for interior semigroup elements, so the principal
     logarithm recovers X; then h = g e^{-X}.  Boundary elements surface as a
-    BranchCutError from the logarithm rather than a wrong branch.
+    BranchCutError from the logarithm rather than a wrong branch, and a
+    g^[*] g without a well-conditioned eigenbasis as an EigenbasisError.
     """
     g = as_cmatrix(g)
     rep = classify(g, S, tol)

@@ -28,7 +28,13 @@ class TruncationError(ValueError):
 
 
 class ConvergenceGuardError(RuntimeError):
-    """Raised when a declared cutoff-convergence guard is violated."""
+    """Raised when a declared cutoff-convergence guard is violated: the
+    values at two cutoffs differ by ``delta``, not less than ``guard``."""
+
+    def __init__(self, delta: float, guard: float):
+        self.delta = delta
+        self.guard = guard
+        super().__init__(f"cutoff not converged: |delta| = {delta:.2e} >= {guard:.2e}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,13 @@ def _b_vacuum(space: FockSpace) -> np.ndarray:
     return ~occ[space.m:].any(axis=0)
 
 
+def _sector(space: FockSpace, G: np.ndarray) -> np.ndarray:
+    """The block of G on the b-vacuum sector, a D^m x D^m matrix over the
+    sector's basis states in their order in the full space."""
+    idx = np.flatnonzero(_b_vacuum(space))
+    return G[np.ix_(idx, idx)]
+
+
 def _sector_expm(space: FockSpace, G: np.ndarray) -> np.ndarray:
     """e^{E_b G E_b} on the b-vacuum sector, as a D^m x D^m matrix over the
     sector's basis states in their order in the full space.
@@ -121,8 +134,7 @@ def _sector_expm(space: FockSpace, G: np.ndarray) -> np.ndarray:
     there and the identity elsewhere; E_b e^{E_b G E_b} E_b is the block
     alone.  For G = E_b G E_b that is E_b e^G E_b.
     """
-    idx = np.flatnonzero(_b_vacuum(space))
-    return expm(G[np.ix_(idx, idx)])
+    return expm(_sector(space, G))
 
 
 def number_ops(space: FockSpace):
@@ -146,12 +158,13 @@ def z_ops(space: FockSpace) -> list[np.ndarray]:
 
 
 def _quadratic(row_ops, col_ops, M: np.ndarray) -> np.ndarray:
+    """sum_ij M_ij row_i col_j, with one operator product per row:
+    row_i (sum_j M_ij col_j)."""
     dim = row_ops[0].shape[0]
     out = np.zeros((dim, dim), dtype=complex)
-    for i in range(M.shape[0]):
-        for j in range(M.shape[1]):
-            if M[i, j] != 0:
-                out += M[i, j] * (row_ops[i] @ col_ops[j])
+    for row, coeffs in zip(row_ops, M):
+        if np.any(coeffs):
+            out += row @ sum(c * col for c, col in zip(coeffs, col_ops) if c != 0)
     return out
 
 
@@ -277,10 +290,15 @@ def strong_limit_run(
     supported on occupations <= cutoff/3: mass beyond that band must stay
     below ``band_tol`` (a hard support cutoff would exclude coherent states,
     whose tails are small but nowhere zero).  r(nu) decays like ||A||/nu.
+
+    Quadratic generators and N_b conserve the parity of the total
+    occupation, so h_A(Z) - nu N_b is block-diagonal in the even and odd
+    sectors and is exponentiated block by block.
     """
-    _, N_b, _ = number_ops(space)
     b_vac = _b_vacuum(space)
     occ = _occupation_diagonals(space.m, space.cutoff)
+    N_b = occ[space.m:].sum(axis=0)
+    parity = [np.flatnonzero(occ.sum(axis=0) % 2 == r) for r in (0, 1)]
     safe = occ.max(axis=0) <= space.cutoff / 3
     for psi in vectors:
         if np.linalg.norm(psi[~b_vac]) > 1e-12:
@@ -296,8 +314,12 @@ def strong_limit_run(
         targets.append(t)
     rows = []
     for nu in nu_list:
-        U = expm(H - nu * N_b)
-        rows.append((float(nu), [float(np.linalg.norm(U @ p - t)) for p, t in zip(vectors, targets)]))
+        images = [np.zeros(space.dim, dtype=complex) for _ in vectors]
+        for idx in parity:
+            U = expm(H[np.ix_(idx, idx)] - np.diag(nu * N_b[idx]))
+            for p, out in zip(vectors, images):
+                out[idx] = U @ p[idx]
+        rows.append((float(nu), [float(np.linalg.norm(u - t)) for u, t in zip(images, targets)]))
     return rows
 
 
@@ -385,28 +407,34 @@ def vacuum_expectation(
     The modulus never exceeds 1 (the compressed generator is skew-adjoint on
     the b-vacuum sector).  With ``guard`` set, the value is recomputed at
     cutoff + 2 and must agree within the guard, else ConvergenceGuardError.
+    The quadrature route runs once, at the larger cutoff: its amplitude
+    table at cutoff D is the first D rows of the table at D + 2, so the
+    sector generator at D is the leading D x D block of the one at D + 2.
     """
     _require_single_mode(space)
+    D = space.cutoff
+    cutoffs = (D, D + 2) if guard is not None else (D,)
 
-    def value_at(D: int) -> complex:
-        sp = FockSpace(space.m, D)
+    def generator_at(cutoff: int) -> np.ndarray:
+        sp = FockSpace(space.m, cutoff)
         if tau is None:
-            G = h_A_operator(sp, sym)
-        else:
-            G = -1j * quantize_integral(
-                sp,
-                lambda z: hamiltonian_real_values(sym, np.stack([z.real, z.imag], axis=1), tau),
-                radius,
-                grid,
-            )
-        # the vacuum is the sector's first basis state
-        return complex(_sector_expm(sp, G)[0, 0])
+            return _sector(sp, h_A_operator(sp, sym))
+        return -1j * _sector(sp, quantize_integral(
+            sp,
+            lambda z: hamiltonian_real_values(sym, np.stack([z.real, z.imag], axis=1), tau),
+            radius,
+            grid,
+        ))
 
-    val = value_at(space.cutoff)
-    if guard is not None:
-        val2 = value_at(space.cutoff + 2)
-        if abs(val - val2) >= guard:
-            raise ConvergenceGuardError(
-                f"cutoff not converged: |delta| = {abs(val - val2):.2e} >= {guard:.2e}"
-            )
+    if tau is None:
+        gens = [generator_at(c) for c in cutoffs]
+    else:
+        top = generator_at(cutoffs[-1])
+        gens = [top[:c, :c] for c in cutoffs]
+    # the vacuum is the sector's first basis state
+    val, *rest = (complex(expm(G)[0, 0]) for G in gens)
+    if rest:
+        delta = abs(val - rest[0])
+        if delta >= guard:
+            raise ConvergenceGuardError(delta, guard)
     return val

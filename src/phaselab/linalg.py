@@ -36,6 +36,26 @@ class BranchCutError(ValueError):
         )
 
 
+# largest eigenbasis condition number for which logm_principal's eigen
+# route V log(w) V^{-1} is trusted; its error is about cond(V) * eps
+LOGM_COND_MAX = 1e4
+
+
+class EigenbasisError(ValueError):
+    """Raised when a principal logarithm is requested for a matrix whose
+    eigenbasis is too ill-conditioned (cond(V) > LOGM_COND_MAX) for the
+    eigen route, e.g. a defective matrix.
+
+    The condition number is stored in ``cond``.
+    """
+
+    def __init__(self, cond: float):
+        self.cond = cond
+        super().__init__(
+            f"eigenbasis condition number {cond:.3e} exceeds {LOGM_COND_MAX:.0e}"
+        )
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical slack thresholds, threaded explicitly through every check.
@@ -80,22 +100,29 @@ def expm(X) -> np.ndarray:
 
 
 def logm_principal(M, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
-    """Principal matrix logarithm, with an explicit branch-cut guard.
+    """Principal matrix logarithm V log(w) V^{-1} from the eigendecomposition
+    M = V diag(w) V^{-1}, with an explicit branch-cut guard and a
+    conditioning certificate.
 
     Eigenvalues are checked first: if any lies within ``rank_tol`` (scaled by
     max(1, spectral radius)) of the closed ray (-inf, 0], a BranchCutError
     carrying the offending eigenvalue is raised instead of returning a
-    silently wrong branch.
+    silently wrong branch.  The eigen route is accurate to about
+    cond(V) * eps (Higham, Functions of Matrices, SIAM 2008, sec. 4.5), so
+    cond(V) > LOGM_COND_MAX, a defective M among others, raises
+    EigenbasisError instead of returning an inaccurate logarithm.
     """
     M = _require_square(M)
-    w = np.linalg.eigvals(M)
+    w, V = np.linalg.eig(M)
     scale = max(1.0, float(np.max(np.abs(w))))
     for lam in w:
         dist = abs(lam.imag) if lam.real <= 0 else abs(lam)
         if dist <= rank_tol * scale:
             raise BranchCutError(lam)
-    L = scipy.linalg.logm(M)
-    return np.asarray(L, dtype=complex)
+    cond = float(np.linalg.cond(V))
+    if not cond <= LOGM_COND_MAX:
+        raise EigenbasisError(cond)
+    return (V * np.log(w)) @ np.linalg.inv(V)
 
 
 def orthonormal_frame(cols, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:

@@ -168,6 +168,11 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("landau", {"cluster_tol": -0.05}),
         ("pathint", {"seed": 1, "refinement_tol": 0}),
         ("calibrate", {"seed": 1, "closed_form_tol": 0}),
+        ("decompose", {"seed": 1, "recon_tol": float("inf")}),
+        ("fock-limit", {"seed": 1, "quad_radius": float("inf")}),
+        ("landau", {"half_width": 10**400}),
+        ("pathint", {"seed": 1, "nu_list": [1, float("inf")]}),
+        ("graph-limit", {"seed": 1, "fd_tol": float("nan")}),
     ],
     ids=[
         "pathint_empty_nu_list",
@@ -228,6 +233,11 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         "landau_negative_cluster_tol",
         "pathint_zero_refinement_tol",
         "calibrate_zero_closed_form_tol",
+        "decompose_infinite_recon_tol",
+        "fock_limit_infinite_quad_radius",
+        "landau_half_width_beyond_float",
+        "pathint_infinite_nu",
+        "graph_limit_nan_fd_tol",
     ],
 )
 def test_out_of_range_parameters_exit_2_without_outputs(tmp_path, capsys, experiment, params):
@@ -237,6 +247,47 @@ def test_out_of_range_parameters_exit_2_without_outputs(tmp_path, capsys, experi
     assert main(["run", cfg, "--out", str(out_dir)]) == 2
     assert list(out_dir.iterdir()) == []
     assert "config error" in capsys.readouterr().err
+
+
+def test_integer_past_the_digit_limit_exits_2_without_outputs(tmp_path, capsys):
+    # Python refuses to parse an int literal of more than 4300 digits
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"experiment": "landau", "parameters": {"half_width": ' + "9" * 5000 + "}}")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["run", str(cfg), "--out", str(out_dir)]) == 2
+    assert list(out_dir.iterdir()) == []
+    assert "cannot read config" in capsys.readouterr().err
+
+
+FOCK_SMALL = {"lemma_samples": 2, "strong_nu_list": [4], "quad_grid": 100, "tau_list": [4]}
+
+
+def test_tripped_cutoff_guard_is_a_failed_check(tmp_path, capsys):
+    # at cutoff_cutoff 3 the vacuum expectation moves by 2.2e-3 between
+    # cutoffs 3 and 5, past the 1e-4 guard: the run writes its outputs with
+    # a failed guard row in place of the rows the guard protects, exit 1
+    params = {"seed": 19, "cutoff_cutoff": 3, **FOCK_SMALL}
+    cfg = write_config(tmp_path, {"experiment": "fock-limit", "parameters": params})
+    out_dir = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out_dir)]) == 1
+    report = json.loads((out_dir / "fock_limit_report.json").read_text())
+    last = report["checks"][-1]
+    assert last["name"] == "vacuum_expectation_cutoff_guard" and last["passed"] is False
+    assert last["comparator"] == "<" and last["value"] >= last["threshold"] == 1e-4
+    names = [c["name"] for c in report["checks"]]
+    assert "vacuum_expectation_modulus" not in names and "cutoff_convergence_final" not in names
+    csv_rows = (out_dir / "fock_limit_measurements.csv").read_text().splitlines()
+    assert csv_rows[-1].startswith("fock-limit,vacuum_expectation_cutoff_guard,") and csv_rows[-1].endswith(",<,fail")
+    assert "vacuum_expectation_cutoff_guard" in capsys.readouterr().err
+
+    # a cutoff whose guard holds writes the guarded rows and no guard row
+    params["cutoff_cutoff"] = 8
+    cfg = write_config(tmp_path, {"experiment": "fock-limit", "parameters": params})
+    main(["run", cfg, "--out", str(out_dir)])
+    names = [c["name"] for c in json.loads((out_dir / "fock_limit_report.json").read_text())["checks"]]
+    assert names[-3:] == ["vacuum_expectation_modulus", "cutoff_convergence_final", "cutoff_convergence_first"]
+    assert "vacuum_expectation_cutoff_guard" not in names
 
 
 FIELDS = [(tag, f.name) for tag, d in EXPERIMENTS.items() for f in fields(d.params)]

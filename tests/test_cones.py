@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phaselab.cones import (
     SAMPLE_KINDS,
@@ -276,6 +277,25 @@ def test_po_decompose_generate_recover_and_continuity():
     gp = g @ expm(1e-6 * sample("sp_c", 2, 1.0, 3))
     d1, d2 = po_decompose(g, S), po_decompose(gp, S)
     assert np.linalg.norm(d1.X - d2.X, 2) < 1e-4
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.integers(0, 2**31 - 1),
+    st.floats(0.2, 1.0),
+    st.floats(0.1, 1.0),
+)
+def test_po_decompose_roundtrip_property(n, seed, h_scale, x_scale):
+    # generate g = h0 e^{X0} as the decompose experiment does; the factors
+    # come back within its default tolerances (recon_tol, recover_tol)
+    S = make_structural(n)
+    h0 = sample("Sp_c", n, h_scale, seed)
+    X0 = sample("SDiss_spc", n, x_scale, seed + 1)
+    g = h0 @ expm(X0)
+    dec = po_decompose(g, S)
+    assert np.linalg.norm(dec.h @ expm(dec.X) - g, 2) <= 1e-9 * np.linalg.norm(g, 2)
+    assert np.linalg.norm(dec.X - X0, 2) <= 1e-7
 
 
 def test_po_decompose_rejects_non_members():

@@ -25,7 +25,7 @@ from phaselab.fock import (
     vacuum_state,
     z_ops,
 )
-from phaselab.fock import _coherent_amplitudes, _disc_grid, _sector_expm
+from phaselab.fock import _coherent_amplitudes, _disc_grid, _occupation_diagonals, _quadratic, _sector_expm
 from phaselab.linalg import expm
 from phaselab.relations import make_Nb
 
@@ -119,6 +119,36 @@ def test_number_ops_and_projector_limit():
     assert np.linalg.norm((got - want) @ P, 2) < 1e-13
 
 
+def test_quadratic_matches_entrywise_reference():
+    # one product per row, row_i (sum_j M_ij col_j), against one product per
+    # nonzero entry
+    space = FockSpace(1, 6)
+    ops = [annihilator(space, k) for k in (1, 2)] + [creator(space, k) for k in (1, 2)]
+    rng = np.random.default_rng(11)
+    M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    M[1] = 0  # a row with no terms
+    M[2, 3] = 0
+    ref = np.zeros((space.dim, space.dim), dtype=complex)
+    for i in range(4):
+        for j in range(4):
+            if M[i, j] != 0:
+                ref += M[i, j] * (ops[i] @ ops[::-1][j])
+    got = _quadratic(ops, ops[::-1], M)
+    assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+def test_quadratic_operators_conserve_occupation_parity():
+    # quadratic generators move the total occupation by 0 or +-2, so their
+    # entries between the even and odd sectors are exactly zero
+    for space in (FockSpace(1, 7), FockSpace(2, 3)):
+        parity = _occupation_diagonals(space.m, space.cutoff).sum(axis=0) % 2
+        between = parity[:, None] != parity[None, :]
+        for seed in range(3):
+            s = HamiltonianSymbol(space.m, sample("sp_c", space.m, 1.0, seed))
+            assert not np.any(h_A_operator(space, s)[between])
+            assert not np.any(drho(space, sample("sp_c", space.modes, 1.0, seed))[between])
+
+
 def test_z_ops_commuting_normal():
     space = FockSpace(1, 8)
     Z = z_ops(space)[0]
@@ -181,6 +211,22 @@ def test_coherent_amplitude_table():
     assert np.max(np.abs(C - ref)) < 1e-14
 
 
+def test_quantize_integral_is_the_leading_block_at_a_larger_cutoff():
+    # the amplitude table at D is exactly the first D rows of the table at
+    # D + 2, so the quadrature at D is the leading block of the one at D + 2
+    z, _ = _disc_grid(8.0, 120)
+    D = 12
+    assert np.array_equal(_coherent_amplitudes(z, D + 2)[:D], _coherent_amplitudes(z, D))
+    s = sym1(12, 0.5)
+    f = lambda z: hamiltonian_real_values(s, np.stack([z.real, z.imag], axis=1), 8.0)
+    small = quantize_integral(FockSpace(1, D), f, 8.0, 120)
+    large = quantize_integral(FockSpace(1, D + 2), f, 8.0, 120)
+    # the a-mode block on the b-vacuum: occupation (j, 0) is basis index j D
+    a_block = lambda Q, d: Q[::d, ::d]
+    # equal up to the BLAS summation order, which may depend on the shape
+    assert np.max(np.abs(a_block(large, D + 2)[:D, :D] - a_block(small, D))) <= 1e-14 * np.max(np.abs(small))
+
+
 def test_antinormal_word_identity():
     # E_b Z^p Z*^q E_b = a^q a*^p E_b (the verified index order; see ledger)
     space = FockSpace(1, 10)
@@ -227,6 +273,22 @@ def test_strong_limit_monotone_and_rate():
     # the decay is ~ C/nu: doubling nu roughly halves the residual
     ratio = res[1][0] / res[4][0] if res[4][0] > 0 else np.inf
     assert 1.5 < (res[0][0] / res[3][0]) < 5.0
+
+
+def test_strong_limit_matches_full_space_expm():
+    # the two parity blocks against one full-space expm(H - nu N_b)
+    space = FockSpace(1, 12)
+    s = sym1(6, 0.8)
+    vecs = [vacuum_state(space), coherent(space, [0.5]).vec, basis_state(space, (1, 0))]
+    nus = [4.0, 8.0, 12.0]
+    H = h_A_operator(space, s)
+    _, N_b, E_b = number_ops(space)
+    target = E_b @ expm(antinormal_quantize(space, H)) @ E_b
+    for (nu, got), want_nu in zip(strong_limit_run(space, s, nus, vecs), nus):
+        U = expm(H - want_nu * N_b)
+        want = [np.linalg.norm(U @ p - target @ p) for p in vecs]
+        assert nu == want_nu
+        assert np.max(np.abs(np.array(got) - want)) < 1e-13
 
 
 def test_strong_limit_vector_preconditions():
@@ -352,8 +414,14 @@ def test_vacuum_expectation():
 def test_vacuum_expectation_guard_trips():
     space = FockSpace(1, 6)
     s = sym1(40, 2.5)
-    with pytest.raises(ConvergenceGuardError):
+    with pytest.raises(ConvergenceGuardError) as err:
         vacuum_expectation(space, s, None, guard=1e-8)
+    assert err.value.guard == 1e-8 and err.value.delta >= 1e-8
+    # the quadrature route checks its leading block against the whole one
+    with pytest.raises(ConvergenceGuardError):
+        vacuum_expectation(space, s, 4.0, guard=1e-8)
+    # with the guard off no second cutoff is compared
+    assert abs(vacuum_expectation(space, s, 4.0, guard=None)) <= 1.0 + 1e-9
 
 
 def test_space_validation():

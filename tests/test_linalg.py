@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from phaselab.linalg import (
+    LOGM_COND_MAX,
     BranchCutError,
+    EigenbasisError,
     RankError,
     ShapeError,
     Tolerances,
@@ -104,6 +108,36 @@ def test_logm_branch_cut_error_carries_eigenvalue():
     with pytest.raises(BranchCutError) as err:
         logm_principal(np.diag([-1.0, 2.0]))
     assert abs(err.value.eigenvalue - (-1.0)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 0.4),
+    st.floats(0.0, 2.5),
+)
+def test_logm_matches_scipy_reference(n, seed, skew, arg_max):
+    # diagonalizable M = V diag(w) V^{-1}, with V a bounded perturbation of
+    # the identity and w off the branch cut; scipy's Schur-Pade logm is
+    # the reference
+    rng = np.random.default_rng(seed)
+    V = np.eye(n) + skew * random_complex(rng, (n, n)) / np.sqrt(n)
+    w = rng.uniform(0.1, 10.0, n) * np.exp(1j * rng.uniform(-arg_max, arg_max, n))
+    M = (V * w) @ np.linalg.inv(V)
+    # scipy's norm estimator divides by zero on (near-)diagonal M and warns;
+    # a NaN in its result would still fail the comparison
+    with np.errstate(all="ignore"):
+        ref = scipy.linalg.logm(M)
+    assert np.linalg.norm(logm_principal(M) - ref, 2) <= 1e-12 * max(1.0, np.linalg.norm(ref, 2))
+
+
+def test_logm_defective_input_raises():
+    # a Jordan block has no eigenbasis: LAPACK returns two nearly parallel
+    # eigenvectors, cond(V) about 9e15
+    with pytest.raises(EigenbasisError) as err:
+        logm_principal(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert err.value.cond > LOGM_COND_MAX
 
 
 def test_orthonormal_frame_examples():
