@@ -123,7 +123,8 @@ def test_quadratic_matches_entrywise_reference():
     # one product per row, row_i (sum_j M_ij col_j), against one product per
     # nonzero entry
     space = FockSpace(1, 6)
-    ops = [annihilator(space, k) for k in (1, 2)] + [creator(space, k) for k in (1, 2)]
+    rows = [annihilator(space, k) for k in (1, 2)] + [creator(space, k) for k in (1, 2)]
+    cols = rows[::-1]
     rng = np.random.default_rng(11)
     M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     M[1] = 0  # a row with no terms
@@ -132,8 +133,8 @@ def test_quadratic_matches_entrywise_reference():
     for i in range(4):
         for j in range(4):
             if M[i, j] != 0:
-                ref += M[i, j] * (ops[i] @ ops[::-1][j])
-    got = _quadratic(ops, ops[::-1], M)
+                ref += M[i, j] * (rows[i] @ cols[j])
+    got = _quadratic(rows, cols, M)
     assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
