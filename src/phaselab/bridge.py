@@ -18,7 +18,7 @@ which grows like (2 nu)^m instead of tending to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -94,7 +94,6 @@ class EstimateReport:
     stderr: float
     samples: int
     spec: MeasureSpec
-    action_params: dict = field(default_factory=dict)
 
 
 def sample_loops(spec: MeasureSpec, lo: int, hi: int) -> np.ndarray:
@@ -152,18 +151,17 @@ def action(path: LoopPath, H: Callable[[np.ndarray], np.ndarray] | None) -> floa
     return float(_actions(path.points[None], [H])[0][0])
 
 
-def estimate_actions(
-    spec: MeasureSpec, syms: Sequence[HamiltonianSymbol | None], tau: float | None = None, samples: int = 10_000
-) -> list[EstimateReport]:
+def estimate_actions(spec: MeasureSpec, syms: Sequence[HamiltonianSymbol | None],
+                     samples: int = 10_000) -> list[EstimateReport]:
     """The scaled estimator e^{nu m} E[e^{i S}] for each entry of ``syms``,
-    with S the loop action for the (tau-clipped) symbol, or the bare
-    stochastic-area action for None.  Each block of CHUNK loops of
-    ``sample_loops`` is drawn once and serves every action; the blocks'
-    sums are merged in a fixed order.
+    with S the loop action for the symbol, or the bare stochastic-area
+    action for None.  Each block of CHUNK loops of ``sample_loops`` is
+    drawn once and serves every action; the blocks' sums are merged in a
+    fixed order.
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples for a meaningful stderr")
-    hams = [None if s is None else (lambda p, s=s: hamiltonian_real_values(s, p, tau)) for s in syms]
+    hams = [None if s is None else (lambda p, s=s: hamiltonian_real_values(s, p)) for s in syms]
     total = np.zeros(len(syms), dtype=complex)
     for lo in range(0, samples, CHUNK):
         total += [np.sum(np.exp(1j * s)) for s in _actions(sample_loops(spec, lo, min(lo + CHUNK, samples)), hams)]
@@ -171,18 +169,15 @@ def estimate_actions(
     var = (samples - np.abs(total) ** 2 / samples) / (samples - 1)
     scale = float(np.exp(spec.nu * spec.m))
     return [
-        EstimateReport(complex(scale * (t / samples)), scale * float(np.sqrt(max(v, 0.0) / samples)), samples, spec,
-                       {"tau": tau, "has_symbol": sym is not None})
-        for sym, t, v in zip(syms, total, var)
+        EstimateReport(complex(scale * (t / samples)), scale * float(np.sqrt(max(v, 0.0) / samples)), samples, spec)
+        for t, v in zip(total, var)
     ]
 
 
-def estimate(
-    spec: MeasureSpec, sym: HamiltonianSymbol | None = None, tau: float | None = None, samples: int = 10_000
-) -> EstimateReport:
+def estimate(spec: MeasureSpec, sym: HamiltonianSymbol | None = None, samples: int = 10_000) -> EstimateReport:
     """``estimate_actions`` for one action: the symbol's, or the bare area's
     when sym is None."""
-    return estimate_actions(spec, [sym], tau, samples)[0]
+    return estimate_actions(spec, [sym], samples)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +260,7 @@ def calibrate(
     """Normalization study for the scaled estimator with the bare area action.
 
     For each variance rule and nu, tabulates the exact oracle value of
-    e^{nu m} E[e^{i S_0}], with a Monte Carlo spot check at the smallest nu
+    e^{nu m} E[e^{i S_0}], with a Monte Carlo spot check at the first nu
     of each rule.  Reports whether any rule lands within 0.1 of 1 at the
     largest nu.  Documents the reference-measure normalization gap; asserts
     nothing about any limit.

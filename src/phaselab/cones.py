@@ -37,9 +37,9 @@ from typing import Mapping
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
+    EQ_TOL,
+    PSD_TOL,
     ShapeError,
-    Tolerances,
     as_cmatrix,
     expm,
     hermitian_part,
@@ -127,38 +127,37 @@ class MembershipReport:
     Each residual is computed on the first read of a predicate that needs
     it and kept for later reads, so a caller pays only for what it asks.
     The report holds its own copy of M.  Equality-type residuals gate on
-    tol.eq_tol, semidefinite ones on tol.psd_tol; a conjunction predicate
-    needs every gate and reports the largest of its residuals.
+    EQ_TOL, semidefinite ones on PSD_TOL; a conjunction predicate needs
+    every gate and reports the largest of its residuals.
     """
 
     # predicate -> its residuals, each with the tolerance it gates on
     _GATES = {
-        "Sp_R": (("sp_grp", "eq"), ("realness", "eq")),
-        "Sp_C": (("sp_grp", "eq"),),
-        "sp_R": (("sp_alg", "eq"), ("realness", "eq")),
-        "sp_C": (("sp_alg", "eq"),),
-        "sp_c": (("spc", "eq"),),
-        "U": (("u_grp", "eq"),),
-        "u": (("u_alg", "eq"),),
-        "GammaU": (("gamma_u", "psd"),),
-        "GammaSp_c": (("gamma_u", "psd"), ("sp_grp", "eq")),
-        "Diss": (("diss", "psd"),),
-        "SDiss": (("iu_alg", "eq"), ("icalM_top", "psd")),
-        "Diss_spc": (("sp_alg", "eq"), ("diss", "psd")),
-        "SDiss_spc": (("ispc", "eq"), ("icalM_top", "psd")),
+        "Sp_R": (("sp_grp", EQ_TOL), ("realness", EQ_TOL)),
+        "Sp_C": (("sp_grp", EQ_TOL),),
+        "sp_R": (("sp_alg", EQ_TOL), ("realness", EQ_TOL)),
+        "sp_C": (("sp_alg", EQ_TOL),),
+        "sp_c": (("spc", EQ_TOL),),
+        "U": (("u_grp", EQ_TOL),),
+        "u": (("u_alg", EQ_TOL),),
+        "GammaU": (("gamma_u", PSD_TOL),),
+        "GammaSp_c": (("gamma_u", PSD_TOL), ("sp_grp", EQ_TOL)),
+        "Diss": (("diss", PSD_TOL),),
+        "SDiss": (("iu_alg", EQ_TOL), ("icalM_top", PSD_TOL)),
+        "Diss_spc": (("sp_alg", EQ_TOL), ("diss", PSD_TOL)),
+        "SDiss_spc": (("ispc", EQ_TOL), ("icalM_top", PSD_TOL)),
     }
     PREDICATES = tuple(_GATES)
 
-    def __init__(self, M: np.ndarray, S: StructuralMatrices, tol: Tolerances):
+    def __init__(self, M: np.ndarray, S: StructuralMatrices):
         self.n = S.n
         self._M = M.copy()
         self._S = S
-        self._tol = {"eq": tol.eq_tol, "psd": tol.psd_tol}
 
     def __getitem__(self, key: str) -> Membership:
         gates = self._GATES[key]
         res = tuple(getattr(self, name) for name, _ in gates)
-        return Membership(all(r <= self._tol[kind] for r, (_, kind) in zip(res, gates)), max(res))
+        return Membership(all(r <= tol for r, (_, tol) in zip(res, gates)), max(res))
 
     @property
     def checks(self) -> Mapping[str, Membership]:
@@ -230,21 +229,21 @@ class MembershipReport:
         return max(self._ical_top, 0.0)
 
 
-def classify(M, S: StructuralMatrices, tol: Tolerances = DEFAULT_TOL) -> MembershipReport:
+def classify(M, S: StructuralMatrices) -> MembershipReport:
     """The group/cone predicates on M, with residuals, each evaluated on
     first use (see ``MembershipReport``)."""
     M = as_cmatrix(M)
     d = S.dim
     if M.shape != (d, d):
         raise ShapeError(f"expected shape {(d, d)}, got {M.shape}")
-    return MembershipReport(M, S, tol)
+    return MembershipReport(M, S)
 
 
-def split_diss(X, S: StructuralMatrices, tol: Tolerances = DEFAULT_TOL):
+def split_diss(X, S: StructuralMatrices):
     """Split X in Diss(n,n) as Xu + Xs with Xu in u(n,n) and Xs Ical-self-
     adjoint dissipative (the direct sum Diss = u(n,n) + SDiss)."""
     X = as_cmatrix(X)
-    rep = classify(X, S, tol)
+    rep = classify(X, S)
     if not rep.flag("Diss"):
         raise MembershipError(
             f"input is not Ical-dissipative (residual {rep.residual('Diss'):.3e})"
@@ -264,7 +263,7 @@ class PODecomposition:
     X: np.ndarray
 
 
-def po_decompose(g, S: StructuralMatrices, tol: Tolerances = DEFAULT_TOL) -> PODecomposition:
+def po_decompose(g, S: StructuralMatrices) -> PODecomposition:
     """Potapov-Olshanski decomposition of g in GammaSp_c(2n).
 
     Algorithm: with the Ical-adjoint g^[*] = Ical g* Ical one has
@@ -275,14 +274,14 @@ def po_decompose(g, S: StructuralMatrices, tol: Tolerances = DEFAULT_TOL) -> POD
     g^[*] g without a well-conditioned eigenbasis as an EigenbasisError.
     """
     g = as_cmatrix(g)
-    rep = classify(g, S, tol)
+    rep = classify(g, S)
     if not rep.flag("GammaSp_c"):
         raise MembershipError(
             f"input is not in GammaSp_c (residual {rep.residual('GammaSp_c'):.3e})"
         )
     Ical = S.Ical
     M = Ical @ g.conj().T @ Ical @ g
-    X = 0.5 * logm_principal(M, tol.rank_tol)
+    X = 0.5 * logm_principal(M)
     h = g @ expm(-X)
     return PODecomposition(h=h, X=X)
 

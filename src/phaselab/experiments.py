@@ -26,6 +26,7 @@ from .cones import (
     sample,
 )
 from .fock import (
+    QUAD_MAX_OCC,
     ConvergenceGuardError,
     FockSpace,
     annihilator,
@@ -54,6 +55,7 @@ from .landau import (
     max_eig_count,
 )
 from .bridge import (
+    CHUNK,
     MIN_SAMPLES,
     MIN_STEPS,
     MeasureSpec,
@@ -132,10 +134,6 @@ class RunReport:
             "ok": self.ok,
             "checks": [asdict(c) for c in self.checks],
         }
-
-
-def _spc_unit_sample(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
-    return sample("sp_c", n, scale, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +266,7 @@ def run_graph_limit(p: dict) -> RunReport:
     monotone = True
     structure_ok = True
     for i in range(p["samples"]):
-        A = _spc_unit_sample(2 * m, p["seed"] + i, 1.0)
+        A = sample("sp_c", 2 * m, 1.0, p["seed"] + i)
         P = limit_graph(A, m)
         structure_ok &= is_Unn(P, S).flag and is_symplectic_rel(P, S)
         gaps = [
@@ -299,9 +297,13 @@ def run_graph_limit(p: dict) -> RunReport:
     return RunReport("graph-limit", p, checks)
 
 
-def _cluster_projector(M: np.ndarray, radius: float = 0.5) -> np.ndarray:
+# for small eps, eps A - N_b has eigenvalues near 0, 1 and -1; those near 0 lie within this radius
+CLUSTER_RADIUS = 0.5
+
+
+def _cluster_projector(M: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eig(M)
-    sel = np.abs(w) < radius
+    sel = np.abs(w) < CLUSTER_RADIUS
     Vi = np.linalg.inv(V)
     return V[:, sel] @ Vi[sel, :]
 
@@ -318,7 +320,7 @@ def run_fock_limit(p: dict) -> RunReport:
     Pband = band_projector(space, p["lemma_cutoff"] - 3)
     worst = 0.0
     for i in range(p["lemma_samples"]):
-        sym = HamiltonianSymbol(1, _spc_unit_sample(1, p["seed"] + i, 1.0))
+        sym = HamiltonianSymbol(1, sample("sp_c", 1, 1.0, p["seed"] + i))
         lhs = h_A_operator(space, sym)
         rhs = drho(space, hat_lift(sym))
         worst = max(worst, float(np.linalg.norm((lhs - rhs) @ Pband, 2)))
@@ -326,7 +328,7 @@ def run_fock_limit(p: dict) -> RunReport:
 
     # strong limit residual table
     sl_space = FockSpace(1, p["strong_cutoff"])
-    sym = HamiltonianSymbol(1, _spc_unit_sample(1, p["seed"] + 101, p["strong_norm"]))
+    sym = HamiltonianSymbol(1, sample("sp_c", 1, p["strong_norm"], p["seed"] + 101))
     vectors = [
         vacuum_state(sl_space),
         coherent(sl_space, [0.5]).vec,
@@ -361,7 +363,7 @@ def run_fock_limit(p: dict) -> RunReport:
     Zq = z_ops(q_space)[0]
     Zqc = Zq.conj().T
     _, _, Ebq = number_ops(q_space)
-    P3 = band_projector(q_space, 3, modes=[1]) @ Ebq
+    P3 = band_projector(q_space, QUAD_MAX_OCC, modes=[1]) @ Ebq
     worst = 0.0
     for pp in range(3):
         for qq in range(3 - pp):
@@ -380,7 +382,7 @@ def run_fock_limit(p: dict) -> RunReport:
     # the cutoff suffices depends on the symbol, so a tripped cutoff guard
     # is a failed check in place of the rows it guards
     ve_space = FockSpace(1, p["cutoff_cutoff"])
-    sym2 = HamiltonianSymbol(1, _spc_unit_sample(1, p["seed"] + 202, p["cutoff_norm"]))
+    sym2 = HamiltonianSymbol(1, sample("sp_c", 1, p["cutoff_norm"], p["seed"] + 202))
     try:
         v_uncut = vacuum_expectation(ve_space, sym2, None)
         devs = [abs(vacuum_expectation(ve_space, sym2, float(tau)) - v_uncut) for tau in p["tau_list"]]
@@ -410,7 +412,7 @@ def run_landau(p: dict) -> RunReport:
 
     if p.get("strong_limit_nu_list"):
         sgrid = Grid2D(p["strong_limit_half_width"], p["strong_limit_spacing"])
-        sym = HamiltonianSymbol(1, _spc_unit_sample(1, p["seed"], p["strong_limit_norm"]))
+        sym = HamiltonianSymbol(1, sample("sp_c", 1, p["strong_limit_norm"], p["seed"]))
         rows = grid_strong_limit(sgrid, sym, p["strong_limit_nu_list"])
         for nu, dev in rows:
             checks.append(Check.report(f"grid_strong_limit_dev_nu{nu:g}", dev))
@@ -422,14 +424,14 @@ def run_landau(p: dict) -> RunReport:
 
 def run_pathint(p: dict) -> RunReport:
     checks = []
-    sym = HamiltonianSymbol(1, _spc_unit_sample(1, p["seed"] + 77, p["symbol_norm"]))
+    sym = HamiltonianSymbol(1, sample("sp_c", 1, p["symbol_norm"], p["seed"] + 77))
     quadratic = QuadraticAction(hmatrix=symbol_quadratic_matrix(sym))
     for nu in p["nu_list"]:
         spec = MeasureSpec(nu=float(nu), steps=p["steps"], seed=p["seed"])
         scale = float(np.exp(spec.nu * spec.m))
         v1 = gaussian_oracle(spec, quadratic)
         # both actions are estimated on one draw of the loops
-        reps = estimate_actions(spec, [None, sym], tau=None, samples=p["samples"])
+        reps = estimate_actions(spec, [None, sym], samples=p["samples"])
         for label, oracle, rep in zip(("area", "quadratic"), (gaussian_oracle(spec, QuadraticAction()), v1), reps):
             dev = abs(rep.mean - scale * oracle)
             checks.append(Check.le(f"mc_vs_oracle_{label}_nu{nu:g}_in_stderr", dev / rep.stderr, 3.0))
@@ -469,6 +471,11 @@ def run_calibrate(p: dict) -> RunReport:
     checks.append(Check.le("closed_form_cross_check", abs(abs(oracle) - closed) / closed, p["closed_form_tol"]))
     any_near_one = any(table["near_one_at_max_nu"].values())
     checks.append(Check.report("any_rule_near_one", float(any_near_one)))
+    # the Monte Carlo spot checks, as pathint reports them
+    for row in (r for r in table["rows"] if "mc_mean" in r):
+        tag = f"{row['rule']}_nu{row['nu']:g}"
+        checks.append(Check.report(f"mc_vs_oracle_{tag}_in_stderr", abs(row["mc_mean"] - row["oracle"]) / row["mc_stderr"]))
+        checks.append(Check.report(f"mc_stderr_{tag}", row["mc_stderr"]))
     return RunReport("calibrate", p, checks)
 
 
@@ -488,6 +495,18 @@ def _at_least(low, why: str = "") -> dict:
     return _range(lambda v, p: v >= low, f"at least {low}{why}")
 
 
+# An int that sizes an array is at most the largest value at which the biggest
+# array its runner allocates for it, named in its range, stays within this
+MAX_ARRAY_BYTES = 2**28
+
+
+def _sized(low: int, high: int, array: str, why: str = "", each: bool = False) -> dict:
+    within = f"{low}{why} to {high}, the most at which {array} stays within 256 MiB"
+    if each:  # a list field
+        return _range(lambda v, p: len(v) > 0 and all(low <= x <= high for x in v), f"a non-empty list of integers from {within}")
+    return _range(lambda v, p: low <= v <= high, f"from {within}")
+
+
 def _fine_grid(spacing: str) -> dict:
     return _range(lambda v, p: p[spacing] > 0 and MIN_HALF_CELLS <= v / p[spacing] < math.inf,
                   f"finite and at least {MIN_HALF_CELLS} times a positive {spacing}")
@@ -502,12 +521,25 @@ def _eig_count_ok(k: int, grid: Grid2D) -> bool:
 
 
 _AT_LEAST_ONE = _at_least(1)
+_SEED = _at_least(0, ", as numpy's default_rng needs")
 _POSITIVE = _range(lambda v, p: v > 0, "positive")
 _POSITIVE_LIST = _range(lambda v, p: len(v) > 0 and all(x > 0 for x in v), "a non-empty list of positive numbers")
-_Z_OPS_CUTOFF = _at_least(3, ", the cutoff fock.z_ops needs")
+_MATRIX_N_MAX, _MATRIX = math.isqrt(MAX_ARRAY_BYTES // 64), "a 2n x 2n complex matrix"
+_FOCK_MAX = math.isqrt(math.isqrt(MAX_ARRAY_BYTES // 16))
+_FOCK_OPERATOR = "an operator (a cutoff^2 x cutoff^2 complex matrix)"
+_Z_OPS_CUTOFF = _sized(3, _FOCK_MAX, _FOCK_OPERATOR, ", the cutoff fock.z_ops needs,")
 # the coherent test vector (amplitude 0.5) must fit strong_limit_run's safe band, occupations <= cutoff / 3
-_STRONG_CUTOFF = _at_least(12, ", so that the test vectors fit the safe band of fock.strong_limit_run")
-_ANTINORMAL_CUTOFF = _at_least(5, ", so that the safe band (occupations <= cutoff - 5) is not empty")
+_STRONG_CUTOFF = _sized(12, _FOCK_MAX, _FOCK_OPERATOR, ", so that the test vectors fit the safe band of fock.strong_limit_run,")
+_ANTINORMAL_CUTOFF = _sized(5, _FOCK_MAX, _FOCK_OPERATOR, ", so that the safe band (occupations <= cutoff - 5) is not empty,")
+_GUARDED_CUTOFF = _sized(3, _FOCK_MAX - 2, f"{_FOCK_OPERATOR} at the guard's cutoff + 2", ", the cutoff fock.z_ops needs,")
+_QUAD_GRID = _sized(100, math.isqrt(MAX_ARRAY_BYTES // (16 * _FOCK_MAX)), f"the cutoff x grid^2 complex table of "
+                    f"fock._coherent_amplitudes at cutoff {_FOCK_MAX}", ", as fock.resolution_check needs,")
+_CONTRACTION_N_LIST = _sized(1, math.isqrt(MAX_ARRAY_BYTES // 128), "the 4n x 4n float Potapov permutation", each=True)
+_LOOP_BLOCK = f"a block of loops (a {CHUNK} x (steps + 1) x 2m float array)"
+_LOOP_POINTS = MAX_ARRAY_BYTES // (16 * CHUNK)  # the most (steps + 1) m
+_STEPS = _sized(MIN_STEPS, _LOOP_POINTS - 1, f"{_LOOP_BLOCK} at m = 1")
+_LOOP_M = _range(lambda v, p: 1 <= v <= _LOOP_POINTS // (p["steps"] + 1),
+                 f"at least 1 and at most {_LOOP_POINTS} // (steps + 1), the most at which {_LOOP_BLOCK} stays within 256 MiB")
 # spread evenly over contraction_n_list, so at least one sample per n
 _CONTRACTION_SAMPLES = _range(lambda v, p: v >= max(1, len(p["contraction_n_list"])),
                               "at least 1 and at least len(contraction_n_list)")
@@ -520,9 +552,9 @@ _RULES = _range(lambda v, p: len(v) > 0 and set(v) <= set(VARIANCE_RULES), f"a n
 @dataclass(frozen=True, kw_only=True)
 class MembershipParams:
     """structural matrices and the dissipative-cone / contraction-semigroup equivalence"""
-    seed: int
-    n_list: tuple[int, ...] = field(default=(1, 2, 3), metadata=_POSITIVE_LIST)
-    n: int = field(default=2, metadata=_AT_LEAST_ONE)
+    seed: int = field(metadata=_SEED)
+    n_list: tuple[int, ...] = field(default=(1, 2, 3), metadata=_sized(1, _MATRIX_N_MAX, _MATRIX, each=True))
+    n: int = field(default=2, metadata=_sized(1, _MATRIX_N_MAX, _MATRIX))
     samples: int = field(default=200, metadata=_AT_LEAST_ONE)
     structural_tol: float = field(default=1e-14, metadata=_POSITIVE)
 
@@ -530,8 +562,8 @@ class MembershipParams:
 @dataclass(frozen=True, kw_only=True)
 class DecomposeParams:
     """unitary-times-dissipative factorization of semigroup elements"""
-    seed: int
-    n: int = field(default=2, metadata=_AT_LEAST_ONE)
+    seed: int = field(metadata=_SEED)
+    n: int = field(default=2, metadata=_sized(1, _MATRIX_N_MAX, _MATRIX))
     samples: int = field(default=200, metadata=_AT_LEAST_ONE)
     recon_tol: float = field(default=1e-9, metadata=_POSITIVE)
     recover_tol: float = field(default=1e-7, metadata=_POSITIVE)
@@ -540,11 +572,11 @@ class DecomposeParams:
 @dataclass(frozen=True, kw_only=True)
 class PotapovParams:
     """graph transform of contraction relations: explicit limit, product formula, norm bound"""
-    seed: int
-    n: int = field(default=2, metadata=_AT_LEAST_ONE)
+    seed: int = field(metadata=_SEED)
+    n: int = field(default=2, metadata=_sized(1, math.isqrt(MAX_ARRAY_BYTES // 256), "compose's 4n x 4n nullspace basis"))
     pairs: int = field(default=100, metadata=_AT_LEAST_ONE)
     contraction_samples: int = field(default=500, metadata=_CONTRACTION_SAMPLES)
-    contraction_n_list: tuple[int, ...] = field(default=(1, 2), metadata=_POSITIVE_LIST)
+    contraction_n_list: tuple[int, ...] = field(default=(1, 2), metadata=_CONTRACTION_N_LIST)
     example_tol: float = field(default=1e-12, metadata=_POSITIVE)
     gap_tol: float = field(default=1e-6, metadata=_POSITIVE)
     product_tol: float = field(default=1e-9, metadata=_POSITIVE)
@@ -554,8 +586,8 @@ class PotapovParams:
 @dataclass(frozen=True, kw_only=True)
 class GraphLimitParams:
     """Grassmannian limits of one-parameter contraction families and the cluster-projector derivative"""
-    seed: int
-    m: int = field(default=1, metadata=_AT_LEAST_ONE)
+    seed: int = field(metadata=_SEED)
+    m: int = field(default=1, metadata=_sized(1, math.isqrt(MAX_ARRAY_BYTES // 1024), "an 8m x 8m projector of subspace_gap"))
     samples: int = field(default=50, metadata=_AT_LEAST_ONE)
     nu_list: tuple[float, ...] = field(default=tuple(float(nu) for nu in range(4, 17)), metadata=_POSITIVE_LIST)
     gap_threshold: float = field(default=1e-6, metadata=_POSITIVE)
@@ -567,7 +599,7 @@ class GraphLimitParams:
 @dataclass(frozen=True, kw_only=True)
 class FockLimitParams:
     """truncated-Fock quantization: operator lemma, strong limits, antinormal identities, coherent resolution"""
-    seed: int
+    seed: int = field(metadata=_SEED)
     lemma_cutoff: int = field(default=10, metadata=_Z_OPS_CUTOFF)
     lemma_samples: int = field(default=50, metadata=_AT_LEAST_ONE)
     lemma_tol: float = field(default=1e-10, metadata=_POSITIVE)
@@ -579,9 +611,9 @@ class FockLimitParams:
     antinormal_tol: float = field(default=1e-12, metadata=_POSITIVE)
     quad_cutoff: int = field(default=12, metadata=_Z_OPS_CUTOFF)
     quad_radius: float = field(default=6.0, metadata=_at_least(5, ", as fock.resolution_check needs"))
-    quad_grid: int = field(default=200, metadata=_at_least(100, ", as fock.resolution_check needs"))
+    quad_grid: int = field(default=200, metadata=_QUAD_GRID)
     quad_tol: float = field(default=1e-3, metadata=_POSITIVE)
-    cutoff_cutoff: int = field(default=16, metadata=_Z_OPS_CUTOFF)
+    cutoff_cutoff: int = field(default=16, metadata=_GUARDED_CUTOFF)
     cutoff_norm: float = 0.5
     tau_list: tuple[float, ...] = field(default=(4.0, 8.0, 16.0), metadata=_POSITIVE_LIST)
     cutoff_tol: float = field(default=1e-3, metadata=_POSITIVE)
@@ -595,7 +627,7 @@ class LandauParams:
     eig_count: int = field(default=120, metadata=_EIG_COUNT)
     ground_tol: float = field(default=0.02, metadata=_POSITIVE)
     cluster_tol: float = field(default=0.05, metadata=_POSITIVE)
-    seed: int = 0
+    seed: int = field(default=0, metadata=_SEED)
     strong_limit_nu_list: tuple[float, ...] = (2.0, 4.0, 8.0)
     strong_limit_half_width: float = field(default=6.0, metadata=_fine_grid("strong_limit_spacing"))
     strong_limit_spacing: float = field(default=0.25, metadata=_POSITIVE)
@@ -605,9 +637,9 @@ class LandauParams:
 @dataclass(frozen=True, kw_only=True)
 class PathintParams:
     """oscillatory path-integral Monte Carlo vs the exact Gaussian determinant"""
-    seed: int
+    seed: int = field(metadata=_SEED)
     nu_list: tuple[float, ...] = field(default=(1.0, 2.0, 4.0), metadata=_POSITIVE_LIST)
-    steps: int = field(default=256, metadata=_at_least(MIN_STEPS))
+    steps: int = field(default=256, metadata=_STEPS)
     samples: int = field(default=200000, metadata=_at_least(MIN_SAMPLES))
     symbol_norm: float = 0.25
     refinement_tol: float = field(default=1e-3, metadata=_POSITIVE)
@@ -616,12 +648,12 @@ class PathintParams:
 @dataclass(frozen=True, kw_only=True)
 class CalibrateParams:
     """reference-measure normalization study for the scaled loop estimator"""
-    seed: int
+    seed: int = field(metadata=_SEED)
     nu_list: tuple[float, ...] = field(default=(1.0, 2.0, 4.0, 8.0), metadata=_POSITIVE_LIST)
     rules: tuple[str, ...] = field(default=("nu", "nu_half", "two_nu", "nu_plus_log"), metadata=_RULES)
-    steps: int = field(default=256, metadata=_at_least(MIN_STEPS))
+    steps: int = field(default=256, metadata=_STEPS)
     samples: int = field(default=20000, metadata=_at_least(MIN_SAMPLES))
-    m: int = field(default=1, metadata=_AT_LEAST_ONE)
+    m: int = field(default=1, metadata=_LOOP_M)
     closed_form_tol: float = field(default=5e-3, metadata=_POSITIVE)
 
 

@@ -37,6 +37,12 @@ class ConvergenceGuardError(RuntimeError):
         super().__init__(f"cutoff not converged: |delta| = {delta:.2e} >= {guard:.2e}")
 
 
+SAFE_BAND_MASS = 1e-2
+QUAD_MAX_OCC = 3
+# vacuum_expectation quantizes the clipped symbol on this disc and lattice
+CLIP_RADIUS, CLIP_GRID = 8.0, 320
+
+
 @dataclass(frozen=True)
 class FockSpace:
     """Truncated Fock space: n = 2m modes, per-mode occupation < cutoff."""
@@ -275,20 +281,15 @@ def coherent(space: FockSpace, z, bound: float = 1e-6) -> CoherentState:
     return CoherentState(z=z, vec=vec)
 
 
-def strong_limit_run(
-    space: FockSpace,
-    sym: HamiltonianSymbol,
-    nu_list: Sequence[float],
-    vectors: Sequence[np.ndarray],
-    band_tol: float = 1e-2,
-) -> list[tuple[float, list[float]]]:
+def strong_limit_run(space: FockSpace, sym: HamiltonianSymbol, nu_list: Sequence[float],
+                     vectors: Sequence[np.ndarray]) -> list[tuple[float, list[float]]]:
     """Residual table for the strong-limit theorem: for each nu,
 
         r(nu) = || exp(h_A(Z) - nu N_b) psi - exp(E_b h_A(Z) E_b) E_b psi ||
 
     per test vector.  Vectors must lie in ran E_b and be essentially
     supported on occupations <= cutoff/3: mass beyond that band must stay
-    below ``band_tol`` (a hard support cutoff would exclude coherent states,
+    below SAFE_BAND_MASS (a hard support cutoff would exclude coherent states,
     whose tails are small but nowhere zero).  r(nu) decays like ||A||/nu.
 
     Quadratic generators and N_b conserve the parity of the total
@@ -303,7 +304,7 @@ def strong_limit_run(
     for psi in vectors:
         if np.linalg.norm(psi[~b_vac]) > 1e-12:
             raise ValueError("test vector not in ran E_b")
-        if np.linalg.norm(psi[~safe]) > band_tol:
+        if np.linalg.norm(psi[~safe]) > SAFE_BAND_MASS:
             raise TruncationError("test vector occupies the unsafe band")
     H = h_A_operator(space, sym)
     block = _sector_expm(space, H)
@@ -380,27 +381,20 @@ def quantize_integral(
     return np.kron(Qa, Eb0)
 
 
-def resolution_check(space: FockSpace, radius: float, grid: int, max_occ: int = 3) -> float:
+def resolution_check(space: FockSpace, radius: float, grid: int) -> float:
     """Distance || integral p_z dmu - E_b || on the block of a-occupation
-    <= max_occ (inside the b-vacuum sector)."""
+    <= QUAD_MAX_OCC (inside the b-vacuum sector)."""
     _require_single_mode(space)
     if radius < 5 or grid < 100:
         raise ValueError("resolution check needs radius >= 5 and grid >= 100")
     Q = quantize_integral(space, lambda z: np.ones_like(z, dtype=complex), radius, grid)
     E_b = np.diag(_b_vacuum(space).astype(complex))
-    P = band_projector(space, max_occ, modes=[1]) @ E_b
+    P = band_projector(space, QUAD_MAX_OCC, modes=[1]) @ E_b
     return float(np.linalg.norm(P @ (Q - E_b) @ P, 2))
 
 
-def vacuum_expectation(
-    space: FockSpace,
-    sym: HamiltonianSymbol,
-    tau: float | None = None,
-    *,
-    radius: float = 8.0,
-    grid: int = 320,
-    guard: float | None = 1e-4,
-) -> complex:
+def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol, tau: float | None = None, *,
+                       guard: float | None = 1e-4) -> complex:
     """<Omega_0 | exp(E_b h_A(Z) E_b) Omega_0>, or with h_A replaced by the
     quadrature quantization of the tau-clipped symbol.
 
@@ -414,22 +408,14 @@ def vacuum_expectation(
     _require_single_mode(space)
     D = space.cutoff
     cutoffs = (D, D + 2) if guard is not None else (D,)
-
-    def generator_at(cutoff: int) -> np.ndarray:
-        sp = FockSpace(space.m, cutoff)
-        if tau is None:
-            return _sector(sp, h_A_operator(sp, sym))
-        return -1j * _sector(sp, quantize_integral(
-            sp,
-            lambda z: hamiltonian_real_values(sym, np.stack([z.real, z.imag], axis=1), tau),
-            radius,
-            grid,
-        ))
-
+    spaces = [FockSpace(space.m, c) for c in cutoffs]
     if tau is None:
-        gens = [generator_at(c) for c in cutoffs]
+        gens = [_sector(sp, h_A_operator(sp, sym)) for sp in spaces]
     else:
-        top = generator_at(cutoffs[-1])
+        sp = spaces[-1]
+        Q = quantize_integral(sp, lambda z: hamiltonian_real_values(sym, np.stack([z.real, z.imag], axis=1), tau),
+                              CLIP_RADIUS, CLIP_GRID)
+        top = -1j * _sector(sp, Q)
         gens = [top[:c, :c] for c in cutoffs]
     # the vacuum is the sector's first basis state
     val, *rest = (complex(expm(G)[0, 0]) for G in gens)

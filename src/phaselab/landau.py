@@ -115,6 +115,10 @@ PIVOT_RATIO_MAX = 1e-6
 # eps max |H_ij|, and a narrower gap (the bulk of a Landau level is
 # degenerate to 1e-15) cannot be resolved by an inertia count.
 CUT_GAP_MIN = 1e-8
+# low_spectrum's shift-invert target, below the spectrum (landau_hamiltonian >= -1/2)
+SHIFT = -0.6
+# cluster_center's search window about a level, and the width of a cluster
+CLUSTER_WINDOW, CLUSTER_WIDTH = 0.45, 0.02
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
@@ -161,11 +165,11 @@ def max_eig_count(npoints: int) -> int:
     return 4 * ((npoints - 1) // 4 - 2 - SECTOR_MARGIN)
 
 
-def _sector_low(Hq: sp.csc_matrix, k: int, sigma: float) -> np.ndarray:
+def _sector_low(Hq: sp.csc_matrix, k: int) -> np.ndarray:
     # a fixed complex normal start vector, so that a run repeats exactly
     rng = np.random.default_rng(0)
     v0 = rng.normal(size=Hq.shape[0]) + 1j * rng.normal(size=Hq.shape[0])
-    vals = spla.eigsh(Hq, k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False)
+    vals = spla.eigsh(Hq, k=k, sigma=SHIFT, which="LM", v0=v0, return_eigenvectors=False)
     return np.sort(vals.real)
 
 
@@ -195,9 +199,9 @@ def count_below(Hq: sp.spmatrix, cut: float) -> int:
     return int(np.sum(d.real < 0))
 
 
-def low_spectrum(H: sp.csr_matrix, k: int, sigma: float = -0.6) -> np.ndarray:
+def low_spectrum(H: sp.csr_matrix, k: int) -> np.ndarray:
     """Lowest k eigenvalues of a rotation-symmetric grid operator, by
-    shift-invert Lanczos (sigma below the spectrum) in each rotation sector.
+    shift-invert Lanczos (about SHIFT, below the spectrum) in each rotation sector.
 
     ``rotation_sectors`` splits H into four blocks of about N/4 (raising
     ``SymmetryError`` for a non-square N or an H that does not commute with
@@ -219,7 +223,7 @@ def low_spectrum(H: sp.csr_matrix, k: int, sigma: float = -0.6) -> np.ndarray:
     sectors = rotation_sectors(H)
     min_gap = CUT_GAP_MIN * abs(H).max()
     ks = [-(-k // 4) + SECTOR_MARGIN] * 4
-    vals = [_sector_low(Hq, kq, sigma) for Hq, kq in zip(sectors, ks)]
+    vals = [_sector_low(Hq, kq) for Hq, kq in zip(sectors, ks)]
     for rerun in range(RERUNS + 1):
         merged = np.sort(np.concatenate(vals))
         wide = np.flatnonzero(np.diff(merged[k - 1:]) >= min_gap)
@@ -239,20 +243,20 @@ def low_spectrum(H: sp.csr_matrix, k: int, sigma: float = -0.6) -> np.ndarray:
         if rerun < RERUNS:
             for q in short:
                 ks[q] = min(ks[q] + ks[q] // 2, sectors[q].shape[0] - 2)
-                vals[q] = _sector_low(sectors[q], ks[q], sigma)
+                vals[q] = _sector_low(sectors[q], ks[q])
     where = f"no gap of {min_gap:.3g} above value {k}" if cut is None else f"short below the cut {cut}"
     raise InertiaError(f"sectors {short} stay uncertified ({where}) after {RERUNS} reruns")
 
 
-def cluster_center(eigs: np.ndarray, near: float, halfwidth: float = 0.45, width: float = 0.02) -> float:
-    """Center of the densest eigenvalue cluster within ``halfwidth`` of
+def cluster_center(eigs: np.ndarray, near: float) -> float:
+    """Center of the densest eigenvalue cluster within CLUSTER_WINDOW of
     ``near`` (robust against the sparse ladder of Dirichlet edge states)."""
-    window = eigs[(eigs > near - halfwidth) & (eigs < near + halfwidth)]
+    window = eigs[(eigs > near - CLUSTER_WINDOW) & (eigs < near + CLUSTER_WINDOW)]
     if window.size == 0:
-        raise ValueError(f"no eigenvalues within {halfwidth} of {near}")
-    counts = np.array([np.sum(np.abs(window - e) <= width) for e in window])
+        raise ValueError(f"no eigenvalues within {CLUSTER_WINDOW} of {near}")
+    counts = np.array([np.sum(np.abs(window - e) <= CLUSTER_WIDTH) for e in window])
     seed = window[np.argmax(counts)]
-    cluster = window[np.abs(window - seed) <= width]
+    cluster = window[np.abs(window - seed) <= CLUSTER_WIDTH]
     return float(np.median(cluster))
 
 
@@ -262,12 +266,12 @@ def flux_count(grid: Grid2D) -> float:
     return 2.0 * area / (2 * np.pi)
 
 
-def _fock_prediction_on_grid(grid: Grid2D, sym: HamiltonianSymbol, t: float, cutoff: int) -> np.ndarray:
+def _fock_prediction_on_grid(grid: Grid2D, sym: HamiltonianSymbol, cutoff: int) -> np.ndarray:
     """exp(E_b h E_b) E_b Omega_0 from the Fock side, sampled on the grid via
     the b-vacuum wavefunctions z^j e^{-|z|^2/2}/sqrt(pi j!)."""
     space = FockSpace(1, cutoff)
     # the vacuum is the first of the sector's states |j, 0>, j = 0..cutoff-1
-    coeff = _sector_expm(space, t * h_A_operator(space, sym))[:, 0]
+    coeff = _sector_expm(space, h_A_operator(space, sym))[:, 0]
     _, X, Y = grid.coordinates()
     z = X + 1j * Y
     out = np.zeros_like(z, dtype=complex)
@@ -278,14 +282,9 @@ def _fock_prediction_on_grid(grid: Grid2D, sym: HamiltonianSymbol, t: float, cut
     return out
 
 
-def grid_strong_limit(
-    grid: Grid2D,
-    sym: HamiltonianSymbol,
-    nu_list: Sequence[float],
-    t: float = 1.0,
-    cutoff: int = 12,
-) -> list[tuple[float, float]]:
-    """Evolve the discretized vacuum by exp(t h_A - nu ((1/4)Lap - 1/2)) and
+def grid_strong_limit(grid: Grid2D, sym: HamiltonianSymbol, nu_list: Sequence[float],
+                      cutoff: int = 12) -> list[tuple[float, float]]:
+    """Evolve the discretized vacuum by exp(h_A - nu ((1/4)Lap - 1/2)) and
     report, per nu, the overlap deviation 1 - |<grid, fock>| between the
     L2-normalized grid vector and the Fock-side prediction.
 
@@ -300,12 +299,12 @@ def grid_strong_limit(
     hvals = -1j * hamiltonian_real_values(sym, pts)  # h_A is pure imaginary
     Hnum = landau_hamiltonian(grid)
     psi0 = np.exp(-(X**2 + Y**2) / 2) / np.sqrt(np.pi)
-    target = _fock_prediction_on_grid(grid, sym, t, cutoff)
+    target = _fock_prediction_on_grid(grid, sym, cutoff)
     target = target / np.linalg.norm(target)
 
     rows = []
     for nu in nu_list:
-        gen = sp.diags(t * hvals) - nu * Hnum
+        gen = sp.diags(hvals) - nu * Hnum
         evolved = spla.expm_multiply(gen.tocsc(), psi0.astype(complex))
         norm = np.linalg.norm(evolved)
         if not np.isfinite(norm) or norm == 0:

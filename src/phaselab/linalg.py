@@ -8,8 +8,6 @@ point of a Grassmannian has no canonical matrix representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -56,25 +54,12 @@ class EigenbasisError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical slack thresholds, threaded explicitly through every check.
-
-    eq_tol gates equality-type residuals, psd_tol gates cone/semidefinite
-    checks, rank_tol gates rank decisions (relative to the largest singular
-    value).
-    """
-
-    eq_tol: float = 1e-10
-    psd_tol: float = 1e-9
-    rank_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not (self.eq_tol > 0 and self.psd_tol > 0 and self.rank_tol > 0):
-            raise ValueError("all tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerances()
+# The numerical slack of every check: EQ_TOL gates equality-type residuals,
+# PSD_TOL cone and semidefinite ones, and RANK_TOL rank decisions, relative
+# to the largest singular value.
+EQ_TOL = 1e-10
+PSD_TOL = 1e-9
+RANK_TOL = 1e-8
 
 
 def as_cmatrix(M) -> np.ndarray:
@@ -99,12 +84,12 @@ def expm(X) -> np.ndarray:
     return scipy.linalg.expm(_require_square(X))
 
 
-def logm_principal(M, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
+def logm_principal(M) -> np.ndarray:
     """Principal matrix logarithm V log(w) V^{-1} from the eigendecomposition
     M = V diag(w) V^{-1}, with an explicit branch-cut guard and a
     conditioning certificate.
 
-    Eigenvalues are checked first: if any lies within ``rank_tol`` (scaled by
+    Eigenvalues are checked first: if any lies within RANK_TOL (scaled by
     max(1, spectral radius)) of the closed ray (-inf, 0], a BranchCutError
     carrying the offending eigenvalue is raised instead of returning a
     silently wrong branch.  The eigen route is accurate to about
@@ -117,7 +102,7 @@ def logm_principal(M, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(w))))
     for lam in w:
         dist = abs(lam.imag) if lam.real <= 0 else abs(lam)
-        if dist <= rank_tol * scale:
+        if dist <= RANK_TOL * scale:
             raise BranchCutError(lam)
     cond = float(np.linalg.cond(V))
     if not cond <= LOGM_COND_MAX:
@@ -125,14 +110,14 @@ def logm_principal(M, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
     return (V * np.log(w)) @ np.linalg.inv(V)
 
 
-def orthonormal_frame(cols, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
+def orthonormal_frame(cols) -> np.ndarray:
     """Orthonormal basis (via SVD) for the column span of ``cols``.
 
-    Raises RankError if the columns are rank-deficient within rank_tol.
+    Raises RankError if the columns are rank-deficient within RANK_TOL.
     """
     A = as_cmatrix(cols)
     u, s, _ = np.linalg.svd(A, full_matrices=False)
-    if s[0] == 0 or s[-1] <= rank_tol * s[0]:
+    if s[0] == 0 or s[-1] <= RANK_TOL * s[0]:
         raise RankError(
             f"input of shape {A.shape} is rank-deficient "
             f"(singular values {s[0]:.3e} .. {s[-1]:.3e})"
@@ -140,7 +125,7 @@ def orthonormal_frame(cols, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarra
     return u
 
 
-def span_frame(cols, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
+def span_frame(cols) -> np.ndarray:
     """Orthonormal frame for the span, dropping numerically null columns.
 
     Unlike orthonormal_frame this never raises on rank deficiency; it returns
@@ -155,16 +140,16 @@ def span_frame(cols, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
     u, s, _ = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0:
         return u[:, :0]
-    rank = int(np.sum(s > rank_tol * s[0]))
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     return u[:, :rank]
 
 
-def nullspace(M, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
+def nullspace(M) -> np.ndarray:
     """Orthonormal basis of the (right) nullspace of M."""
     M = as_cmatrix(M)
     _, s, vh = np.linalg.svd(M)
     smax = s[0] if s.size else 0.0
-    keep = int(np.sum(s > rank_tol * smax)) if smax > 0 else 0
+    keep = int(np.sum(s > RANK_TOL * smax)) if smax > 0 else 0
     return vh.conj().T[:, keep:]
 
 

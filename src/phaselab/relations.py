@@ -28,10 +28,11 @@ import numpy as np
 
 from .cones import MembershipError, StructuralMatrices, spc_residual
 from .linalg import (
-    DEFAULT_TOL,
+    EQ_TOL,
+    PSD_TOL,
+    RANK_TOL,
     RankError,
     ShapeError,
-    Tolerances,
     as_cmatrix,
     expm,
     nullspace,
@@ -73,12 +74,12 @@ class LinearRelation:
         return self.frame[2 * self.n :, :]
 
 
-def relation_from_span(cols, n: int, rank_tol: float = DEFAULT_TOL.rank_tol) -> LinearRelation:
+def relation_from_span(cols, n: int) -> LinearRelation:
     """Orthonormalize a spanning set into a relation; rank must be exactly 2n."""
     cols = as_cmatrix(cols)
     if cols.shape[0] != 4 * n:
         raise ShapeError(f"expected 4n = {4 * n} rows, got {cols.shape[0]}")
-    F = span_frame(cols, rank_tol)
+    F = span_frame(cols)
     if F.shape[1] != 2 * n:
         raise RankError(f"span has dimension {F.shape[1]}, expected {2 * n}")
     return LinearRelation(n=n, frame=F)
@@ -94,7 +95,7 @@ def graph_of(T) -> LinearRelation:
     return LinearRelation(n=n, frame=F)
 
 
-def compose(A: LinearRelation, B: LinearRelation, rank_tol: float = DEFAULT_TOL.rank_tol) -> LinearRelation:
+def compose(A: LinearRelation, B: LinearRelation) -> LinearRelation:
     """Relation product {x (+) y : exists w, x (+) w in A, w (+) y in B}.
 
     Computed from the nullspace of the stacked compatibility system in
@@ -105,23 +106,23 @@ def compose(A: LinearRelation, B: LinearRelation, rank_tol: float = DEFAULT_TOL.
     if A.n != B.n:
         raise ShapeError("ambient dimensions differ")
     n = A.n
-    null = nullspace(np.hstack([A.bottom, -B.top]), rank_tol)
+    null = nullspace(np.hstack([A.bottom, -B.top]))
     s_part, t_part = null[: 2 * n, :], null[2 * n :, :]
     vecs = np.vstack([A.top @ s_part, B.bottom @ t_part])
-    F = span_frame(vecs, rank_tol)
+    F = span_frame(vecs)
     if F.shape[1] != 2 * n:
         raise DegenerateCompositionError(F.shape[1], 2 * n)
     return LinearRelation(n=n, frame=F)
 
 
-def ker_indef(P: LinearRelation, rank_tol: float = DEFAULT_TOL.rank_tol):
+def ker_indef(P: LinearRelation):
     """Frames for ker P = {x : x (+) 0 in P} and indef P = {y : 0 (+) y in P}.
 
     Either frame may have zero columns.
     """
     V, W = P.top, P.bottom
-    ker = span_frame(V @ nullspace(W, rank_tol), rank_tol)
-    ind = span_frame(W @ nullspace(V, rank_tol), rank_tol)
+    ker = span_frame(V @ nullspace(W))
+    ind = span_frame(W @ nullspace(V))
     return ker, ind
 
 
@@ -133,7 +134,7 @@ class UnnReport:
     ker_residual: float          # smallest eigenvalue of the form on ker P (want > 0)
 
 
-def is_Unn(P: LinearRelation, S: StructuralMatrices, tol: Tolerances = DEFAULT_TOL) -> UnnReport:
+def is_Unn(P: LinearRelation, S: StructuralMatrices) -> UnnReport:
     """Membership in the contraction-relation semigroup.
 
     (1) the induced form <v|v>_I - <w|w>_I is PSD on the frame,
@@ -143,7 +144,7 @@ def is_Unn(P: LinearRelation, S: StructuralMatrices, tol: Tolerances = DEFAULT_T
     V, W = P.top, P.bottom
     G = V.conj().T @ S.Ical @ V - W.conj().T @ S.Ical @ W
     contraction = -float(np.linalg.eigvalsh((G + G.conj().T) / 2).min())
-    ker, ind = ker_indef(P, tol.rank_tol)
+    ker, ind = ker_indef(P)
 
     if ind.shape[1]:
         Gi = ind.conj().T @ S.Ical @ ind
@@ -157,18 +158,18 @@ def is_Unn(P: LinearRelation, S: StructuralMatrices, tol: Tolerances = DEFAULT_T
         ker_bot = np.inf
 
     flag = (
-        contraction <= tol.psd_tol
-        and indef_top <= -tol.psd_tol
-        and ker_bot >= tol.psd_tol
+        contraction <= PSD_TOL
+        and indef_top <= -PSD_TOL
+        and ker_bot >= PSD_TOL
     )
     return UnnReport(flag, max(contraction, 0.0), indef_top, ker_bot)
 
 
-def is_symplectic_rel(P: LinearRelation, S: StructuralMatrices, tol: Tolerances = DEFAULT_TOL) -> bool:
+def is_symplectic_rel(P: LinearRelation, S: StructuralMatrices) -> bool:
     """Whether v^T J v' = w^T J w' for all v (+) w, v' (+) w' in P."""
     V, W = P.top, P.bottom
     R = V.T @ S.J @ V - W.T @ S.J @ W
-    return float(np.linalg.norm(R, 2)) <= tol.eq_tol
+    return float(np.linalg.norm(R, 2)) <= EQ_TOL
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,7 @@ class PotapovMatrix:
         return self.r[self.n :, self.n :]
 
 
-def potapov_matrix(g, rank_tol: float = DEFAULT_TOL.rank_tol) -> PotapovMatrix:
+def potapov_matrix(g) -> PotapovMatrix:
     """Potapov transform of a matrix g = (a b; c d) with invertible a."""
     g = as_cmatrix(g)
     if g.shape[0] != g.shape[1] or g.shape[0] % 2:
@@ -206,7 +207,7 @@ def potapov_matrix(g, rank_tol: float = DEFAULT_TOL.rank_tol) -> PotapovMatrix:
     n = g.shape[0] // 2
     a, b, c, d = g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:]
     s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= rank_tol * max(s[0], 1.0):
+    if s[-1] <= RANK_TOL * max(s[0], 1.0):
         raise RankError("upper-left block is singular; use potapov_relation")
     ai = np.linalg.inv(a)
     r = np.block([[-ai @ b, ai], [d - c @ ai @ b, c @ ai]])
@@ -224,14 +225,14 @@ def _pi_permutation(n: int) -> np.ndarray:
     return P
 
 
-def potapov_relation(P: LinearRelation, rank_tol: float = DEFAULT_TOL.rank_tol) -> PotapovMatrix:
+def potapov_relation(P: LinearRelation) -> PotapovMatrix:
     """Potapov transform of a relation: permute the frame by Pi, then solve
     for the matrix whose graph is the permuted subspace."""
     n = P.n
     F = _pi_permutation(n) @ P.frame
     top, bottom = F[: 2 * n, :], F[2 * n :, :]
     s = np.linalg.svd(top, compute_uv=False)
-    if s[-1] <= rank_tol * max(s[0], 1.0):
+    if s[-1] <= RANK_TOL * max(s[0], 1.0):
         raise NotAGraphError(
             "permuted subspace is not a graph (input outside the contraction semigroup)"
         )
@@ -246,7 +247,7 @@ def potapov_inverse(r: PotapovMatrix) -> LinearRelation:
     return relation_from_span(F, n)
 
 
-def potapov_product(r1: PotapovMatrix, r2: PotapovMatrix, rank_tol: float = DEFAULT_TOL.rank_tol) -> PotapovMatrix:
+def potapov_product(r1: PotapovMatrix, r2: PotapovMatrix) -> PotapovMatrix:
     """Product formula: Pi(P1 P2) from r1 = Pi(P1) = (alpha beta; gamma delta)
     and r2 = Pi(P2) = (phi psi; theta kappa)."""
     if r1.n != r2.n:
@@ -256,7 +257,7 @@ def potapov_product(r1: PotapovMatrix, r2: PotapovMatrix, rank_tol: float = DEFA
     ph, ps, th, ka = r2.alpha, r2.beta, r2.gamma, r2.delta
     M = np.eye(n) - ph @ de
     s = np.linalg.svd(M, compute_uv=False)
-    if s[-1] <= rank_tol * max(s[0], 1.0):
+    if s[-1] <= RANK_TOL * max(s[0], 1.0):
         raise RankError("1 - phi delta is singular")
     M1 = np.linalg.inv(M)
     M2 = np.linalg.inv(np.eye(n) - de @ ph)
@@ -316,7 +317,7 @@ def projection_derivative(A, m: int) -> np.ndarray:
     return Nb @ A @ P0 + P0 @ A @ Nb
 
 
-def limit_graph(A, m: int, tol: Tolerances = DEFAULT_TOL) -> LinearRelation:
+def limit_graph(A, m: int) -> LinearRelation:
     """The limit relation of graph(e^{A + nu N_b}) as nu -> infinity:
 
         span{ v_-1 (+) 0,  v_0 (+) e^{A_0} v_0,  0 (+) v_1 }
@@ -327,7 +328,7 @@ def limit_graph(A, m: int, tol: Tolerances = DEFAULT_TOL) -> LinearRelation:
     A = as_cmatrix(A)
     if A.shape != (4 * m, 4 * m):
         raise ShapeError(f"expected shape {(4 * m, 4 * m)}")
-    if spc_residual(A) > tol.eq_tol * 10:
+    if spc_residual(A) > EQ_TOL * 10:
         raise MembershipError("A does not have the sp_c(4m,R) block pattern")
     d = 4 * m
     eA0 = expm(a0_generator(A, m))

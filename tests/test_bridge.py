@@ -178,12 +178,10 @@ def test_estimate_actions_match_separate_estimates():
     # one draw serves every action, bit for bit as separate estimates
     sym = HamiltonianSymbol(1, sample("sp_c", 1, 0.3, 8))
     spec = spec64(nu=1.0, seed=6)
-    for tau in (None, 0.5):
-        both = estimate_actions(spec, [None, sym], tau=tau, samples=CHUNK + 1000)
-        for rep, s in zip(both, (None, sym)):
-            alone = estimate(spec, sym=s, tau=tau, samples=CHUNK + 1000)
-            assert rep.mean == alone.mean and rep.stderr == alone.stderr
-            assert rep.action_params == alone.action_params
+    both = estimate_actions(spec, [None, sym], samples=CHUNK + 1000)
+    for rep, s in zip(both, (None, sym)):
+        alone = estimate(spec, sym=s, samples=CHUNK + 1000)
+        assert rep.mean == alone.mean and rep.stderr == alone.stderr
     assert both[0].mean != both[1].mean
 
 

@@ -1,5 +1,8 @@
+import importlib.util
 import json
+import sys
 from dataclasses import fields
+from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import pytest
@@ -173,6 +176,16 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("landau", {"half_width": 10**400}),
         ("pathint", {"seed": 1, "nu_list": [1, float("inf")]}),
         ("graph-limit", {"seed": 1, "fd_tol": float("nan")}),
+        *((tag, {"seed": -1}) for tag in EXPERIMENTS),
+        ("decompose", {"seed": 1, "n": 10**30}),
+        ("membership", {"seed": 1, "n_list": [1, 2049]}),
+        ("potapov", {"seed": 1, "contraction_n_list": [1449]}),
+        ("graph-limit", {"seed": 1, "m": 513}),
+        ("fock-limit", {"seed": 1, "lemma_cutoff": 65}),
+        ("fock-limit", {"seed": 1, "cutoff_cutoff": 63}),
+        ("fock-limit", {"seed": 1, "quad_grid": 513}),
+        ("pathint", {"seed": 1, "steps": 4096}),
+        ("calibrate", {"seed": 1, "steps": 256, "m": 16}),
     ],
     ids=[
         "pathint_empty_nu_list",
@@ -238,6 +251,16 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         "landau_half_width_beyond_float",
         "pathint_infinite_nu",
         "graph_limit_nan_fd_tol",
+        *(f"{tag.replace('-', '_')}_negative_seed" for tag in EXPERIMENTS),
+        "decompose_n_beyond_memory",
+        "membership_n_list_beyond_memory",
+        "potapov_contraction_n_beyond_memory",
+        "graph_limit_m_beyond_memory",
+        "fock_limit_lemma_cutoff_beyond_memory",
+        "fock_limit_cutoff_cutoff_beyond_memory_at_guard",
+        "fock_limit_quad_grid_beyond_memory",
+        "pathint_steps_beyond_memory",
+        "calibrate_m_beyond_memory_at_steps",
     ],
 )
 def test_out_of_range_parameters_exit_2_without_outputs(tmp_path, capsys, experiment, params):
@@ -341,6 +364,51 @@ def test_seed_override_on_non_object_exits_2(tmp_path, capsys, payload):
     assert main(["run", cfg, "--out", str(out_dir), "--seed-override", "3"]) == 2
     assert list(out_dir.iterdir()) == []
     assert "config error" in capsys.readouterr().err
+
+
+def test_negative_seed_override_exits_2_without_outputs(tmp_path, capsys):
+    cfg = write_config(tmp_path, small_membership())
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["run", cfg, "--out", str(out_dir), "--seed-override", "-1"]) == 2
+    assert list(out_dir.iterdir()) == []
+    assert "config error" in capsys.readouterr().err
+
+
+def test_checked_in_and_benchmark_configs_validate(monkeypatch):
+    # a range that rejects a config the repository runs fails here, not as
+    # a failed benchmark run
+    root = Path(__file__).resolve().parent.parent
+    configs = [json.loads(path.read_text()) for path in sorted((root / "configs").glob("*.json"))]
+    assert len(configs) == len(EXPERIMENTS)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for w in workloads.WORKLOADS:
+        configs += workloads.warmup_configs(w)
+        for seed in range(1, 21):
+            configs += workloads.configs(w, seed)
+    for config in configs:
+        validate_config(config)
+
+
+def test_calibrate_reports_its_monte_carlo_spot_checks(tmp_path):
+    params = {"seed": 3, "nu_list": [1, 2], "rules": ["nu", "two_nu"], "steps": 64, "samples": 2000}
+    cfg = write_config(tmp_path, {"experiment": "calibrate", "parameters": params})
+    lines = []
+    for out in ("a", "b"):
+        main(["run", cfg, "--out", str(tmp_path / out)])
+        lines.append((tmp_path / out / "calibrate_measurements.csv").read_text().splitlines())
+    assert lines[0] == lines[1]
+    # appended after every other row, one pair per rule at its first nu
+    tail = [row.split(",") for row in lines[0][-4:]]
+    assert [row[1] for row in tail] == [
+        "mc_vs_oracle_nu_nu1_in_stderr", "mc_stderr_nu_nu1",
+        "mc_vs_oracle_two_nu_nu1_in_stderr", "mc_stderr_two_nu_nu1",
+    ]
+    assert all(row[3:] == ["", "report", "report"] for row in tail)
+    assert float(tail[0][2]) <= 6.0 and float(tail[1][2]) > 0
 
 
 def test_run_writes_report_and_csv(tmp_path, capsys):

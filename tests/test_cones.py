@@ -18,7 +18,7 @@ from phaselab.cones import (
     split_diss,
     spc_residual,
 )
-from phaselab.linalg import DEFAULT_TOL, BranchCutError, expm
+from phaselab.linalg import EQ_TOL, PSD_TOL, BranchCutError, expm
 from phaselab.relations import make_Nb
 
 
@@ -89,7 +89,7 @@ def test_classify_examples():
     assert classify(Nb, S2).flag("Diss_spc")
 
 
-def _eager_classify(M, S, tol=DEFAULT_TOL):
+def _eager_classify(M, S):
     # every residual up front, by the formulas classify evaluates lazily
     M = np.asarray(M, dtype=complex)
     J, Ical = S.J, S.Ical
@@ -111,7 +111,7 @@ def _eager_classify(M, S, tol=DEFAULT_TOL):
     top = float(np.linalg.eigvalsh((IM + IM.conj().T) / 2).max())
     diss = max(top * 2, 0.0)
     icalM_top = max(top, 0.0)
-    eq, psd = tol.eq_tol, tol.psd_tol
+    eq, psd = EQ_TOL, PSD_TOL
     return {
         "Sp_R": (sp_grp <= eq and realness <= eq, max(sp_grp, realness)),
         "Sp_C": (sp_grp <= eq, sp_grp),

@@ -81,14 +81,14 @@ def _short_first_sector(monkeypatch, kind, every_run=False):
     original = landau._sector_low
     runs = []
 
-    def short(Hq, k, sigma):
+    def short(Hq, k):
         runs.append((Hq.shape[0], k))
         sector_zero = Hq.shape[0] == runs[0][0]  # runs first; the only sector holding the centre
         if not sector_zero or (len(runs) > 1 and not every_run):
-            return original(Hq, k, sigma)
+            return original(Hq, k)
         if kind == "k_down":
-            return original(Hq, k - 4, sigma)
-        return np.delete(original(Hq, k, sigma), 2)
+            return original(Hq, k - 4)
+        return np.delete(original(Hq, k), 2)
 
     monkeypatch.setattr(landau, "_sector_low", short)
     return runs

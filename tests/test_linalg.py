@@ -9,7 +9,6 @@ from phaselab.linalg import (
     EigenbasisError,
     RankError,
     ShapeError,
-    Tolerances,
     expm,
     logm_principal,
     nullspace,
@@ -32,14 +31,6 @@ def expm_series(X, terms=60):
 
 def random_complex(rng, shape, scale=1.0):
     return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-
-
-def test_tolerances_validation():
-    Tolerances()
-    with pytest.raises(ValueError):
-        Tolerances(eq_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(psd_tol=-1e-9)
 
 
 def test_expm_zero_and_diagonal():
