@@ -14,6 +14,13 @@ value is
     e^{nu m} E[e^{i S_0}] = (e^{nu} nu / sinh nu)^m = (2 nu / (1 - e^{-2 nu}))^m,
 
 which grows like (2 nu)^m instead of tending to 1.
+
+A sweep over nu and variance rules is one pass.  The loop at sigma^2 is
+sqrt(sigma^2) times the sigma^2 = 1 loop of the same increments, and every
+estimator action (the area, plus an unclipped quadratic symbol) is a
+quadratic form of the loop, so S_{sigma^2} = sigma^2 S_1: ``estimate_actions``
+draws the unit loops of a seed once for every spec.  ``gaussian_oracles``
+runs the oracle's recursion once for a batch of (spec, action) pairs.
 """
 
 from __future__ import annotations
@@ -100,18 +107,25 @@ def sample_loops(spec: MeasureSpec, lo: int, hi: int) -> np.ndarray:
     """Loops lo, ..., hi-1 of the seed's stream as a (hi-lo, steps+1, 2m)
     array of exact discrete bridges (covariance sigma^2 (min(s,t) - s t) per
     coordinate at grid times s, t): the increments of a block's first n loops
-    are default_rng((seed, block)).normal(0, sqrt(sigma^2/steps),
-    size=(n, steps, 2m)), a prefix of any longer draw of that block."""
+    are sqrt(sigma^2/steps) times default_rng((seed, block)).standard_normal(
+    (n, steps, 2m)), a prefix of any longer draw of that block (and bitwise
+    its normal(0, sqrt(sigma^2/steps), ...) draw).  The draw goes straight
+    into one contiguous increment buffer, which then holds the pinning term."""
     if not 0 <= lo < hi:
         raise ValueError("need 0 <= lo < hi")
     K, d = spec.steps, 2 * spec.m
-    pts = np.zeros((hi - lo, K + 1, d))
+    incr = np.empty((hi - lo, K, d))
     for block in range(lo // CHUNK, (hi - 1) // CHUNK + 1):
         first, end = block * CHUNK, min(hi, (block + 1) * CHUNK)
-        incr = np.random.default_rng((spec.seed, block)).normal(0.0, np.sqrt(spec.sigma2 / K), (end - first, K, d))
-        pts[max(first - lo, 0):end - lo, 1:] = incr[max(lo - first, 0):]
-    walk = np.cumsum(pts[:, 1:], axis=1, out=pts[:, 1:])
-    walk -= (np.arange(1, K + 1) / K)[:, None] * walk[:, -1:]
+        rng = np.random.default_rng((spec.seed, block))
+        if lo > first:  # the block's loops before lo
+            rng.standard_normal((lo - first, K, d))
+        rng.standard_normal(out=incr[max(first - lo, 0):end - lo])
+    incr *= np.sqrt(spec.sigma2 / K)
+    pts = np.empty((hi - lo, K + 1, d))
+    pts[:, 0] = 0.0
+    walk = np.cumsum(incr, axis=1, out=pts[:, 1:])
+    walk -= np.multiply((np.arange(1, K + 1) / K)[:, None], walk[:, -1:], out=incr)
     return pts
 
 
@@ -151,33 +165,45 @@ def action(path: LoopPath, H: Callable[[np.ndarray], np.ndarray] | None) -> floa
     return float(_actions(path.points[None], [H])[0][0])
 
 
-def estimate_actions(spec: MeasureSpec, syms: Sequence[HamiltonianSymbol | None],
-                     samples: int = 10_000) -> list[EstimateReport]:
-    """The scaled estimator e^{nu m} E[e^{i S}] for each entry of ``syms``,
-    with S the loop action for the symbol, or the bare stochastic-area
-    action for None.  Each block of CHUNK loops of ``sample_loops`` is
-    drawn once and serves every action; the blocks' sums are merged in a
-    fixed order.
+def estimate_actions(specs: Sequence[MeasureSpec], syms: Sequence[HamiltonianSymbol | None],
+                     samples: int = 10_000) -> list[list[EstimateReport]]:
+    """The scaled estimator e^{nu m} E[e^{i S}] for each spec and each entry
+    of ``syms``, with S the loop action for the symbol, or the bare
+    stochastic-area action for None; one list of reports per spec.
+
+    Every action is a quadratic form of the loop, so at variance sigma^2 it
+    is sigma^2 times the action of the sigma^2 = 1 loop with the same
+    increments.  The specs must share steps, seed and m, and so one stream:
+    each block of CHUNK of its sigma^2 = 1 loops is drawn once, each action
+    is evaluated on it once, and e^{i sigma^2 S} is summed for every (spec,
+    action) pair; the blocks' sums are merged in a fixed order.  A spec's
+    reports do not depend on which other specs share the draw.
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples for a meaningful stderr")
+    if len({(s.steps, s.seed, s.m) for s in specs}) != 1:
+        raise ValueError("need one or more specs, all with the same steps, seed and m")
+    # the sigma^2 = 1 loops: the default rule at nu = 1
+    unit = MeasureSpec(nu=1.0, steps=specs[0].steps, seed=specs[0].seed, m=specs[0].m)
     hams = [None if s is None else (lambda p, s=s: hamiltonian_real_values(s, p)) for s in syms]
-    total = np.zeros(len(syms), dtype=complex)
+    total = np.zeros((len(specs), len(syms)), dtype=complex)
     for lo in range(0, samples, CHUNK):
-        total += [np.sum(np.exp(1j * s)) for s in _actions(sample_loops(spec, lo, min(lo + CHUNK, samples)), hams)]
+        acts = _actions(sample_loops(unit, lo, min(lo + CHUNK, samples)), hams)
+        total += [[np.sum(np.exp(1j * (spec.sigma2 * S))) for S in acts] for spec in specs]
     # every sample has modulus 1, so the sum of squared moduli is ``samples``
     var = (samples - np.abs(total) ** 2 / samples) / (samples - 1)
-    scale = float(np.exp(spec.nu * spec.m))
-    return [
-        EstimateReport(complex(scale * (t / samples)), scale * float(np.sqrt(max(v, 0.0) / samples)), samples, spec)
-        for t, v in zip(total, var)
-    ]
+    reports = []
+    for spec, ts, vs in zip(specs, total, var):
+        scale = float(np.exp(spec.nu * spec.m))
+        reports.append([EstimateReport(complex(scale * (t / samples)), scale * float(np.sqrt(max(v, 0.0) / samples)),
+                                       samples, spec) for t, v in zip(ts, vs)])
+    return reports
 
 
 def estimate(spec: MeasureSpec, sym: HamiltonianSymbol | None = None, samples: int = 10_000) -> EstimateReport:
-    """``estimate_actions`` for one action: the symbol's, or the bare area's
-    when sym is None."""
-    return estimate_actions(spec, [sym], samples)[0]
+    """``estimate_actions`` for one spec and one action: the symbol's, or
+    the bare area's when sym is None."""
+    return estimate_actions([spec], [sym], samples)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +248,21 @@ def discrete_quadratic_form(spec: MeasureSpec, q: QuadraticAction) -> np.ndarray
 
 def gaussian_oracle(spec: MeasureSpec, q: QuadraticAction) -> complex:
     """E[e^{i x^T Q x}] = (det P / det(P - 2i Q))^{1/2}, P = Sigma^{-1} the
-    exact discrete bridge precision (no e^{nu m} factor), in O(K m^3).
+    exact discrete bridge precision (no e^{nu m} factor), in O(K m^3): the
+    batch of one of ``gaussian_oracles``."""
+    return gaussian_oracles([(spec, q)])[0]
+
+
+# the pivots of one run of gaussian_oracles stay within this many bytes; a
+# longer batch runs in several, with the same values
+ORACLE_RUN_BYTES = 2**26
+
+
+def gaussian_oracles(pairs: Sequence[tuple[MeasureSpec, QuadraticAction]]) -> list[complex]:
+    """``gaussian_oracle`` of each (spec, q) pair, by one recursion over a
+    leading batch axis (stacked ``solve``, matrix products and ``eigvals``,
+    which run the same LAPACK call per matrix); each value is bitwise the
+    one its pair gets alone.  The specs must share steps and m.
 
     Time-major and scaled by sigma^2/K, P = tridiag(-1, 2, -1) (x) I_{2m} and
     A = P - 2i (sigma^2/K) Q are block tridiagonal, so det A/det P is the
@@ -232,21 +272,30 @@ def gaussian_oracle(spec: MeasureSpec, q: QuadraticAction) -> complex:
     O(1) Laplacian part out of prod det(I + E_j).  Re A = P > 0 and Schur
     complements of accretive matrices stay accretive, so along
     lambda -> P - 2i lambda Q every pivot eigenvalue keeps Re > 0 and the sum
-    of their principal logs is the continuous branch; the principal log of
-    det D_j is not (for m >= 2 the arguments can sum outside (-pi, pi]).
+    of their principal logs, over the pair's own (K-1) 2m eigenvalues, is the
+    continuous branch; the principal log of det D_j is not (for m >= 2 the
+    arguments can sum outside (-pi, pi]).
     """
-    K, d = spec.steps, 2 * spec.m
-    g, a = 2j * spec.sigma2 / K * np.array(_form_blocks(spec, q))
-    b, c = np.eye(d) + a, a + a.T + a.T @ a
+    if len({(s.steps, s.m) for s, _ in pairs}) != 1:
+        raise ValueError("need one or more pairs, all with the same steps and m")
+    K, d = pairs[0][0].steps, 2 * pairs[0][0].m
     p = 1.0 + 1.0 / np.arange(1, K)
-    dev = np.empty((K - 1, d, d), dtype=complex)
-    dev[0] = -g / 2
-    for j in range(1, K - 1):
-        f = np.linalg.solve(np.eye(d) + dev[j - 1], dev[j - 1])
-        dev[j] = -(g + (c - b.T @ f @ b) / p[j - 1]) / p[j]
-    mu = np.linalg.eigvals(dev)  # log(1 + mu) by hand: complex np.log1p is inaccurate near 0
-    log_det = np.sum(np.log1p(2 * mu.real + np.abs(mu) ** 2) / 2 + 1j * np.angle(1 + mu))
-    return complex(np.exp(-0.5 * log_det))
+    run = max(1, ORACLE_RUN_BYTES // (16 * (K - 1) * d * d))
+    values = []
+    for first in range(0, len(pairs), run):
+        g, a = np.stack([2j * s.sigma2 / K * np.array(_form_blocks(s, q)) for s, q in pairs[first:first + run]], axis=1)
+        at = a.swapaxes(-1, -2)
+        b, c = np.eye(d) + a, a + at + at @ a
+        bt = b.swapaxes(-1, -2)
+        dev = np.empty((len(g), K - 1, d, d), dtype=complex)
+        dev[:, 0] = -g / 2
+        for j in range(1, K - 1):
+            f = np.linalg.solve(np.eye(d) + dev[:, j - 1], dev[:, j - 1])
+            dev[:, j] = -(g + (c - bt @ f @ b) / p[j - 1]) / p[j]
+        mu = np.linalg.eigvals(dev)  # log(1 + mu) by hand: complex np.log1p is inaccurate near 0
+        terms = np.log1p(2 * mu.real + np.abs(mu) ** 2) / 2 + 1j * np.angle(1 + mu)
+        values += [complex(np.exp(-0.5 * np.sum(t))) for t in terms]
+    return values
 
 
 def calibrate(
@@ -261,25 +310,27 @@ def calibrate(
 
     For each variance rule and nu, tabulates the exact oracle value of
     e^{nu m} E[e^{i S_0}], with a Monte Carlo spot check at the first nu
-    of each rule.  Reports whether any rule lands within 0.1 of 1 at the
+    of each rule: one oracle batch for the table and one shared draw for
+    the spot checks.  Reports whether any rule lands within 0.1 of 1 at the
     largest nu.  Documents the reference-measure normalization gap; asserts
     nothing about any limit.
     """
+    specs = [[MeasureSpec(nu=float(nu), steps=steps, seed=seed, variance_rule=rule, m=m) for nu in nu_list]
+             for rule in rules]
+    oracles = iter(gaussian_oracles([(spec, QuadraticAction()) for row in specs for spec in row]))
+    spot = estimate_actions([row[0] for row in specs], [None], samples)
     rows = []
-    for rule in rules:
-        for k, nu in enumerate(nu_list):
-            spec = MeasureSpec(nu=float(nu), steps=steps, seed=seed, variance_rule=rule, m=m)
-            scale = float(np.exp(spec.nu * m))
-            oracle = scale * gaussian_oracle(spec, QuadraticAction())
+    for row_specs, (rep,) in zip(specs, spot):
+        for k, spec in enumerate(row_specs):
+            oracle = float(np.exp(spec.nu * m)) * next(oracles)
             row = {
-                "rule": rule,
-                "nu": float(nu),
+                "rule": spec.variance_rule,
+                "nu": spec.nu,
                 "sigma2": spec.sigma2,
                 "oracle": oracle,
                 "abs_dev_from_one": abs(oracle - 1.0),
             }
             if k == 0:
-                rep = estimate(spec, samples=samples)
                 row["mc_mean"] = rep.mean
                 row["mc_stderr"] = rep.stderr
             rows.append(row)

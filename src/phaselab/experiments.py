@@ -64,6 +64,7 @@ from .bridge import (
     calibrate,
     estimate_actions,
     gaussian_oracle,
+    gaussian_oracles,
     symbol_quadratic_matrix,
 )
 from .linalg import expm, subspace_gap
@@ -423,20 +424,22 @@ def run_landau(p: dict) -> RunReport:
 # pathint: Monte Carlo engine vs the Gaussian determinant oracle
 
 def run_pathint(p: dict) -> RunReport:
-    checks = []
     sym = HamiltonianSymbol(1, sample("sp_c", 1, p["symbol_norm"], p["seed"] + 77))
     quadratic = QuadraticAction(hmatrix=symbol_quadratic_matrix(sym))
-    for nu in p["nu_list"]:
-        spec = MeasureSpec(nu=float(nu), steps=p["steps"], seed=p["seed"])
+    specs = [MeasureSpec(nu=float(nu), steps=p["steps"], seed=p["seed"]) for nu in p["nu_list"]]
+    # one draw of the loops serves both actions at every nu; one oracle
+    # batch per grid
+    reps = estimate_actions(specs, [None, sym], samples=p["samples"])
+    coarse = gaussian_oracles([(spec, q) for spec in specs for q in (QuadraticAction(), quadratic)])
+    fine = gaussian_oracles([(replace(spec, steps=2 * spec.steps), quadratic) for spec in specs])
+    checks = []
+    for i, (nu, spec) in enumerate(zip(p["nu_list"], specs)):
         scale = float(np.exp(spec.nu * spec.m))
-        v1 = gaussian_oracle(spec, quadratic)
-        # both actions are estimated on one draw of the loops
-        reps = estimate_actions(spec, [None, sym], samples=p["samples"])
-        for label, oracle, rep in zip(("area", "quadratic"), (gaussian_oracle(spec, QuadraticAction()), v1), reps):
+        for label, oracle, rep in zip(("area", "quadratic"), coarse[2 * i:2 * i + 2], reps[i]):
             dev = abs(rep.mean - scale * oracle)
             checks.append(Check.le(f"mc_vs_oracle_{label}_nu{nu:g}_in_stderr", dev / rep.stderr, 3.0))
             checks.append(Check.report(f"mc_stderr_{label}_nu{nu:g}", rep.stderr))
-        v2 = gaussian_oracle(replace(spec, steps=2 * spec.steps), quadratic)
+        v1, v2 = coarse[2 * i + 1], fine[i]
         # stated refinement tolerance; the honest discretization error is
         # Theta(nu^2/steps) (see ledger), reported as-is
         checks.append(Check.le(f"oracle_refinement_nu{nu:g}", abs(v1 - v2) / abs(v2), p["refinement_tol"]))
@@ -507,9 +510,26 @@ def _sized(low: int, high: int, array: str, why: str = "", each: bool = False) -
     return _range(lambda v, p: low <= v <= high, f"from {within}")
 
 
+# the most points of a landau grid: magnetic_laplacian's largest arrays are
+# its 4 side (side - 1) < 4 npoints complex hop values, and grid_strong_limit
+# allocates nothing larger
+_GRID_POINTS = MAX_ARRAY_BYTES // 64
+
+
 def _fine_grid(spacing: str) -> dict:
-    return _range(lambda v, p: p[spacing] > 0 and MIN_HALF_CELLS <= v / p[spacing] < math.inf,
-                  f"finite and at least {MIN_HALF_CELLS} times a positive {spacing}")
+    return _range(lambda v, p: p[spacing] > 0 and MIN_HALF_CELLS <= v / p[spacing] < math.inf
+                  and Grid2D(v, p[spacing]).npoints <= _GRID_POINTS,
+                  f"finite and at least {MIN_HALF_CELLS} times a positive {spacing}, on a grid of at most "
+                  f"{_GRID_POINTS} points, the most at which the 4 x npoints complex hop values of "
+                  "landau.magnetic_laplacian stay within 256 MiB")
+
+
+def _row_names(fmt: str, within: dict | None = None) -> dict:
+    """The range of a list field whose entries name CSV rows, as
+    format(entry, fmt): ``within``'s range, and no two names alike."""
+    holds, want = within["range"] if within else (lambda v, p: True, "a list")
+    return _range(lambda v, p: holds(v, p) and len({format(x, fmt) for x in v}) == len(v),
+                  f"{want}, no two alike as format(entry, {fmt!r}), which names their CSV rows")
 
 
 def _eig_count_ok(k: int, grid: Grid2D) -> bool:
@@ -524,6 +544,7 @@ _AT_LEAST_ONE = _at_least(1)
 _SEED = _at_least(0, ", as numpy's default_rng needs")
 _POSITIVE = _range(lambda v, p: v > 0, "positive")
 _POSITIVE_LIST = _range(lambda v, p: len(v) > 0 and all(x > 0 for x in v), "a non-empty list of positive numbers")
+_NU_LIST = _row_names("g", _POSITIVE_LIST)
 _MATRIX_N_MAX, _MATRIX = math.isqrt(MAX_ARRAY_BYTES // 64), "a 2n x 2n complex matrix"
 _FOCK_MAX = math.isqrt(math.isqrt(MAX_ARRAY_BYTES // 16))
 _FOCK_OPERATOR = "an operator (a cutoff^2 x cutoff^2 complex matrix)"
@@ -546,14 +567,15 @@ _CONTRACTION_SAMPLES = _range(lambda v, p: v >= max(1, len(p["contraction_n_list
 _EIG_COUNT = _range(lambda v, p: _eig_count_ok(v, Grid2D(p["half_width"], p["spacing"])),
                     "at least ceil(landau.flux_count) + 2 of the grid, enough to reach the "
                     "first excited level, and at most landau.max_eig_count of its point count")
-_RULES = _range(lambda v, p: len(v) > 0 and set(v) <= set(VARIANCE_RULES), f"a non-empty list of {sorted(VARIANCE_RULES)}")
+_RULES = _row_names("", _range(lambda v, p: len(v) > 0 and set(v) <= set(VARIANCE_RULES),
+                               f"a non-empty list of {sorted(VARIANCE_RULES)}"))
 
 
 @dataclass(frozen=True, kw_only=True)
 class MembershipParams:
     """structural matrices and the dissipative-cone / contraction-semigroup equivalence"""
     seed: int = field(metadata=_SEED)
-    n_list: tuple[int, ...] = field(default=(1, 2, 3), metadata=_sized(1, _MATRIX_N_MAX, _MATRIX, each=True))
+    n_list: tuple[int, ...] = field(default=(1, 2, 3), metadata=_row_names("", _sized(1, _MATRIX_N_MAX, _MATRIX, each=True)))
     n: int = field(default=2, metadata=_sized(1, _MATRIX_N_MAX, _MATRIX))
     samples: int = field(default=200, metadata=_AT_LEAST_ONE)
     structural_tol: float = field(default=1e-14, metadata=_POSITIVE)
@@ -589,7 +611,7 @@ class GraphLimitParams:
     seed: int = field(metadata=_SEED)
     m: int = field(default=1, metadata=_sized(1, math.isqrt(MAX_ARRAY_BYTES // 1024), "an 8m x 8m projector of subspace_gap"))
     samples: int = field(default=50, metadata=_AT_LEAST_ONE)
-    nu_list: tuple[float, ...] = field(default=tuple(float(nu) for nu in range(4, 17)), metadata=_POSITIVE_LIST)
+    nu_list: tuple[float, ...] = field(default=tuple(float(nu) for nu in range(4, 17)), metadata=_NU_LIST)
     gap_threshold: float = field(default=1e-6, metadata=_POSITIVE)
     fd_samples: int = field(default=50, metadata=_AT_LEAST_ONE)
     fd_epsilon: float = field(default=1e-5, metadata=_POSITIVE)
@@ -628,7 +650,7 @@ class LandauParams:
     ground_tol: float = field(default=0.02, metadata=_POSITIVE)
     cluster_tol: float = field(default=0.05, metadata=_POSITIVE)
     seed: int = field(default=0, metadata=_SEED)
-    strong_limit_nu_list: tuple[float, ...] = (2.0, 4.0, 8.0)
+    strong_limit_nu_list: tuple[float, ...] = field(default=(2.0, 4.0, 8.0), metadata=_row_names("g"))
     strong_limit_half_width: float = field(default=6.0, metadata=_fine_grid("strong_limit_spacing"))
     strong_limit_spacing: float = field(default=0.25, metadata=_POSITIVE)
     strong_limit_norm: float = 0.3
@@ -638,7 +660,7 @@ class LandauParams:
 class PathintParams:
     """oscillatory path-integral Monte Carlo vs the exact Gaussian determinant"""
     seed: int = field(metadata=_SEED)
-    nu_list: tuple[float, ...] = field(default=(1.0, 2.0, 4.0), metadata=_POSITIVE_LIST)
+    nu_list: tuple[float, ...] = field(default=(1.0, 2.0, 4.0), metadata=_NU_LIST)
     steps: int = field(default=256, metadata=_STEPS)
     samples: int = field(default=200000, metadata=_at_least(MIN_SAMPLES))
     symbol_norm: float = 0.25
@@ -649,7 +671,7 @@ class PathintParams:
 class CalibrateParams:
     """reference-measure normalization study for the scaled loop estimator"""
     seed: int = field(metadata=_SEED)
-    nu_list: tuple[float, ...] = field(default=(1.0, 2.0, 4.0, 8.0), metadata=_POSITIVE_LIST)
+    nu_list: tuple[float, ...] = field(default=(1.0, 2.0, 4.0, 8.0), metadata=_NU_LIST)
     rules: tuple[str, ...] = field(default=("nu", "nu_half", "two_nu", "nu_plus_log"), metadata=_RULES)
     steps: int = field(default=256, metadata=_STEPS)
     samples: int = field(default=20000, metadata=_at_least(MIN_SAMPLES))

@@ -11,10 +11,12 @@ from phaselab.bridge import (
     action,
     CHUNK,
     calibrate,
+    _actions,
     discrete_quadratic_form,
     estimate,
     estimate_actions,
     gaussian_oracle,
+    gaussian_oracles,
     line_integral_alpha,
     sample_loop,
     sample_loops,
@@ -178,11 +180,80 @@ def test_estimate_actions_match_separate_estimates():
     # one draw serves every action, bit for bit as separate estimates
     sym = HamiltonianSymbol(1, sample("sp_c", 1, 0.3, 8))
     spec = spec64(nu=1.0, seed=6)
-    both = estimate_actions(spec, [None, sym], samples=CHUNK + 1000)
+    both = estimate_actions([spec], [None, sym], samples=CHUNK + 1000)[0]
     for rep, s in zip(both, (None, sym)):
         alone = estimate(spec, sym=s, samples=CHUNK + 1000)
         assert rep.mean == alone.mean and rep.stderr == alone.stderr
     assert both[0].mean != both[1].mean
+
+
+def own_draw_means(spec, syms, samples):
+    """The scaled means from the spec's own loops at its sigma^2, block by
+    block: the estimator's route before one draw served every spec."""
+    hams = [None if s is None else (lambda p, s=s: hamiltonian_real_values(s, p)) for s in syms]
+    total = np.zeros(len(syms), dtype=complex)
+    for lo in range(0, samples, CHUNK):
+        total += [np.sum(np.exp(1j * S)) for S in _actions(sample_loops(spec, lo, min(lo + CHUNK, samples)), hams)]
+    return [complex(float(np.exp(spec.nu * spec.m)) * (t / samples)) for t in total]
+
+
+def test_shared_draw_matches_own_draws():
+    # S at sigma^2 is sigma^2 times S at 1 up to rounding, and exactly at 1
+    for m in (1, 2):
+        sym = HamiltonianSymbol(m, sample("sp_c", m, 0.3, 8))
+        specs = [MeasureSpec(nu=nu, steps=64, seed=6, variance_rule=rule, m=m)
+                 for nu, rule in ((1.0, "nu"), (2.0, "nu_half"), (0.5, "two_nu"), (2.0, "nu"), (3.0, "nu_plus_log"))]
+        shared = estimate_actions(specs, [None, sym], samples=CHUNK + 1000)
+        for spec, reps in zip(specs, shared):
+            own = own_draw_means(spec, [None, sym], CHUNK + 1000)
+            for rep, want in zip(reps, own):
+                if spec.sigma2 == 1.0:
+                    assert rep.mean == want
+                else:
+                    assert abs(rep.mean - want) <= 1e-13 * abs(want)
+
+
+def test_estimate_independent_of_the_specs_sharing_the_draw():
+    sym = HamiltonianSymbol(1, sample("sp_c", 1, 0.3, 8))
+    specs = [spec64(nu=nu, seed=6, rule=rule) for nu, rule in ((1.0, "nu"), (2.0, "two_nu"), (4.0, "nu"))]
+    together = estimate_actions(specs, [None, sym], samples=CHUNK + 1000)
+    reversed_ = estimate_actions(specs[::-1], [sym, None], samples=CHUNK + 1000)
+    for i, spec in enumerate(specs):
+        alone = estimate_actions([spec], [None, sym], samples=CHUNK + 1000)[0]
+        for a, b, c in zip(together[i], reversed_[len(specs) - 1 - i][::-1], alone):
+            assert a.mean == b.mean == c.mean and a.stderr == b.stderr == c.stderr and a.spec == spec
+
+
+def test_shared_draw_needs_one_stream():
+    base = spec64(seed=6)
+    for other in (MeasureSpec(nu=2.0, steps=32, seed=6), spec64(nu=2.0, seed=7),
+                  MeasureSpec(nu=2.0, steps=64, seed=6, m=2)):
+        with pytest.raises(ValueError):
+            estimate_actions([base, other], [None], samples=1000)
+    with pytest.raises(ValueError):
+        estimate_actions([], [None], samples=1000)
+    for other in (MeasureSpec(nu=2.0, steps=32, seed=6), MeasureSpec(nu=2.0, steps=64, seed=6, m=2)):
+        with pytest.raises(ValueError):
+            gaussian_oracles([(base, QuadraticAction()), (other, QuadraticAction())])
+    with pytest.raises(ValueError):
+        gaussian_oracles([])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_oracle_batch_matches_single_calls(m, monkeypatch):
+    # a stacked recursion gives each pair bitwise its own value, whatever
+    # shares the batch and however the batch is cut into runs
+    pairs = []
+    for k, (nu, rule) in enumerate(((1.0, "nu"), (2.5, "nu_half"), (4.0, "two_nu"), (0.7, "nu_plus_log"))):
+        spec = MeasureSpec(nu=nu, steps=48, seed=k, variance_rule=rule, m=m)
+        hmat = symbol_quadratic_matrix(HamiltonianSymbol(m, sample("sp_c", m, 2.0, 30 + k)))
+        pairs += [(spec, QuadraticAction()), (spec, QuadraticAction(hmatrix=hmat)),
+                  (spec, QuadraticAction(include_area=False, hmatrix=hmat))]
+    single = [gaussian_oracle(spec, q) for spec, q in pairs]
+    assert gaussian_oracles(pairs) == single
+    assert gaussian_oracles(pairs[::-1]) == single[::-1]
+    monkeypatch.setattr("phaselab.bridge.ORACLE_RUN_BYTES", 16 * 47 * (2 * m) ** 2 * 5)  # runs of 5 pairs
+    assert gaussian_oracles(pairs) == single
 
 
 def test_mc_matches_oracle_within_stderr():

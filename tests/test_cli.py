@@ -186,6 +186,14 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("fock-limit", {"seed": 1, "quad_grid": 513}),
         ("pathint", {"seed": 1, "steps": 4096}),
         ("calibrate", {"seed": 1, "steps": 256, "m": 16}),
+        ("landau", {"half_width": 1024.0, "spacing": 1.0}),
+        ("landau", {"strong_limit_half_width": 1e12, "strong_limit_spacing": 1.0}),
+        ("pathint", {"seed": 1, "nu_list": [1, 1.0000001]}),
+        ("calibrate", {"seed": 1, "rules": ["nu", "nu"]}),
+        ("calibrate", {"seed": 1, "nu_list": [2, 2.0]}),
+        ("graph-limit", {"seed": 1, "nu_list": [4, 8, 4]}),
+        ("landau", {"strong_limit_nu_list": [2, 2.0000001]}),
+        ("membership", {"seed": 1, "n_list": [1, 2, 1]}),
     ],
     ids=[
         "pathint_empty_nu_list",
@@ -261,6 +269,14 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         "fock_limit_quad_grid_beyond_memory",
         "pathint_steps_beyond_memory",
         "calibrate_m_beyond_memory_at_steps",
+        "landau_grid_beyond_memory",
+        "landau_strong_limit_grid_beyond_memory",
+        "pathint_nu_list_row_names_collide",
+        "calibrate_rules_repeat",
+        "calibrate_nu_list_row_names_collide",
+        "graph_limit_nu_list_repeats",
+        "landau_strong_limit_nu_list_row_names_collide",
+        "membership_n_list_repeats",
     ],
 )
 def test_out_of_range_parameters_exit_2_without_outputs(tmp_path, capsys, experiment, params):
@@ -391,6 +407,16 @@ def test_checked_in_and_benchmark_configs_validate(monkeypatch):
             configs += workloads.configs(w, seed)
     for config in configs:
         validate_config(config)
+
+
+def test_landau_grid_bound_is_the_hop_value_array():
+    # a grid of at most MAX_ARRAY_BYTES // 64 points: side 2047 passes,
+    # side 2049 does not; validation only, nothing is allocated
+    for key, spacing in (("half_width", "spacing"), ("strong_limit_half_width", "strong_limit_spacing")):
+        params = {key: 1023.9, spacing: 1.0, **({"eig_count": 2_000_000} if key == "half_width" else {})}
+        validate_config({"experiment": "landau", "parameters": params})
+        with pytest.raises(ConfigError, match="4194304 points"):
+            validate_config({"experiment": "landau", "parameters": {**params, key: 1024.0}})
 
 
 def test_calibrate_reports_its_monte_carlo_spot_checks(tmp_path):
