@@ -253,8 +253,10 @@ def gaussian_oracle(spec: MeasureSpec, q: QuadraticAction) -> complex:
     return gaussian_oracles([(spec, q)])[0]
 
 
-# the pivots of one run of gaussian_oracles stay within this many bytes; a
-# longer batch runs in several, with the same values
+# one run of gaussian_oracles stacks as many pairs' pivots as fit in this
+# many bytes, and at least one pair's, so each stack stays within the larger
+# of this and one pair's pivots; a longer batch runs in several, with the
+# same values
 ORACLE_RUN_BYTES = 2**26
 
 

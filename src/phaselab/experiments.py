@@ -510,18 +510,21 @@ def _sized(low: int, high: int, array: str, why: str = "", each: bool = False) -
     return _range(lambda v, p: low <= v <= high, f"from {within}")
 
 
-# the most points of a landau grid: magnetic_laplacian's largest arrays are
-# its 4 side (side - 1) < 4 npoints complex hop values, and grid_strong_limit
-# allocates nothing larger
-_GRID_POINTS = MAX_ARRAY_BYTES // 64
+# the most points of a landau grid: the largest array of the grid
+# Hamiltonian is the complex CSR data of magnetic_laplacian's H + diag, its
+# 4 side (side - 1) hops and npoints diagonal entries, fewer than 5 npoints;
+# landau_hamiltonian's sum and grid_strong_limit's generator and its tocsc
+# allocate the same size again.  low_spectrum's factorizations and Lanczos
+# basis on the main grid are not covered: they grow with fill-in and eig_count
+_GRID_POINTS = MAX_ARRAY_BYTES // 80
 
 
 def _fine_grid(spacing: str) -> dict:
     return _range(lambda v, p: p[spacing] > 0 and MIN_HALF_CELLS <= v / p[spacing] < math.inf
                   and Grid2D(v, p[spacing]).npoints <= _GRID_POINTS,
                   f"finite and at least {MIN_HALF_CELLS} times a positive {spacing}, on a grid of at most "
-                  f"{_GRID_POINTS} points, the most at which the 4 x npoints complex hop values of "
-                  "landau.magnetic_laplacian stay within 256 MiB")
+                  f"{_GRID_POINTS} points, the most at which the CSR data of the grid Hamiltonian "
+                  "(fewer than 5 x npoints complex values) stays within 256 MiB")
 
 
 def _row_names(fmt: str, within: dict | None = None) -> dict:

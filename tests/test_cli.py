@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phaselab.cli import main
-from phaselab.experiments import EXPERIMENTS, ConfigError, validate_config
+from phaselab.experiments import EXPERIMENTS, MAX_ARRAY_BYTES, ConfigError, validate_config
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -186,7 +186,7 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("fock-limit", {"seed": 1, "quad_grid": 513}),
         ("pathint", {"seed": 1, "steps": 4096}),
         ("calibrate", {"seed": 1, "steps": 256, "m": 16}),
-        ("landau", {"half_width": 1024.0, "spacing": 1.0}),
+        ("landau", {"half_width": 916.0, "spacing": 1.0}),
         ("landau", {"strong_limit_half_width": 1e12, "strong_limit_spacing": 1.0}),
         ("pathint", {"seed": 1, "nu_list": [1, 1.0000001]}),
         ("calibrate", {"seed": 1, "rules": ["nu", "nu"]}),
@@ -409,14 +409,16 @@ def test_checked_in_and_benchmark_configs_validate(monkeypatch):
         validate_config(config)
 
 
-def test_landau_grid_bound_is_the_hop_value_array():
-    # a grid of at most MAX_ARRAY_BYTES // 64 points: side 2047 passes,
-    # side 2049 does not; validation only, nothing is allocated
+def test_landau_grid_bound_is_the_csr_data_array():
+    # a grid of at most MAX_ARRAY_BYTES // 80 points, so that the
+    # 5 side^2 - 4 side complex CSR data of the Hamiltonian fits: side 1831
+    # passes, side 1833 does not; validation only, nothing is allocated
+    assert 16 * (5 * 1831**2 - 4 * 1831) <= MAX_ARRAY_BYTES < 16 * (5 * 1833**2 - 4 * 1833)
     for key, spacing in (("half_width", "spacing"), ("strong_limit_half_width", "strong_limit_spacing")):
-        params = {key: 1023.9, spacing: 1.0, **({"eig_count": 2_000_000} if key == "half_width" else {})}
+        params = {key: 915.9, spacing: 1.0, **({"eig_count": 2_000_000} if key == "half_width" else {})}
         validate_config({"experiment": "landau", "parameters": params})
-        with pytest.raises(ConfigError, match="4194304 points"):
-            validate_config({"experiment": "landau", "parameters": {**params, key: 1024.0}})
+        with pytest.raises(ConfigError, match="3355443 points"):
+            validate_config({"experiment": "landau", "parameters": {**params, key: 916.0}})
 
 
 def test_calibrate_reports_its_monte_carlo_spot_checks(tmp_path):

@@ -1,10 +1,10 @@
 """Record before/after benchmark pairs of two checkouts as a BENCH_*.json.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \
-        --seeds 301 302 ... [--seconds 15] [--host TEXT] --out BENCH_x.json
+        --seeds 301 302 ... [--host TEXT] --out BENCH_x.json
 
 DIR is a checkout of each revision (a git worktree or clone).  For each
-seed, ``python3 perfbench/run.py --workload W --seed S --seconds N --trace 0``
+seed, ``python3 perfbench/run.py --workload W --seed S --seconds 15 --trace 0``
 runs once in each checkout, unchanged and from its root, the two sides
 alternating which goes first (the parent first on the first seed).  The
 last line of each run's output is its result.  The record is rewritten
@@ -31,11 +31,12 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 METRICS = ("setup_s", "wall_s", "cpu_s", "peak_rss_mib")
+SECONDS = 15  # the run length of every BENCH_*.json record
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited with status {proc.returncode}:\n{proc.stderr}")
@@ -70,7 +71,6 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="checkout of the changed revision")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--seconds", type=float, default=15)
     ap.add_argument("--host", default=f"{os.cpu_count()}-core {platform.system()} host, "
                                       "BLAS on one thread (set by perfbench)")
     ap.add_argument("--out", type=Path, required=True)
@@ -78,7 +78,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed S "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {SECONDS} --trace 0",
         "host": args.host,
         "order": f"pairs alternate which side runs first, the parent first on seed {args.seeds[0]}",
         "seeds": args.seeds,
@@ -87,7 +87,7 @@ def main(argv=None) -> int:
     }
     for k, seed in enumerate(args.seeds):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-            result = run_bench(checkouts[side], args.workload, seed, args.seconds)
+            result = run_bench(checkouts[side], args.workload, seed)
             record["runs"][side].append({"seed": seed, "result": result})
             wall = result["metrics"]["wall_s"]["value"]
             print(f"seed {seed} {side}: wall_s {wall:.4f} correct {result['correct']} "
