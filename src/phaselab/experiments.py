@@ -140,16 +140,19 @@ class RunReport:
 # ---------------------------------------------------------------------------
 # membership: structural identities and dissipativity <-> contraction
 
+STRUCTURAL_TOL = 1e-14
+
+
 def run_membership(p: dict) -> RunReport:
     checks = []
     for n in p["n_list"]:
         S = make_structural(n)
         Jc = S.W @ S.J @ S.W.conj().T
         target = np.diag(np.concatenate([-1j * np.ones(n), 1j * np.ones(n)]))
-        checks.append(Check.le(f"Jc_diagonal_n{n}", np.linalg.norm(Jc - target, 2), p["structural_tol"]))
-        checks.append(Check.le(f"Ical_is_minus_i_Jc_n{n}", np.linalg.norm(S.Ical - (-1j) * Jc, 2), p["structural_tol"]))
-        checks.append(Check.le(f"J_squared_n{n}", np.linalg.norm(S.J @ S.J + np.eye(2 * n), 2), p["structural_tol"]))
-        checks.append(Check.le(f"W_unitary_n{n}", np.linalg.norm(S.W @ S.W.conj().T - np.eye(2 * n), 2), p["structural_tol"]))
+        checks.append(Check.le(f"Jc_diagonal_n{n}", np.linalg.norm(Jc - target, 2), STRUCTURAL_TOL))
+        checks.append(Check.le(f"Ical_is_minus_i_Jc_n{n}", np.linalg.norm(S.Ical - (-1j) * Jc, 2), STRUCTURAL_TOL))
+        checks.append(Check.le(f"J_squared_n{n}", np.linalg.norm(S.J @ S.J + np.eye(2 * n), 2), STRUCTURAL_TOL))
+        checks.append(Check.le(f"W_unitary_n{n}", np.linalg.norm(S.W @ S.W.conj().T - np.eye(2 * n), 2), STRUCTURAL_TOL))
 
     # cone test vs contraction test at six time points.  Member samples are
     # kept at norm <= 0.4 so that ||e^{10X}||^2 stays small enough for the
@@ -196,8 +199,8 @@ def run_decompose(p: dict) -> RunReport:
         rep_X = classify(dec.X, S)
         memberships_ok &= rep_h.flag("GammaSp_c") and rep_h.flag("U") and rep_X.flag("SDiss_spc")
     checks = [
-        Check.le("reconstruction_residual", worst_recon, p["recon_tol"]),
-        Check.le("generator_recovery", worst_recover, p["recover_tol"]),
+        Check.le("reconstruction_residual", worst_recon, 1e-9),
+        Check.le("generator_recovery", worst_recover, 1e-7),
         Check.ge("memberships_certified", float(memberships_ok), 1.0),
     ]
     return RunReport("decompose", p, checks)
@@ -214,11 +217,11 @@ def run_potapov(p: dict) -> RunReport:
     X = np.diag([1.0, -1.0]).astype(complex)
     r1 = potapov_matrix(expm(1.0 * X))
     target = np.array([[0.0, np.exp(-1.0)], [np.exp(-1.0), 0.0]], dtype=complex)
-    checks.append(Check.le("example_potapov_t1", np.linalg.norm(r1.r - target, 2), p["example_tol"]))
+    checks.append(Check.le("example_potapov_t1", np.linalg.norm(r1.r - target, 2), 1e-12))
 
     P_lim = potapov_inverse(PotapovMatrix(np.zeros((2, 2), dtype=complex)))
     gap16 = subspace_gap(graph_of(expm(16.0 * X)).frame, P_lim.frame)
-    checks.append(Check.le("example_gap_t16", gap16, p["gap_tol"]))
+    checks.append(Check.le("example_gap_t16", gap16, 1e-6))
 
     ker, ind = ker_indef(P_lim)
     ker_ok = (
@@ -241,7 +244,7 @@ def run_potapov(p: dict) -> RunReport:
         lhs = potapov_relation(compose(P1, P2)).r
         rhs = potapov_product(potapov_relation(P1), potapov_relation(P2)).r
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    checks.append(Check.le("product_formula_deviation", worst, p["product_tol"]))
+    checks.append(Check.le("product_formula_deviation", worst, 1e-9))
 
     # contractivity of the transform over the semigroup
     worst_norm = 0.0
@@ -251,7 +254,7 @@ def run_potapov(p: dict) -> RunReport:
             g = sample("GammaU", nn, 0.8, p["seed"] + 1000 + i)
             r = potapov_relation(graph_of(g))
             worst_norm = max(worst_norm, float(np.linalg.norm(r.r, 2)))
-    checks.append(Check.le("transform_operator_norm", worst_norm, 1.0 + p["norm_tol"]))
+    checks.append(Check.le("transform_operator_norm", worst_norm, 1.0 + 1e-10))
     return RunReport("potapov", p, checks)
 
 
@@ -280,12 +283,12 @@ def run_graph_limit(p: dict) -> RunReport:
         Check.ge("gap_monotone_decreasing", float(monotone), 1.0),
         # the stated e^{-nu}-rate threshold; the true rate is ||A||/nu, so
         # this check documents the gap to the stated tolerance honestly
-        Check.le("final_gap", worst[-1], p["gap_threshold"]),
+        Check.le("final_gap", worst[-1], 1e-6),
     ]
     for nu, g in zip(nu_list, worst):
         checks.append(Check.report(f"gap_nu{nu:g}", g))
 
-    eps = p["fd_epsilon"]
+    eps = 1e-5
     worst_rel = 0.0
     rng = np.random.default_rng(p["seed"])
     for _ in range(p["fd_samples"]):
@@ -294,7 +297,7 @@ def run_graph_limit(p: dict) -> RunReport:
         closed = projection_derivative(A, m)
         fd = (_cluster_projector(eps * A - Nb) - _cluster_projector(-eps * A - Nb)) / (2 * eps)
         worst_rel = max(worst_rel, np.linalg.norm(fd - closed, 2) / np.linalg.norm(closed, 2))
-    checks.append(Check.le("projection_derivative_fd", worst_rel, p["fd_tol"]))
+    checks.append(Check.le("projection_derivative_fd", worst_rel, 1e-3))
     return RunReport("graph-limit", p, checks)
 
 
@@ -313,22 +316,33 @@ def _cluster_projector(M: np.ndarray) -> np.ndarray:
 # fock-limit: operator lemma, strong limit, antinormal identities,
 # resolution of identity, cutoff convergence
 
+LEMMA_CUTOFF = 10
+# the safe band of the antinormal words, occupations <= cutoff - 5, is not empty
+ANTINORMAL_CUTOFF = 10
+# fock.resolution_check needs a radius of at least 5
+QUAD_RADIUS, QUAD_TOL = 6.0, 1e-3
+# the Fock cutoff of the cutoff-convergence rows; the guard reruns at cutoff + 2
+VACUUM_CUTOFF = 16
+
+
 def run_fock_limit(p: dict) -> RunReport:
     checks = []
 
     # two-route operator identity on the safe band
-    space = FockSpace(1, p["lemma_cutoff"])
-    Pband = band_projector(space, p["lemma_cutoff"] - 3)
+    space = FockSpace(1, LEMMA_CUTOFF)
+    Pband = band_projector(space, LEMMA_CUTOFF - 3)
     worst = 0.0
     for i in range(p["lemma_samples"]):
         sym = HamiltonianSymbol(1, sample("sp_c", 1, 1.0, p["seed"] + i))
         lhs = h_A_operator(space, sym)
         rhs = drho(space, hat_lift(sym))
         worst = max(worst, float(np.linalg.norm((lhs - rhs) @ Pband, 2)))
-    checks.append(Check.le("symbol_equals_lifted_generator", worst, p["lemma_tol"]))
+    checks.append(Check.le("symbol_equals_lifted_generator", worst, 1e-10))
 
-    # strong limit residual table
-    sl_space = FockSpace(1, p["strong_cutoff"])
+    # strong limit residual table.  The coherent test vector (amplitude 0.5)
+    # must fit strong_limit_run's safe band, occupations <= cutoff / 3, so
+    # the cutoff is at least 12
+    sl_space = FockSpace(1, 14)
     sym = HamiltonianSymbol(1, sample("sp_c", 1, p["strong_norm"], p["seed"] + 101))
     vectors = [
         vacuum_state(sl_space),
@@ -341,26 +355,26 @@ def run_fock_limit(p: dict) -> RunReport:
     monotone = bool(np.all(residuals[1:] <= residuals[:-1] + 1e-12))
     checks.append(Check.ge("strong_limit_monotone", float(monotone), 1.0))
     # stated threshold; the honest rate is ||A||/nu (see ledger), reported as-is
-    checks.append(Check.le("strong_limit_final_residual", max(finals), p["strong_tol"]))
+    checks.append(Check.le("strong_limit_final_residual", max(finals), 5e-3))
 
     # antinormal monomial identities, exact on the safe band
-    an_space = FockSpace(1, p["antinormal_cutoff"])
+    an_space = FockSpace(1, ANTINORMAL_CUTOFF)
     Z = z_ops(an_space)[0]
     Zc = Z.conj().T
     a = annihilator(an_space, 1)
     ac = creator(an_space, 1)
     _, _, E_b = number_ops(an_space)
-    Psafe = band_projector(an_space, p["antinormal_cutoff"] - 5)
+    Psafe = band_projector(an_space, ANTINORMAL_CUTOFF - 5)
     worst = 0.0
     for pp in range(4):
         for qq in range(4 - pp):
             lhs = E_b @ np.linalg.matrix_power(Z, pp) @ np.linalg.matrix_power(Zc, qq) @ E_b
             rhs = np.linalg.matrix_power(a, qq) @ np.linalg.matrix_power(ac, pp) @ E_b
             worst = max(worst, float(np.linalg.norm((lhs - rhs) @ Psafe, 2)))
-    checks.append(Check.le("antinormal_word_identity", worst, p["antinormal_tol"]))
+    checks.append(Check.le("antinormal_word_identity", worst, 1e-12))
 
     # quadrature quantization of monomials vs compressed operator words
-    q_space = FockSpace(1, p["quad_cutoff"])
+    q_space = FockSpace(1, 12)
     Zq = z_ops(q_space)[0]
     Zqc = Zq.conj().T
     _, _, Ebq = number_ops(q_space)
@@ -369,21 +383,21 @@ def run_fock_limit(p: dict) -> RunReport:
     for pp in range(3):
         for qq in range(3 - pp):
             Q = quantize_integral(
-                q_space, lambda z: z**pp * np.conj(z) ** qq, p["quad_radius"], p["quad_grid"]
+                q_space, lambda z: z**pp * np.conj(z) ** qq, QUAD_RADIUS, p["quad_grid"]
             )
             ref = Ebq @ np.linalg.matrix_power(Zq, qq) @ np.linalg.matrix_power(Zqc, pp) @ Ebq
             worst = max(worst, float(np.linalg.norm(P3 @ (Q - ref) @ P3, 2)))
-    checks.append(Check.le("quadrature_monomials", worst, p["quad_tol"]))
+    checks.append(Check.le("quadrature_monomials", worst, QUAD_TOL))
 
     # resolution of identity
-    res = resolution_check(q_space, p["quad_radius"], p["quad_grid"])
-    checks.append(Check.le("resolution_of_identity", res, p["quad_tol"]))
+    res = resolution_check(q_space, QUAD_RADIUS, p["quad_grid"])
+    checks.append(Check.le("resolution_of_identity", res, QUAD_TOL))
 
     # cutoff-Hamiltonian convergence of the vacuum expectation.  Whether
     # the cutoff suffices depends on the symbol, so a tripped cutoff guard
     # is a failed check in place of the rows it guards
-    ve_space = FockSpace(1, p["cutoff_cutoff"])
-    sym2 = HamiltonianSymbol(1, sample("sp_c", 1, p["cutoff_norm"], p["seed"] + 202))
+    ve_space = FockSpace(1, VACUUM_CUTOFF)
+    sym2 = HamiltonianSymbol(1, sample("sp_c", 1, 0.5, p["seed"] + 202))
     try:
         v_uncut = vacuum_expectation(ve_space, sym2, None)
         devs = [abs(vacuum_expectation(ve_space, sym2, float(tau)) - v_uncut) for tau in p["tau_list"]]
@@ -391,7 +405,7 @@ def run_fock_limit(p: dict) -> RunReport:
         checks.append(Check.lt("vacuum_expectation_cutoff_guard", exc.delta, exc.guard))
     else:
         checks.append(Check.le("vacuum_expectation_modulus", abs(v_uncut), 1.0 + 1e-9))
-        checks.append(Check.le("cutoff_convergence_final", devs[-1], p["cutoff_tol"]))
+        checks.append(Check.le("cutoff_convergence_final", devs[-1], 1e-3))
         checks.append(Check.report("cutoff_convergence_first", devs[0]))
     return RunReport("fock-limit", p, checks)
 
@@ -399,24 +413,25 @@ def run_fock_limit(p: dict) -> RunReport:
 # ---------------------------------------------------------------------------
 # landau: Landau levels of the discretized magnetic Laplacian
 
+STRONG_LIMIT_SPACING = 0.25
+
+
 def run_landau(p: dict) -> RunReport:
     grid = Grid2D(p["half_width"], p["spacing"])
     H = landau_hamiltonian(grid)
     vals = low_spectrum(H, k=p["eig_count"])
     checks = [
-        Check.le("ground_level_offset", abs(vals[0]), p["ground_tol"]),
-        Check.le("first_excited_cluster_offset", abs(cluster_center(vals, 1.0) - 1.0), p["cluster_tol"]),
+        Check.le("ground_level_offset", abs(vals[0]), 0.02),
+        Check.le("first_excited_cluster_offset", abs(cluster_center(vals, 1.0) - 1.0), 0.05),
         Check.ge("spectrum_reaches_past_gap", float(vals.max() > 0.5), 1.0),
     ]
     checks.append(Check.report("states_below_half", float(np.sum(vals < 0.5))))
     checks.append(Check.report("flux_count", flux_count(grid)))
 
-    if p.get("strong_limit_nu_list"):
-        sgrid = Grid2D(p["strong_limit_half_width"], p["strong_limit_spacing"])
-        sym = HamiltonianSymbol(1, sample("sp_c", 1, p["strong_limit_norm"], p["seed"]))
-        rows = grid_strong_limit(sgrid, sym, p["strong_limit_nu_list"])
-        for nu, dev in rows:
-            checks.append(Check.report(f"grid_strong_limit_dev_nu{nu:g}", dev))
+    sgrid = Grid2D(p["strong_limit_half_width"], STRONG_LIMIT_SPACING)
+    sym = HamiltonianSymbol(1, sample("sp_c", 1, 0.3, p["seed"]))
+    for nu, dev in grid_strong_limit(sgrid, sym, p["strong_limit_nu_list"]):
+        checks.append(Check.report(f"grid_strong_limit_dev_nu{nu:g}", dev))
     return RunReport("landau", p, checks)
 
 
@@ -442,7 +457,7 @@ def run_pathint(p: dict) -> RunReport:
         v1, v2 = coarse[2 * i + 1], fine[i]
         # stated refinement tolerance; the honest discretization error is
         # Theta(nu^2/steps) (see ledger), reported as-is
-        checks.append(Check.le(f"oracle_refinement_nu{nu:g}", abs(v1 - v2) / abs(v2), p["refinement_tol"]))
+        checks.append(Check.le(f"oracle_refinement_nu{nu:g}", abs(v1 - v2) / abs(v2), 1e-3))
     return RunReport("pathint", p, checks)
 
 
@@ -471,7 +486,7 @@ def run_calibrate(p: dict) -> RunReport:
     spec = MeasureSpec(nu=float(min_nu), steps=p["steps"], seed=p["seed"], variance_rule="nu")
     oracle = float(np.exp(min_nu)) * gaussian_oracle(spec, QuadraticAction())
     closed = 2 * min_nu / (1 - np.exp(-2 * min_nu))
-    checks.append(Check.le("closed_form_cross_check", abs(abs(oracle) - closed) / closed, p["closed_form_tol"]))
+    checks.append(Check.le("closed_form_cross_check", abs(abs(oracle) - closed) / closed, 5e-3))
     any_near_one = any(table["near_one_at_max_nu"].values())
     checks.append(Check.report("any_rule_near_one", float(any_near_one)))
     # the Monte Carlo spot checks, as pathint reports them
@@ -519,10 +534,12 @@ def _sized(low: int, high: int, array: str, why: str = "", each: bool = False) -
 _GRID_POINTS = MAX_ARRAY_BYTES // 80
 
 
-def _fine_grid(spacing: str) -> dict:
-    return _range(lambda v, p: p[spacing] > 0 and MIN_HALF_CELLS <= v / p[spacing] < math.inf
-                  and Grid2D(v, p[spacing]).npoints <= _GRID_POINTS,
-                  f"finite and at least {MIN_HALF_CELLS} times a positive {spacing}, on a grid of at most "
+def _fine_grid(spacing: Callable[[dict], float], what: str) -> dict:
+    """The range of a half width on the grid of spacing ``spacing(params)``,
+    which the message calls ``what``."""
+    return _range(lambda v, p: spacing(p) > 0 and MIN_HALF_CELLS <= v / spacing(p) < math.inf
+                  and Grid2D(v, spacing(p)).npoints <= _GRID_POINTS,
+                  f"finite and at least {MIN_HALF_CELLS} times {what}, on a grid of at most "
                   f"{_GRID_POINTS} points, the most at which the CSR data of the grid Hamiltonian "
                   "(fewer than 5 x npoints complex values) stays within 256 MiB")
 
@@ -550,12 +567,6 @@ _POSITIVE_LIST = _range(lambda v, p: len(v) > 0 and all(x > 0 for x in v), "a no
 _NU_LIST = _row_names("g", _POSITIVE_LIST)
 _MATRIX_N_MAX, _MATRIX = math.isqrt(MAX_ARRAY_BYTES // 64), "a 2n x 2n complex matrix"
 _FOCK_MAX = math.isqrt(math.isqrt(MAX_ARRAY_BYTES // 16))
-_FOCK_OPERATOR = "an operator (a cutoff^2 x cutoff^2 complex matrix)"
-_Z_OPS_CUTOFF = _sized(3, _FOCK_MAX, _FOCK_OPERATOR, ", the cutoff fock.z_ops needs,")
-# the coherent test vector (amplitude 0.5) must fit strong_limit_run's safe band, occupations <= cutoff / 3
-_STRONG_CUTOFF = _sized(12, _FOCK_MAX, _FOCK_OPERATOR, ", so that the test vectors fit the safe band of fock.strong_limit_run,")
-_ANTINORMAL_CUTOFF = _sized(5, _FOCK_MAX, _FOCK_OPERATOR, ", so that the safe band (occupations <= cutoff - 5) is not empty,")
-_GUARDED_CUTOFF = _sized(3, _FOCK_MAX - 2, f"{_FOCK_OPERATOR} at the guard's cutoff + 2", ", the cutoff fock.z_ops needs,")
 _QUAD_GRID = _sized(100, math.isqrt(MAX_ARRAY_BYTES // (16 * _FOCK_MAX)), f"the cutoff x grid^2 complex table of "
                     f"fock._coherent_amplitudes at cutoff {_FOCK_MAX}", ", as fock.resolution_check needs,")
 _CONTRACTION_N_LIST = _sized(1, math.isqrt(MAX_ARRAY_BYTES // 128), "the 4n x 4n float Potapov permutation", each=True)
@@ -570,6 +581,7 @@ _CONTRACTION_SAMPLES = _range(lambda v, p: v >= max(1, len(p["contraction_n_list
 _EIG_COUNT = _range(lambda v, p: _eig_count_ok(v, Grid2D(p["half_width"], p["spacing"])),
                     "at least ceil(landau.flux_count) + 2 of the grid, enough to reach the "
                     "first excited level, and at most landau.max_eig_count of its point count")
+_STRONG_LIMIT_GRID = _fine_grid(lambda p: STRONG_LIMIT_SPACING, f"the spacing {STRONG_LIMIT_SPACING}")
 _RULES = _row_names("", _range(lambda v, p: len(v) > 0 and set(v) <= set(VARIANCE_RULES),
                                f"a non-empty list of {sorted(VARIANCE_RULES)}"))
 
@@ -581,7 +593,6 @@ class MembershipParams:
     n_list: tuple[int, ...] = field(default=(1, 2, 3), metadata=_row_names("", _sized(1, _MATRIX_N_MAX, _MATRIX, each=True)))
     n: int = field(default=2, metadata=_sized(1, _MATRIX_N_MAX, _MATRIX))
     samples: int = field(default=200, metadata=_AT_LEAST_ONE)
-    structural_tol: float = field(default=1e-14, metadata=_POSITIVE)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -590,8 +601,6 @@ class DecomposeParams:
     seed: int = field(metadata=_SEED)
     n: int = field(default=2, metadata=_sized(1, _MATRIX_N_MAX, _MATRIX))
     samples: int = field(default=200, metadata=_AT_LEAST_ONE)
-    recon_tol: float = field(default=1e-9, metadata=_POSITIVE)
-    recover_tol: float = field(default=1e-7, metadata=_POSITIVE)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -602,10 +611,6 @@ class PotapovParams:
     pairs: int = field(default=100, metadata=_AT_LEAST_ONE)
     contraction_samples: int = field(default=500, metadata=_CONTRACTION_SAMPLES)
     contraction_n_list: tuple[int, ...] = field(default=(1, 2), metadata=_CONTRACTION_N_LIST)
-    example_tol: float = field(default=1e-12, metadata=_POSITIVE)
-    gap_tol: float = field(default=1e-6, metadata=_POSITIVE)
-    product_tol: float = field(default=1e-9, metadata=_POSITIVE)
-    norm_tol: float = field(default=1e-10, metadata=_POSITIVE)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -615,48 +620,29 @@ class GraphLimitParams:
     m: int = field(default=1, metadata=_sized(1, math.isqrt(MAX_ARRAY_BYTES // 1024), "an 8m x 8m projector of subspace_gap"))
     samples: int = field(default=50, metadata=_AT_LEAST_ONE)
     nu_list: tuple[float, ...] = field(default=tuple(float(nu) for nu in range(4, 17)), metadata=_NU_LIST)
-    gap_threshold: float = field(default=1e-6, metadata=_POSITIVE)
     fd_samples: int = field(default=50, metadata=_AT_LEAST_ONE)
-    fd_epsilon: float = field(default=1e-5, metadata=_POSITIVE)
-    fd_tol: float = field(default=1e-3, metadata=_POSITIVE)
 
 
 @dataclass(frozen=True, kw_only=True)
 class FockLimitParams:
     """truncated-Fock quantization: operator lemma, strong limits, antinormal identities, coherent resolution"""
     seed: int = field(metadata=_SEED)
-    lemma_cutoff: int = field(default=10, metadata=_Z_OPS_CUTOFF)
     lemma_samples: int = field(default=50, metadata=_AT_LEAST_ONE)
-    lemma_tol: float = field(default=1e-10, metadata=_POSITIVE)
-    strong_cutoff: int = field(default=14, metadata=_STRONG_CUTOFF)
     strong_norm: float = 1.0
     strong_nu_list: tuple[float, ...] = field(default=tuple(float(nu) for nu in range(4, 13)), metadata=_POSITIVE_LIST)
-    strong_tol: float = field(default=5e-3, metadata=_POSITIVE)
-    antinormal_cutoff: int = field(default=10, metadata=_ANTINORMAL_CUTOFF)
-    antinormal_tol: float = field(default=1e-12, metadata=_POSITIVE)
-    quad_cutoff: int = field(default=12, metadata=_Z_OPS_CUTOFF)
-    quad_radius: float = field(default=6.0, metadata=_at_least(5, ", as fock.resolution_check needs"))
     quad_grid: int = field(default=200, metadata=_QUAD_GRID)
-    quad_tol: float = field(default=1e-3, metadata=_POSITIVE)
-    cutoff_cutoff: int = field(default=16, metadata=_GUARDED_CUTOFF)
-    cutoff_norm: float = 0.5
     tau_list: tuple[float, ...] = field(default=(4.0, 8.0, 16.0), metadata=_POSITIVE_LIST)
-    cutoff_tol: float = field(default=1e-3, metadata=_POSITIVE)
 
 
 @dataclass(frozen=True, kw_only=True)
 class LandauParams:
     """Landau levels of the gauge-covariant lattice Laplacian"""
-    half_width: float = field(default=8.0, metadata=_fine_grid("spacing"))
+    half_width: float = field(default=8.0, metadata=_fine_grid(lambda p: p["spacing"], "a positive spacing"))
     spacing: float = field(default=0.125, metadata=_POSITIVE)
     eig_count: int = field(default=120, metadata=_EIG_COUNT)
-    ground_tol: float = field(default=0.02, metadata=_POSITIVE)
-    cluster_tol: float = field(default=0.05, metadata=_POSITIVE)
     seed: int = field(default=0, metadata=_SEED)
-    strong_limit_nu_list: tuple[float, ...] = field(default=(2.0, 4.0, 8.0), metadata=_row_names("g"))
-    strong_limit_half_width: float = field(default=6.0, metadata=_fine_grid("strong_limit_spacing"))
-    strong_limit_spacing: float = field(default=0.25, metadata=_POSITIVE)
-    strong_limit_norm: float = 0.3
+    strong_limit_nu_list: tuple[float, ...] = field(default=(2.0, 4.0, 8.0), metadata=_NU_LIST)
+    strong_limit_half_width: float = field(default=6.0, metadata=_STRONG_LIMIT_GRID)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -667,7 +653,6 @@ class PathintParams:
     steps: int = field(default=256, metadata=_STEPS)
     samples: int = field(default=200000, metadata=_at_least(MIN_SAMPLES))
     symbol_norm: float = 0.25
-    refinement_tol: float = field(default=1e-3, metadata=_POSITIVE)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -679,7 +664,6 @@ class CalibrateParams:
     steps: int = field(default=256, metadata=_STEPS)
     samples: int = field(default=20000, metadata=_at_least(MIN_SAMPLES))
     m: int = field(default=1, metadata=_LOOP_M)
-    closed_form_tol: float = field(default=5e-3, metadata=_POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -787,7 +771,7 @@ def validate_config(config: dict) -> tuple[str, dict]:
 
 def run_experiment(config: dict) -> RunReport:
     tag, params = validate_config(config)
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = EXPERIMENTS[tag].runner(params)
-    report.wall_time = time.time() - t0
+    report.wall_time = time.perf_counter() - t0
     return report

@@ -8,6 +8,7 @@ from typing import get_args, get_origin, get_type_hints
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phaselab import experiments
 from phaselab.cli import main
 from phaselab.experiments import EXPERIMENTS, MAX_ARRAY_BYTES, ConfigError, validate_config
 
@@ -125,7 +126,7 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("landau", {"half_width": float("inf")}),
         ("landau", {"half_width": 4.0, "spacing": 0.25, "eig_count": 5000}),
         ("landau", {"half_width": 4.0, "spacing": 0.25, "eig_count": 8}),
-        ("landau", {"strong_limit_half_width": 4.0, "strong_limit_spacing": 0.5}),
+        ("landau", {"strong_limit_half_width": 3.9}),
         ("membership", {"seed": 1, "n_list": []}),
         ("potapov", {"seed": 1, "contraction_n_list": []}),
         ("graph-limit", {"seed": 1, "nu_list": []}),
@@ -187,13 +188,16 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("pathint", {"seed": 1, "steps": 4096}),
         ("calibrate", {"seed": 1, "steps": 256, "m": 16}),
         ("landau", {"half_width": 916.0, "spacing": 1.0}),
-        ("landau", {"strong_limit_half_width": 1e12, "strong_limit_spacing": 1.0}),
+        ("landau", {"strong_limit_half_width": 1e12}),
         ("pathint", {"seed": 1, "nu_list": [1, 1.0000001]}),
         ("calibrate", {"seed": 1, "rules": ["nu", "nu"]}),
         ("calibrate", {"seed": 1, "nu_list": [2, 2.0]}),
         ("graph-limit", {"seed": 1, "nu_list": [4, 8, 4]}),
         ("landau", {"strong_limit_nu_list": [2, 2.0000001]}),
         ("membership", {"seed": 1, "n_list": [1, 2, 1]}),
+        ("landau", {"strong_limit_nu_list": [-4]}),
+        ("landau", {"strong_limit_nu_list": [0]}),
+        ("landau", {"strong_limit_nu_list": []}),
     ],
     ids=[
         "pathint_empty_nu_list",
@@ -277,6 +281,9 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         "graph_limit_nu_list_repeats",
         "landau_strong_limit_nu_list_row_names_collide",
         "membership_n_list_repeats",
+        "landau_negative_strong_limit_nu",
+        "landau_zero_strong_limit_nu",
+        "landau_empty_strong_limit_nu_list",
     ],
 )
 def test_out_of_range_parameters_exit_2_without_outputs(tmp_path, capsys, experiment, params):
@@ -285,7 +292,44 @@ def test_out_of_range_parameters_exit_2_without_outputs(tmp_path, capsys, experi
     out_dir.mkdir()
     assert main(["run", cfg, "--out", str(out_dir)]) == 2
     assert list(out_dir.iterdir()) == []
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    # a retired field (a tolerance, a Fock cutoff) is no parameter now: no
+    # value of it passes, and the error names it as unknown, not out of range
+    retired = sorted(set(params) - {f.name for f in fields(EXPERIMENTS[experiment].params)})
+    assert (f"unknown parameters for {experiment!r}: {retired}" if retired else " must be ") in err
+
+
+# each field retired into a constant of experiments.py, with its old default
+RETIRED = {
+    "membership": {"structural_tol": 1e-14},
+    "decompose": {"recon_tol": 1e-9, "recover_tol": 1e-7},
+    "potapov": {"example_tol": 1e-12, "gap_tol": 1e-6, "product_tol": 1e-9, "norm_tol": 1e-10},
+    "graph-limit": {"gap_threshold": 1e-6, "fd_epsilon": 1e-5, "fd_tol": 1e-3},
+    "fock-limit": {"lemma_cutoff": 10, "lemma_tol": 1e-10, "strong_cutoff": 14, "strong_tol": 5e-3,
+                   "antinormal_cutoff": 10, "antinormal_tol": 1e-12, "quad_cutoff": 12, "quad_radius": 6.0,
+                   "quad_tol": 1e-3, "cutoff_cutoff": 16, "cutoff_norm": 0.5, "cutoff_tol": 1e-3},
+    "landau": {"ground_tol": 0.02, "cluster_tol": 0.05, "strong_limit_spacing": 0.25, "strong_limit_norm": 0.3},
+    "pathint": {"refinement_tol": 1e-3},
+    "calibrate": {"closed_form_tol": 5e-3},
+}
+
+
+@pytest.mark.parametrize(
+    "experiment, name, value",
+    [(tag, name, value) for tag, retired in RETIRED.items() for name, value in retired.items()],
+    ids=[f"{tag}-{name}" for tag, retired in RETIRED.items() for name in retired],
+)
+def test_retired_field_exits_2_as_unknown(tmp_path, capsys, experiment, name, value):
+    # a check threshold is a constant in the code: no config can move it,
+    # not even to the value it has
+    params = {**{key: 1 for key in EXPERIMENTS[experiment].required}, name: value}
+    cfg = write_config(tmp_path, {"experiment": experiment, "parameters": params})
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["run", cfg, "--out", str(out_dir)]) == 2
+    assert list(out_dir.iterdir()) == []
+    assert f"config error: unknown parameters for {experiment!r}: [{name!r}]" in capsys.readouterr().err
 
 
 def test_integer_past_the_digit_limit_exits_2_without_outputs(tmp_path, capsys):
@@ -302,11 +346,12 @@ def test_integer_past_the_digit_limit_exits_2_without_outputs(tmp_path, capsys):
 FOCK_SMALL = {"lemma_samples": 2, "strong_nu_list": [4], "quad_grid": 100, "tau_list": [4]}
 
 
-def test_tripped_cutoff_guard_is_a_failed_check(tmp_path, capsys):
-    # at cutoff_cutoff 3 the vacuum expectation moves by 2.2e-3 between
-    # cutoffs 3 and 5, past the 1e-4 guard: the run writes its outputs with
-    # a failed guard row in place of the rows the guard protects, exit 1
-    params = {"seed": 19, "cutoff_cutoff": 3, **FOCK_SMALL}
+def test_tripped_cutoff_guard_is_a_failed_check(tmp_path, capsys, monkeypatch):
+    # at cutoff 3 the vacuum expectation moves by 2.2e-3 between cutoffs 3
+    # and 5, past the 1e-4 guard: the run writes its outputs with a failed
+    # guard row in place of the rows the guard protects, exit 1
+    monkeypatch.setattr(experiments, "VACUUM_CUTOFF", 3)
+    params = {"seed": 19, **FOCK_SMALL}
     cfg = write_config(tmp_path, {"experiment": "fock-limit", "parameters": params})
     out_dir = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out_dir)]) == 1
@@ -321,8 +366,7 @@ def test_tripped_cutoff_guard_is_a_failed_check(tmp_path, capsys):
     assert "vacuum_expectation_cutoff_guard" in capsys.readouterr().err
 
     # a cutoff whose guard holds writes the guarded rows and no guard row
-    params["cutoff_cutoff"] = 8
-    cfg = write_config(tmp_path, {"experiment": "fock-limit", "parameters": params})
+    monkeypatch.setattr(experiments, "VACUUM_CUTOFF", 8)
     main(["run", cfg, "--out", str(out_dir)])
     names = [c["name"] for c in json.loads((out_dir / "fock_limit_report.json").read_text())["checks"]]
     assert names[-3:] == ["vacuum_expectation_modulus", "cutoff_convergence_final", "cutoff_convergence_first"]
@@ -391,9 +435,10 @@ def test_negative_seed_override_exits_2_without_outputs(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_checked_in_and_benchmark_configs_validate(monkeypatch):
-    # a range that rejects a config the repository runs fails here, not as
-    # a failed benchmark run
+@pytest.fixture
+def repo_configs(monkeypatch):
+    """The checked-in configs, and the benchmark's at seeds 1-20 and its
+    warm-ups."""
     root = Path(__file__).resolve().parent.parent
     configs = [json.loads(path.read_text()) for path in sorted((root / "configs").glob("*.json"))]
     assert len(configs) == len(EXPERIMENTS)
@@ -405,20 +450,38 @@ def test_checked_in_and_benchmark_configs_validate(monkeypatch):
         configs += workloads.warmup_configs(w)
         for seed in range(1, 21):
             configs += workloads.configs(w, seed)
-    for config in configs:
+    return configs
+
+
+def test_checked_in_and_benchmark_configs_validate(repo_configs):
+    # a range that rejects a config the repository runs fails here, not as
+    # a failed benchmark run
+    for config in repo_configs:
         validate_config(config)
+
+
+# fields that no config sends but the benchmark's checks read from the report
+BENCHMARK_READS = {("pathint", "symbol_norm"), ("fock-limit", "strong_norm"), ("calibrate", "m")}
+
+
+def test_every_field_is_sent_by_a_config_or_read_by_the_benchmark(repo_configs):
+    # a field with one value in use is a constant, not a parameter
+    sent = {(config["experiment"], key) for config in repo_configs for key in config["parameters"]}
+    assert [field for field in FIELDS if field not in sent | BENCHMARK_READS] == []
 
 
 def test_landau_grid_bound_is_the_csr_data_array():
     # a grid of at most MAX_ARRAY_BYTES // 80 points, so that the
     # 5 side^2 - 4 side complex CSR data of the Hamiltonian fits: side 1831
-    # passes, side 1833 does not; validation only, nothing is allocated
+    # passes, side 1833 does not (half widths 915.9 and 916 at spacing 1,
+    # 228.9 and 229 at the fixed strong-limit spacing 0.25); validation
+    # only, nothing is allocated
     assert 16 * (5 * 1831**2 - 4 * 1831) <= MAX_ARRAY_BYTES < 16 * (5 * 1833**2 - 4 * 1833)
-    for key, spacing in (("half_width", "spacing"), ("strong_limit_half_width", "strong_limit_spacing")):
-        params = {key: 915.9, spacing: 1.0, **({"eig_count": 2_000_000} if key == "half_width" else {})}
-        validate_config({"experiment": "landau", "parameters": params})
+    for params, key, fits, too_big in (({"spacing": 1.0, "eig_count": 2_000_000}, "half_width", 915.9, 916.0),
+                                       ({}, "strong_limit_half_width", 228.9, 229.0)):
+        validate_config({"experiment": "landau", "parameters": {**params, key: fits}})
         with pytest.raises(ConfigError, match="3355443 points"):
-            validate_config({"experiment": "landau", "parameters": {**params, key: 916.0}})
+            validate_config({"experiment": "landau", "parameters": {**params, key: too_big}})
 
 
 def test_calibrate_reports_its_monte_carlo_spot_checks(tmp_path):

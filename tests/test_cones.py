@@ -288,7 +288,8 @@ def test_po_decompose_generate_recover_and_continuity():
 )
 def test_po_decompose_roundtrip_property(n, seed, h_scale, x_scale):
     # generate g = h0 e^{X0} as the decompose experiment does; the factors
-    # come back within its default tolerances (recon_tol, recover_tol)
+    # come back within its reconstruction and recovery tolerances
+    # (1e-9 relative, 1e-7)
     S = make_structural(n)
     h0 = sample("Sp_c", n, h_scale, seed)
     X0 = sample("SDiss_spc", n, x_scale, seed + 1)
