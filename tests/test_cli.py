@@ -294,8 +294,8 @@ def test_out_of_range_parameters_exit_2_without_outputs(tmp_path, capsys, experi
     assert list(out_dir.iterdir()) == []
     err = capsys.readouterr().err
     assert "config error" in err
-    # a retired field (a tolerance, a Fock cutoff) is no parameter now: no
-    # value of it passes, and the error names it as unknown, not out of range
+    # a key that is no field (a tolerance or a Fock cutoff, constants in
+    # experiments.py) fails as unknown, whatever its value, not by a range
     retired = sorted(set(params) - {f.name for f in fields(EXPERIMENTS[experiment].params)})
     assert (f"unknown parameters for {experiment!r}: {retired}" if retired else " must be ") in err
 
