@@ -15,9 +15,11 @@ value is
 
 which grows like (2 nu)^m instead of tending to 1.
 
-A sweep over nu and variance rules is one pass.  The loop at sigma^2 is
-sqrt(sigma^2) times the sigma^2 = 1 loop of the same increments, and every
-estimator action (the area, plus an unclipped quadratic symbol) is a
+One ``QuadraticAction`` (the area, plus an optional x^T M x) describes an
+action to both sides: ``loop_actions`` evaluates it on sampled loops for the
+estimator, and ``_form_blocks`` discretizes it for the oracle.  A sweep over
+nu and variance rules is one pass.  The loop at sigma^2 is sqrt(sigma^2)
+times the sigma^2 = 1 loop of the same increments, and every action is a
 quadratic form of the loop, so S_{sigma^2} = sigma^2 S_1: ``estimate_actions``
 draws the unit loops of a seed once for every spec.  ``gaussian_oracles``
 runs the oracle's recursion once for a batch of (spec, action) pairs.
@@ -30,11 +32,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cones import (  # noqa: F401  symbol_quadratic_matrix is re-exported
-    HamiltonianSymbol,
-    hamiltonian_real_values,
-    symbol_quadratic_matrix,
-)
+from .cones import symbol_quadratic_matrix  # noqa: F401  re-exported
 from .linalg import ShapeError
 
 # smallest step count of a measure and sample count of an estimate; config
@@ -77,22 +75,12 @@ class MeasureSpec:
 
 
 @dataclass(frozen=True)
-class LoopPath:
-    """A discretized loop: (steps+1) points in R^{2m}, pinned to 0 at both ends."""
+class QuadraticAction:
+    """An action quadratic in the loop, for the estimator and the oracle
+    alike: the stochastic-area line integral plus, when ``hmatrix`` is given,
+    the midpoint time quadrature of x^T M x (M real symmetric, 2m x 2m)."""
 
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2:
-            raise ShapeError("points must be a (steps+1, 2m) array")
-        if np.any(pts[0] != 0.0) or np.any(pts[-1] != 0.0):
-            raise ValueError("loop endpoints must be pinned to 0")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def steps(self) -> int:
-        return self.points.shape[0] - 1
+    hmatrix: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -129,47 +117,31 @@ def sample_loops(spec: MeasureSpec, lo: int, hi: int) -> np.ndarray:
     return pts
 
 
-def sample_loop(spec: MeasureSpec, index: int) -> LoopPath:
-    """Loop ``index`` of ``sample_loops``, from default_rng((seed, index //
-    CHUNK)); it redraws the block up to ``index``, so batch with
-    ``sample_loops`` when many loops are wanted."""
-    return LoopPath(points=sample_loops(spec, index, index + 1)[0])
-
-
-def _actions(pts: np.ndarray, hams: Sequence[Callable | None]) -> list[np.ndarray]:
-    """Actions of the loops pts (n, steps+1, 2m), one array per Hamiltonian
-    in ``hams`` (None = area only): the shoelace sum, computed once, plus the
-    midpoint time quadrature of each Hamiltonian."""
-    n, K, d = pts.shape[0], pts.shape[1] - 1, pts.shape[2]
+def loop_actions(points: np.ndarray, actions: Sequence[QuadraticAction]) -> list[np.ndarray]:
+    """Actions of the loops ``points`` (n, steps+1, 2m), one array per entry
+    of ``actions``: the midpoint (Stratonovich) line integral of
+    sum_k (y_k dx_k - x_k dy_k), computed once, plus the mean of x^T M x over
+    the step midpoints x for an action with an hmatrix M.  On each segment
+    the midpoint rule ((y_j + y_{j+1}) (x_{j+1} - x_j) - (x_j + x_{j+1})
+    (y_{j+1} - y_j)) / 2 is exactly the shoelace term x_{j+1} y_j - x_j y_{j+1},
+    so the line integral is the shoelace sum for any polygon, closed or not
+    (-2 times the signed area of a closed one)."""
+    n, K, d = points.shape[0], points.shape[1] - 1, points.shape[2]
     if d % 2:
         raise ShapeError("points must have even dimension 2m")
-    x, y = pts[:, :, : d // 2], pts[:, :, d // 2 :]
+    x, y = points[:, :, : d // 2], points[:, :, d // 2 :]
     area = np.sum(x[:, 1:] * y[:, :-1] - x[:, :-1] * y[:, 1:], axis=(1, 2))
-    if any(H is not None for H in hams):
-        mid = ((pts[:, :-1] + pts[:, 1:]) / 2).reshape(-1, d)
-    return [area if H is None else area + np.asarray(H(mid), dtype=float).reshape(n, K).mean(axis=1) for H in hams]
+    if any(q.hmatrix is not None for q in actions):
+        mid = ((points[:, :-1] + points[:, 1:]) / 2).reshape(-1, d)
+    return [area if q.hmatrix is None else area + np.einsum("gi,gi->g", mid @ q.hmatrix, mid).reshape(n, K).mean(axis=1)
+            for q in actions]
 
 
-def line_integral_alpha(path: LoopPath) -> float:
-    """Stratonovich (midpoint) line integral of sum_k (y_k dx_k - x_k dy_k).
-
-    Telescopes to the shoelace sum sum_j (x_{j+1} y_j - x_j y_{j+1}); equals
-    -2 times the signed area.
-    """
-    return action(path, None)
-
-
-def action(path: LoopPath, H: Callable[[np.ndarray], np.ndarray] | None) -> float:
-    """S_H = line integral of the symplectic form + midpoint time quadrature
-    of H along the loop (H maps (N, 2m) points to real values; None = 0)."""
-    return float(_actions(path.points[None], [H])[0][0])
-
-
-def estimate_actions(specs: Sequence[MeasureSpec], syms: Sequence[HamiltonianSymbol | None],
-                     samples: int = 10_000) -> list[list[EstimateReport]]:
-    """The scaled estimator e^{nu m} E[e^{i S}] for each spec and each entry
-    of ``syms``, with S the loop action for the symbol, or the bare
-    stochastic-area action for None; one list of reports per spec.
+def estimate_actions(specs: Sequence[MeasureSpec], actions: Sequence[QuadraticAction],
+                     samples: int) -> list[list[EstimateReport]]:
+    """The scaled estimator e^{nu m} E[e^{i S}] for each spec and each of
+    ``actions``, with S its ``loop_actions`` value; one list of reports per
+    spec.
 
     Every action is a quadratic form of the loop, so at variance sigma^2 it
     is sigma^2 times the action of the sigma^2 = 1 loop with the same
@@ -185,10 +157,9 @@ def estimate_actions(specs: Sequence[MeasureSpec], syms: Sequence[HamiltonianSym
         raise ValueError("need one or more specs, all with the same steps, seed and m")
     # the sigma^2 = 1 loops: the default rule at nu = 1
     unit = MeasureSpec(nu=1.0, steps=specs[0].steps, seed=specs[0].seed, m=specs[0].m)
-    hams = [None if s is None else (lambda p, s=s: hamiltonian_real_values(s, p)) for s in syms]
-    total = np.zeros((len(specs), len(syms)), dtype=complex)
+    total = np.zeros((len(specs), len(actions)), dtype=complex)
     for lo in range(0, samples, CHUNK):
-        acts = _actions(sample_loops(unit, lo, min(lo + CHUNK, samples)), hams)
+        acts = loop_actions(sample_loops(unit, lo, min(lo + CHUNK, samples)), actions)
         total += [[np.sum(np.exp(1j * (spec.sigma2 * S))) for S in acts] for spec in specs]
     # every sample has modulus 1, so the sum of squared moduli is ``samples``
     var = (samples - np.abs(total) ** 2 / samples) / (samples - 1)
@@ -200,24 +171,8 @@ def estimate_actions(specs: Sequence[MeasureSpec], syms: Sequence[HamiltonianSym
     return reports
 
 
-def estimate(spec: MeasureSpec, sym: HamiltonianSymbol | None = None, samples: int = 10_000) -> EstimateReport:
-    """``estimate_actions`` for one spec and one action: the symbol's, or
-    the bare area's when sym is None."""
-    return estimate_actions([spec], [sym], samples)[0][0]
-
-
 # ---------------------------------------------------------------------------
 # exact Gaussian oracle for quadratic actions
-
-@dataclass(frozen=True)
-class QuadraticAction:
-    """Description of an action that is exactly quadratic in the free bridge
-    coordinates: the stochastic-area part plus an optional quadratic
-    Hamiltonian x^T M x (M real symmetric, 2m x 2m)."""
-
-    include_area: bool = True
-    hmatrix: np.ndarray | None = None
-
 
 def _form_blocks(spec: MeasureSpec, q: QuadraticAction) -> tuple[np.ndarray, np.ndarray]:
     """The 2m x 2m blocks of the discretized action in time-major order:
@@ -226,8 +181,7 @@ def _form_blocks(spec: MeasureSpec, q: QuadraticAction) -> tuple[np.ndarray, np.
     the Hamiltonian part is the midpoint time quadrature of x^T M x."""
     K, d = spec.steps, 2 * spec.m
     diag, coupling = np.zeros((d, d)), np.zeros((d, d))
-    if q.include_area:
-        coupling -= 0.5 * np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(spec.m))
+    coupling -= 0.5 * np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(spec.m))
     if q.hmatrix is not None:
         M = np.asarray(q.hmatrix, dtype=float)
         if M.shape != (d, d):
@@ -319,8 +273,9 @@ def calibrate(
     """
     specs = [[MeasureSpec(nu=float(nu), steps=steps, seed=seed, variance_rule=rule, m=m) for nu in nu_list]
              for rule in rules]
-    oracles = iter(gaussian_oracles([(spec, QuadraticAction()) for row in specs for spec in row]))
-    spot = estimate_actions([row[0] for row in specs], [None], samples)
+    area = QuadraticAction()
+    oracles = iter(gaussian_oracles([(spec, area) for row in specs for spec in row]))
+    spot = estimate_actions([row[0] for row in specs], [area], samples)
     rows = []
     for row_specs, (rep,) in zip(specs, spot):
         for k, spec in enumerate(row_specs):
@@ -328,7 +283,6 @@ def calibrate(
             row = {
                 "rule": spec.variance_rule,
                 "nu": spec.nu,
-                "sigma2": spec.sigma2,
                 "oracle": oracle,
                 "abs_dev_from_one": abs(oracle - 1.0),
             }

@@ -50,6 +50,7 @@ from .landau import (
     cluster_center,
     flux_count,
     grid_strong_limit,
+    lanczos_bytes,
     landau_hamiltonian,
     low_spectrum,
     max_eig_count,
@@ -319,8 +320,9 @@ def _cluster_projector(M: np.ndarray) -> np.ndarray:
 LEMMA_CUTOFF = 10
 # the safe band of the antinormal words, occupations <= cutoff - 5, is not empty
 ANTINORMAL_CUTOFF = 10
-# fock.resolution_check needs a radius of at least 5
-QUAD_RADIUS, QUAD_TOL = 6.0, 1e-3
+# fock.resolution_check needs a radius of at least 5; the quadrature rows
+# run at the Fock cutoff QUAD_CUTOFF
+QUAD_RADIUS, QUAD_TOL, QUAD_CUTOFF = 6.0, 1e-3, 12
 # the Fock cutoff of the cutoff-convergence rows; the guard reruns at cutoff + 2
 VACUUM_CUTOFF = 16
 
@@ -374,7 +376,7 @@ def run_fock_limit(p: dict) -> RunReport:
     checks.append(Check.le("antinormal_word_identity", worst, 1e-12))
 
     # quadrature quantization of monomials vs compressed operator words
-    q_space = FockSpace(1, 12)
+    q_space = FockSpace(1, QUAD_CUTOFF)
     Zq = z_ops(q_space)[0]
     Zqc = Zq.conj().T
     _, _, Ebq = number_ops(q_space)
@@ -440,13 +442,13 @@ def run_landau(p: dict) -> RunReport:
 
 def run_pathint(p: dict) -> RunReport:
     sym = HamiltonianSymbol(1, sample("sp_c", 1, p["symbol_norm"], p["seed"] + 77))
-    quadratic = QuadraticAction(hmatrix=symbol_quadratic_matrix(sym))
+    actions = [QuadraticAction(), QuadraticAction(hmatrix=symbol_quadratic_matrix(sym))]
     specs = [MeasureSpec(nu=float(nu), steps=p["steps"], seed=p["seed"]) for nu in p["nu_list"]]
     # one draw of the loops serves both actions at every nu; one oracle
-    # batch per grid
-    reps = estimate_actions(specs, [None, sym], samples=p["samples"])
-    coarse = gaussian_oracles([(spec, q) for spec in specs for q in (QuadraticAction(), quadratic)])
-    fine = gaussian_oracles([(replace(spec, steps=2 * spec.steps), quadratic) for spec in specs])
+    # batch per grid, of the same actions
+    reps = estimate_actions(specs, actions, samples=p["samples"])
+    coarse = gaussian_oracles([(spec, q) for spec in specs for q in actions])
+    fine = gaussian_oracles([(replace(spec, steps=2 * spec.steps), actions[1]) for spec in specs])
     checks = []
     for i, (nu, spec) in enumerate(zip(p["nu_list"], specs)):
         scale = float(np.exp(spec.nu * spec.m))
@@ -479,13 +481,13 @@ def run_calibrate(p: dict) -> RunReport:
         checks.append(
             Check.report(f"dev_from_one_{row['rule']}_nu{row['nu']:g}", row["abs_dev_from_one"])
         )
-    # closed form for the time-rescaled rule: 2 nu / (1 - e^{-2 nu}) per m.
+    # closed form for the time-rescaled rule: (2 nu / (1 - e^{-2 nu}))^m.
     # The discrete-area error grows like nu^2/steps, so the continuum law is
     # checked at the smallest nu, where the discretization is well resolved.
-    min_nu = min(p["nu_list"])
-    spec = MeasureSpec(nu=float(min_nu), steps=p["steps"], seed=p["seed"], variance_rule="nu")
-    oracle = float(np.exp(min_nu)) * gaussian_oracle(spec, QuadraticAction())
-    closed = 2 * min_nu / (1 - np.exp(-2 * min_nu))
+    min_nu, m = min(p["nu_list"]), p["m"]
+    spec = MeasureSpec(nu=float(min_nu), steps=p["steps"], seed=p["seed"], variance_rule="nu", m=m)
+    oracle = float(np.exp(min_nu * m)) * gaussian_oracle(spec, QuadraticAction())
+    closed = (2 * min_nu / (1 - np.exp(-2 * min_nu))) ** m
     checks.append(Check.le("closed_form_cross_check", abs(abs(oracle) - closed) / closed, 5e-3))
     any_near_one = any(table["near_one_at_max_nu"].values())
     checks.append(Check.report("any_rule_near_one", float(any_near_one)))
@@ -529,8 +531,8 @@ def _sized(low: int, high: int, array: str, why: str = "", each: bool = False) -
 # Hamiltonian is the complex CSR data of magnetic_laplacian's H + diag, its
 # 4 side (side - 1) hops and npoints diagonal entries, fewer than 5 npoints;
 # landau_hamiltonian's sum and grid_strong_limit's generator and its tocsc
-# allocate the same size again.  low_spectrum's factorizations and Lanczos
-# basis on the main grid are not covered: they grow with fill-in and eig_count
+# allocate the same size again.  eig_count's range bounds low_spectrum's
+# Lanczos basis on the main grid; its factorizations' fill-in is not covered
 _GRID_POINTS = MAX_ARRAY_BYTES // 80
 
 
@@ -557,7 +559,8 @@ def _eig_count_ok(k: int, grid: Grid2D) -> bool:
     # widths 2-8 and spacings 1/8-1/4 the first value that cluster_center
     # can place near level 1 (above 0.55) came at most ceil(flux_count) + 1
     # values in
-    return math.ceil(flux_count(grid)) + 2 <= k <= max_eig_count(grid.npoints)
+    return (math.ceil(flux_count(grid)) + 2 <= k <= max_eig_count(grid.npoints)
+            and lanczos_bytes(grid.npoints, k) <= MAX_ARRAY_BYTES)
 
 
 _AT_LEAST_ONE = _at_least(1)
@@ -566,9 +569,8 @@ _POSITIVE = _range(lambda v, p: v > 0, "positive")
 _POSITIVE_LIST = _range(lambda v, p: len(v) > 0 and all(x > 0 for x in v), "a non-empty list of positive numbers")
 _NU_LIST = _row_names("g", _POSITIVE_LIST)
 _MATRIX_N_MAX, _MATRIX = math.isqrt(MAX_ARRAY_BYTES // 64), "a 2n x 2n complex matrix"
-_FOCK_MAX = math.isqrt(math.isqrt(MAX_ARRAY_BYTES // 16))
-_QUAD_GRID = _sized(100, math.isqrt(MAX_ARRAY_BYTES // (16 * _FOCK_MAX)), f"the cutoff x grid^2 complex table of "
-                    f"fock._coherent_amplitudes at cutoff {_FOCK_MAX}", ", as fock.resolution_check needs,")
+_QUAD_GRID = _sized(100, math.isqrt(MAX_ARRAY_BYTES // (16 * QUAD_CUTOFF)), f"the cutoff x grid^2 complex table of "
+                    f"fock._coherent_amplitudes at cutoff {QUAD_CUTOFF}", ", as fock.resolution_check needs,")
 _CONTRACTION_N_LIST = _sized(1, math.isqrt(MAX_ARRAY_BYTES // 128), "the 4n x 4n float Potapov permutation", each=True)
 _LOOP_BLOCK = f"a block of loops (a {CHUNK} x (steps + 1) x 2m float array)"
 _LOOP_POINTS = MAX_ARRAY_BYTES // (16 * CHUNK)  # the most (steps + 1) m
@@ -580,7 +582,8 @@ _CONTRACTION_SAMPLES = _range(lambda v, p: v >= max(1, len(p["contraction_n_list
                               "at least 1 and at least len(contraction_n_list)")
 _EIG_COUNT = _range(lambda v, p: _eig_count_ok(v, Grid2D(p["half_width"], p["spacing"])),
                     "at least ceil(landau.flux_count) + 2 of the grid, enough to reach the "
-                    "first excited level, and at most landau.max_eig_count of its point count")
+                    "first excited level, at most landau.max_eig_count of its point count, and small enough that "
+                    "low_spectrum's Lanczos basis (landau.lanczos_bytes) stays within 256 MiB")
 _STRONG_LIMIT_GRID = _fine_grid(lambda p: STRONG_LIMIT_SPACING, f"the spacing {STRONG_LIMIT_SPACING}")
 _RULES = _row_names("", _range(lambda v, p: len(v) > 0 and set(v) <= set(VARIANCE_RULES),
                                f"a non-empty list of {sorted(VARIANCE_RULES)}"))

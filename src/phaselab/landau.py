@@ -165,6 +165,20 @@ def max_eig_count(npoints: int) -> int:
     return 4 * ((npoints - 1) // 4 - 2 - SECTOR_MARGIN)
 
 
+def lanczos_bytes(npoints: int, k: int) -> int:
+    """The most bytes of Lanczos basis that ``low_spectrum`` asks for the
+    lowest k on an npoints-site grid.  scipy's eigsh allocates an
+    n x max(2 k_q + 1, 20) complex basis for k_q values of an n-site sector
+    before it clips to n; k_q starts at ceil(k/4) + SECTOR_MARGIN and grows
+    by half on each of RERUNS reruns, to at most n - 2, and the largest
+    sector has (npoints - 1) // 4 + 1 sites."""
+    n = (npoints - 1) // 4 + 1
+    kq = -(-k // 4) + SECTOR_MARGIN
+    for _ in range(RERUNS):
+        kq = min(kq + kq // 2, n - 2)
+    return 16 * n * max(2 * kq + 1, 20)
+
+
 def _sector_low(Hq: sp.csc_matrix, k: int) -> np.ndarray:
     # a fixed complex normal start vector, so that a run repeats exactly
     rng = np.random.default_rng(0)

@@ -5,28 +5,30 @@ from hypothesis import assume, given, settings, strategies as st
 from phaselab.bridge import (
     VARIANCE_RULES,
     EstimateReport,
-    LoopPath,
     MeasureSpec,
     QuadraticAction,
-    action,
     CHUNK,
     calibrate,
-    _actions,
     discrete_quadratic_form,
-    estimate,
     estimate_actions,
     gaussian_oracle,
     gaussian_oracles,
-    line_integral_alpha,
-    sample_loop,
+    loop_actions,
     sample_loops,
     symbol_quadratic_matrix,
 )
 from phaselab.cones import HamiltonianSymbol, hamiltonian_real_values, hamiltonian_value, sample
 
+AREA = QuadraticAction()
+
 
 def spec64(nu=1.0, seed=0, rule="nu"):
     return MeasureSpec(nu=nu, steps=64, seed=seed, variance_rule=rule)
+
+
+def quadratic(m, norm, seed):
+    """The action of a sampled symbol: the area plus its x^T M x."""
+    return QuadraticAction(hmatrix=symbol_quadratic_matrix(HamiltonianSymbol(m, sample("sp_c", m, norm, seed))))
 
 
 def test_measure_spec_validation():
@@ -42,16 +44,16 @@ def test_measure_spec_validation():
 
 def test_sample_loop_pinned_and_deterministic():
     spec = spec64(seed=3)
-    p1 = sample_loop(spec, 17)
-    p2 = sample_loop(spec, 17)
-    assert np.array_equal(p1.points, p2.points)
-    assert np.all(p1.points[0] == 0) and np.all(p1.points[-1] == 0)
-    p3 = sample_loop(spec, 18)
-    assert not np.array_equal(p1.points, p3.points)
+    p1 = sample_loops(spec, 17, 18)[0]
+    p2 = sample_loops(spec, 17, 18)[0]
+    assert np.array_equal(p1, p2)
+    assert np.all(p1[0] == 0) and np.all(p1[-1] == 0)
+    p3 = sample_loops(spec, 18, 19)[0]
+    assert not np.array_equal(p1, p3)
     block = sample_loops(spec, 0, 100)
     assert block.shape == (100, 65, 2) and np.array_equal(block, sample_loops(spec, 0, 100))
     assert np.all(block[:, 0] == 0) and np.all(block[:, -1] == 0)
-    assert np.array_equal(block[17], p1.points)
+    assert np.array_equal(block[17], p1)
     for lo, hi in ((5, 5), (-1, 3)):
         with pytest.raises(ValueError):
             sample_loops(spec, lo, hi)
@@ -73,7 +75,6 @@ def test_sample_loops_across_chunk_boundary():
     spec = spec64(seed=3)
     lo, hi = CHUNK - 6, CHUNK + 4
     loops = sample_loops(spec, lo, hi)
-    assert np.array_equal(loops, np.stack([sample_loop(spec, i).points for i in range(lo, hi)]))
     assert np.array_equal(loops, np.stack([stream_loop(spec, i) for i in range(lo, hi)]))
     assert np.array_equal(loops, sample_loops(spec, 0, hi + 10)[lo:hi])
 
@@ -90,31 +91,30 @@ def test_bridge_covariance_monte_carlo():
     assert abs(prods.mean() - want) < 3 * stderr
 
 
-def test_loop_path_validation():
-    with pytest.raises(ValueError):
-        LoopPath(points=np.ones((5, 2)))
+def line_integral(pts):
+    """The midpoint line integral of one loop: its bare area action."""
+    return loop_actions(pts[None], [AREA])[0][0]
 
 
 def test_line_integral_square_loop():
     pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], dtype=float)
-    loop = LoopPath(points=pts)
-    assert line_integral_alpha(loop) == pytest.approx(-2.0)
-    reversed_loop = LoopPath(points=pts[::-1].copy())
-    assert line_integral_alpha(reversed_loop) == pytest.approx(2.0)
-    zero = LoopPath(points=np.zeros((5, 2)))
-    assert line_integral_alpha(zero) == 0.0
+    assert line_integral(pts) == pytest.approx(-2.0)
+    assert line_integral(pts[::-1].copy()) == pytest.approx(2.0)
+    assert line_integral(np.zeros((5, 2))) == 0.0
 
 
 def test_action_constant_hamiltonian():
+    # x^T I x at the midpoints (1/2, 0), (1, 1/2), (1/2, 1), (0, 1/2) is
+    # 0.25, 1.25, 1.25, 0.25: the action is the area -2 plus their mean 0.75
     pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], dtype=float)
-    loop = LoopPath(points=pts)
-    base = line_integral_alpha(loop)
-    assert action(loop, None) == base
-    assert action(loop, lambda p: np.full(p.shape[0], 2.5)) == pytest.approx(base + 2.5)
+    base, with_h = loop_actions(pts[None], [AREA, QuadraticAction(hmatrix=np.eye(2))])
+    assert base[0] == line_integral(pts)
+    assert with_h[0] == pytest.approx(-1.25)
 
 
 def test_cutoff_h_clipping():
-    # the estimator's cutoff H_tau: hamiltonian_real_values clipped to [-tau, tau]
+    # the cutoff Hamiltonian H_tau of fock.vacuum_expectation:
+    # hamiltonian_real_values clipped to [-tau, tau]
     sym = HamiltonianSymbol(1, sample("sp_c", 1, 1.0, 1))
     pts = np.array([[0.1, 0.2], [4.0, -3.0], [0.5, 0.0]])
     clipped, raw = hamiltonian_real_values(sym, pts, 1.5), hamiltonian_real_values(sym, pts)
@@ -145,18 +145,16 @@ def test_quadratic_matrix_matches_symbol():
 def test_discrete_form_matches_action():
     # coordinate-major free coordinates; m = 2 exercises the block assembly
     for m in (1, 2):
-        sym = HamiltonianSymbol(m, sample("sp_c", m, 0.5, 9))
+        q = quadratic(m, 0.5, 9)
         spec = MeasureSpec(nu=1.5, steps=64, seed=2, m=m)
-        Q = discrete_quadratic_form(spec, QuadraticAction(hmatrix=symbol_quadratic_matrix(sym)))
+        Q = discrete_quadratic_form(spec, q)
         for pts in sample_loops(spec, 0, 5):
-            path = LoopPath(points=pts)
-            x = path.points[1:-1].T.ravel()
-            assert x @ Q @ x == pytest.approx(action(path, lambda p: hamiltonian_real_values(sym, p)), abs=1e-12)
+            x = pts[1:-1].T.ravel()
+            assert x @ Q @ x == pytest.approx(loop_actions(pts[None], [q])[0][0], abs=1e-12)
 
 
 def test_oracle_trivial_and_closed_form():
     spec = MeasureSpec(nu=1.0, steps=256, seed=0)
-    assert gaussian_oracle(spec, QuadraticAction(include_area=False)) == pytest.approx(1.0)
     # bridge stochastic-area law: e^{nu} E[e^{i S0}] -> 2 nu/(1 - e^{-2 nu})
     val = np.exp(1.0) * gaussian_oracle(spec, QuadraticAction())
     closed = 2.0 / (1 - np.exp(-2.0))
@@ -164,48 +162,46 @@ def test_oracle_trivial_and_closed_form():
 
 
 def test_estimate_matches_per_index_loop():
-    # the estimator's blocks reproduce the per-loop sample_loop/action route
-    sym = HamiltonianSymbol(1, sample("sp_c", 1, 0.3, 8))
+    # the estimator's blocks reproduce loops built one at a time from the
+    # stream's definition
+    q = quadratic(1, 0.3, 8)
     spec = spec64(nu=1.0, seed=6)
-    direct = np.mean(
-        [np.exp(1j * action(sample_loop(spec, i), lambda p: hamiltonian_real_values(sym, p))) for i in range(1000)]
-    )
-    rep = estimate(spec, sym=sym, samples=1000)
+    direct = np.mean([np.exp(1j * loop_actions(stream_loop(spec, i)[None], [q])[0][0]) for i in range(1000)])
+    [[rep]] = estimate_actions([spec], [q], samples=1000)
     assert abs(rep.mean / np.exp(1.0) - direct) < 1e-13
     with pytest.raises(ValueError):
-        estimate(spec, samples=10)
+        estimate_actions([spec], [AREA], samples=10)
 
 
 def test_estimate_actions_match_separate_estimates():
     # one draw serves every action, bit for bit as separate estimates
-    sym = HamiltonianSymbol(1, sample("sp_c", 1, 0.3, 8))
+    actions = [AREA, quadratic(1, 0.3, 8)]
     spec = spec64(nu=1.0, seed=6)
-    both = estimate_actions([spec], [None, sym], samples=CHUNK + 1000)[0]
-    for rep, s in zip(both, (None, sym)):
-        alone = estimate(spec, sym=s, samples=CHUNK + 1000)
+    both = estimate_actions([spec], actions, samples=CHUNK + 1000)[0]
+    for rep, q in zip(both, actions):
+        [[alone]] = estimate_actions([spec], [q], samples=CHUNK + 1000)
         assert rep.mean == alone.mean and rep.stderr == alone.stderr
     assert both[0].mean != both[1].mean
 
 
-def own_draw_means(spec, syms, samples):
+def own_draw_means(spec, actions, samples):
     """The scaled means from the spec's own loops at its sigma^2, block by
     block: the estimator's route before one draw served every spec."""
-    hams = [None if s is None else (lambda p, s=s: hamiltonian_real_values(s, p)) for s in syms]
-    total = np.zeros(len(syms), dtype=complex)
+    total = np.zeros(len(actions), dtype=complex)
     for lo in range(0, samples, CHUNK):
-        total += [np.sum(np.exp(1j * S)) for S in _actions(sample_loops(spec, lo, min(lo + CHUNK, samples)), hams)]
+        total += [np.sum(np.exp(1j * S)) for S in loop_actions(sample_loops(spec, lo, min(lo + CHUNK, samples)), actions)]
     return [complex(float(np.exp(spec.nu * spec.m)) * (t / samples)) for t in total]
 
 
 def test_shared_draw_matches_own_draws():
     # S at sigma^2 is sigma^2 times S at 1 up to rounding, and exactly at 1
     for m in (1, 2):
-        sym = HamiltonianSymbol(m, sample("sp_c", m, 0.3, 8))
+        actions = [AREA, quadratic(m, 0.3, 8)]
         specs = [MeasureSpec(nu=nu, steps=64, seed=6, variance_rule=rule, m=m)
                  for nu, rule in ((1.0, "nu"), (2.0, "nu_half"), (0.5, "two_nu"), (2.0, "nu"), (3.0, "nu_plus_log"))]
-        shared = estimate_actions(specs, [None, sym], samples=CHUNK + 1000)
+        shared = estimate_actions(specs, actions, samples=CHUNK + 1000)
         for spec, reps in zip(specs, shared):
-            own = own_draw_means(spec, [None, sym], CHUNK + 1000)
+            own = own_draw_means(spec, actions, CHUNK + 1000)
             for rep, want in zip(reps, own):
                 if spec.sigma2 == 1.0:
                     assert rep.mean == want
@@ -214,12 +210,12 @@ def test_shared_draw_matches_own_draws():
 
 
 def test_estimate_independent_of_the_specs_sharing_the_draw():
-    sym = HamiltonianSymbol(1, sample("sp_c", 1, 0.3, 8))
+    actions = [AREA, quadratic(1, 0.3, 8)]
     specs = [spec64(nu=nu, seed=6, rule=rule) for nu, rule in ((1.0, "nu"), (2.0, "two_nu"), (4.0, "nu"))]
-    together = estimate_actions(specs, [None, sym], samples=CHUNK + 1000)
-    reversed_ = estimate_actions(specs[::-1], [sym, None], samples=CHUNK + 1000)
+    together = estimate_actions(specs, actions, samples=CHUNK + 1000)
+    reversed_ = estimate_actions(specs[::-1], actions[::-1], samples=CHUNK + 1000)
     for i, spec in enumerate(specs):
-        alone = estimate_actions([spec], [None, sym], samples=CHUNK + 1000)[0]
+        alone = estimate_actions([spec], actions, samples=CHUNK + 1000)[0]
         for a, b, c in zip(together[i], reversed_[len(specs) - 1 - i][::-1], alone):
             assert a.mean == b.mean == c.mean and a.stderr == b.stderr == c.stderr and a.spec == spec
 
@@ -229,9 +225,9 @@ def test_shared_draw_needs_one_stream():
     for other in (MeasureSpec(nu=2.0, steps=32, seed=6), spec64(nu=2.0, seed=7),
                   MeasureSpec(nu=2.0, steps=64, seed=6, m=2)):
         with pytest.raises(ValueError):
-            estimate_actions([base, other], [None], samples=1000)
+            estimate_actions([base, other], [AREA], samples=1000)
     with pytest.raises(ValueError):
-        estimate_actions([], [None], samples=1000)
+        estimate_actions([], [AREA], samples=1000)
     for other in (MeasureSpec(nu=2.0, steps=32, seed=6), MeasureSpec(nu=2.0, steps=64, seed=6, m=2)):
         with pytest.raises(ValueError):
             gaussian_oracles([(base, QuadraticAction()), (other, QuadraticAction())])
@@ -247,8 +243,7 @@ def test_oracle_batch_matches_single_calls(m, monkeypatch):
     for k, (nu, rule) in enumerate(((1.0, "nu"), (2.5, "nu_half"), (4.0, "two_nu"), (0.7, "nu_plus_log"))):
         spec = MeasureSpec(nu=nu, steps=48, seed=k, variance_rule=rule, m=m)
         hmat = symbol_quadratic_matrix(HamiltonianSymbol(m, sample("sp_c", m, 2.0, 30 + k)))
-        pairs += [(spec, QuadraticAction()), (spec, QuadraticAction(hmatrix=hmat)),
-                  (spec, QuadraticAction(include_area=False, hmatrix=hmat))]
+        pairs += [(spec, QuadraticAction()), (spec, QuadraticAction(hmatrix=hmat))]
     single = [gaussian_oracle(spec, q) for spec, q in pairs]
     assert gaussian_oracles(pairs) == single
     assert gaussian_oracles(pairs[::-1]) == single[::-1]
@@ -258,12 +253,11 @@ def test_oracle_batch_matches_single_calls(m, monkeypatch):
 
 def test_mc_matches_oracle_within_stderr():
     for seed, with_sym in ((1, False), (2, True)):
-        sym = HamiltonianSymbol(1, sample("sp_c", 1, 0.25, 3)) if with_sym else None
-        q = QuadraticAction(hmatrix=symbol_quadratic_matrix(sym) if with_sym else None)
+        q = quadratic(1, 0.25, 3) if with_sym else AREA
         spec = spec64(nu=1.0, seed=seed)
         scale = np.exp(1.0)
         oracle = scale * gaussian_oracle(spec, q)
-        rep = estimate(spec, sym=sym, samples=20000)
+        [[rep]] = estimate_actions([spec], [q], samples=20000)
         assert abs(rep.mean - oracle) < 3 * rep.stderr
         # raw sample mean of a unit-modulus variable
         assert abs(rep.mean) / scale <= 1.0 + 3 * rep.stderr / scale
@@ -271,19 +265,19 @@ def test_mc_matches_oracle_within_stderr():
 
 def test_estimate_clt_scaling_and_independence():
     spec = spec64(nu=1.0, seed=11)
-    r1 = estimate(spec, samples=4000)
-    r2 = estimate(spec, samples=16000)
+    [[r1]] = estimate_actions([spec], [AREA], samples=4000)
+    [[r2]] = estimate_actions([spec], [AREA], samples=16000)
     assert 0.8 * 0.5 < r2.stderr / r1.stderr < 1.2 * 0.5
-    ra = estimate(spec64(nu=1.0, seed=100), samples=10000)
-    rb = estimate(spec64(nu=1.0, seed=200), samples=10000)
+    [[ra]] = estimate_actions([spec64(nu=1.0, seed=100)], [AREA], samples=10000)
+    [[rb]] = estimate_actions([spec64(nu=1.0, seed=200)], [AREA], samples=10000)
     assert abs(ra.mean - rb.mean) < 3 * np.hypot(ra.stderr, rb.stderr)
 
 
 def test_estimate_deterministic():
     spec = spec64(nu=1.0, seed=4)
-    sym = HamiltonianSymbol(1, sample("sp_c", 1, 0.3, 5))
-    r1 = estimate(spec, sym=sym, samples=5000)
-    r2 = estimate(spec, sym=sym, samples=5000)
+    q = quadratic(1, 0.3, 5)
+    [[r1]] = estimate_actions([spec], [q], samples=5000)
+    [[r2]] = estimate_actions([spec], [q], samples=5000)
     assert r1.mean == r2.mean and r1.stderr == r2.stderr
     assert isinstance(r1, EstimateReport) and r1.samples == 5000
 
@@ -401,12 +395,8 @@ def test_stratonovich_refinement_statistics():
     # line-integral values at K vs 2K on the same refined path: the mean
     # difference is O(1/K), the spread O(K^{-1/2})
     fine = MeasureSpec(nu=1.0, steps=128, seed=21)
-    diffs = []
-    for pts in sample_loops(fine, 0, 2000):
-        s_fine = line_integral_alpha(LoopPath(points=pts))
-        s_coarse = line_integral_alpha(LoopPath(points=pts[::2].copy()))
-        diffs.append(s_fine - s_coarse)
-    diffs = np.asarray(diffs)
+    loops = sample_loops(fine, 0, 2000)
+    diffs = loop_actions(loops, [AREA])[0] - loop_actions(loops[:, ::2], [AREA])[0]
     stderr = diffs.std(ddof=1) / np.sqrt(len(diffs))
     assert abs(diffs.mean()) < 3 * stderr + 2.0 / fine.steps
     assert diffs.std() < 3.0 / np.sqrt(fine.steps)

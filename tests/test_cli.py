@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -8,9 +9,11 @@ from typing import get_args, get_origin, get_type_hints
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import phaselab
 from phaselab import experiments
 from phaselab.cli import main
 from phaselab.experiments import EXPERIMENTS, MAX_ARRAY_BYTES, ConfigError, validate_config
+from phaselab.landau import Grid2D, flux_count, lanczos_bytes
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -184,7 +187,7 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("graph-limit", {"seed": 1, "m": 513}),
         ("fock-limit", {"seed": 1, "lemma_cutoff": 65}),
         ("fock-limit", {"seed": 1, "cutoff_cutoff": 63}),
-        ("fock-limit", {"seed": 1, "quad_grid": 513}),
+        ("fock-limit", {"seed": 1, "quad_grid": 1183}),
         ("pathint", {"seed": 1, "steps": 4096}),
         ("calibrate", {"seed": 1, "steps": 256, "m": 16}),
         ("landau", {"half_width": 916.0, "spacing": 1.0}),
@@ -198,6 +201,7 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("landau", {"strong_limit_nu_list": [-4]}),
         ("landau", {"strong_limit_nu_list": [0]}),
         ("landau", {"strong_limit_nu_list": []}),
+        ("landau", {"half_width": 64.0, "spacing": 0.25, "eig_count": 200000}),
     ],
     ids=[
         "pathint_empty_nu_list",
@@ -284,6 +288,7 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         "landau_negative_strong_limit_nu",
         "landau_zero_strong_limit_nu",
         "landau_empty_strong_limit_nu_list",
+        "landau_eig_count_beyond_lanczos_memory",
     ],
 )
 def test_out_of_range_parameters_exit_2_without_outputs(tmp_path, capsys, experiment, params):
@@ -435,17 +440,25 @@ def test_negative_seed_override_exits_2_without_outputs(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_perfbench(name, monkeypatch):
+    """perfbench/<name>.py, loaded by path without writing bytecode there."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def repo_configs(monkeypatch):
     """The checked-in configs, and the benchmark's at seeds 1-20 and its
     warm-ups."""
-    root = Path(__file__).resolve().parent.parent
-    configs = [json.loads(path.read_text()) for path in sorted((root / "configs").glob("*.json"))]
+    configs = [json.loads(path.read_text()) for path in sorted((ROOT / "configs").glob("*.json"))]
     assert len(configs) == len(EXPERIMENTS)
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_perfbench("workloads", monkeypatch)
     for w in workloads.WORKLOADS:
         configs += workloads.warmup_configs(w)
         for seed in range(1, 21):
@@ -458,6 +471,19 @@ def test_checked_in_and_benchmark_configs_validate(repo_configs):
     # a failed benchmark run
     for config in repo_configs:
         validate_config(config)
+
+
+@pytest.mark.parametrize("workload", ["pathint", "oracle", "landau", "battery"])
+def test_benchmark_checks_pass_on_its_configs(tmp_path, monkeypatch, workload):
+    # the benchmark checks every output with perfbench/checks.py, which calls
+    # the program's own names; a renamed or deleted one fails here, not as a
+    # failed benchmark run
+    workloads = load_perfbench("workloads", monkeypatch)
+    checker = load_perfbench("checks", monkeypatch).Checker(phaselab)
+    for config in workloads.configs(workload, 1):
+        cfg = write_config(tmp_path, config)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) in (0, 1)
+        assert checker(config, tmp_path / "out") == []
 
 
 # fields that no config sends but the benchmark's checks read from the report
@@ -477,11 +503,60 @@ def test_landau_grid_bound_is_the_csr_data_array():
     # 228.9 and 229 at the fixed strong-limit spacing 0.25); validation
     # only, nothing is allocated
     assert 16 * (5 * 1831**2 - 4 * 1831) <= MAX_ARRAY_BYTES < 16 * (5 * 1833**2 - 4 * 1833)
-    for params, key, fits, too_big in (({"spacing": 1.0, "eig_count": 2_000_000}, "half_width", 915.9, 916.0),
-                                       ({}, "strong_limit_half_width", 228.9, 229.0)):
-        validate_config({"experiment": "landau", "parameters": {**params, key: fits}})
-        with pytest.raises(ConfigError, match="3355443 points"):
-            validate_config({"experiment": "landau", "parameters": {**params, key: too_big}})
+    main_grid = {"spacing": 1.0, "eig_count": 2_000_000}
+    # on the side-1831 main grid the half width passes its range, and the
+    # eig_count, whose Lanczos basis would not fit, fails its own
+    with pytest.raises(ConfigError, match="parameter 'eig_count'"):
+        validate_config({"experiment": "landau", "parameters": {**main_grid, "half_width": 915.9}})
+    with pytest.raises(ConfigError, match="3355443 points"):
+        validate_config({"experiment": "landau", "parameters": {**main_grid, "half_width": 916.0}})
+    validate_config({"experiment": "landau", "parameters": {"strong_limit_half_width": 228.9}})
+    with pytest.raises(ConfigError, match="3355443 points"):
+        validate_config({"experiment": "landau", "parameters": {"strong_limit_half_width": 229.0}})
+
+
+def test_eig_count_bound_is_the_lanczos_basis():
+    # low_spectrum's largest sector has (npoints - 1) // 4 + 1 sites and asks
+    # ARPACK for at most 2 k_q + 1 complex Lanczos vectors: 14.5 MiB for the
+    # checked-in config, 132,099 MiB for eig_count 200000 on a side-513
+    # grid, where even the least eig_count that reaches level 1 needs
+    # 8,868 MiB; validation only, nothing is allocated
+    checked_in = Grid2D(8.0, 0.125)
+    assert lanczos_bytes(checked_in.npoints, 120) == 16 * 4161 * 229
+    validate_config({"experiment": "landau", "parameters": {"eig_count": 120}})
+    big = Grid2D(64.0, 0.25)
+    assert lanczos_bytes(big.npoints, 200_000) == 16 * 65793 * (2 * 65791 + 1)
+    least = math.ceil(flux_count(big)) + 2
+    assert least == 5218 and lanczos_bytes(big.npoints, least) > MAX_ARRAY_BYTES
+    for k in (least, 200_000):
+        with pytest.raises(ConfigError, match="parameter 'eig_count'.*lanczos_bytes"):
+            validate_config({"experiment": "landau", "parameters": {"half_width": 64.0, "spacing": 0.25, "eig_count": k}})
+
+
+def test_quad_grid_bound_is_the_amplitude_table():
+    # the quadrature rows run at Fock cutoff 12, so the 12 x grid^2 complex
+    # amplitude table fits at grid 1182 and not at 1183; validation only
+    assert experiments.QUAD_CUTOFF == 12
+    assert 16 * 12 * 1182**2 <= MAX_ARRAY_BYTES < 16 * 12 * 1183**2
+    validate_config({"experiment": "fock-limit", "parameters": {"seed": 1, "quad_grid": 1182}})
+    with pytest.raises(ConfigError, match="parameter 'quad_grid'.*to 1182"):
+        validate_config({"experiment": "fock-limit", "parameters": {"seed": 1, "quad_grid": 1183}})
+
+
+def read_csv_values(path):
+    return {row.split(",")[1]: float(row.split(",")[2]) for row in path.read_text().splitlines()[1:]}
+
+
+def test_calibrate_closed_form_cross_check_at_m(tmp_path):
+    # the cross-check row compares the table's own oracle at the smallest nu
+    # with the closed form (2 nu / (1 - e^{-2 nu}))^m at the configured m
+    params = {"seed": 5, "nu_list": [1, 2], "rules": ["nu"], "steps": 64, "samples": 1000, "m": 2}
+    cfg = write_config(tmp_path, {"experiment": "calibrate", "parameters": params})
+    main(["run", cfg, "--out", str(tmp_path)])
+    rows = read_csv_values(tmp_path / "calibrate_measurements.csv")
+    closed = (2.0 / (1 - math.exp(-2.0))) ** 2
+    want = abs(rows["oracle_nu_nu1"] - closed) / closed
+    assert rows["closed_form_cross_check"] == pytest.approx(want, rel=1e-12)
 
 
 def test_calibrate_reports_its_monte_carlo_spot_checks(tmp_path):
