@@ -543,17 +543,14 @@ def test_quad_grid_bound_is_the_amplitude_table():
         validate_config({"experiment": "fock-limit", "parameters": {"seed": 1, "quad_grid": 1183}})
 
 
-def read_csv_values(path):
-    return {row.split(",")[1]: float(row.split(",")[2]) for row in path.read_text().splitlines()[1:]}
-
-
 def test_calibrate_closed_form_cross_check_at_m(tmp_path):
     # the cross-check row compares the table's own oracle at the smallest nu
     # with the closed form (2 nu / (1 - e^{-2 nu}))^m at the configured m
     params = {"seed": 5, "nu_list": [1, 2], "rules": ["nu"], "steps": 64, "samples": 1000, "m": 2}
     cfg = write_config(tmp_path, {"experiment": "calibrate", "parameters": params})
     main(["run", cfg, "--out", str(tmp_path)])
-    rows = read_csv_values(tmp_path / "calibrate_measurements.csv")
+    lines = (tmp_path / "calibrate_measurements.csv").read_text().splitlines()[1:]
+    rows = {name: float(value) for _, name, value, *_ in (line.split(",") for line in lines)}
     closed = (2.0 / (1 - math.exp(-2.0))) ** 2
     want = abs(rows["oracle_nu_nu1"] - closed) / closed
     assert rows["closed_form_cross_check"] == pytest.approx(want, rel=1e-12)
