@@ -64,7 +64,6 @@ from .bridge import (
     VARIANCE_RULES,
     calibrate,
     estimate_actions,
-    gaussian_oracle,
     gaussian_oracles,
     symbol_quadratic_matrix,
 )
@@ -484,10 +483,10 @@ def run_calibrate(p: dict) -> RunReport:
     # closed form for the time-rescaled rule: (2 nu / (1 - e^{-2 nu}))^m.
     # The discrete-area error grows like nu^2/steps, so the continuum law is
     # checked at the smallest nu, where the discretization is well resolved.
-    min_nu, m = min(p["nu_list"]), p["m"]
-    spec = MeasureSpec(nu=float(min_nu), steps=p["steps"], seed=p["seed"], variance_rule="nu", m=m)
-    oracle = float(np.exp(min_nu * m)) * gaussian_oracle(spec, QuadraticAction())
-    closed = (2 * min_nu / (1 - np.exp(-2 * min_nu))) ** m
+    # The table holds it: ``rules`` must contain "nu".
+    min_nu = min(p["nu_list"])
+    oracle = next(r["oracle"] for r in table["rows"] if r["rule"] == "nu" and r["nu"] == min_nu)
+    closed = (2 * min_nu / (1 - np.exp(-2 * min_nu))) ** p["m"]
     checks.append(Check.le("closed_form_cross_check", abs(abs(oracle) - closed) / closed, 5e-3))
     any_near_one = any(table["near_one_at_max_nu"].values())
     checks.append(Check.report("any_rule_near_one", float(any_near_one)))
@@ -585,8 +584,9 @@ _EIG_COUNT = _range(lambda v, p: _eig_count_ok(v, Grid2D(p["half_width"], p["spa
                     "first excited level, at most landau.max_eig_count of its point count, and small enough that "
                     "low_spectrum's Lanczos basis (landau.lanczos_bytes) stays within 256 MiB")
 _STRONG_LIMIT_GRID = _fine_grid(lambda p: STRONG_LIMIT_SPACING, f"the spacing {STRONG_LIMIT_SPACING}")
-_RULES = _row_names("", _range(lambda v, p: len(v) > 0 and set(v) <= set(VARIANCE_RULES),
-                               f"a non-empty list of {sorted(VARIANCE_RULES)}"))
+_RULES = _row_names("", _range(lambda v, p: "nu" in v and set(v) <= set(VARIANCE_RULES),
+                               f"a list of {sorted(VARIANCE_RULES)} that holds 'nu', the rule of the "
+                               "closed-form cross-check"))
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -93,8 +93,8 @@ def landau_hamiltonian(grid: Grid2D) -> sp.csr_matrix:
 
 
 class SymmetryError(ValueError):
-    """The operator is not on a square grid, or does not commute with the
-    90-degree rotation of that grid."""
+    """The operator is not on a square grid, does not commute with the
+    90-degree rotation of that grid, or is not conjugated by its mirror."""
 
 
 class InertiaError(ArithmeticError):
@@ -106,10 +106,6 @@ class InertiaError(ArithmeticError):
 # RERUNS times.
 SECTOR_MARGIN = 4
 RERUNS = 3
-# Largest |Im d| / |Re d| over the pivots d of an inertia factorization: in
-# exact arithmetic every d is real, so Im d measures the rounding, and
-# beyond this bound it could flip the sign of Re d.
-PIVOT_RATIO_MAX = 1e-6
 # The cut sits in the first gap above the k-th value at least this wide,
 # relative to max |H_ij|: the rounding in the pivots is of order
 # eps max |H_ij|, and a narrower gap (the bulk of a Landau level is
@@ -120,18 +116,35 @@ SHIFT = -0.6
 # cluster_center's search window about a level, and the width of a cluster
 CLUSTER_WINDOW, CLUSTER_WIDTH = 0.45, 0.02
 _I_POWERS = np.array([1, 1j, -1, -1j])
+# a square root of each i^m, e^{i pi m / 4}
+_SQRT_I_POWERS = np.array([1, (1 + 1j) / np.sqrt(2), 1j, (-1 + 1j) / np.sqrt(2)])
+
+
+def _permutation(image: np.ndarray) -> sp.csr_matrix:
+    """The permutation matrix P with P e_a = e_{image[a]}."""
+    N = image.size
+    return sp.csr_matrix((np.ones(N), (image, np.arange(N))), shape=(N, N))
 
 
 def rotation_sectors(H: sp.spmatrix) -> list[sp.csc_matrix]:
-    """H restricted to the four eigenspaces of the 90-degree grid rotation R.
+    """H restricted to the four eigenspaces of the 90-degree grid rotation R,
+    each as a real symmetric matrix.
 
     The side of the grid is isqrt(N), with site (i, j) at index i*side + j,
-    and R maps (x, y) to (-y, x).  Entry q is B_q^H H B_q, where the columns
-    of B_q, one per orbit of R, are (1/2) sum_s i^{-qs} e_{R^s a} (a the
-    orbit's smallest index): R B_q = i^q B_q.  The sites fixed by R (the
-    centre of an odd grid) add unit columns to B_0.  The four spectra
+    and R maps (x, y) to (-y, x).  The columns b_a of B_q, one per orbit of
+    R, are (1/2) sum_s i^{-qs} e_{R^s a} (a the orbit's smallest index):
+    R B_q = i^q B_q.  The mirror F, (i, j) -> (i, side-1-j), has F R F = R^-1
+    and F H F^T = conj(H), so T = F K (K complex conjugation, T^2 = 1)
+    commutes with H and maps sector q to itself: T b_a = i^{q t(a)} b_{pi(a)}
+    where F a = R^{t(a)} pi(a) and pi is an involution on the orbits.  The
+    columns of W_q, sqrt(i^{q t(a)}) b_a for pi(a) = a and (b_a + T b_a)/sqrt 2,
+    i (b_a - T b_a)/sqrt 2 for a < pi(a), are fixed by T, so entry q,
+    (B_q W_q)^H H B_q W_q, is real; it is returned as float64 CSC, averaged
+    with its transpose against the rounding.  The sites fixed by R (the
+    centre of an odd grid) add unit columns to sector 0.  The four spectra
     together are the spectrum of H.  Raises ``SymmetryError`` unless N is a
-    square and R H R^T == H holds exactly.
+    square and R H R^T == H and F H F^T == conj(H) hold exactly, and if a
+    sector keeps a nonzero imaginary part.
     """
     N = H.shape[0]
     side = isqrt(N)
@@ -139,23 +152,42 @@ def rotation_sectors(H: sp.spmatrix) -> list[sp.csc_matrix]:
         raise SymmetryError(f"{N} points do not make a square grid")
     i, j = np.divmod(np.arange(N), side)
     s1 = (side - 1 - j) * side + i  # the index of R e_a
-    R = sp.csr_matrix((np.ones(N), (s1, np.arange(N))), shape=(N, N))
+    f = i * side + side - 1 - j  # the index of F e_a
+    R, F = _permutation(s1), _permutation(f)
     if (R @ H @ R.T != H).nnz:
         raise SymmetryError("H does not commute with the 90-degree grid rotation")
+    if (F @ H @ F.T != H.conj()).nnz:
+        raise SymmetryError("the grid mirror does not map H to its conjugate")
     orbit = [np.arange(N), s1, s1[s1], s1[s1[s1]]]
     reps = np.flatnonzero((orbit[0] < orbit[1]) & (orbit[0] < orbit[2]) & (orbit[0] < orbit[3]))
     fixed = np.flatnonzero(s1 == orbit[0])
     n = reps.size
+    # site R^s reps[c] lies in column c at power s
+    column, power = np.zeros(N, dtype=int), np.zeros(N, dtype=int)
+    for s, o in enumerate(orbit):
+        column[o[reps]], power[o[reps]] = np.arange(n), s
+    pi, t = column[f[reps]], power[f[reps]]
+    a = np.arange(n)
+    own, lo = np.flatnonzero(pi == a), np.flatnonzero(a < pi)
+    hi = pi[lo]
     rows = np.concatenate([o[reps] for o in orbit])
-    cols = np.tile(np.arange(n), 4)
+    cols = np.tile(a, 4)
+    w_rows = np.concatenate([own, lo, hi, lo, hi])
+    w_cols = np.concatenate([own, lo, lo, hi, hi])
+    centre = sp.csr_matrix((np.ones(fixed.size), (fixed, np.arange(fixed.size))), shape=(N, fixed.size))
     sectors = []
     for q in range(4):
-        vals = np.repeat(_I_POWERS[(-q * np.arange(4)) % 4], n) / 2
-        B = sp.csr_matrix((vals, (rows, cols)), shape=(N, n))
+        B = sp.csr_matrix((np.repeat(_I_POWERS[(-q * np.arange(4)) % 4], n) / 2, (rows, cols)), shape=(N, n))
+        phase, root_half = _I_POWERS[(q * t[lo]) % 4] / np.sqrt(2), np.full(lo.size, 1 / np.sqrt(2))
+        w_vals = np.concatenate([_SQRT_I_POWERS[(q * t[own]) % 4], root_half, phase, 1j * root_half, -1j * phase])
+        V = B @ sp.csr_matrix((w_vals, (w_rows, w_cols)), shape=(n, n))
         if q == 0 and fixed.size:
-            centre = sp.csr_matrix((np.ones(fixed.size), (fixed, np.arange(fixed.size))), shape=(N, fixed.size))
-            B = sp.hstack([B, centre], format="csr")
-        sectors.append((B.conj().T @ H @ B).tocsc())
+            V = sp.hstack([V, centre], format="csr")
+        Hq = (V.conj().T @ H @ V).tocsc()
+        if np.any(Hq.data.imag):
+            raise SymmetryError(f"sector {q} is not real: max |Im| = {np.abs(Hq.data.imag).max():.3g}")
+        Hq = Hq.real
+        sectors.append(((Hq + Hq.T) / 2).tocsc())
     return sectors
 
 
@@ -168,60 +200,69 @@ def max_eig_count(npoints: int) -> int:
 def lanczos_bytes(npoints: int, k: int) -> int:
     """The most bytes of Lanczos basis that ``low_spectrum`` asks for the
     lowest k on an npoints-site grid.  scipy's eigsh allocates an
-    n x max(2 k_q + 1, 20) complex basis for k_q values of an n-site sector
-    before it clips to n; k_q starts at ceil(k/4) + SECTOR_MARGIN and grows
-    by half on each of RERUNS reruns, to at most n - 2, and the largest
-    sector has (npoints - 1) // 4 + 1 sites."""
+    n x max(2 k_q + 1, 20) float64 basis for k_q values of an n-site real
+    sector before it clips to n; k_q starts at ceil(k/4) + SECTOR_MARGIN
+    and grows by half on each of RERUNS reruns, to at most n - 2, and the
+    largest sector has (npoints - 1) // 4 + 1 sites."""
     n = (npoints - 1) // 4 + 1
     kq = -(-k // 4) + SECTOR_MARGIN
     for _ in range(RERUNS):
         kq = min(kq + kq // 2, n - 2)
-    return 16 * n * max(2 * kq + 1, 20)
+    return 8 * n * max(2 * kq + 1, 20)
 
 
-def _sector_low(Hq: sp.csc_matrix, k: int) -> np.ndarray:
-    # a fixed complex normal start vector, so that a run repeats exactly
-    rng = np.random.default_rng(0)
-    v0 = rng.normal(size=Hq.shape[0]) + 1j * rng.normal(size=Hq.shape[0])
-    vals = spla.eigsh(Hq, k=k, sigma=SHIFT, which="LM", v0=v0, return_eigenvectors=False)
-    return np.sort(vals.real)
-
-
-def count_below(Hq: sp.spmatrix, cut: float) -> int:
-    """The number of eigenvalues of the Hermitian Hq below ``cut``, by
-    Sylvester's law of inertia.
-
-    With the same row and column permutation P, P (Hq - cut I) P^T = L U
-    with L unit lower triangular is the congruence L D L^H, D = diag(U), so
-    Hq - cut I and D have the same number of negative values.  The
-    factorization does not pivot for stability, so raises ``InertiaError``
-    when it pivots off the diagonal, meets a zero pivot, or has a pivot whose
-    |Im d| / |Re d| exceeds ``PIVOT_RATIO_MAX``.
-    """
-    shifted = (Hq - cut * sp.identity(Hq.shape[0], format="csc")).tocsc()
+def _factor(Hq: sp.csc_matrix, shift: float) -> spla.SuperLU:
+    """The sparse LU of the real symmetric Hq - shift I with one row and
+    column permutation: minimum degree on the pattern of A^T + A, diagonal
+    pivots only.  Raises ``TypeError`` for a complex Hq, and
+    ``InertiaError`` on a zero pivot or one off the diagonal."""
+    if np.iscomplexobj(Hq.data):
+        raise TypeError(f"a real symmetric sector is needed, not {Hq.dtype}")
+    shifted = (Hq - shift * sp.identity(Hq.shape[0], format="csc")).tocsc()
     try:
         lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
-        raise InertiaError(f"no inertia count at cut {cut}: {exc}") from exc
+        raise InertiaError(f"no factorization at shift {shift}: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise InertiaError(f"the factorization at cut {cut} pivoted off the diagonal")
-    d = lu.U.diagonal()
-    ratio = np.max(np.abs(d.imag) / np.abs(d.real))
-    if not ratio <= PIVOT_RATIO_MAX:
-        raise InertiaError(f"pivot |Im d|/|Re d| = {ratio:.3g} at cut {cut} exceeds {PIVOT_RATIO_MAX:g}")
-    return int(np.sum(d.real < 0))
+        raise InertiaError(f"the factorization at shift {shift} pivoted off the diagonal")
+    return lu
+
+
+def _sector_low(Hq: sp.csc_matrix, k: int) -> np.ndarray:
+    n = Hq.shape[0]
+    solve = spla.LinearOperator((n, n), matvec=_factor(Hq, SHIFT).solve, dtype=float)
+    # a fixed real normal start vector, so that a run repeats exactly
+    v0 = np.random.default_rng(0).normal(size=n)
+    vals = spla.eigsh(Hq, k=k, sigma=SHIFT, which="LM", v0=v0, OPinv=solve, return_eigenvectors=False)
+    return np.sort(vals)
+
+
+def count_below(Hq: sp.spmatrix, cut: float) -> int:
+    """The number of eigenvalues of the real symmetric Hq below ``cut``, by
+    Sylvester's law of inertia.
+
+    With the same row and column permutation P, P (Hq - cut I) P^T = L U
+    with L unit lower triangular is the congruence L D L^T, D = diag(U), so
+    Hq - cut I and D have the same number of negative values.  ``_factor``
+    does not pivot for stability, so raises ``InertiaError`` when it
+    pivots off the diagonal or meets a zero pivot, and ``TypeError`` for a
+    complex Hq, whose pivots numpy's complex ordering would misread.
+    """
+    return int(np.sum(_factor(Hq, cut).U.diagonal() < 0))
 
 
 def low_spectrum(H: sp.csr_matrix, k: int) -> np.ndarray:
     """Lowest k eigenvalues of a rotation-symmetric grid operator, by
     shift-invert Lanczos (about SHIFT, below the spectrum) in each rotation sector.
 
-    ``rotation_sectors`` splits H into four blocks of about N/4 (raising
-    ``SymmetryError`` for a non-square N or an H that does not commute with
-    the rotation).  Each block gives its lowest ceil(k/4) + SECTOR_MARGIN
-    values, from a fixed start vector, so a run repeats exactly; the lowest
-    k of the merged values are the result.  They are certified by a cut
+    ``rotation_sectors`` splits H into four real symmetric blocks of about
+    N/4 (raising ``SymmetryError`` for a non-square N, or an H that does not
+    commute with the rotation or that the mirror does not conjugate).  Each
+    block gives its lowest ceil(k/4) + SECTOR_MARGIN values by symmetric
+    Lanczos on the solves of one ``_factor`` at SHIFT, from a fixed real
+    start vector, so a run repeats exactly; the lowest k of the merged
+    values are the result.  They are certified by a cut
     halfway across the first gap between consecutive merged values, from the
     k-th on, that is at least CUT_GAP_MIN max |H_ij| wide (mostly the gap
     between the k-th and (k+1)-th): in every sector the inertia count below

@@ -202,6 +202,7 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("landau", {"strong_limit_nu_list": [0]}),
         ("landau", {"strong_limit_nu_list": []}),
         ("landau", {"half_width": 64.0, "spacing": 0.25, "eig_count": 200000}),
+        ("calibrate", {"seed": 1, "rules": ["two_nu"]}),
     ],
     ids=[
         "pathint_empty_nu_list",
@@ -289,6 +290,7 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         "landau_zero_strong_limit_nu",
         "landau_empty_strong_limit_nu_list",
         "landau_eig_count_beyond_lanczos_memory",
+        "calibrate_rules_without_nu",
     ],
 )
 def test_out_of_range_parameters_exit_2_without_outputs(tmp_path, capsys, experiment, params):
@@ -517,15 +519,15 @@ def test_landau_grid_bound_is_the_csr_data_array():
 
 def test_eig_count_bound_is_the_lanczos_basis():
     # low_spectrum's largest sector has (npoints - 1) // 4 + 1 sites and asks
-    # ARPACK for at most 2 k_q + 1 complex Lanczos vectors: 14.5 MiB for the
-    # checked-in config, 132,099 MiB for eig_count 200000 on a side-513
+    # ARPACK for at most 2 k_q + 1 float64 Lanczos vectors: 7.3 MiB for the
+    # checked-in config, 66,050 MiB for eig_count 200000 on a side-513
     # grid, where even the least eig_count that reaches level 1 needs
-    # 8,868 MiB; validation only, nothing is allocated
+    # 4,434 MiB; validation only, nothing is allocated
     checked_in = Grid2D(8.0, 0.125)
-    assert lanczos_bytes(checked_in.npoints, 120) == 16 * 4161 * 229
+    assert lanczos_bytes(checked_in.npoints, 120) == 8 * 4161 * 229
     validate_config({"experiment": "landau", "parameters": {"eig_count": 120}})
     big = Grid2D(64.0, 0.25)
-    assert lanczos_bytes(big.npoints, 200_000) == 16 * 65793 * (2 * 65791 + 1)
+    assert lanczos_bytes(big.npoints, 200_000) == 8 * 65793 * (2 * 65791 + 1)
     least = math.ceil(flux_count(big)) + 2
     assert least == 5218 and lanczos_bytes(big.npoints, least) > MAX_ARRAY_BYTES
     for k in (least, 200_000):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -38,7 +40,8 @@ def test_rotation_sectors_split_the_spectrum():
     sectors = rotation_sectors(H)
     assert [Hq.shape[0] for Hq in sectors] == [(N - 1) // 4 + 1] + [(N - 1) // 4] * 3
     for Hq in sectors:
-        assert abs(Hq - Hq.getH()).max() < 1e-14
+        # real symmetric, entry for entry
+        assert Hq.dtype == np.float64 and (Hq != Hq.T).nnz == 0
     split = np.sort(np.concatenate([np.linalg.eigvalsh(Hq.toarray()) for Hq in sectors]))
     assert np.max(np.abs(split - np.linalg.eigvalsh(H.toarray()))) < 1e-10
 
@@ -53,10 +56,14 @@ def test_inertia_count_matches_dense_count():
     cluster = w[(w > 0.98) & (w < 1.0)]
     i = np.argmin(np.diff(cluster))
     assert cluster[i + 1] - cluster[i] < 1e-4
+    # the real form [[Re H, -Im H], [Im H, Re H]] holds each eigenvalue of H
+    # twice; its inertia count does not pass through rotation_sectors (a
+    # dense eigvalsh of this H takes about 30 s and 600 MiB)
+    real_form = sp.bmat([[H.real, -H.imag], [H.imag, H.real]], format="csc")
     for cut in (-0.1, 0.5, (cluster[i] + cluster[i + 1]) / 2, 0.9903, 1.2):
         counts = [count_below(Hq, cut) for Hq in sectors]
         assert counts == [int(np.sum(d < cut)) for d in dense]
-        assert count_below(H, cut) == sum(counts)
+        assert count_below(real_form, cut) == 2 * sum(counts)
 
 
 @pytest.mark.parametrize("k", [3, 36])
@@ -119,17 +126,37 @@ def test_sector_short_on_every_run_raises(monkeypatch):
     assert len(runs) == 4 + landau.RERUNS
 
 
-def test_inertia_pivot_guards(monkeypatch):
-    # a complex pivot: Im d / Re d = 1e-3
-    with pytest.raises(InertiaError, match="pivot"):
-        count_below(sp.diags([1 + 1e-3j, -1.0], format="csc"), 0.0)
+def test_inertia_pivot_guards():
     # a zero pivot: the cut is an eigenvalue
-    with pytest.raises(InertiaError):
-        count_below(sp.diags([1.0, 2.0], format="csc", dtype=complex), 1.0)
-    # the guard holds inside low_spectrum: no pivot is free of rounding
-    monkeypatch.setattr(landau, "PIVOT_RATIO_MAX", 0.0)
-    with pytest.raises(InertiaError, match="pivot"):
-        low_spectrum(landau_hamiltonian(small_grid()), k=24)
+    with pytest.raises(InertiaError, match="no factorization at shift 1.0"):
+        count_below(sp.diags([1.0, 2.0], format="csc"), 1.0)
+    assert count_below(sp.diags([1.0, 2.0], format="csc"), 1.5) == 1
+
+
+def test_count_below_refuses_complex_matrices():
+    # numpy orders complex pivots lexicographically, which is no inertia
+    with pytest.raises(TypeError, match="complex"):
+        count_below(sp.diags([1.0, -1.0], format="csc", dtype=complex), 0.0)
+
+
+def test_one_factorization_per_sector_and_shift(monkeypatch):
+    # eigsh factors A - sigma I itself unless given OPinv; it calls the splu
+    # that its own module imported, so that one is counted too
+    arpack = sys.modules[landau.spla.eigsh.__module__]
+    calls, shifts = [], []
+    original_splu, original_factor = landau.spla.splu, landau._factor
+
+    def counting_splu(A, *args, **kwargs):
+        calls.append(A.shape)
+        return original_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(landau.spla, "splu", counting_splu)
+    monkeypatch.setattr(arpack, "splu", counting_splu)
+    monkeypatch.setattr(landau, "_factor", lambda Hq, shift: shifts.append(shift) or original_factor(Hq, shift))
+    low_spectrum(landau_hamiltonian(Grid2D(2.0, 0.125)), k=12)  # no sector reruns
+    assert len(calls) == 8 == len(shifts)
+    assert shifts[:4] == [landau.SHIFT] * 4
+    assert len(set(shifts[4:])) == 1 and shifts[4] > landau.SHIFT
 
 
 def test_low_spectrum_rejects_asymmetric_operators():
@@ -139,6 +166,14 @@ def test_low_spectrum_rejects_asymmetric_operators():
     H[0, 0] += 1e-12  # still Hermitian, no longer rotation-symmetric
     with pytest.raises(SymmetryError, match="rotation"):
         low_spectrum(H.tocsr(), k=4)
+    # eps I J (I^2 - J^2), in site coordinates centred on the grid, keeps the
+    # rotation (I, J) -> (-J, I) exactly and changes sign under J -> -J
+    g = small_grid()
+    I, J = np.divmod(np.arange(g.npoints), g.side) - np.array(g.side // 2)
+    potential = 1e-3 * (I * J * (I**2 - J**2))
+    assert np.any(potential)
+    with pytest.raises(SymmetryError, match="mirror"):
+        rotation_sectors(landau_hamiltonian(g) + sp.diags(potential))
     with pytest.raises(ValueError, match="outside"):
         low_spectrum(landau_hamiltonian(small_grid()), k=landau.max_eig_count(1089) + 1)
 
