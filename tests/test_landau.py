@@ -131,6 +131,9 @@ def test_inertia_pivot_guards():
     with pytest.raises(InertiaError, match="no factorization at shift 1.0"):
         count_below(sp.diags([1.0, 2.0], format="csc"), 1.0)
     assert count_below(sp.diags([1.0, 2.0], format="csc"), 1.5) == 1
+    # a zero diagonal: the only pivot is off it
+    with pytest.raises(InertiaError, match="pivoted off the diagonal"):
+        count_below(sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]]), 0.0)
 
 
 def test_count_below_refuses_complex_matrices():
@@ -169,7 +172,8 @@ def test_low_spectrum_rejects_asymmetric_operators():
     # eps I J (I^2 - J^2), in site coordinates centred on the grid, keeps the
     # rotation (I, J) -> (-J, I) exactly and changes sign under J -> -J
     g = small_grid()
-    I, J = np.divmod(np.arange(g.npoints), g.side) - np.array(g.side // 2)
+    i, j = np.divmod(np.arange(g.npoints), g.side)
+    I, J = i - g.side // 2, j - g.side // 2
     potential = 1e-3 * (I * J * (I**2 - J**2))
     assert np.any(potential)
     with pytest.raises(SymmetryError, match="mirror"):
