@@ -32,7 +32,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cones import symbol_quadratic_matrix  # noqa: F401  re-exported
+# the benchmark's pathint checks read bridge.symbol_quadratic_matrix
+from .cones import symbol_quadratic_matrix  # noqa: F401
 from .linalg import ShapeError
 
 # smallest step count of a measure and sample count of an estimate; config
@@ -253,45 +254,3 @@ def gaussian_oracles(pairs: Sequence[tuple[MeasureSpec, QuadraticAction]]) -> li
         values += [complex(np.exp(-0.5 * np.sum(t))) for t in terms]
     return values
 
-
-def calibrate(
-    nu_list: Sequence[float],
-    rules: Sequence[str],
-    steps: int,
-    samples: int,
-    seed: int,
-    m: int = 1,
-) -> dict:
-    """Normalization study for the scaled estimator with the bare area action.
-
-    For each variance rule and nu, tabulates the exact oracle value of
-    e^{nu m} E[e^{i S_0}], with a Monte Carlo spot check at the first nu
-    of each rule: one oracle batch for the table and one shared draw for
-    the spot checks.  Reports whether any rule lands within 0.1 of 1 at the
-    largest nu.  Documents the reference-measure normalization gap; asserts
-    nothing about any limit.
-    """
-    specs = [[MeasureSpec(nu=float(nu), steps=steps, seed=seed, variance_rule=rule, m=m) for nu in nu_list]
-             for rule in rules]
-    area = QuadraticAction()
-    oracles = iter(gaussian_oracles([(spec, area) for row in specs for spec in row]))
-    spot = estimate_actions([row[0] for row in specs], [area], samples)
-    rows = []
-    for row_specs, (rep,) in zip(specs, spot):
-        for k, spec in enumerate(row_specs):
-            oracle = float(np.exp(spec.nu * m)) * next(oracles)
-            row = {
-                "rule": spec.variance_rule,
-                "nu": spec.nu,
-                "oracle": oracle,
-                "abs_dev_from_one": abs(oracle - 1.0),
-            }
-            if k == 0:
-                row["mc_mean"] = rep.mean
-                row["mc_stderr"] = rep.stderr
-            rows.append(row)
-    max_nu = max(nu_list)
-    achieved = {
-        r["rule"]: r["abs_dev_from_one"] < 0.1 for r in rows if r["nu"] == max_nu
-    }
-    return {"rows": rows, "near_one_at_max_nu": achieved}

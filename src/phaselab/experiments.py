@@ -24,6 +24,7 @@ from .cones import (
     make_structural,
     po_decompose,
     sample,
+    symbol_quadratic_matrix,
 )
 from .fock import (
     QUAD_MAX_OCC,
@@ -62,20 +63,18 @@ from .bridge import (
     MeasureSpec,
     QuadraticAction,
     VARIANCE_RULES,
-    calibrate,
     estimate_actions,
     gaussian_oracles,
-    symbol_quadratic_matrix,
 )
 from .linalg import expm, subspace_gap
 from .relations import (
     PotapovMatrix,
     compose,
+    graph_limit_gaps,
     graph_of,
     is_Unn,
     is_symplectic_rel,
     ker_indef,
-    limit_graph,
     make_Nb,
     potapov_inverse,
     potapov_matrix,
@@ -270,12 +269,8 @@ def run_graph_limit(p: dict) -> RunReport:
     monotone = True
     structure_ok = True
     for i in range(p["samples"]):
-        A = sample("sp_c", 2 * m, 1.0, p["seed"] + i)
-        P = limit_graph(A, m)
+        P, gaps = graph_limit_gaps(sample("sp_c", 2 * m, 1.0, p["seed"] + i), m, nu_list)
         structure_ok &= is_Unn(P, S).flag and is_symplectic_rel(P, S)
-        gaps = [
-            subspace_gap(graph_of(expm(A + nu * Nb)).frame, P.frame) for nu in nu_list
-        ]
         monotone &= all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
         worst = np.maximum(worst, gaps)
     checks = [
@@ -463,38 +458,47 @@ def run_pathint(p: dict) -> RunReport:
 
 
 # ---------------------------------------------------------------------------
-# calibrate: reference-measure normalization study (report-only)
+# calibrate: reference-measure normalization study (report-only).  For each
+# variance rule and nu, the exact oracle value of e^{nu m} E[e^{i S_0}] for
+# the bare area action, from one oracle batch, and a Monte Carlo spot check
+# at each rule's first nu, from one shared draw.  Documents the normalization
+# gap of the reference measure; asserts nothing about any limit.
 
 def run_calibrate(p: dict) -> RunReport:
+    m, nus = p["m"], p["nu_list"]
+    specs = [MeasureSpec(nu=float(nu), steps=p["steps"], seed=p["seed"], variance_rule=rule, m=m)
+             for rule in p["rules"] for nu in nus]
+    firsts = specs[::len(nus)]
+    area = QuadraticAction()
+
+    def table():
+        oracles = gaussian_oracles([(spec, area) for spec in specs])
+        spot = estimate_actions(firsts, [area], p["samples"])
+        return [float(np.exp(spec.nu * m)) * v for spec, v in zip(specs, oracles)], [rep for (rep,) in spot]
+
     # run twice: the table must repeat exactly
-    table, table2 = (calibrate(p["nu_list"], p["rules"], p["steps"], p["samples"], p["seed"], m=p["m"]) for _ in range(2))
-    deterministic = all(
-        r1["oracle"] == r2["oracle"] and r1.get("mc_mean") == r2.get("mc_mean")
-        for r1, r2 in zip(table["rows"], table2["rows"])
-    )
+    (scaled, spot), (scaled2, spot2) = table(), table()
+    deterministic = scaled == scaled2 and [r.mean for r in spot] == [r.mean for r in spot2]
     checks = [Check.ge("table_deterministic", float(deterministic), 1.0)]
-    for row in table["rows"]:
-        checks.append(
-            Check.report(f"oracle_{row['rule']}_nu{row['nu']:g}", abs(row["oracle"]))
-        )
-        checks.append(
-            Check.report(f"dev_from_one_{row['rule']}_nu{row['nu']:g}", row["abs_dev_from_one"])
-        )
+    for spec, v in zip(specs, scaled):
+        checks.append(Check.report(f"oracle_{spec.variance_rule}_nu{spec.nu:g}", abs(v)))
+        checks.append(Check.report(f"dev_from_one_{spec.variance_rule}_nu{spec.nu:g}", abs(v - 1.0)))
     # closed form for the time-rescaled rule: (2 nu / (1 - e^{-2 nu}))^m.
     # The discrete-area error grows like nu^2/steps, so the continuum law is
     # checked at the smallest nu, where the discretization is well resolved.
     # The table holds it: ``rules`` must contain "nu".
-    min_nu = min(p["nu_list"])
-    oracle = next(r["oracle"] for r in table["rows"] if r["rule"] == "nu" and r["nu"] == min_nu)
-    closed = (2 * min_nu / (1 - np.exp(-2 * min_nu))) ** p["m"]
+    min_nu = min(nus)
+    oracle = next(v for spec, v in zip(specs, scaled) if spec.variance_rule == "nu" and spec.nu == min_nu)
+    closed = (2 * min_nu / (1 - np.exp(-2 * min_nu))) ** m
     checks.append(Check.le("closed_form_cross_check", abs(abs(oracle) - closed) / closed, 5e-3))
-    any_near_one = any(table["near_one_at_max_nu"].values())
-    checks.append(Check.report("any_rule_near_one", float(any_near_one)))
+    # whether any rule lands within 0.1 of 1 at the largest nu
+    near_one = any(abs(v - 1.0) < 0.1 for spec, v in zip(specs, scaled) if spec.nu == max(nus))
+    checks.append(Check.report("any_rule_near_one", float(near_one)))
     # the Monte Carlo spot checks, as pathint reports them
-    for row in (r for r in table["rows"] if "mc_mean" in r):
-        tag = f"{row['rule']}_nu{row['nu']:g}"
-        checks.append(Check.report(f"mc_vs_oracle_{tag}_in_stderr", abs(row["mc_mean"] - row["oracle"]) / row["mc_stderr"]))
-        checks.append(Check.report(f"mc_stderr_{tag}", row["mc_stderr"]))
+    for spec, v, rep in zip(firsts, scaled[::len(nus)], spot):
+        tag = f"{spec.variance_rule}_nu{spec.nu:g}"
+        checks.append(Check.report(f"mc_vs_oracle_{tag}_in_stderr", abs(rep.mean - v) / rep.stderr))
+        checks.append(Check.report(f"mc_stderr_{tag}", rep.stderr))
     return RunReport("calibrate", p, checks)
 
 

@@ -41,6 +41,8 @@ SAFE_BAND_MASS = 1e-2
 QUAD_MAX_OCC = 3
 # vacuum_expectation quantizes the clipped symbol on this disc and lattice
 CLIP_RADIUS, CLIP_GRID = 8.0, 320
+# vacuum_expectation's values at cutoffs D and D + 2 agree within this
+VACUUM_GUARD = 1e-4
 
 
 @dataclass(frozen=True)
@@ -393,21 +395,20 @@ def resolution_check(space: FockSpace, radius: float, grid: int) -> float:
     return float(np.linalg.norm(P @ (Q - E_b) @ P, 2))
 
 
-def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol, tau: float | None = None, *,
-                       guard: float | None = 1e-4) -> complex:
+def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol, tau: float | None = None) -> complex:
     """<Omega_0 | exp(E_b h_A(Z) E_b) Omega_0>, or with h_A replaced by the
     quadrature quantization of the tau-clipped symbol.
 
     The modulus never exceeds 1 (the compressed generator is skew-adjoint on
-    the b-vacuum sector).  With ``guard`` set, the value is recomputed at
-    cutoff + 2 and must agree within the guard, else ConvergenceGuardError.
+    the b-vacuum sector).  The value is recomputed at cutoff + 2 and must
+    agree within VACUUM_GUARD, else ConvergenceGuardError.
     The quadrature route runs once, at the larger cutoff: its amplitude
     table at cutoff D is the first D rows of the table at D + 2, so the
     sector generator at D is the leading D x D block of the one at D + 2.
     """
     _require_single_mode(space)
     D = space.cutoff
-    cutoffs = (D, D + 2) if guard is not None else (D,)
+    cutoffs = (D, D + 2)
     spaces = [FockSpace(space.m, c) for c in cutoffs]
     if tau is None:
         gens = [_sector(sp, h_A_operator(sp, sym)) for sp in spaces]
@@ -418,9 +419,8 @@ def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol, tau: float | No
         top = -1j * _sector(sp, Q)
         gens = [top[:c, :c] for c in cutoffs]
     # the vacuum is the sector's first basis state
-    val, *rest = (complex(expm(G)[0, 0]) for G in gens)
-    if rest:
-        delta = abs(val - rest[0])
-        if delta >= guard:
-            raise ConvergenceGuardError(delta, guard)
+    val, val2 = (complex(expm(G)[0, 0]) for G in gens)
+    delta = abs(val - val2)
+    if delta >= VACUUM_GUARD:
+        raise ConvergenceGuardError(delta, VACUUM_GUARD)
     return val

@@ -344,12 +344,13 @@ def limit_graph(A, m: int) -> LinearRelation:
     return relation_from_span(np.array(cols).T, 2 * m)
 
 
-def graph_limit_gap(A, m: int, nu: float) -> float:
-    """Convergence diagnostic: gap(graph(e^{A + nu N_b}), limit_graph(A)).
+def graph_limit_gaps(A, m: int, nu_list) -> tuple[LinearRelation, list[float]]:
+    """Convergence diagnostic: the limit relation P = limit_graph(A) and
+    gap(graph(e^{A + nu N_b}), P) for each nu of ``nu_list``.
 
     Decays like ||A||/nu for generic A (exponentially only when A commutes
     with N_b^2).
     """
-    Nb = make_Nb(m)
-    g = graph_of(expm(as_cmatrix(A) + nu * Nb))
-    return subspace_gap(g.frame, limit_graph(A, m).frame)
+    A, Nb = as_cmatrix(A), make_Nb(m)
+    P = limit_graph(A, m)
+    return P, [subspace_gap(graph_of(expm(A + nu * Nb)).frame, P.frame) for nu in nu_list]

@@ -12,9 +12,13 @@ tolerances and are expected to fail; everything else passes.
 import json
 from pathlib import Path
 
+import pytest
+
+from phaselab.cli import write_outputs
 from phaselab.experiments import run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # wall-time budgets: the sum of the stated per-criterion limits covered by
 # each experiment config
@@ -222,3 +226,15 @@ def test_criterion_16_calibration_study():
         f"closed-form dev {closed.value:.2e}; no rule near 1: {check(rep, 'any_rule_near_one').value == 0.0}",
     )
     assert rep.wall_time < TIME_BUDGETS["calibrate"]
+
+
+@pytest.mark.parametrize("name", sorted(TIME_BUDGETS))
+def test_csv_matches_golden(name, tmp_path):
+    # the CSV of each checked-in config, formatted from the cached report,
+    # is byte-identical to the one committed under tests/golden
+    _, csv_path = write_outputs(report_for(name), tmp_path)
+    assert csv_path.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes(), (
+        f"configs/{name}.json no longer writes tests/golden/{name}.csv byte for byte.  The golden "
+        "bytes belong to the numpy and OpenBLAS build of the host that wrote them; another build "
+        "may move the last bits of a value.  If a value moved on purpose, rewrite the file with "
+        f"`phaselab run configs/{name}.json` and state the largest move in CHANGES.md.")

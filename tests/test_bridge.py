@@ -8,7 +8,6 @@ from phaselab.bridge import (
     MeasureSpec,
     QuadraticAction,
     CHUNK,
-    calibrate,
     discrete_quadratic_form,
     estimate_actions,
     gaussian_oracle,
@@ -400,14 +399,3 @@ def test_stratonovich_refinement_statistics():
     stderr = diffs.std(ddof=1) / np.sqrt(len(diffs))
     assert abs(diffs.mean()) < 3 * stderr + 2.0 / fine.steps
     assert diffs.std() < 3.0 / np.sqrt(fine.steps)
-
-
-def test_calibrate_table():
-    out = calibrate([1.0, 2.0], ["nu", "two_nu"], 64, 2000, seed=3)
-    out2 = calibrate([1.0, 2.0], ["nu", "two_nu"], 64, 2000, seed=3)
-    assert [r["oracle"] for r in out["rows"]] == [r["oracle"] for r in out2["rows"]]
-    assert set(out["near_one_at_max_nu"]) == {"nu", "two_nu"}
-    assert all(np.isfinite(abs(r["oracle"])) for r in out["rows"])
-    # the literal time-rescaling rule drifts away from 1 like 2 nu
-    nu_rows = [r for r in out["rows"] if r["rule"] == "nu"]
-    assert nu_rows[-1]["abs_dev_from_one"] > 1.0

@@ -576,6 +576,20 @@ def test_calibrate_reports_its_monte_carlo_spot_checks(tmp_path):
     assert float(tail[0][2]) <= 6.0 and float(tail[1][2]) > 0
 
 
+def test_calibrate_table():
+    rep = experiments.run_experiment({"experiment": "calibrate", "parameters": {
+        "seed": 3, "nu_list": [1.0, 2.0], "rules": ["nu", "two_nu"], "steps": 64, "samples": 2000}})
+    rows = {c.name: c for c in rep.checks}
+    # the table runs twice and repeats exactly
+    assert rows["table_deterministic"].passed
+    assert [name for name in rows if name.startswith("oracle_")] == [
+        "oracle_nu_nu1", "oracle_nu_nu2", "oracle_two_nu_nu1", "oracle_two_nu_nu2"]
+    assert all(math.isfinite(c.value) for name, c in rows.items() if name.startswith("oracle_"))
+    assert rows["any_rule_near_one"].comparator == "report"
+    # the literal time-rescaling rule drifts away from 1 like 2 nu
+    assert rows["dev_from_one_nu_nu2"].value > 1.0
+
+
 def test_run_writes_report_and_csv(tmp_path, capsys):
     cfg = write_config(tmp_path, small_membership())
     out_dir = tmp_path / "out"

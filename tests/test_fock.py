@@ -8,6 +8,7 @@ from phaselab.fock import (
     ConvergenceGuardError,
     FockSpace,
     TruncationError,
+    VACUUM_GUARD,
     annihilator,
     antinormal_quantize,
     band_projector,
@@ -200,7 +201,7 @@ def test_sector_expm_matches_full_space():
     vac = vacuum_state(space)
     G = antinormal_quantize(space, h_A_operator(space, s))
     want = vac.conj() @ expm(G) @ vac
-    assert abs(vacuum_expectation(space, s, None, guard=None) - want) < 1e-13
+    assert abs(vacuum_expectation(space, s, None) - want) < 1e-13
 
 
 def test_coherent_amplitude_table():
@@ -413,16 +414,15 @@ def test_vacuum_expectation():
 
 
 def test_vacuum_expectation_guard_trips():
-    space = FockSpace(1, 6)
+    # the values at cutoffs 6 and 8 differ by 4.0e-4
     s = sym1(40, 2.5)
     with pytest.raises(ConvergenceGuardError) as err:
-        vacuum_expectation(space, s, None, guard=1e-8)
-    assert err.value.guard == 1e-8 and err.value.delta >= 1e-8
-    # the quadrature route checks its leading block against the whole one
+        vacuum_expectation(FockSpace(1, 6), s, None)
+    assert err.value.guard == VACUUM_GUARD == 1e-4 and err.value.delta >= VACUUM_GUARD
+    # the quadrature route checks its leading block against the whole one:
+    # at tau = 8 the blocks of cutoffs 4 and 6 differ by 1.5e-3
     with pytest.raises(ConvergenceGuardError):
-        vacuum_expectation(space, s, 4.0, guard=1e-8)
-    # with the guard off no second cutoff is compared
-    assert abs(vacuum_expectation(space, s, 4.0, guard=None)) <= 1.0 + 1e-9
+        vacuum_expectation(FockSpace(1, 4), s, 8.0)
 
 
 def test_space_validation():

@@ -126,6 +126,18 @@ def test_sector_short_on_every_run_raises(monkeypatch):
     assert len(runs) == 4 + landau.RERUNS
 
 
+def test_no_wide_gap_reruns_every_sector_then_raises(monkeypatch):
+    # no gap between merged values is max |H_ij| wide, so no cut is placed
+    # and all four sectors rerun, RERUNS times, before the error
+    monkeypatch.setattr(landau, "CUT_GAP_MIN", 1.0)
+    runs = []
+    sector_low = landau._sector_low
+    monkeypatch.setattr(landau, "_sector_low", lambda Hq, k: runs.append(k) or sector_low(Hq, k))
+    with pytest.raises(InertiaError, match=rf"sectors \[0, 1, 2, 3\] .*\(no gap of .* after {landau.RERUNS} reruns"):
+        low_spectrum(landau_hamiltonian(Grid2D(2.0, 0.125)), k=12)
+    assert len(runs) == 4 * (1 + landau.RERUNS)
+
+
 def test_inertia_pivot_guards():
     # a zero pivot: the cut is an eigenvalue
     with pytest.raises(InertiaError, match="no factorization at shift 1.0"):

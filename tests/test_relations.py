@@ -9,7 +9,7 @@ from phaselab.relations import (
     a0_generator,
     compose,
     graph_of,
-    graph_limit_gap,
+    graph_limit_gaps,
     is_Unn,
     is_symplectic_rel,
     ker_indef,
@@ -241,14 +241,15 @@ def test_limit_graph_structure_and_ker_indef():
 def test_limit_graph_convergence_with_rate():
     # gap to the limit decays like ||A||/nu for generic generators
     A = sample("sp_c", 2, 0.8, 3)
-    g4 = graph_limit_gap(A, 1, 4.0)
-    g8 = graph_limit_gap(A, 1, 8.0)
-    g16 = graph_limit_gap(A, 1, 16.0)
+    P, (g4, g8, g16) = graph_limit_gaps(A, 1, [4.0, 8.0, 16.0])
+    assert np.array_equal(P.frame, limit_graph(A, 1).frame)
     assert g8 < g4 and g16 < g8
     assert 1.6 < g4 / g8 < 2.4 and 1.6 < g8 / g16 < 2.4
+    # the gaps at each nu are those of separate calls
+    assert graph_limit_gaps(A, 1, [8.0])[1] == [g8]
     # block-preserving generators converge exponentially instead
     Adiag = np.diag([0.3j, 0.7j, -0.3j, -0.7j])
-    assert graph_limit_gap(Adiag, 1, 16.0) < 1e-6
+    assert graph_limit_gaps(Adiag, 1, [16.0])[1][0] < 1e-6
 
 
 def test_limit_graph_middle_block_consistency():
