@@ -345,10 +345,8 @@ def hamiltonian_real_values(sym: HamiltonianSymbol, pts, tau: float | None = Non
     if tau is not None and tau <= 0:
         raise ValueError("tau must be positive")
     pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if pts.shape[1] != 2 * sym.m:
-        raise ShapeError(f"expected points of dimension {2 * sym.m}")
+    if pts.ndim != 2 or pts.shape[1] != 2 * sym.m:
+        raise ShapeError(f"expected an (N, {2 * sym.m}) array of points, got shape {pts.shape}")
     vals = np.einsum("gi,gi->g", pts @ symbol_quadratic_matrix(sym), pts)
     if tau is not None:
         vals = np.clip(vals, -tau, tau)

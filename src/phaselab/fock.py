@@ -38,7 +38,9 @@ class ConvergenceGuardError(RuntimeError):
 
 
 SAFE_BAND_MASS = 1e-2
-QUAD_MAX_OCC = 3
+# resolution_check's disc radius and the largest a-occupation it compares
+QUAD_RADIUS, QUAD_MAX_OCC = 6.0, 3
+COHERENT_BOUND = 1e-6
 # vacuum_expectation quantizes the clipped symbol on this disc and lattice
 CLIP_RADIUS, CLIP_GRID = 8.0, 320
 # vacuum_expectation's values at cutoffs D and D + 2 agree within this
@@ -146,15 +148,14 @@ def _sector_expm(space: FockSpace, G: np.ndarray) -> np.ndarray:
 
 
 def number_ops(space: FockSpace):
-    """(N_a, N_b, E_b): the two number operators (sums over the first and
-    second half of the modes) and the orthogonal projector onto ker N_b."""
+    """(N_b, E_b): the number operator of the b-modes (the second half of
+    the modes) and the orthogonal projector onto ker N_b."""
     m = space.m
-    N_a = sum(creator(space, k) @ annihilator(space, k) for k in range(1, m + 1))
     N_b = sum(
         creator(space, m + k) @ annihilator(space, m + k) for k in range(1, m + 1)
     )
     E_b = np.diag(_b_vacuum(space).astype(complex))
-    return N_a, N_b, E_b
+    return N_b, E_b
 
 
 def z_ops(space: FockSpace) -> list[np.ndarray]:
@@ -241,12 +242,6 @@ def basis_state(space: FockSpace, occupations: Sequence[int]) -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
-class CoherentState:
-    z: np.ndarray
-    vec: np.ndarray
-
-
 def coherent_truncation_bound(space: FockSpace, z) -> float:
     """Bound on || (a_k - z_k) Omega_z || from the series tail at the cutoff."""
     z = np.asarray(z, dtype=complex).reshape(-1)
@@ -256,19 +251,19 @@ def coherent_truncation_bound(space: FockSpace, z) -> float:
     )
 
 
-def coherent(space: FockSpace, z, bound: float = 1e-6) -> CoherentState:
-    """Truncated coherent state in the a-modes tensored with the b-vacuum.
-
-    Raises TruncationError when the truncation-error bound exceeds ``bound``.
+def coherent(space: FockSpace, z) -> np.ndarray:
+    """Truncated coherent state vector in the a-modes tensored with the
+    b-vacuum.  Raises TruncationError when the truncation-error bound
+    exceeds COHERENT_BOUND.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.shape[0] != space.m:
         raise ShapeError(f"expected {space.m} amplitudes")
     err = coherent_truncation_bound(space, z)
-    if err > bound:
+    if err > COHERENT_BOUND:
         raise TruncationError(
             f"coherent amplitude too large for cutoff {space.cutoff} "
-            f"(error bound {err:.2e} > {bound:.2e})"
+            f"(error bound {err:.2e} > {COHERENT_BOUND:.2e})"
         )
     D = space.cutoff
     js = np.arange(D)
@@ -280,7 +275,7 @@ def coherent(space: FockSpace, z, bound: float = 1e-6) -> CoherentState:
         vec = np.kron(vec, amps)
     for _ in range(space.m):
         vec = np.kron(vec, vac)
-    return CoherentState(z=z, vec=vec)
+    return vec
 
 
 def strong_limit_run(space: FockSpace, sym: HamiltonianSymbol, nu_list: Sequence[float],
@@ -383,13 +378,13 @@ def quantize_integral(
     return np.kron(Qa, Eb0)
 
 
-def resolution_check(space: FockSpace, radius: float, grid: int) -> float:
-    """Distance || integral p_z dmu - E_b || on the block of a-occupation
-    <= QUAD_MAX_OCC (inside the b-vacuum sector)."""
+def resolution_check(space: FockSpace, grid: int) -> float:
+    """Distance || integral p_z dmu - E_b || over |z| <= QUAD_RADIUS, on the
+    block of a-occupation <= QUAD_MAX_OCC (inside the b-vacuum sector)."""
     _require_single_mode(space)
-    if radius < 5 or grid < 100:
-        raise ValueError("resolution check needs radius >= 5 and grid >= 100")
-    Q = quantize_integral(space, lambda z: np.ones_like(z, dtype=complex), radius, grid)
+    if grid < 100:
+        raise ValueError("resolution check needs grid >= 100")
+    Q = quantize_integral(space, lambda z: np.ones_like(z, dtype=complex), QUAD_RADIUS, grid)
     E_b = np.diag(_b_vacuum(space).astype(complex))
     P = band_projector(space, QUAD_MAX_OCC, modes=[1]) @ E_b
     return float(np.linalg.norm(P @ (Q - E_b) @ P, 2))

@@ -50,24 +50,24 @@ class Grid2D:
         return self.side**2
 
     def coordinates(self):
-        """(x, y) arrays of shape (side,) and the flattened meshgrid."""
+        """(X, Y) of every site, flattened: site (i, j) at index i*side + j."""
         r = int(self.half_width / self.spacing)
         axis = self.spacing * (np.arange(-r, r + 1))
         X, Y = np.meshgrid(axis, axis, indexing="ij")
-        return axis, X.ravel(), Y.ravel()
+        return X.ravel(), Y.ravel()
 
 
-def magnetic_laplacian(grid: Grid2D, with_gauge: bool = True) -> sp.csr_matrix:
+def magnetic_laplacian(grid: Grid2D) -> sp.csr_matrix:
     """Gauge-covariant 5-point discretization of -sum_k (d_k + i alpha_k)^2.
 
     Assembled as sum_k D_k^dagger D_k with covariant forward differences, so
-    it is Hermitian positive semidefinite by construction.  With
-    ``with_gauge=False`` the phases are dropped and the standard Dirichlet
-    5-point Laplacian results.
+    it is Hermitian positive semidefinite by construction.  The link phases
+    have modulus 1, so the entrywise modulus is the standard Dirichlet
+    5-point Laplacian.
     """
     h = grid.spacing
     side = grid.side
-    _, X, Y = grid.coordinates()
+    X, Y = grid.coordinates()
     N = grid.npoints
     i, j = np.divmod(np.arange(N), side)  # site (i, j) at index i*side + j
     # x-links (i, j) -> (i+1, j), where alpha_x = y is constant along the
@@ -75,7 +75,7 @@ def magnetic_laplacian(grid: Grid2D, with_gauge: bool = True) -> sp.csr_matrix:
     ax, ay = np.flatnonzero(i + 1 < side), np.flatnonzero(j + 1 < side)
     a = np.concatenate([ax, ay])
     b = np.concatenate([ax + side, ay + 1])
-    phase = np.concatenate([h * Y[ax], -h * X[ay]]) if with_gauge else np.zeros(a.size)
+    phase = np.concatenate([h * Y[ax], -h * X[ay]])
     # hop amplitude -e^{i phase}/h^2 from site b into site a, plus h.c.
     rows = np.concatenate([a, b])
     cols = np.concatenate([b, a])
@@ -115,6 +115,8 @@ CUT_GAP_MIN = 1e-8
 SHIFT = -0.6
 # cluster_center's search window about a level, and the width of a cluster
 CLUSTER_WINDOW, CLUSTER_WIDTH = 0.45, 0.02
+# the Fock cutoff of grid_strong_limit's prediction
+PREDICTION_CUTOFF = 12
 _I_POWERS = np.array([1, 1j, -1, -1j])
 # a square root of each i^m, e^{i pi m / 4}
 _SQRT_I_POWERS = np.array([1, (1 + 1j) / np.sqrt(2), 1j, (-1 + 1j) / np.sqrt(2)])
@@ -197,18 +199,24 @@ def max_eig_count(npoints: int) -> int:
     return 4 * ((npoints - 1) // 4 - 2 - SECTOR_MARGIN)
 
 
+def _sector_k(k: int, n: int, rerun: int) -> int:
+    """The k_q that ``low_spectrum`` asks of an n-site sector for the lowest
+    k on run ``rerun`` (0 the first): ceil(k/4) + SECTOR_MARGIN, grown by
+    half on each rerun to at most n - 2."""
+    kq = -(-k // 4) + SECTOR_MARGIN
+    for _ in range(rerun):
+        kq = min(kq + kq // 2, n - 2)
+    return kq
+
+
 def lanczos_bytes(npoints: int, k: int) -> int:
     """The most bytes of Lanczos basis that ``low_spectrum`` asks for the
     lowest k on an npoints-site grid.  scipy's eigsh allocates an
     n x max(2 k_q + 1, 20) float64 basis for k_q values of an n-site real
-    sector before it clips to n; k_q starts at ceil(k/4) + SECTOR_MARGIN
-    and grows by half on each of RERUNS reruns, to at most n - 2, and the
-    largest sector has (npoints - 1) // 4 + 1 sites."""
+    sector before it clips to n; k_q is largest on the last of RERUNS
+    reruns, and the largest sector has (npoints - 1) // 4 + 1 sites."""
     n = (npoints - 1) // 4 + 1
-    kq = -(-k // 4) + SECTOR_MARGIN
-    for _ in range(RERUNS):
-        kq = min(kq + kq // 2, n - 2)
-    return 8 * n * max(2 * kq + 1, 20)
+    return 8 * n * max(2 * _sector_k(k, n, RERUNS) + 1, 20)
 
 
 def _factor(Hq: sp.csc_matrix, shift: float) -> spla.SuperLU:
@@ -277,8 +285,8 @@ def low_spectrum(H: sp.csr_matrix, k: int) -> np.ndarray:
         raise ValueError(f"k = {k} outside [1, {max_eig_count(H.shape[0])}] for N = {H.shape[0]}")
     sectors = rotation_sectors(H)
     min_gap = CUT_GAP_MIN * abs(H).max()
-    ks = [-(-k // 4) + SECTOR_MARGIN] * 4
-    vals = [_sector_low(Hq, kq) for Hq, kq in zip(sectors, ks)]
+    reruns = [0] * 4
+    vals = [_sector_low(Hq, _sector_k(k, Hq.shape[0], 0)) for Hq in sectors]
     for rerun in range(RERUNS + 1):
         merged = np.sort(np.concatenate(vals))
         wide = np.flatnonzero(np.diff(merged[k - 1:]) >= min_gap)
@@ -297,8 +305,8 @@ def low_spectrum(H: sp.csr_matrix, k: int) -> np.ndarray:
                 return merged[:k]
         if rerun < RERUNS:
             for q in short:
-                ks[q] = min(ks[q] + ks[q] // 2, sectors[q].shape[0] - 2)
-                vals[q] = _sector_low(sectors[q], ks[q])
+                reruns[q] += 1
+                vals[q] = _sector_low(sectors[q], _sector_k(k, sectors[q].shape[0], reruns[q]))
     where = f"no gap of {min_gap:.3g} above value {k}" if cut is None else f"short below the cut {cut}"
     raise InertiaError(f"sectors {short} stay uncertified ({where}) after {RERUNS} reruns")
 
@@ -321,13 +329,13 @@ def flux_count(grid: Grid2D) -> float:
     return 2.0 * area / (2 * np.pi)
 
 
-def _fock_prediction_on_grid(grid: Grid2D, sym: HamiltonianSymbol, cutoff: int) -> np.ndarray:
+def _fock_prediction_on_grid(grid: Grid2D, sym: HamiltonianSymbol) -> np.ndarray:
     """exp(E_b h E_b) E_b Omega_0 from the Fock side, sampled on the grid via
     the b-vacuum wavefunctions z^j e^{-|z|^2/2}/sqrt(pi j!)."""
-    space = FockSpace(1, cutoff)
+    space = FockSpace(1, PREDICTION_CUTOFF)
     # the vacuum is the first of the sector's states |j, 0>, j = 0..cutoff-1
     coeff = _sector_expm(space, h_A_operator(space, sym))[:, 0]
-    _, X, Y = grid.coordinates()
+    X, Y = grid.coordinates()
     z = X + 1j * Y
     out = np.zeros_like(z, dtype=complex)
     env = np.exp(-np.abs(z) ** 2 / 2)
@@ -337,8 +345,7 @@ def _fock_prediction_on_grid(grid: Grid2D, sym: HamiltonianSymbol, cutoff: int) 
     return out
 
 
-def grid_strong_limit(grid: Grid2D, sym: HamiltonianSymbol, nu_list: Sequence[float],
-                      cutoff: int = 12) -> list[tuple[float, float]]:
+def grid_strong_limit(grid: Grid2D, sym: HamiltonianSymbol, nu_list: Sequence[float]) -> list[tuple[float, float]]:
     """Evolve the discretized vacuum by exp(h_A - nu ((1/4)Lap - 1/2)) and
     report, per nu, the overlap deviation 1 - |<grid, fock>| between the
     L2-normalized grid vector and the Fock-side prediction.
@@ -348,13 +355,12 @@ def grid_strong_limit(grid: Grid2D, sym: HamiltonianSymbol, nu_list: Sequence[fl
     """
     if sym.m != 1:
         raise ValueError("grid experiment is m = 1 only")
-    h = grid.spacing
-    _, X, Y = grid.coordinates()
+    X, Y = grid.coordinates()
     pts = np.stack([X, Y], axis=1)
     hvals = -1j * hamiltonian_real_values(sym, pts)  # h_A is pure imaginary
     Hnum = landau_hamiltonian(grid)
     psi0 = np.exp(-(X**2 + Y**2) / 2) / np.sqrt(np.pi)
-    target = _fock_prediction_on_grid(grid, sym, cutoff)
+    target = _fock_prediction_on_grid(grid, sym)
     target = target / np.linalg.norm(target)
 
     rows = []

@@ -126,15 +126,7 @@ def ker_indef(P: LinearRelation):
     return ker, ind
 
 
-@dataclass(frozen=True)
-class UnnReport:
-    flag: bool
-    contraction_residual: float  # most negative eigenvalue of the induced form, clipped
-    indef_residual: float        # largest eigenvalue of the form on indef P (want < 0)
-    ker_residual: float          # smallest eigenvalue of the form on ker P (want > 0)
-
-
-def is_Unn(P: LinearRelation, S: StructuralMatrices) -> UnnReport:
+def is_Unn(P: LinearRelation, S: StructuralMatrices) -> bool:
     """Membership in the contraction-relation semigroup.
 
     (1) the induced form <v|v>_I - <w|w>_I is PSD on the frame,
@@ -156,13 +148,7 @@ def is_Unn(P: LinearRelation, S: StructuralMatrices) -> UnnReport:
         ker_bot = float(np.linalg.eigvalsh((Gk + Gk.conj().T) / 2).min())
     else:
         ker_bot = np.inf
-
-    flag = (
-        contraction <= PSD_TOL
-        and indef_top <= -PSD_TOL
-        and ker_bot >= PSD_TOL
-    )
-    return UnnReport(flag, max(contraction, 0.0), indef_top, ker_bot)
+    return contraction <= PSD_TOL and indef_top <= -PSD_TOL and ker_bot >= PSD_TOL
 
 
 def is_symplectic_rel(P: LinearRelation, S: StructuralMatrices) -> bool:
@@ -172,35 +158,8 @@ def is_symplectic_rel(P: LinearRelation, S: StructuralMatrices) -> bool:
     return float(np.linalg.norm(R, 2)) <= EQ_TOL
 
 
-@dataclass(frozen=True)
-class PotapovMatrix:
-    """A 2n x 2n Potapov transform with its n x n block partition."""
-
-    r: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.r.shape[0] // 2
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.r[: self.n, : self.n]
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.r[: self.n, self.n :]
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self.r[self.n :, : self.n]
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.r[self.n :, self.n :]
-
-
-def potapov_matrix(g) -> PotapovMatrix:
-    """Potapov transform of a matrix g = (a b; c d) with invertible a."""
+def potapov_matrix(g) -> np.ndarray:
+    """The 2n x 2n Potapov transform of a matrix g = (a b; c d) with invertible a."""
     g = as_cmatrix(g)
     if g.shape[0] != g.shape[1] or g.shape[0] % 2:
         raise ShapeError("expected a square 2n x 2n matrix")
@@ -210,8 +169,7 @@ def potapov_matrix(g) -> PotapovMatrix:
     if s[-1] <= RANK_TOL * max(s[0], 1.0):
         raise RankError("upper-left block is singular; use potapov_relation")
     ai = np.linalg.inv(a)
-    r = np.block([[-ai @ b, ai], [d - c @ ai @ b, c @ ai]])
-    return PotapovMatrix(r=r)
+    return np.block([[-ai @ b, ai], [d - c @ ai @ b, c @ ai]])
 
 
 def _pi_permutation(n: int) -> np.ndarray:
@@ -225,7 +183,7 @@ def _pi_permutation(n: int) -> np.ndarray:
     return P
 
 
-def potapov_relation(P: LinearRelation) -> PotapovMatrix:
+def potapov_relation(P: LinearRelation) -> np.ndarray:
     """Potapov transform of a relation: permute the frame by Pi, then solve
     for the matrix whose graph is the permuted subspace."""
     n = P.n
@@ -236,38 +194,37 @@ def potapov_relation(P: LinearRelation) -> PotapovMatrix:
         raise NotAGraphError(
             "permuted subspace is not a graph (input outside the contraction semigroup)"
         )
-    return PotapovMatrix(r=bottom @ np.linalg.inv(top))
+    return bottom @ np.linalg.inv(top)
 
 
-def potapov_inverse(r: PotapovMatrix) -> LinearRelation:
+def potapov_inverse(r: np.ndarray) -> LinearRelation:
     """The relation whose Potapov transform is r (inverse of potapov_relation)."""
-    n = r.n
-    G = np.vstack([np.eye(2 * n, dtype=complex), r.r])
+    n = r.shape[0] // 2
+    G = np.vstack([np.eye(2 * n, dtype=complex), r])
     F = _pi_permutation(n).T @ G  # Pi is a permutation, so Pi^{-1} = Pi^T
     return relation_from_span(F, n)
 
 
-def potapov_product(r1: PotapovMatrix, r2: PotapovMatrix) -> PotapovMatrix:
-    """Product formula: Pi(P1 P2) from r1 = Pi(P1) = (alpha beta; gamma delta)
-    and r2 = Pi(P2) = (phi psi; theta kappa)."""
-    if r1.n != r2.n:
+def potapov_product(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Product formula: Pi(P1 P2) from the 2n x 2n transforms
+    r1 = Pi(P1) = (alpha beta; gamma delta) and r2 = Pi(P2) = (phi psi; theta kappa)."""
+    if r1.shape != r2.shape:
         raise ShapeError("block sizes differ")
-    n = r1.n
-    al, be, ga, de = r1.alpha, r1.beta, r1.gamma, r1.delta
-    ph, ps, th, ka = r2.alpha, r2.beta, r2.gamma, r2.delta
+    n = r1.shape[0] // 2
+    al, be, ga, de = r1[:n, :n], r1[:n, n:], r1[n:, :n], r1[n:, n:]
+    ph, ps, th, ka = r2[:n, :n], r2[:n, n:], r2[n:, :n], r2[n:, n:]
     M = np.eye(n) - ph @ de
     s = np.linalg.svd(M, compute_uv=False)
     if s[-1] <= RANK_TOL * max(s[0], 1.0):
         raise RankError("1 - phi delta is singular")
     M1 = np.linalg.inv(M)
     M2 = np.linalg.inv(np.eye(n) - de @ ph)
-    r = np.block(
+    return np.block(
         [
             [al + be @ M1 @ ph @ ga, be @ M1 @ ps],
             [th @ M2 @ ga, ka + th @ de @ M1 @ ps],
         ]
     )
-    return PotapovMatrix(r=r)
 
 
 # ---------------------------------------------------------------------------

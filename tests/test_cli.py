@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -67,6 +69,23 @@ def test_validate_config_errors():
         )
     tag, params = validate_config({"experiment": "membership", "parameters": {"seed": 1}})
     assert tag == "membership" and params["samples"] == 200
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([1], "config must be a JSON object"),
+        ({**small_membership(), "comment": "x"}, "unknown top-level keys: ['comment']"),
+        ({"experiment": "membership", "parameters": [1]}, "parameters must be an object"),
+    ],
+    ids=["list_config", "extra_top_level_key", "list_parameters"],
+)
+def test_malformed_config_shape_exits_2_without_outputs(tmp_path, capsys, payload, message):
+    cfg = write_config(tmp_path, payload)
+    out_dir = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_run_missing_seed_exits_2_without_outputs(tmp_path, capsys):
@@ -609,6 +628,27 @@ def test_rerun_is_byte_identical(tmp_path):
     csv_a = (tmp_path / "a" / "membership_measurements.csv").read_bytes()
     csv_b = (tmp_path / "b" / "membership_measurements.csv").read_bytes()
     assert csv_a == csv_b
+
+
+def test_csv_bytes_do_not_depend_on_the_thread_count(tmp_path):
+    # one process per BLAS thread count (this contract is checked on two
+    # cores, so 1 and 2), each running every config through cli.main
+    configs = [str(ROOT / "configs" / f"{name}.json") for name in ("membership", "decompose", "potapov")]
+    landau = {"experiment": "landau", "parameters": {"half_width": 4.5, "spacing": 0.125, "eig_count": 38}}
+    configs.append(write_config(tmp_path, landau, "landau.json"))
+    script = "import sys\nfrom phaselab.cli import main\nfor c in sys.argv[2:]:\n    main(['run', c, '--out', sys.argv[1]])"
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    procs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)}
+        procs[threads] = subprocess.Popen([sys.executable, "-c", script, str(tmp_path / threads), *configs],
+                                          env=env, stdout=subprocess.DEVNULL)
+    assert [proc.wait(timeout=600) for proc in procs.values()] == [0, 0]
+    one, two = (sorted((tmp_path / threads).glob("*.csv")) for threads in procs)
+    assert [f.name for f in one] == [f.name for f in two] and len(one) == 4
+    for a, b in zip(one, two):
+        assert a.read_bytes() == b.read_bytes(), a.name
 
 
 def test_seed_override_changes_samples(tmp_path):

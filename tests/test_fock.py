@@ -5,6 +5,7 @@ import pytest
 
 from phaselab.cones import HamiltonianSymbol, hamiltonian_real_values, hat_lift, sample
 from phaselab.fock import (
+    COHERENT_BOUND,
     ConvergenceGuardError,
     FockSpace,
     TruncationError,
@@ -27,7 +28,7 @@ from phaselab.fock import (
     z_ops,
 )
 from phaselab.fock import _coherent_amplitudes, _disc_grid, _occupation_diagonals, _quadratic, _sector_expm
-from phaselab.linalg import expm
+from phaselab.linalg import ShapeError, expm
 from phaselab.relations import make_Nb
 
 
@@ -109,7 +110,7 @@ def test_drho_lie_algebra_homomorphism():
 
 def test_number_ops_and_projector_limit():
     space = FockSpace(1, 10)
-    N_a, N_b, E_b = number_ops(space)
+    N_b, E_b = number_ops(space)
     assert np.linalg.norm(E_b @ E_b - E_b, 2) == 0
     assert np.linalg.norm(expm(-10.0 * N_b) - E_b, 2) <= np.exp(-10) + 1e-12
     assert np.linalg.norm(expm(-30.0 * N_b) - E_b, 2) < 1e-13
@@ -166,7 +167,7 @@ def test_z_ops_commuting_normal():
 
 def test_antinormal_quantize_basics():
     space = FockSpace(1, 8)
-    _, _, E_b = number_ops(space)
+    _, E_b = number_ops(space)
     assert np.linalg.norm(antinormal_quantize(space, np.eye(space.dim)) - E_b, 2) == 0
     X = np.random.default_rng(0).normal(size=(space.dim, space.dim))
     C = antinormal_quantize(space, X)
@@ -176,7 +177,7 @@ def test_antinormal_quantize_basics():
 def test_antinormal_quantize_equals_projector_compression():
     # E_b is an exact 0/1 diagonal, so the masked compression is exact
     for space in (FockSpace(1, 7), FockSpace(2, 3)):
-        _, _, E_b = number_ops(space)
+        _, E_b = number_ops(space)
         rng = np.random.default_rng(space.dim)
         X = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
         assert np.array_equal(antinormal_quantize(space, X), E_b @ X @ E_b)
@@ -185,7 +186,7 @@ def test_antinormal_quantize_equals_projector_compression():
 def test_sector_expm_matches_full_space():
     cases = [(FockSpace(1, 9), sym1(7)), (FockSpace(2, 3), HamiltonianSymbol(2, sample("sp_c", 2, 1.0, 8)))]
     for space, s in cases:
-        _, _, E_b = number_ops(space)
+        _, E_b = number_ops(space)
         idx = np.flatnonzero(np.diag(E_b).real)
         assert idx.size == space.cutoff**space.m and idx[0] == 0
         G = antinormal_quantize(space, h_A_operator(space, s))
@@ -236,7 +237,7 @@ def test_antinormal_word_identity():
     Zc = Z.conj().T
     a = annihilator(space, 1)
     ac = creator(space, 1)
-    _, _, E_b = number_ops(space)
+    _, E_b = number_ops(space)
     P = band_projector(space, space.cutoff - 5)
     for p in range(4):
         for q in range(4 - p):
@@ -281,10 +282,10 @@ def test_strong_limit_matches_full_space_expm():
     # the two parity blocks against one full-space expm(H - nu N_b)
     space = FockSpace(1, 12)
     s = sym1(6, 0.8)
-    vecs = [vacuum_state(space), coherent(space, [0.5]).vec, basis_state(space, (1, 0))]
+    vecs = [vacuum_state(space), coherent(space, [0.5]), basis_state(space, (1, 0))]
     nus = [4.0, 8.0, 12.0]
     H = h_A_operator(space, s)
-    _, N_b, E_b = number_ops(space)
+    N_b, E_b = number_ops(space)
     target = E_b @ expm(antinormal_quantize(space, H)) @ E_b
     for (nu, got), want_nu in zip(strong_limit_run(space, s, nus, vecs), nus):
         U = expm(H - want_nu * N_b)
@@ -310,7 +311,7 @@ def test_ray_normalized_strong_limit_drift_cancels():
     # by their vacuum matrix element the drift cancels
     space = FockSpace(1, 12)
     s = sym1(3, 0.4)
-    _, N_b, _ = number_ops(space)
+    N_b, _ = number_ops(space)
     nu = 2.0
     U1 = expm(h_A_operator(space, s) - nu * N_b)
     U2 = expm(drho(space, hat_lift(s) + nu * make_Nb(1)))
@@ -327,49 +328,49 @@ def test_ray_normalized_strong_limit_drift_cancels():
 def test_coherent_states():
     space = FockSpace(1, 20)
     vac = coherent(space, [0.0])
-    assert np.linalg.norm(vac.vec - vacuum_state(space)) == 0
+    assert np.linalg.norm(vac - vacuum_state(space)) == 0
 
     st = coherent(space, [0.8])
     a = annihilator(space, 1)
-    resid = np.linalg.norm(a @ st.vec - 0.8 * st.vec)
+    resid = np.linalg.norm(a @ st - 0.8 * st)
     assert resid <= coherent_truncation_bound(space, [0.8]) + 1e-12
-    assert abs(np.linalg.norm(st.vec) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(st) - 1.0) < 1e-12
     # lies in ran E_b
-    _, _, E_b = number_ops(space)
-    assert np.linalg.norm((np.eye(space.dim) - E_b) @ st.vec) == 0
+    _, E_b = number_ops(space)
+    assert np.linalg.norm((np.eye(space.dim) - E_b) @ st) == 0
 
     with pytest.raises(TruncationError):
         coherent(FockSpace(1, 6), [3.0])
 
 
 def test_coherent_overlap_gaussian_formula():
-    # probes up to |z| = 2 at cutoff 20, past the default truncation bound,
-    # hence the explicit loose bound override
-    space = FockSpace(1, 20)
+    # probes up to |z| = 2, at cutoff 30, where the truncation bound stays
+    # within COHERENT_BOUND for every such z
+    space = FockSpace(1, 30)
+    assert coherent_truncation_bound(space, [2.0]) <= COHERENT_BOUND
     rng = np.random.default_rng(2)
     for _ in range(20):
         z = 2.0 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / np.sqrt(2)
         w = 2.0 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / np.sqrt(2)
-        sz = coherent(space, [z], bound=1e-2)
-        sw = coherent(space, [w], bound=1e-2)
-        got = np.vdot(sz.vec, sw.vec)
+        got = np.vdot(coherent(space, [z]), coherent(space, [w]))
         want = np.exp(-abs(z) ** 2 / 2 - abs(w) ** 2 / 2 + np.conj(z) * w)
         assert abs(got - want) < 1e-8
 
 
 def test_resolution_of_identity_and_trace():
     space = FockSpace(1, 12)
-    assert resolution_check(space, 6.0, 200) < 1e-3
-    # the normalized coherent projector has unit trace (safe amplitudes)
-    st = coherent(space, [1.0], bound=1e-3)
-    assert abs(np.vdot(st.vec, st.vec) - 1.0) < 1e-12
+    assert resolution_check(space, 200) < 1e-3
+    # the normalized coherent projector has unit trace (safe amplitudes:
+    # at cutoff 16 the truncation bound of |z| = 1 is within COHERENT_BOUND)
+    st = coherent(FockSpace(1, 16), [1.0])
+    assert abs(np.vdot(st, st) - 1.0) < 1e-12
 
 
 def test_quantize_integral_monomials_and_hermiticity():
     space = FockSpace(1, 12)
     Z = z_ops(space)[0]
     Zc = Z.conj().T
-    _, _, E_b = number_ops(space)
+    _, E_b = number_ops(space)
     P3 = band_projector(space, 3, modes=[1]) @ E_b
     # f = |z|^2 matches the compressed word a a* E_b
     Q = quantize_integral(space, lambda z: (np.abs(z) ** 2).astype(complex), 6.0, 200)
@@ -396,6 +397,11 @@ def test_symbol_clip():
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
             hamiltonian_real_values(s, pts, bad)
+    # points come as an (N, 2m) array: one point alone, a stack of arrays
+    # and points of the wrong dimension are refused
+    for bad_pts in (pts[0], pts[None], pts[:, :1]):
+        with pytest.raises(ShapeError):
+            hamiltonian_real_values(s, bad_pts)
 
 
 def test_vacuum_expectation():
@@ -432,5 +438,7 @@ def test_space_validation():
         FockSpace(1, 1)
     space = FockSpace(2, 3)
     assert space.dim == 81
-    with pytest.raises(Exception):
-        resolution_check(space, 5.0, 50)  # quadrature is m = 1 only
+    with pytest.raises(ShapeError, match="m = 1"):
+        resolution_check(space, 200)  # quadrature is m = 1 only
+    with pytest.raises(ValueError, match="grid >= 100"):
+        resolution_check(FockSpace(1, 12), 99)

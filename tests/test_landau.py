@@ -121,9 +121,27 @@ def test_short_sector_without_reruns_raises(monkeypatch, kind):
 
 def test_sector_short_on_every_run_raises(monkeypatch):
     runs = _short_first_sector(monkeypatch, "missed_value", every_run=True)
+    H = landau_hamiltonian(small_grid())
     with pytest.raises(InertiaError, match=f"after {landau.RERUNS} reruns"):
-        low_spectrum(landau_hamiltonian(small_grid()), k=24)
+        low_spectrum(H, k=24)
     assert len(runs) == 4 + landau.RERUNS
+    # sector 0, the largest, grew RERUNS times, to the k_q on which the
+    # Lanczos basis bound rests, and no run asked for more
+    bound = landau.lanczos_bytes(H.shape[0], 24)
+    basis = [8 * n * max(2 * kq + 1, 20) for n, kq in runs]
+    assert all(b <= bound for b in basis) and basis[-1] == bound
+
+
+def test_more_values_than_the_inertia_count_raises(monkeypatch):
+    # a spurious value -0.45, below the spectrum, in sector 0: it holds one
+    # computed value more than the inertia count finds below the cut
+    H = landau_hamiltonian(small_grid())
+    n0 = (H.shape[0] - 1) // 4 + 1  # sector 0 holds the centre of the grid
+    original = landau._sector_low
+    monkeypatch.setattr(landau, "_sector_low", lambda Hq, k: np.append(original(Hq, k), -0.45)
+                        if Hq.shape[0] == n0 else original(Hq, k))
+    with pytest.raises(InertiaError, match="sector 0: .* computed values below .* but an inertia count of"):
+        low_spectrum(H, k=24)
 
 
 def test_no_wide_gap_reruns_every_sector_then_raises(monkeypatch):
@@ -199,24 +217,24 @@ def test_grid_validation():
         Grid2D(4.0, 0.5)  # ratio 8 < 16
     g = small_grid()
     assert g.side == 33
-    axis, X, Y = g.coordinates()
-    assert axis[0] == -4.0 and axis[-1] == 4.0
-    assert X.shape == (g.npoints,)
+    X, Y = g.coordinates()
+    assert X[0] == Y[0] == -4.0 and X[-1] == Y[-1] == 4.0
+    assert X.shape == Y.shape == (g.npoints,)
 
 
-def _loop_laplacian(grid, with_gauge):
+def _loop_laplacian(grid):
     # link by link over the sites, one hop and its conjugate at a time
     h, side = grid.spacing, grid.side
-    _, X, Y = grid.coordinates()
+    X, Y = grid.coordinates()
     rows, cols, vals = [], [], []
     for i in range(side):
         for j in range(side):
             a = i * side + j
             links = []
             if i + 1 < side:
-                links.append((a + side, h * Y[a] if with_gauge else 0.0))
+                links.append((a + side, h * Y[a]))
             if j + 1 < side:
-                links.append((a + 1, -h * X[a] if with_gauge else 0.0))
+                links.append((a + 1, -h * X[a]))
             for b, phase in links:
                 rows += [a, b]
                 cols += [b, a]
@@ -225,26 +243,26 @@ def _loop_laplacian(grid, with_gauge):
     return (H + sp.diags(np.full(grid.npoints, 4.0 / h**2, dtype=complex))).tocsr()
 
 
-@pytest.mark.parametrize("with_gauge", [True, False])
-def test_magnetic_laplacian_matches_loop_assembly(with_gauge):
+def test_magnetic_laplacian_matches_loop_assembly():
     g = Grid2D(2.5, 0.125)
-    H, ref = magnetic_laplacian(g, with_gauge), _loop_laplacian(g, with_gauge)
+    H, ref = magnetic_laplacian(g), _loop_laplacian(g)
     assert H.nnz == ref.nnz == g.npoints + 4 * (g.side - 1) * g.side
     assert np.array_equal(H.indptr, ref.indptr) and np.array_equal(H.indices, ref.indices)
     assert np.array_equal(H.data, ref.data)
 
 
 def test_zero_gauge_reduces_to_five_point_laplacian():
+    # the Peierls phases have modulus 1, so dropping them takes the entrywise
+    # modulus; compared with an independent 5-point stencil via kron
     g = small_grid()
-    H = magnetic_laplacian(g, with_gauge=False)
-    # independent 5-point stencil via kron
+    H = magnetic_laplacian(g)
     side, h = g.side, g.spacing
     T = sp.diags([2.0 / h**2] * side) + sp.diags([-1.0 / h**2] * (side - 1), 1) + sp.diags(
         [-1.0 / h**2] * (side - 1), -1
     )
     I = sp.identity(side)
     ref = sp.kron(T, I) + sp.kron(I, T)
-    assert abs(H - ref).max() < 1e-12
+    assert abs(abs(H) - abs(ref)).max() < 1e-12
 
 
 def test_hermitian_and_psd():
@@ -261,7 +279,7 @@ def test_gauge_covariance():
     # shifted phases (test-side construction) and compare
     g = small_grid()
     h, side = g.spacing, g.side
-    _, X, Y = g.coordinates()
+    X, Y = g.coordinates()
     rng = np.random.default_rng(0)
     chi = rng.normal(size=g.npoints)
 
@@ -328,7 +346,7 @@ def test_cluster_center_rejects_empty_window():
 def test_grid_strong_limit_decay():
     g = Grid2D(5.0, 0.25)
     sym = HamiltonianSymbol(1, sample("sp_c", 1, 0.3, 2))
-    rows = grid_strong_limit(g, sym, [2.0, 6.0], cutoff=10)
+    rows = grid_strong_limit(g, sym, [2.0, 6.0])
     assert rows[0][1] > rows[1][1] > 0 or rows[1][1] < 1e-6
     assert rows[1][1] < 0.05
 
@@ -337,5 +355,5 @@ def test_grid_strong_limit_zero_symbol():
     # pure dissipative semigroup: the evolved vacuum stays the vacuum
     g = Grid2D(5.0, 0.25)
     sym0 = HamiltonianSymbol(1, np.zeros((2, 2)))
-    rows = grid_strong_limit(g, sym0, [4.0], cutoff=8)
+    rows = grid_strong_limit(g, sym0, [4.0])
     assert rows[0][1] < 1e-4

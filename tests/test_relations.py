@@ -5,7 +5,7 @@ from phaselab.cones import make_structural, sample
 from phaselab.linalg import expm, subspace_gap
 from phaselab.relations import (
     DegenerateCompositionError,
-    PotapovMatrix,
+    NotAGraphError,
     a0_generator,
     compose,
     graph_of,
@@ -100,13 +100,13 @@ def test_is_unn_and_symplectic():
     S = make_structural(2)
     for i in range(10):
         g = sample("GammaU", 2, 0.7, i)
-        assert is_Unn(graph_of(g), S).flag
+        assert is_Unn(graph_of(g), S)
     for i in range(10):
         g = sample("GammaSp_c", 2, 0.7, 100 + i)
         P = graph_of(g)
-        assert is_Unn(P, S).flag and is_symplectic_rel(P, S)
+        assert is_Unn(P, S) and is_symplectic_rel(P, S)
     bad = graph_of(2.0 * np.eye(4))
-    assert not is_Unn(bad, S).flag
+    assert not is_Unn(bad, S)
     assert not is_symplectic_rel(bad, S)
 
 
@@ -116,20 +116,20 @@ def test_semigroup_closure():
         P1 = graph_of(sample("GammaSp_c", 2, 0.6, 2 * i))
         P2 = graph_of(sample("GammaSp_c", 2, 0.6, 2 * i + 1))
         P = compose(P1, P2)
-        assert is_Unn(P, S).flag and is_symplectic_rel(P, S)
+        assert is_Unn(P, S) and is_symplectic_rel(P, S)
 
 
 def test_potapov_matrix_examples():
     r = potapov_matrix(np.eye(4))
-    assert np.linalg.norm(r.alpha) < 1e-14 and np.linalg.norm(r.delta) < 1e-14
-    assert np.linalg.norm(r.beta - np.eye(2), 2) < 1e-14
-    assert np.linalg.norm(r.gamma - np.eye(2), 2) < 1e-14
+    assert np.linalg.norm(r[:2, :2]) < 1e-14 and np.linalg.norm(r[2:, 2:]) < 1e-14
+    assert np.linalg.norm(r[:2, 2:] - np.eye(2), 2) < 1e-14
+    assert np.linalg.norm(r[2:, :2] - np.eye(2), 2) < 1e-14
 
     X = np.diag([1.0, -1.0])
     for t in (0.5, 1.0, 2.0):
         r = potapov_matrix(expm(t * X))
         target = np.array([[0, np.exp(-t)], [np.exp(-t), 0]])
-        assert np.linalg.norm(r.r - target, 2) < 1e-12
+        assert np.linalg.norm(r - target, 2) < 1e-12
 
     from phaselab.linalg import RankError
 
@@ -141,7 +141,7 @@ def test_potapov_contraction_norm():
     for i in range(50):
         n = 1 + i % 2
         g = sample("GammaU", n, 0.8, i)
-        assert np.linalg.norm(potapov_matrix(g).r, 2) <= 1.0 + 1e-10
+        assert np.linalg.norm(potapov_matrix(g), 2) <= 1.0 + 1e-10
 
 
 def test_potapov_symplectic_block_relation():
@@ -150,15 +150,16 @@ def test_potapov_symplectic_block_relation():
         g = sample("GammaSp_c", 2, 0.6, i)
         r = potapov_matrix(g)
         a = g[:2, :2]
-        assert np.linalg.norm(r.gamma - np.linalg.inv(a).T, 2) < 1e-9 * np.linalg.norm(r.gamma, 2)
+        gamma = r[2:, :2]
+        assert np.linalg.norm(gamma - np.linalg.inv(a).T, 2) < 1e-9 * np.linalg.norm(gamma, 2)
 
 
 def test_potapov_relation_agrees_with_matrix_route():
     for i in range(200):
         n = 1 + i % 2
         g = sample("GammaU", n, 0.7, 1000 + i)
-        r1 = potapov_matrix(g).r
-        r2 = potapov_relation(graph_of(g)).r
+        r1 = potapov_matrix(g)
+        r2 = potapov_relation(graph_of(g))
         assert np.linalg.norm(r1 - r2, 2) < 1e-10
 
 
@@ -172,23 +173,23 @@ def test_potapov_bijection_roundtrip():
 
 def test_potapov_product_identity_case():
     rng = np.random.default_rng(5)
-    r1 = PotapovMatrix(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    r1 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     id_transform = potapov_relation(graph_of(np.eye(4)))
     out = potapov_product(r1, id_transform)
-    assert np.linalg.norm(out.r - r1.r, 2) < 1e-12
+    assert np.linalg.norm(out - r1, 2) < 1e-12
 
 
 def test_potapov_product_vs_composition_and_associativity():
     for i in range(30):
         P1 = graph_of(sample("GammaU", 2, 0.6, 3 * i))
         P2 = graph_of(sample("GammaU", 2, 0.6, 3 * i + 1))
-        lhs = potapov_relation(compose(P1, P2)).r
-        rhs = potapov_product(potapov_relation(P1), potapov_relation(P2)).r
+        lhs = potapov_relation(compose(P1, P2))
+        rhs = potapov_product(potapov_relation(P1), potapov_relation(P2))
         assert np.max(np.abs(lhs - rhs)) < 1e-9
     for i in range(10):
         rs = [potapov_relation(graph_of(sample("GammaU", 2, 0.5, 7 * i + k))) for k in range(3)]
-        left = potapov_product(potapov_product(rs[0], rs[1]), rs[2]).r
-        right = potapov_product(rs[0], potapov_product(rs[1], rs[2])).r
+        left = potapov_product(potapov_product(rs[0], rs[1]), rs[2])
+        right = potapov_product(rs[0], potapov_product(rs[1], rs[2]))
         assert np.max(np.abs(left - right)) < 1e-8
 
 
@@ -196,9 +197,20 @@ def test_potapov_product_continuity():
     P1 = graph_of(sample("GammaU", 2, 0.5, 42))
     P2 = graph_of(sample("GammaU", 2, 0.5, 43))
     r1, r2 = potapov_relation(P1), potapov_relation(P2)
-    base = potapov_product(r1, r2).r
-    bumped = potapov_product(PotapovMatrix(r1.r + 1e-8), r2).r
+    base = potapov_product(r1, r2)
+    bumped = potapov_product(r1 + 1e-8, r2)
     assert np.max(np.abs(bumped - base)) < 1e-5
+
+
+def test_potapov_relation_and_product_guards():
+    # span{e_- (+) 0, 0 (+) e_+}: Pi moves both columns into the second summand
+    with pytest.raises(NotAGraphError):
+        potapov_relation(relation_from_span([[1, 0], [0, 0], [0, 0], [0, 1]], 1))
+    from phaselab.linalg import RankError
+
+    # delta = 1 and phi = 1, so 1 - phi delta = 0
+    with pytest.raises(RankError, match="1 - phi delta"):
+        potapov_product(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
 
 
 def test_make_Nb():
@@ -230,7 +242,7 @@ def test_limit_graph_structure_and_ker_indef():
     for i in range(10):
         A = sample("sp_c", 2, 1.0, i)
         P = limit_graph(A, 1)
-        assert is_Unn(P, S).flag
+        assert is_Unn(P, S)
         assert is_symplectic_rel(P, S)
         ker, ind = ker_indef(P)
         # ker P = V^(-1) (fourth block), indef P = V^(1) (second block)
