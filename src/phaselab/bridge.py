@@ -21,14 +21,19 @@ estimator, and ``_form_blocks`` discretizes it for the oracle.  A sweep over
 nu and variance rules is one pass.  The loop at sigma^2 is sqrt(sigma^2)
 times the sigma^2 = 1 loop of the same increments, and every action is a
 quadratic form of the loop, so S_{sigma^2} = sigma^2 S_1: ``estimate_actions``
-draws the unit loops of a seed once for every spec.  ``gaussian_oracles``
-runs the oracle's recursion once for a batch of (spec, action) pairs.
+draws the unit loops of a seed once for every spec.  It works block by
+block, and draws, builds and evaluates each block in sub-blocks of at most
+SUB_BLOCK_BYTES of points, in buffers reused from one sub-block to the next,
+so that its arrays stay in cache; ``sample_loops`` and ``loop_actions``
+remain the definition of the stream and of the action, and the sub-block
+size moves no value.  ``gaussian_oracles`` runs the oracle's recursion once
+for a batch of (spec, action) pairs, of one m and any steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -110,12 +115,28 @@ def sample_loops(spec: MeasureSpec, lo: int, hi: int) -> np.ndarray:
         if lo > first:  # the block's loops before lo
             rng.standard_normal((lo - first, K, d))
         rng.standard_normal(out=incr[max(first - lo, 0):end - lo])
-    incr *= np.sqrt(spec.sigma2 / K)
     pts = np.empty((hi - lo, K + 1, d))
-    pts[:, 0] = 0.0
-    walk = np.cumsum(incr, axis=1, out=pts[:, 1:])
-    walk -= np.multiply((np.arange(1, K + 1) / K)[:, None], walk[:, -1:], out=incr)
+    _build_loops(incr, spec.sigma2, pts)
     return pts
+
+
+def _build_loops(incr: np.ndarray, sigma2: float, pts: np.ndarray) -> None:
+    """The loops of the standard-normal increments ``incr`` (n, K, 2m) into
+    ``pts`` (n, K+1, 2m): scale by sqrt(sigma^2/K) in place, sum from 0 and
+    subtract (k/K) times the end point at step k; ``incr`` is left holding
+    that pinning term.  The sum runs on coordinate pairs viewed as complex
+    numbers (a complex add is the two real adds, so the sums are bitwise the
+    real ones), and the term is formed one coordinate at a time, so each
+    multiply runs along a whole loop rather than 2m values."""
+    K = incr.shape[1]
+    incr *= np.sqrt(sigma2 / K)
+    pts[:, 0] = 0.0
+    np.cumsum(incr.view(complex), axis=1, out=pts[:, 1:].view(complex))
+    walk = pts[:, 1:]
+    end, t = walk[:, -1].copy(), np.arange(1, K + 1) / K
+    for c in range(incr.shape[2]):
+        np.multiply(end[:, c, None], t, out=incr[:, :, c])
+    walk -= incr
 
 
 def loop_actions(points: np.ndarray, actions: Sequence[QuadraticAction]) -> list[np.ndarray]:
@@ -127,15 +148,64 @@ def loop_actions(points: np.ndarray, actions: Sequence[QuadraticAction]) -> list
     (y_{j+1} - y_j)) / 2 is exactly the shoelace term x_{j+1} y_j - x_j y_{j+1},
     so the line integral is the shoelace sum for any polygon, closed or not
     (-2 times the signed area of a closed one)."""
+    return _loop_actions(points, actions, _action_buffers(points.shape[0], points.shape[1] - 1, points.shape[2]))
+
+
+def _action_buffers(n: int, K: int, d: int) -> tuple[np.ndarray, ...]:
+    """The intermediate arrays of ``_loop_actions`` for up to n loops of K
+    steps in d = 2m coordinates: the two shoelace products, the midpoints, M
+    times them, and x^T M x at each midpoint."""
+    return np.empty((n, K, d // 2)), np.empty((n, K, d // 2)), np.empty((n, K, d)), np.empty((n, K, d)), np.empty((n, K))
+
+
+def _loop_actions(points: np.ndarray, actions: Sequence[QuadraticAction],
+                  buffers: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """``loop_actions`` with its loop-sized intermediates written into the
+    leading rows of ``buffers`` (from ``_action_buffers``), so that a caller
+    that reuses them allocates none per call."""
     n, K, d = points.shape[0], points.shape[1] - 1, points.shape[2]
     if d % 2:
         raise ShapeError("points must have even dimension 2m")
+    left, right, mid, hmid, quad = (b[:n] for b in buffers)
     x, y = points[:, :, : d // 2], points[:, :, d // 2 :]
-    area = np.sum(x[:, 1:] * y[:, :-1] - x[:, :-1] * y[:, 1:], axis=(1, 2))
+    left = np.multiply(x[:, 1:], y[:, :-1], out=left)
+    area = np.sum(np.subtract(left, np.multiply(x[:, :-1], y[:, 1:], out=right), out=left), axis=(1, 2))
     if any(q.hmatrix is not None for q in actions):
-        mid = ((points[:, :-1] + points[:, 1:]) / 2).reshape(-1, d)
-    return [area if q.hmatrix is None else area + np.einsum("gi,gi->g", mid @ q.hmatrix, mid).reshape(n, K).mean(axis=1)
+        mid = np.divide(np.add(points[:, :-1], points[:, 1:], out=mid), 2, out=mid).reshape(-1, d)
+    return [area if q.hmatrix is None else area + np.einsum("gi,gi->g", np.matmul(mid, q.hmatrix, out=hmid.reshape(-1, d)), mid,
+                                                            out=quad.reshape(-1)).reshape(n, K).mean(axis=1)
             for q in actions]
+
+
+# the points of one sub-block of the estimator take at most this many bytes,
+# and at least one loop's: each CHUNK block of the stream is drawn, built
+# and evaluated a sub-block at a time, so that its working arrays stay in
+# cache; no value depends on it
+SUB_BLOCK_BYTES = 2**19
+
+
+def _block_actions(spec: MeasureSpec, actions: Sequence[QuadraticAction], samples: int) -> Iterator[list[np.ndarray]]:
+    """For each CHUNK block of the first ``samples`` sigma^2 = 1 loops of
+    ``spec``'s stream, the ``loop_actions`` of its loops, one array per
+    action: bitwise ``loop_actions(sample_loops(unit, lo, hi), actions)``.
+    The block's one generator draws a sub-block at a time (sequential draws
+    equal one long draw) into buffers reused for every sub-block, which
+    ``_build_loops`` turns into loops as for ``sample_loops``; every step
+    works along each loop on its own, so the cut into sub-blocks moves no
+    bit."""
+    K, d = spec.steps, 2 * spec.m
+    size = max(1, SUB_BLOCK_BYTES // (8 * (K + 1) * d))
+    incr, pts, buffers = np.empty((size, K, d)), np.empty((size, K + 1, d)), _action_buffers(size, K, d)
+    for block, lo in enumerate(range(0, samples, CHUNK)):
+        rng = np.random.default_rng((spec.seed, block))
+        n = min(CHUNK, samples - lo)
+        acts = [np.empty(n) for _ in actions]
+        for first in range(0, n, size):
+            b = min(size, n - first)
+            _build_loops(rng.standard_normal(out=incr[:b]), 1.0, pts[:b])
+            for S, part in zip(acts, _loop_actions(pts[:b], actions, buffers)):
+                S[first:first + b] = part
+        yield acts
 
 
 def estimate_actions(specs: Sequence[MeasureSpec], actions: Sequence[QuadraticAction],
@@ -147,20 +217,18 @@ def estimate_actions(specs: Sequence[MeasureSpec], actions: Sequence[QuadraticAc
     Every action is a quadratic form of the loop, so at variance sigma^2 it
     is sigma^2 times the action of the sigma^2 = 1 loop with the same
     increments.  The specs must share steps, seed and m, and so one stream:
-    each block of CHUNK of its sigma^2 = 1 loops is drawn once, each action
-    is evaluated on it once, and e^{i sigma^2 S} is summed for every (spec,
-    action) pair; the blocks' sums are merged in a fixed order.  A spec's
-    reports do not depend on which other specs share the draw.
+    each block of CHUNK of its sigma^2 = 1 loops is drawn once, a sub-block
+    at a time, each action is evaluated on it once, and e^{i sigma^2 S} is
+    summed over the whole block for every (spec, action) pair; the blocks'
+    sums are merged in a fixed order.  A spec's reports do not depend on
+    which other specs share the draw, nor on SUB_BLOCK_BYTES.
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples for a meaningful stderr")
     if len({(s.steps, s.seed, s.m) for s in specs}) != 1:
         raise ValueError("need one or more specs, all with the same steps, seed and m")
-    # the sigma^2 = 1 loops: the default rule at nu = 1
-    unit = MeasureSpec(nu=1.0, steps=specs[0].steps, seed=specs[0].seed, m=specs[0].m)
     total = np.zeros((len(specs), len(actions)), dtype=complex)
-    for lo in range(0, samples, CHUNK):
-        acts = loop_actions(sample_loops(unit, lo, min(lo + CHUNK, samples)), actions)
+    for acts in _block_actions(specs[0], actions, samples):
         total += [[np.sum(np.exp(1j * (spec.sigma2 * S))) for S in acts] for spec in specs]
     # every sample has modulus 1, so the sum of squared moduli is ``samples``
     var = (samples - np.abs(total) ** 2 / samples) / (samples - 1)
@@ -208,10 +276,10 @@ def gaussian_oracle(spec: MeasureSpec, q: QuadraticAction) -> complex:
     return gaussian_oracles([(spec, q)])[0]
 
 
-# one run of gaussian_oracles stacks as many pairs' pivots as fit in this
-# many bytes, and at least one pair's, so each stack stays within the larger
-# of this and one pair's pivots; a longer batch runs in several, with the
-# same values
+# one run of gaussian_oracles stacks as many pairs' pivots, counted at the
+# batch's largest steps, as fit in this many bytes, and at least one pair's,
+# so each stack stays within the larger of this and one pair's pivots; a
+# longer batch runs in several, with the same values
 ORACLE_RUN_BYTES = 2**26
 
 
@@ -219,7 +287,7 @@ def gaussian_oracles(pairs: Sequence[tuple[MeasureSpec, QuadraticAction]]) -> li
     """``gaussian_oracle`` of each (spec, q) pair, by one recursion over a
     leading batch axis (stacked ``solve``, matrix products and ``eigvals``,
     which run the same LAPACK call per matrix); each value is bitwise the
-    one its pair gets alone.  The specs must share steps and m.
+    one its pair gets alone.  The specs must share m; their steps may differ.
 
     Time-major and scaled by sigma^2/K, P = tridiag(-1, 2, -1) (x) I_{2m} and
     A = P - 2i (sigma^2/K) Q are block tridiagonal, so det A/det P is the
@@ -231,26 +299,30 @@ def gaussian_oracles(pairs: Sequence[tuple[MeasureSpec, QuadraticAction]]) -> li
     lambda -> P - 2i lambda Q every pivot eigenvalue keeps Re > 0 and the sum
     of their principal logs, over the pair's own (K-1) 2m eigenvalues, is the
     continuous branch; the principal log of det D_j is not (for m >= 2 the
-    arguments can sum outside (-pi, pi]).
+    arguments can sum outside (-pi, pi]).  A pair's blocks are constant in j
+    and p_j does not depend on K, so pairs of different K share one
+    recursion, run to the largest K; each pair reads its own first K - 1
+    pivots.
     """
-    if len({(s.steps, s.m) for s, _ in pairs}) != 1:
-        raise ValueError("need one or more pairs, all with the same steps and m")
-    K, d = pairs[0][0].steps, 2 * pairs[0][0].m
+    if len({s.m for s, _ in pairs}) != 1:
+        raise ValueError("need one or more pairs, all with the same m")
+    K, d = max(s.steps for s, _ in pairs), 2 * pairs[0][0].m
     p = 1.0 + 1.0 / np.arange(1, K)
     run = max(1, ORACLE_RUN_BYTES // (16 * (K - 1) * d * d))
     values = []
     for first in range(0, len(pairs), run):
-        g, a = np.stack([2j * s.sigma2 / K * np.array(_form_blocks(s, q)) for s, q in pairs[first:first + run]], axis=1)
+        batch = pairs[first:first + run]
+        g, a = np.stack([2j * s.sigma2 / s.steps * np.array(_form_blocks(s, q)) for s, q in batch], axis=1)
         at = a.swapaxes(-1, -2)
         b, c = np.eye(d) + a, a + at + at @ a
         bt = b.swapaxes(-1, -2)
-        dev = np.empty((len(g), K - 1, d, d), dtype=complex)
+        dev = np.empty((len(g), max(s.steps for s, _ in batch) - 1, d, d), dtype=complex)
         dev[:, 0] = -g / 2
-        for j in range(1, K - 1):
+        for j in range(1, dev.shape[1]):
             f = np.linalg.solve(np.eye(d) + dev[:, j - 1], dev[:, j - 1])
             dev[:, j] = -(g + (c - bt @ f @ b) / p[j - 1]) / p[j]
-        mu = np.linalg.eigvals(dev)  # log(1 + mu) by hand: complex np.log1p is inaccurate near 0
-        terms = np.log1p(2 * mu.real + np.abs(mu) ** 2) / 2 + 1j * np.angle(1 + mu)
-        values += [complex(np.exp(-0.5 * np.sum(t))) for t in terms]
+        for (s, _), piv in zip(batch, dev):
+            mu = np.linalg.eigvals(piv[:s.steps - 1])  # log(1 + mu) by hand: complex np.log1p is inaccurate near 0
+            terms = np.log1p(2 * mu.real + np.abs(mu) ** 2) / 2 + 1j * np.angle(1 + mu)
+            values.append(complex(np.exp(-0.5 * np.sum(terms))))
     return values
-

@@ -437,10 +437,11 @@ def run_pathint(p: dict) -> RunReport:
     actions = [QuadraticAction(), QuadraticAction(hmatrix=symbol_quadratic_matrix(sym))]
     specs = [MeasureSpec(nu=float(nu), steps=p["steps"], seed=p["seed"]) for nu in p["nu_list"]]
     # one draw of the loops serves both actions at every nu; one oracle
-    # batch per grid, of the same actions
+    # batch, of the same actions, serves both grids
     reps = estimate_actions(specs, actions, samples=p["samples"])
-    coarse = gaussian_oracles([(spec, q) for spec in specs for q in actions])
-    fine = gaussian_oracles([(replace(spec, steps=2 * spec.steps), actions[1]) for spec in specs])
+    oracles = gaussian_oracles([(spec, q) for spec in specs for q in actions]
+                               + [(replace(spec, steps=2 * spec.steps), actions[1]) for spec in specs])
+    coarse, fine = oracles[:2 * len(specs)], oracles[2 * len(specs):]
     checks = []
     for i, (nu, spec) in enumerate(zip(p["nu_list"], specs)):
         scale = float(np.exp(spec.nu * spec.m))
@@ -573,14 +574,16 @@ _MATRIX_N_MAX, _MATRIX = math.isqrt(MAX_ARRAY_BYTES // 64), "a 2n x 2n complex m
 _QUAD_GRID = _sized(100, math.isqrt(MAX_ARRAY_BYTES // (16 * QUAD_CUTOFF)), f"the cutoff x grid^2 complex table of "
                     f"fock._coherent_amplitudes at cutoff {QUAD_CUTOFF}", ", as fock.resolution_check needs,")
 _CONTRACTION_N_LIST = _sized(1, math.isqrt(MAX_ARRAY_BYTES // 128), "the 4n x 4n float Potapov permutation", each=True)
-_LOOP_BLOCK = f"a block of loops (a {CHUNK} x (steps + 1) x 2m float array)"
+# the estimator builds a block of the loop stream in small sub-blocks; the
+# limit keeps a whole block, as sample_loops returns it, within reach
+_LOOP_BLOCK = f"one block of the loop stream ({CHUNK} loops of (steps + 1) x 2m floats, as bridge.sample_loops returns it)"
 _LOOP_POINTS = MAX_ARRAY_BYTES // (16 * CHUNK)  # the most (steps + 1) m
 _STEPS = _sized(MIN_STEPS, _LOOP_POINTS - 1, f"{_LOOP_BLOCK} at m = 1")
 _LOOP_M = _range(lambda v, p: 1 <= v <= _LOOP_POINTS // (p["steps"] + 1),
                  f"at least 1 and at most {_LOOP_POINTS} // (steps + 1), the most at which {_LOOP_BLOCK} stays within 256 MiB")
-# spread evenly over contraction_n_list, so at least one sample per n
-_CONTRACTION_SAMPLES = _range(lambda v, p: v >= max(1, len(p["contraction_n_list"])),
-                              "at least 1 and at least len(contraction_n_list)")
+# spread evenly over contraction_n_list, the same positive number per n
+_CONTRACTION_SAMPLES = _range(lambda v, p: v >= 1 and v % max(1, len(p["contraction_n_list"])) == 0,
+                              "a positive multiple of len(contraction_n_list)")
 _EIG_COUNT = _range(lambda v, p: _eig_count_ok(v, Grid2D(p["half_width"], p["spacing"])),
                     "at least ceil(landau.flux_count) + 2 of the grid, enough to reach the "
                     "first excited level, at most landau.max_eig_count of its point count, and small enough that "

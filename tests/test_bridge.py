@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,6 +10,7 @@ from phaselab.bridge import (
     MeasureSpec,
     QuadraticAction,
     CHUNK,
+    _block_actions,
     discrete_quadratic_form,
     estimate_actions,
     gaussian_oracle,
@@ -227,11 +230,57 @@ def test_shared_draw_needs_one_stream():
             estimate_actions([base, other], [AREA], samples=1000)
     with pytest.raises(ValueError):
         estimate_actions([], [AREA], samples=1000)
-    for other in (MeasureSpec(nu=2.0, steps=32, seed=6), MeasureSpec(nu=2.0, steps=64, seed=6, m=2)):
-        with pytest.raises(ValueError):
-            gaussian_oracles([(base, QuadraticAction()), (other, QuadraticAction())])
+    with pytest.raises(ValueError):
+        gaussian_oracles([(base, QuadraticAction()), (MeasureSpec(nu=2.0, steps=64, seed=6, m=2), QuadraticAction())])
     with pytest.raises(ValueError):
         gaussian_oracles([])
+
+
+def test_sub_block_size_moves_no_value(monkeypatch):
+    # each CHUNK block is drawn and evaluated in sub-blocks; their size, from
+    # one loop to a whole block, changes no bit of any estimate, and a
+    # block's per-loop actions are those of the stream's own loops
+    samples = CHUNK + 1000  # two blocks, the last one partial
+    for m in (1, 2):
+        specs = [MeasureSpec(nu=nu, steps=64, seed=6, variance_rule=rule, m=m)
+                 for nu, rule in ((1.0, "nu"), (2.0, "two_nu"))]
+        unit = MeasureSpec(nu=1.0, steps=64, seed=6, m=m)
+        for actions in ([AREA], [AREA, quadratic(m, 0.3, 8)]):
+            for lo, acts in zip(range(0, samples, CHUNK), _block_actions(unit, actions, samples)):
+                want = loop_actions(sample_loops(unit, lo, min(lo + CHUNK, samples)), actions)
+                assert all(np.array_equal(a, b) for a, b in zip(acts, want))
+            want = [[(r.mean, r.stderr) for r in reps] for reps in estimate_actions(specs, actions, samples)]
+            for loops in (1, 7, 256, CHUNK):
+                monkeypatch.setattr("phaselab.bridge.SUB_BLOCK_BYTES", loops * 8 * 65 * 2 * m)
+                got = estimate_actions(specs, actions, samples)
+                assert [[(r.mean, r.stderr) for r in reps] for reps in got] == want
+            monkeypatch.undo()
+
+
+def test_estimate_memory_stays_below_half_a_block():
+    # the estimator never holds a whole block of loops: at CHUNK loops of 256
+    # steps its traced peak stays below half of one (4096, 257, 2) array
+    specs = [MeasureSpec(nu=nu, steps=256, seed=6) for nu in (1.0, 2.0, 4.0)]
+    actions = [AREA, quadratic(1, 0.3, 8)]
+    tracemalloc.start()
+    try:
+        estimate_actions(specs, actions, samples=CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < CHUNK * 257 * 2 * 8 / 2
+
+
+def test_oracle_mixed_steps_batch_matches_per_steps_batches():
+    # one recursion serves pairs of different steps, each pair bitwise its
+    # value in a batch of its own steps
+    q = QuadraticAction(hmatrix=symbol_quadratic_matrix(HamiltonianSymbol(1, sample("sp_c", 1, 2.0, 30))))
+    by_steps = [[(MeasureSpec(nu=nu, steps=steps, seed=0, variance_rule=rule), action)
+                 for nu, rule in ((1.0, "nu"), (2.5, "nu_half"), (4.0, "two_nu")) for action in (AREA, q)]
+                for steps in (16, 48, 96)]
+    want = [gaussian_oracles(pairs) for pairs in by_steps]
+    # the steps interleaved: pair i of each steps in turn
+    assert gaussian_oracles([pair for pairs in zip(*by_steps) for pair in pairs]) == [v for vs in zip(*want) for v in vs]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -167,6 +167,7 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("potapov", {"seed": 1, "n": 0}),
         ("potapov", {"seed": 1, "contraction_samples": 1}),
         ("potapov", {"seed": 1, "contraction_samples": 0, "contraction_n_list": [1]}),
+        ("potapov", {"seed": 1, "contraction_samples": 5, "contraction_n_list": [1, 2]}),
         ("potapov", {"seed": 1, "example_tol": 0}),
         ("potapov", {"seed": 1, "gap_tol": 0}),
         ("potapov", {"seed": 1, "product_tol": 0}),
@@ -255,6 +256,7 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         "potapov_zero_n",
         "potapov_fewer_contraction_samples_than_n_values",
         "potapov_zero_contraction_samples",
+        "potapov_contraction_samples_not_a_multiple_of_n_values",
         "potapov_zero_example_tol",
         "potapov_zero_gap_tol",
         "potapov_zero_product_tol",
