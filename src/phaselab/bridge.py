@@ -168,12 +168,13 @@ def _loop_actions(points: np.ndarray, actions: Sequence[QuadraticAction],
         raise ShapeError("points must have even dimension 2m")
     left, right, mid, hmid, quad = (b[:n] for b in buffers)
     x, y = points[:, :, : d // 2], points[:, :, d // 2 :]
-    left = np.multiply(x[:, 1:], y[:, :-1], out=left)
+    np.multiply(x[:, 1:], y[:, :-1], out=left)
     area = np.sum(np.subtract(left, np.multiply(x[:, :-1], y[:, 1:], out=right), out=left), axis=(1, 2))
     if any(q.hmatrix is not None for q in actions):
         mid = np.divide(np.add(points[:, :-1], points[:, 1:], out=mid), 2, out=mid).reshape(-1, d)
-    return [area if q.hmatrix is None else area + np.einsum("gi,gi->g", np.matmul(mid, q.hmatrix, out=hmid.reshape(-1, d)), mid,
-                                                            out=quad.reshape(-1)).reshape(n, K).mean(axis=1)
+        hmid, quad = hmid.reshape(-1, d), quad.reshape(-1)
+    return [area if q.hmatrix is None
+            else area + np.einsum("gi,gi->g", np.matmul(mid, q.hmatrix, out=hmid), mid, out=quad).reshape(n, K).mean(axis=1)
             for q in actions]
 
 
@@ -278,8 +279,8 @@ def gaussian_oracle(spec: MeasureSpec, q: QuadraticAction) -> complex:
 
 # one run of gaussian_oracles stacks as many pairs' pivots, counted at the
 # batch's largest steps, as fit in this many bytes, and at least one pair's,
-# so each stack stays within the larger of this and one pair's pivots; a
-# longer batch runs in several, with the same values
+# so each stack stays within the larger of this and one pair's pivots at
+# that steps; a longer batch runs in several, with the same values
 ORACLE_RUN_BYTES = 2**26
 
 
@@ -316,9 +317,9 @@ def gaussian_oracles(pairs: Sequence[tuple[MeasureSpec, QuadraticAction]]) -> li
         at = a.swapaxes(-1, -2)
         b, c = np.eye(d) + a, a + at + at @ a
         bt = b.swapaxes(-1, -2)
-        dev = np.empty((len(g), max(s.steps for s, _ in batch) - 1, d, d), dtype=complex)
+        dev = np.empty((len(g), K - 1, d, d), dtype=complex)
         dev[:, 0] = -g / 2
-        for j in range(1, dev.shape[1]):
+        for j in range(1, K - 1):
             f = np.linalg.solve(np.eye(d) + dev[:, j - 1], dev[:, j - 1])
             dev[:, j] = -(g + (c - bt @ f @ b) / p[j - 1]) / p[j]
         for (s, _), piv in zip(batch, dev):
