@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Mapping
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,133 +120,74 @@ def spc_residual(M: np.ndarray) -> float:
     )
 
 
-class MembershipReport:
-    """Per-predicate flags, each paired with a quantitative residual.
+def _ical_top(M: np.ndarray, S: StructuralMatrices) -> float:
+    # the largest eigenvalue of the Hermitian part of Ical M
+    return float(np.linalg.eigvalsh(hermitian_part(S.Ical @ M)).max())
 
-    Each residual is computed on the first read of a predicate that needs
-    it and kept for later reads, so a caller pays only for what it asks.
-    The report holds its own copy of M.  Equality-type residuals gate on
-    EQ_TOL, semidefinite ones on PSD_TOL; a conjunction predicate needs
-    every gate and reports the largest of its residuals.
+
+# residual name -> its formula on (M, S)
+_RESIDUALS = {
+    "realness": lambda M, S: _norm(M.imag),
+    "sp_grp": lambda M, S: _norm(M.T @ S.J @ M - S.J),
+    "sp_alg": lambda M, S: _norm(S.J @ M + M.T @ S.J),
+    "spc": lambda M, S: spc_residual(M),
+    "u_grp": lambda M, S: _norm(M.conj().T @ S.Ical @ M - S.Ical),
+    "u_alg": lambda M, S: _norm(S.Ical @ M + M.conj().T @ S.Ical),
+    # zero when Ical M is Hermitian
+    "iu_alg": lambda M, S: _norm(S.Ical @ M - M.conj().T @ S.Ical),
+    "ispc": lambda M, S: spc_residual(-1j * M),
+    "gamma_u": lambda M, S: max(
+        -float(np.linalg.eigvalsh(hermitian_part(S.Ical - M.conj().T @ S.Ical @ M)).min()), 0.0
+    ),
+    "diss": lambda M, S: max(_ical_top(M, S) * 2, 0.0),
+    # for X in i.u(n,n), Ical X is Hermitian; its largest eigenvalue is the
+    # cone residual for SDiss-type membership
+    "icalM_top": lambda M, S: max(_ical_top(M, S), 0.0),
+}
+
+# predicate -> its residuals, each with the tolerance it gates on
+PREDICATES = {
+    "Sp_R": (("sp_grp", EQ_TOL), ("realness", EQ_TOL)),
+    "Sp_C": (("sp_grp", EQ_TOL),),
+    "sp_R": (("sp_alg", EQ_TOL), ("realness", EQ_TOL)),
+    "sp_C": (("sp_alg", EQ_TOL),),
+    "sp_c": (("spc", EQ_TOL),),
+    "U": (("u_grp", EQ_TOL),),
+    "u": (("u_alg", EQ_TOL),),
+    "GammaU": (("gamma_u", PSD_TOL),),
+    "GammaSp_c": (("gamma_u", PSD_TOL), ("sp_grp", EQ_TOL)),
+    "Diss": (("diss", PSD_TOL),),
+    "SDiss": (("iu_alg", EQ_TOL), ("icalM_top", PSD_TOL)),
+    "Diss_spc": (("sp_alg", EQ_TOL), ("diss", PSD_TOL)),
+    "SDiss_spc": (("ispc", EQ_TOL), ("icalM_top", PSD_TOL)),
+}
+
+
+def classify(M, S: StructuralMatrices, predicate: str) -> Membership:
+    """Whether M satisfies one group/cone predicate, with its residual.
+
+    Only that predicate's residuals are computed.  Equality-type residuals
+    gate on EQ_TOL, semidefinite ones on PSD_TOL; a conjunction predicate
+    needs every gate and reports the largest of its residuals.
     """
-
-    # predicate -> its residuals, each with the tolerance it gates on
-    _GATES = {
-        "Sp_R": (("sp_grp", EQ_TOL), ("realness", EQ_TOL)),
-        "Sp_C": (("sp_grp", EQ_TOL),),
-        "sp_R": (("sp_alg", EQ_TOL), ("realness", EQ_TOL)),
-        "sp_C": (("sp_alg", EQ_TOL),),
-        "sp_c": (("spc", EQ_TOL),),
-        "U": (("u_grp", EQ_TOL),),
-        "u": (("u_alg", EQ_TOL),),
-        "GammaU": (("gamma_u", PSD_TOL),),
-        "GammaSp_c": (("gamma_u", PSD_TOL), ("sp_grp", EQ_TOL)),
-        "Diss": (("diss", PSD_TOL),),
-        "SDiss": (("iu_alg", EQ_TOL), ("icalM_top", PSD_TOL)),
-        "Diss_spc": (("sp_alg", EQ_TOL), ("diss", PSD_TOL)),
-        "SDiss_spc": (("ispc", EQ_TOL), ("icalM_top", PSD_TOL)),
-    }
-    PREDICATES = tuple(_GATES)
-
-    def __init__(self, M: np.ndarray, S: StructuralMatrices):
-        self.n = S.n
-        self._M = M.copy()
-        self._S = S
-
-    def __getitem__(self, key: str) -> Membership:
-        gates = self._GATES[key]
-        res = tuple(getattr(self, name) for name, _ in gates)
-        return Membership(all(r <= tol for r, (_, tol) in zip(res, gates)), max(res))
-
-    @property
-    def checks(self) -> Mapping[str, Membership]:
-        return {key: self[key] for key in self.PREDICATES}
-
-    def flag(self, key: str) -> bool:
-        return self[key].flag
-
-    def residual(self, key: str) -> float:
-        return self[key].residual
-
-    @cached_property
-    def realness(self) -> float:
-        return _norm(self._M.imag)
-
-    @cached_property
-    def sp_grp(self) -> float:
-        M, J = self._M, self._S.J
-        return _norm(M.T @ J @ M - J)
-
-    @cached_property
-    def sp_alg(self) -> float:
-        M, J = self._M, self._S.J
-        return _norm(J @ M + M.T @ J)
-
-    @cached_property
-    def spc(self) -> float:
-        return spc_residual(self._M)
-
-    @cached_property
-    def u_grp(self) -> float:
-        M, Ical = self._M, self._S.Ical
-        return _norm(M.conj().T @ Ical @ M - Ical)
-
-    @cached_property
-    def u_alg(self) -> float:
-        M, Ical = self._M, self._S.Ical
-        return _norm(Ical @ M + M.conj().T @ Ical)
-
-    @cached_property
-    def iu_alg(self) -> float:
-        # zero when Ical M is Hermitian
-        M, Ical = self._M, self._S.Ical
-        return _norm(Ical @ M - M.conj().T @ Ical)
-
-    @cached_property
-    def ispc(self) -> float:
-        return spc_residual(-1j * self._M)
-
-    @cached_property
-    def gamma_u(self) -> float:
-        M, Ical = self._M, self._S.Ical
-        return max(-float(np.linalg.eigvalsh(hermitian_part(Ical - M.conj().T @ Ical @ M)).min()), 0.0)
-
-    @cached_property
-    def _ical_top(self) -> float:
-        # the largest eigenvalue of the Hermitian part of Ical M, read by
-        # both diss and icalM_top
-        return float(np.linalg.eigvalsh(hermitian_part(self._S.Ical @ self._M)).max())
-
-    @cached_property
-    def diss(self) -> float:
-        return max(self._ical_top * 2, 0.0)
-
-    @cached_property
-    def icalM_top(self) -> float:
-        # for X in i.u(n,n), Ical X is Hermitian; its largest eigenvalue is
-        # the cone residual for SDiss-type membership
-        return max(self._ical_top, 0.0)
-
-
-def classify(M, S: StructuralMatrices) -> MembershipReport:
-    """The group/cone predicates on M, with residuals, each evaluated on
-    first use (see ``MembershipReport``)."""
+    if predicate not in PREDICATES:
+        raise ValueError(f"unknown predicate {predicate!r}; known predicates: {tuple(PREDICATES)}")
     M = as_cmatrix(M)
     d = S.dim
     if M.shape != (d, d):
         raise ShapeError(f"expected shape {(d, d)}, got {M.shape}")
-    return MembershipReport(M, S)
+    gates = PREDICATES[predicate]
+    res = tuple(_RESIDUALS[name](M, S) for name, _ in gates)
+    return Membership(all(r <= tol for r, (_, tol) in zip(res, gates)), max(res))
 
 
 def split_diss(X, S: StructuralMatrices):
     """Split X in Diss(n,n) as Xu + Xs with Xu in u(n,n) and Xs Ical-self-
     adjoint dissipative (the direct sum Diss = u(n,n) + SDiss)."""
     X = as_cmatrix(X)
-    rep = classify(X, S)
-    if not rep.flag("Diss"):
-        raise MembershipError(
-            f"input is not Ical-dissipative (residual {rep.residual('Diss'):.3e})"
-        )
+    diss = classify(X, S, "Diss")
+    if not diss.flag:
+        raise MembershipError(f"input is not Ical-dissipative (residual {diss.residual:.3e})")
     Ical = S.Ical
     Xadj = Ical @ X.conj().T @ Ical
     Xu = (X - Xadj) / 2
@@ -274,11 +214,9 @@ def po_decompose(g, S: StructuralMatrices) -> PODecomposition:
     g^[*] g without a well-conditioned eigenbasis as an EigenbasisError.
     """
     g = as_cmatrix(g)
-    rep = classify(g, S)
-    if not rep.flag("GammaSp_c"):
-        raise MembershipError(
-            f"input is not in GammaSp_c (residual {rep.residual('GammaSp_c'):.3e})"
-        )
+    member = classify(g, S, "GammaSp_c")
+    if not member.flag:
+        raise MembershipError(f"input is not in GammaSp_c (residual {member.residual:.3e})")
     Ical = S.Ical
     M = Ical @ g.conj().T @ Ical @ g
     X = 0.5 * logm_principal(M)
@@ -297,8 +235,9 @@ class HamiltonianSymbol:
         A = as_cmatrix(self.A)
         if A.shape != (2 * self.m, 2 * self.m):
             raise ShapeError(f"expected shape {(2 * self.m, 2 * self.m)}")
-        if spc_residual(A) > 1e-8:
-            raise MembershipError("A does not have the sp_c block pattern")
+        spc = classify(A, make_structural(self.m), "sp_c")
+        if not spc.flag:
+            raise MembershipError(f"A does not have the sp_c block pattern (residual {spc.residual:.3e})")
         object.__setattr__(self, "A", A)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .cones import (
     HamiltonianSymbol,
+    cayley,
     classify,
     hat_lift,
     make_structural,
@@ -146,7 +147,7 @@ def run_membership(p: dict) -> RunReport:
     checks = []
     for n in p["n_list"]:
         S = make_structural(n)
-        Jc = S.W @ S.J @ S.W.conj().T
+        Jc = cayley(S.J, S)
         target = np.diag(np.concatenate([-1j * np.ones(n), 1j * np.ones(n)]))
         checks.append(Check.le(f"Jc_diagonal_n{n}", np.linalg.norm(Jc - target, 2), STRUCTURAL_TOL))
         checks.append(Check.le(f"Ical_is_minus_i_Jc_n{n}", np.linalg.norm(S.Ical - (-1j) * Jc, 2), STRUCTURAL_TOL))
@@ -168,8 +169,8 @@ def run_membership(p: dict) -> RunReport:
         else:
             # push strictly outside the cone: shift along the accretive +Ical
             X = sample("Diss", n, 0.4, p["seed"] + i) + float(rng.uniform(0.15, 0.5)) * S.Ical
-        in_cone = classify(X, S).flag("Diss")
-        contracts = all(classify(expm(t * X), S).flag("GammaU") for t in ts)
+        in_cone = classify(X, S, "Diss").flag
+        contracts = all(classify(expm(t * X), S, "GammaU").flag for t in ts)
         disagreements += int(in_cone != contracts)
     checks.append(Check.le("dissipativity_contraction_disagreements", disagreements, 0))
     return RunReport("membership", p, checks)
@@ -194,9 +195,11 @@ def run_decompose(p: dict) -> RunReport:
             np.linalg.norm(dec.h @ expm(dec.X) - g, 2) / np.linalg.norm(g, 2),
         )
         worst_recover = max(worst_recover, np.linalg.norm(dec.X - X0, 2))
-        rep_h = classify(dec.h, S)
-        rep_X = classify(dec.X, S)
-        memberships_ok &= rep_h.flag("GammaSp_c") and rep_h.flag("U") and rep_X.flag("SDiss_spc")
+        memberships_ok &= (
+            classify(dec.h, S, "GammaSp_c").flag
+            and classify(dec.h, S, "U").flag
+            and classify(dec.X, S, "SDiss_spc").flag
+        )
     checks = [
         Check.le("reconstruction_residual", worst_recon, 1e-9),
         Check.le("generator_recovery", worst_recover, 1e-7),

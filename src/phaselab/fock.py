@@ -84,12 +84,14 @@ def _mode_annihilators(m: int, D: int) -> tuple:
         out = np.array([[1.0 + 0j]])
         for j in range(2 * m):
             out = np.kron(out, a1 if j == k else I)
+        out.flags.writeable = False  # cached and shared
         ops.append(out)
     return tuple(ops)
 
 
 def annihilator(space: FockSpace, k: int) -> np.ndarray:
-    """a_k for mode k (1-based, k = 1..n; b_j = a_{m+j})."""
+    """a_k for mode k (1-based, k = 1..n; b_j = a_{m+j}), built once per
+    space and shared, so read-only."""
     if not 1 <= k <= space.modes:
         raise ShapeError(f"mode index {k} out of range 1..{space.modes}")
     return _mode_annihilators(space.m, space.cutoff)[k - 1]
@@ -107,6 +109,7 @@ def _occupation_diagonals(m: int, D: int) -> np.ndarray:
     for k in range(n):
         pattern = np.repeat(np.arange(D), D ** (n - k - 1))
         occ[k] = np.tile(pattern, D**k)
+    occ.flags.writeable = False  # cached and shared
     return occ
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import MembershipError, StructuralMatrices, spc_residual
+from .cones import MembershipError, StructuralMatrices, classify, make_structural
 from .linalg import (
     EQ_TOL,
     PSD_TOL,
@@ -35,6 +35,7 @@ from .linalg import (
     ShapeError,
     as_cmatrix,
     expm,
+    hermitian_part,
     nullspace,
     orthonormal_frame,
     span_frame,
@@ -135,17 +136,17 @@ def is_Unn(P: LinearRelation, S: StructuralMatrices) -> bool:
     """
     V, W = P.top, P.bottom
     G = V.conj().T @ S.Ical @ V - W.conj().T @ S.Ical @ W
-    contraction = -float(np.linalg.eigvalsh((G + G.conj().T) / 2).min())
+    contraction = -float(np.linalg.eigvalsh(hermitian_part(G)).min())
     ker, ind = ker_indef(P)
 
     if ind.shape[1]:
         Gi = ind.conj().T @ S.Ical @ ind
-        indef_top = float(np.linalg.eigvalsh((Gi + Gi.conj().T) / 2).max())
+        indef_top = float(np.linalg.eigvalsh(hermitian_part(Gi)).max())
     else:
         indef_top = -np.inf
     if ker.shape[1]:
         Gk = ker.conj().T @ S.Ical @ ker
-        ker_bot = float(np.linalg.eigvalsh((Gk + Gk.conj().T) / 2).min())
+        ker_bot = float(np.linalg.eigvalsh(hermitian_part(Gk)).min())
     else:
         ker_bot = np.inf
     return contraction <= PSD_TOL and indef_top <= -PSD_TOL and ker_bot >= PSD_TOL
@@ -285,8 +286,9 @@ def limit_graph(A, m: int) -> LinearRelation:
     A = as_cmatrix(A)
     if A.shape != (4 * m, 4 * m):
         raise ShapeError(f"expected shape {(4 * m, 4 * m)}")
-    if spc_residual(A) > EQ_TOL * 10:
-        raise MembershipError("A does not have the sp_c(4m,R) block pattern")
+    spc = classify(A, make_structural(2 * m), "sp_c")
+    if not spc.flag:
+        raise MembershipError(f"A does not have the sp_c(4m,R) block pattern (residual {spc.residual:.3e})")
     d = 4 * m
     eA0 = expm(a0_generator(A, m))
     v0, v1, vm1 = _eigenspace_indices(m)

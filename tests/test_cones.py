@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phaselab.cones import (
+    PREDICATES,
     SAMPLE_KINDS,
     HamiltonianSymbol,
     MembershipError,
@@ -19,7 +20,7 @@ from phaselab.cones import (
     spc_residual,
 )
 from phaselab.linalg import EQ_TOL, PSD_TOL, BranchCutError, expm
-from phaselab.relations import make_Nb
+from phaselab.relations import limit_graph, make_Nb
 
 
 def test_structural_matrices():
@@ -69,28 +70,28 @@ def test_herm_form():
 
 def test_classify_examples():
     S1 = make_structural(1)
-    assert classify(S1.J, S1).flag("Sp_R")
+    assert classify(S1.J, S1, "Sp_R").flag
 
     M = np.array([[0.7j, 0.3 + 0.2j], [0.3 - 0.2j, -0.7j]])
-    assert classify(M, S1).flag("sp_c")
+    assert classify(M, S1, "sp_c").flag
 
     # the one-parameter contraction family of the worked 2x2 example
     X = np.diag([1.0, -1.0]).astype(complex)
     for t in (0.5, 1.0, 3.0):
-        assert classify(expm(t * X), S1).flag("GammaSp_c")
-    assert classify(X, S1).flag("SDiss")
+        assert classify(expm(t * X), S1, "GammaSp_c").flag
+    assert classify(X, S1, "SDiss").flag
 
     # +N_b is the dissipative multiple of the doubled number matrix;
     # -N_b is accretive (the sign the worked displays carry is flipped)
     S2 = make_structural(2)
     Nb = make_Nb(1)
-    assert classify(Nb, S2).flag("SDiss_spc")
-    assert not classify(-Nb, S2).flag("SDiss_spc")
-    assert classify(Nb, S2).flag("Diss_spc")
+    assert classify(Nb, S2, "SDiss_spc").flag
+    assert not classify(-Nb, S2, "SDiss_spc").flag
+    assert classify(Nb, S2, "Diss_spc").flag
 
 
 def _eager_classify(M, S):
-    # every residual up front, by the formulas classify evaluates lazily
+    # every residual up front, by the formulas classify evaluates per predicate
     M = np.asarray(M, dtype=complex)
     J, Ical = S.J, S.Ical
 
@@ -134,32 +135,24 @@ def _bits(flag, residual):
     return bool(flag), float(residual).hex()
 
 
-def test_lazy_classify_matches_eager_reference():
+def test_classify_matches_eager_reference():
     for n in (1, 2, 3):
         S = make_structural(n)
         for i, kind in enumerate(SAMPLE_KINDS):
             M = sample(kind, n, 0.7, 40 + i)
             ref = {k: _bits(*v) for k, v in _eager_classify(M, S).items()}
-            rep = classify(M, S)
-            assert tuple(ref) == rep.PREDICATES
-            # read in reverse, so each residual is first computed for a
-            # different predicate than in the reference's order
-            for key in reversed(rep.PREDICATES):
-                assert _bits(rep.flag(key), rep.residual(key)) == ref[key], (n, kind, key)
-                assert rep[key].flag == rep.flag(key) and rep[key].residual == rep.residual(key)
-            full = classify(M, S).checks
-            assert {k: _bits(m.flag, m.residual) for k, m in full.items()} == ref
+            assert tuple(ref) == tuple(PREDICATES)
+            for key in PREDICATES:
+                got = classify(M, S, key)
+                assert _bits(got.flag, got.residual) == ref[key], (n, kind, key)
 
 
-def test_classify_keeps_its_own_copy():
-    S = make_structural(2)
-    M = sample("GammaSp_c", 2, 0.5, 3)
-    ref = {k: _bits(*v) for k, v in _eager_classify(M, S).items()}
-    rep = classify(M, S)
-    first = _bits(rep.flag("GammaU"), rep.residual("GammaU"))
-    M[:] = 7.0  # M is already complex, so classify saw this very array
-    assert first == ref["GammaU"]
-    assert {k: _bits(m.flag, m.residual) for k, m in rep.checks.items()} == ref
+def test_classify_rejects_unknown_predicate():
+    S = make_structural(1)
+    with pytest.raises(ValueError) as err:
+        classify(S.J, S, "Sp")
+    for key in PREDICATES:
+        assert repr(key) in str(err.value)
 
 
 def test_make_structural_is_shared_and_read_only():
@@ -172,13 +165,13 @@ def test_make_structural_is_shared_and_read_only():
                 A[0, 0] = 2.0
 
 
-def test_classify_group_inclusions():
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.floats(0.1, 1.0), st.integers(0, 2**31 - 1))
+def test_classify_group_inclusions(n, scale, seed):
     # Sp_c(2n,R) = U(n,n) intersect Sp(2n,C)
-    S = make_structural(2)
-    for i in range(10):
-        g = sample("Sp_c", 2, 0.8, i)
-        rep = classify(g, S)
-        assert rep.flag("U") and rep.flag("Sp_C")
+    S = make_structural(n)
+    g = sample("Sp_c", n, scale, seed)
+    assert classify(g, S, "U").flag and classify(g, S, "Sp_C").flag
 
 
 def test_classify_sdiss_chain_consistency():
@@ -188,8 +181,8 @@ def test_classify_sdiss_chain_consistency():
     rng = np.random.default_rng(3)
     for i in range(20):
         X = sample("SDiss", 2, 1.0, i)
-        rep = classify(X, S)
-        assert rep.flag("SDiss") and rep.flag("Diss") and rep.flag("u") is False
+        assert classify(X, S, "SDiss").flag and classify(X, S, "Diss").flag
+        assert classify(X, S, "u").flag is False
         for _ in range(20):
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             val = herm_form(v, X @ v, S)
@@ -197,17 +190,19 @@ def test_classify_sdiss_chain_consistency():
             assert val.real <= 1e-10 * np.linalg.norm(v) ** 2
 
 
-def test_sample_kinds_pass_their_flags():
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.floats(0.1, 1.0), st.integers(0, 2**31 - 1))
+def test_sample_kinds_pass_their_flags(n, scale, seed):
     key = {
         "sp_R": "sp_R", "sp_C": "sp_C", "sp_c": "sp_c", "u": "u",
         "Sp_c": "GammaSp_c", "U": "U", "SDiss": "SDiss",
         "SDiss_spc": "SDiss_spc", "Diss": "Diss",
         "GammaU": "GammaU", "GammaSp_c": "GammaSp_c",
     }
-    S = make_structural(2)
+    S = make_structural(n)
     for kind in SAMPLE_KINDS:
-        M = sample(kind, 2, 0.7, 5)
-        assert classify(M, S).flag(key[kind]), kind
+        M = sample(kind, n, scale, seed)
+        assert classify(M, S, key[kind]).flag, kind
 
 
 def test_sample_deterministic_and_validated():
@@ -237,9 +232,7 @@ def test_split_diss():
         X = sample("Diss", 2, 1.0, i)
         xu, xs = split_diss(X, S)
         assert np.linalg.norm(xu + xs - X, 2) < 1e-12
-        rep_u = classify(xu, S)
-        rep_s = classify(xs, S)
-        assert rep_u.flag("u") and rep_s.flag("SDiss")
+        assert classify(xu, S, "u").flag and classify(xs, S, "SDiss").flag
 
     with pytest.raises(MembershipError):
         split_diss(S.Ical, S)  # strictly accretive
@@ -355,3 +348,18 @@ def test_hat_lift():
 def test_hamiltonian_symbol_validates():
     with pytest.raises(MembershipError):
         HamiltonianSymbol(1, np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+
+def test_spc_gates_use_the_equality_tolerance():
+    # an sp_c residual of about 1e-9 is over EQ_TOL, so both sp_c gates reject
+    for m in (1, 2):
+        A = sample("sp_c", m, 1.0, 3)
+        A[0, 0] += 4e-10  # A + A* moves by twice that
+        assert EQ_TOL < spc_residual(A) < 1e-9
+        with pytest.raises(MembershipError):
+            HamiltonianSymbol(m, A)
+        lifted = hat_lift(HamiltonianSymbol(m, sample("sp_c", m, 1.0, 3)))
+        lifted[0, 0] += 4e-10
+        assert EQ_TOL < spc_residual(lifted) < 1e-9
+        with pytest.raises(MembershipError):
+            limit_graph(lifted, m)

@@ -36,6 +36,16 @@ def sym1(seed, scale=1.0):
     return HamiltonianSymbol(1, sample("sp_c", 1, scale, seed))
 
 
+def test_cached_operators_are_read_only():
+    space = FockSpace(1, 4)
+    a1 = annihilator(space, 1)
+    with pytest.raises(ValueError):
+        a1[0, 1] = 9.0
+    with pytest.raises(ValueError):
+        _occupation_diagonals(space.m, space.cutoff)[0, 0] = 9.0
+    assert annihilator(space, 1)[0, 1] == a1[0, 1] != 9.0
+
+
 def test_ladder_matrices_qubit_truncation():
     space = FockSpace(1, 2)
     a1 = annihilator(space, 1)
