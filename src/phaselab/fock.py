@@ -132,24 +132,6 @@ def _b_vacuum(space: FockSpace) -> np.ndarray:
     return ~occ[space.m:].any(axis=0)
 
 
-def _sector(space: FockSpace, G: np.ndarray) -> np.ndarray:
-    """The block of G on the b-vacuum sector, a D^m x D^m matrix over the
-    sector's basis states in their order in the full space."""
-    idx = np.flatnonzero(_b_vacuum(space))
-    return G[np.ix_(idx, idx)]
-
-
-def _sector_expm(space: FockSpace, G: np.ndarray) -> np.ndarray:
-    """e^{E_b G E_b} on the b-vacuum sector, as a D^m x D^m matrix over the
-    sector's basis states in their order in the full space.
-
-    E_b G E_b vanishes off the sector, so its exponential is this block
-    there and the identity elsewhere; E_b e^{E_b G E_b} E_b is the block
-    alone.  For G = E_b G E_b that is E_b e^G E_b.
-    """
-    return expm(_sector(space, G))
-
-
 def number_ops(space: FockSpace):
     """(N_b, E_b): the number operator of the b-modes (the second half of
     the modes) and the orthogonal projector onto ker N_b."""
@@ -201,12 +183,17 @@ def drho(space: FockSpace, A) -> np.ndarray:
 
 
 def antinormal_quantize(space: FockSpace, X) -> np.ndarray:
-    """Compression E_b X E_b by the b-vacuum projector."""
+    """The compression E_b X E_b as an operator on ran E_b = ker N_b: the
+    D^m x D^m block of X on the b-vacuum basis states, in their order in the
+    full space (the vacuum first).  Those states are |j, 0> with j running
+    over the a-occupations, so the block is in a-mode Fock coordinates.
+    E_b X E_b vanishes off ran E_b, so exp(E_b X E_b) is the expm of this
+    block on ran E_b and the identity elsewhere."""
     X = np.asarray(X, dtype=complex)
     if X.shape != (space.dim, space.dim):
         raise ShapeError("operator dimension mismatch")
-    keep = _b_vacuum(space)
-    return np.where(keep[:, None] & keep[None, :], X, 0)
+    idx = np.flatnonzero(_b_vacuum(space))
+    return X[np.ix_(idx, idx)]
 
 
 def h_A_operator(space: FockSpace, sym: HamiltonianSymbol) -> np.ndarray:
@@ -268,16 +255,12 @@ def coherent(space: FockSpace, z) -> np.ndarray:
             f"coherent amplitude too large for cutoff {space.cutoff} "
             f"(error bound {err:.2e} > {COHERENT_BOUND:.2e})"
         )
-    D = space.cutoff
-    js = np.arange(D)
-    vac = np.array([1.0] + [0.0] * (D - 1), dtype=complex)
-    vec = np.array([1.0 + 0j])
-    for k in range(space.m):
-        amps = z[k] ** js / np.sqrt([float(factorial(int(j))) for j in js])
-        amps = amps / np.linalg.norm(amps)
-        vec = np.kron(vec, amps)
-    for _ in range(space.m):
-        vec = np.kron(vec, vac)
+    amps = np.array([1.0 + 0j])
+    for col in _coherent_amplitudes(z, space.cutoff).T:
+        amps = np.kron(amps, col / np.linalg.norm(col))
+    # the b-vacuum states are the a-mode basis states, in the same order
+    vec = np.zeros(space.dim, dtype=complex)
+    vec[_b_vacuum(space)] = amps
     return vec
 
 
@@ -307,7 +290,7 @@ def strong_limit_run(space: FockSpace, sym: HamiltonianSymbol, nu_list: Sequence
         if np.linalg.norm(psi[~safe]) > SAFE_BAND_MASS:
             raise TruncationError("test vector occupies the unsafe band")
     H = h_A_operator(space, sym)
-    block = _sector_expm(space, H)
+    block = expm(antinormal_quantize(space, H))
     targets = []
     for p in vectors:
         t = np.zeros(space.dim, dtype=complex)
@@ -364,7 +347,11 @@ def quantize_integral(
 ) -> np.ndarray:
     """Quadrature quantization Q(f) = integral of f(z) p_z dmu(z) over the
     disc |z| <= radius, with p_z the (normalized, truncated) coherent-state
-    projector.  Midpoint rule on a grid x grid lattice; m = 1."""
+    projector.  Midpoint rule on a grid x grid lattice; m = 1.
+
+    p_z lies in ran E_b, so Q(f) is returned as the D x D operator there, in
+    the coordinates of ``antinormal_quantize``: entry (j, k) is
+    <j, 0| Q(f) |k, 0>."""
     _require_single_mode(space)
     D = space.cutoff
     z, w = _disc_grid(radius, grid)
@@ -372,13 +359,10 @@ def quantize_integral(
     fvals = np.asarray(f(z), dtype=complex).reshape(-1)
     if fvals.shape != z.shape:
         raise ShapeError("f must map the grid to one value per point")
-    # Qa = (C w f) C^H, as the transpose of conj(C) (C w f)^T: BLAS reads
+    # Q = (C w f) C^H, as the transpose of conj(C) (C w f)^T: BLAS reads
     # the Fortran-ordered C.T conjugate-transposed in place, where C.conj()
     # would copy the whole table
-    Qa = zgemm(1.0, C.T, (C * (w * fvals)).T, trans_a=2).T
-    Eb0 = np.zeros((D, D), dtype=complex)
-    Eb0[0, 0] = 1.0
-    return np.kron(Qa, Eb0)
+    return zgemm(1.0, C.T, (C * (w * fvals)).T, trans_a=2).T
 
 
 def resolution_check(space: FockSpace, grid: int) -> float:
@@ -388,9 +372,8 @@ def resolution_check(space: FockSpace, grid: int) -> float:
     if grid < 100:
         raise ValueError("resolution check needs grid >= 100")
     Q = quantize_integral(space, lambda z: np.ones_like(z, dtype=complex), QUAD_RADIUS, grid)
-    E_b = np.diag(_b_vacuum(space).astype(complex))
-    P = band_projector(space, QUAD_MAX_OCC, modes=[1]) @ E_b
-    return float(np.linalg.norm(P @ (Q - E_b) @ P, 2))
+    block = Q[: QUAD_MAX_OCC + 1, : QUAD_MAX_OCC + 1]
+    return float(np.linalg.norm(block - np.eye(len(block)), 2))
 
 
 def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol, tau: float | None = None) -> complex:
@@ -409,12 +392,11 @@ def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol, tau: float | No
     cutoffs = (D, D + 2)
     spaces = [FockSpace(space.m, c) for c in cutoffs]
     if tau is None:
-        gens = [_sector(sp, h_A_operator(sp, sym)) for sp in spaces]
+        gens = [antinormal_quantize(sp, h_A_operator(sp, sym)) for sp in spaces]
     else:
-        sp = spaces[-1]
-        Q = quantize_integral(sp, lambda z: hamiltonian_real_values(sym, np.stack([z.real, z.imag], axis=1), tau),
-                              CLIP_RADIUS, CLIP_GRID)
-        top = -1j * _sector(sp, Q)
+        top = -1j * quantize_integral(
+            spaces[-1], lambda z: hamiltonian_real_values(sym, np.stack([z.real, z.imag], axis=1), tau),
+            CLIP_RADIUS, CLIP_GRID)
         gens = [top[:c, :c] for c in cutoffs]
     # the vacuum is the sector's first basis state
     val, val2 = (complex(expm(G)[0, 0]) for G in gens)

@@ -21,7 +21,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cones import HamiltonianSymbol, hamiltonian_real_values
-from .fock import FockSpace, _sector_expm, h_A_operator
+from .fock import FockSpace, antinormal_quantize, h_A_operator
+from .linalg import expm
 
 
 # the fewest spacings in a half width that Grid2D accepts
@@ -122,12 +123,6 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 _SQRT_I_POWERS = np.array([1, (1 + 1j) / np.sqrt(2), 1j, (-1 + 1j) / np.sqrt(2)])
 
 
-def _permutation(image: np.ndarray) -> sp.csr_matrix:
-    """The permutation matrix P with P e_a = e_{image[a]}."""
-    N = image.size
-    return sp.csr_matrix((np.ones(N), (image, np.arange(N))), shape=(N, N))
-
-
 def rotation_sectors(H: sp.spmatrix) -> list[sp.csc_matrix]:
     """H restricted to the four eigenspaces of the 90-degree grid rotation R,
     each as a real symmetric matrix.
@@ -155,10 +150,11 @@ def rotation_sectors(H: sp.spmatrix) -> list[sp.csc_matrix]:
     i, j = np.divmod(np.arange(N), side)
     s1 = (side - 1 - j) * side + i  # the index of R e_a
     f = i * side + side - 1 - j  # the index of F e_a
-    R, F = _permutation(s1), _permutation(f)
-    if (R @ H @ R.T != H).nnz:
+    # R^T H R has entries H[s1[a], s1[b]], and likewise for F
+    H = H.tocsr()
+    if (H[s1][:, s1] != H).nnz:
         raise SymmetryError("H does not commute with the 90-degree grid rotation")
-    if (F @ H @ F.T != H.conj()).nnz:
+    if (H[f][:, f] != H.conj()).nnz:
         raise SymmetryError("the grid mirror does not map H to its conjugate")
     orbit = [np.arange(N), s1, s1[s1], s1[s1[s1]]]
     reps = np.flatnonzero((orbit[0] < orbit[1]) & (orbit[0] < orbit[2]) & (orbit[0] < orbit[3]))
@@ -334,7 +330,7 @@ def _fock_prediction_on_grid(grid: Grid2D, sym: HamiltonianSymbol) -> np.ndarray
     the b-vacuum wavefunctions z^j e^{-|z|^2/2}/sqrt(pi j!)."""
     space = FockSpace(1, PREDICTION_CUTOFF)
     # the vacuum is the first of the sector's states |j, 0>, j = 0..cutoff-1
-    coeff = _sector_expm(space, h_A_operator(space, sym))[:, 0]
+    coeff = expm(antinormal_quantize(space, h_A_operator(space, sym)))[:, 0]
     X, Y = grid.coordinates()
     z = X + 1j * Y
     out = np.zeros_like(z, dtype=complex)

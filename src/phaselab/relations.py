@@ -86,12 +86,17 @@ def relation_from_span(cols, n: int) -> LinearRelation:
     return LinearRelation(n=n, frame=F)
 
 
-def graph_of(T) -> LinearRelation:
-    """The relation {v (+) Tv} of a 2n x 2n matrix."""
+def _square_2n(T) -> tuple[np.ndarray, int]:
+    """(T, n) for a finite square 2n x 2n T, checked by as_cmatrix and ShapeError."""
     T = as_cmatrix(T)
     if T.shape[0] != T.shape[1] or T.shape[0] % 2:
         raise ShapeError("expected a square 2n x 2n matrix")
-    n = T.shape[0] // 2
+    return T, T.shape[0] // 2
+
+
+def graph_of(T) -> LinearRelation:
+    """The relation {v (+) Tv} of a 2n x 2n matrix."""
+    T, n = _square_2n(T)
     F = orthonormal_frame(np.vstack([np.eye(2 * n, dtype=complex), T]))
     return LinearRelation(n=n, frame=F)
 
@@ -161,10 +166,7 @@ def is_symplectic_rel(P: LinearRelation, S: StructuralMatrices) -> bool:
 
 def potapov_matrix(g) -> np.ndarray:
     """The 2n x 2n Potapov transform of a matrix g = (a b; c d) with invertible a."""
-    g = as_cmatrix(g)
-    if g.shape[0] != g.shape[1] or g.shape[0] % 2:
-        raise ShapeError("expected a square 2n x 2n matrix")
-    n = g.shape[0] // 2
+    g, n = _square_2n(g)
     a, b, c, d = g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:]
     s = np.linalg.svd(a, compute_uv=False)
     if s[-1] <= RANK_TOL * max(s[0], 1.0):
@@ -173,22 +175,17 @@ def potapov_matrix(g) -> np.ndarray:
     return np.block([[-ai @ b, ai], [d - c @ ai @ b, c @ ai]])
 
 
-def _pi_permutation(n: int) -> np.ndarray:
-    """The coordinate permutation (v-, v+, w-, w+) -> (v+, w-, v-, w+)."""
-    P = np.zeros((4 * n, 4 * n))
-    I = np.eye(n)
-    P[0 * n : 1 * n, 1 * n : 2 * n] = I
-    P[1 * n : 2 * n, 2 * n : 3 * n] = I
-    P[2 * n : 3 * n, 0 * n : 1 * n] = I
-    P[3 * n : 4 * n, 3 * n : 4 * n] = I
-    return P
+def _pi_rows(n: int) -> np.ndarray:
+    """Pi as a row order: row k of Pi x is row _pi_rows(n)[k] of x, for
+    Pi (v-, v+, w-, w+) = (v+, w-, v-, w+) with blocks of n rows."""
+    return np.r_[n : 3 * n, 0:n, 3 * n : 4 * n]
 
 
 def potapov_relation(P: LinearRelation) -> np.ndarray:
     """Potapov transform of a relation: permute the frame by Pi, then solve
     for the matrix whose graph is the permuted subspace."""
     n = P.n
-    F = _pi_permutation(n) @ P.frame
+    F = P.frame[_pi_rows(n)]
     top, bottom = F[: 2 * n, :], F[2 * n :, :]
     s = np.linalg.svd(top, compute_uv=False)
     if s[-1] <= RANK_TOL * max(s[0], 1.0):
@@ -200,18 +197,18 @@ def potapov_relation(P: LinearRelation) -> np.ndarray:
 
 def potapov_inverse(r: np.ndarray) -> LinearRelation:
     """The relation whose Potapov transform is r (inverse of potapov_relation)."""
-    n = r.shape[0] // 2
-    G = np.vstack([np.eye(2 * n, dtype=complex), r])
-    F = _pi_permutation(n).T @ G  # Pi is a permutation, so Pi^{-1} = Pi^T
+    r, n = _square_2n(r)
+    F = np.empty((4 * n, 2 * n), dtype=complex)
+    F[_pi_rows(n)] = np.vstack([np.eye(2 * n), r])  # Pi^{-1}: scatter the rows back
     return relation_from_span(F, n)
 
 
 def potapov_product(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """Product formula: Pi(P1 P2) from the 2n x 2n transforms
     r1 = Pi(P1) = (alpha beta; gamma delta) and r2 = Pi(P2) = (phi psi; theta kappa)."""
-    if r1.shape != r2.shape:
+    (r1, n), (r2, n2) = _square_2n(r1), _square_2n(r2)
+    if n != n2:
         raise ShapeError("block sizes differ")
-    n = r1.shape[0] // 2
     al, be, ga, de = r1[:n, :n], r1[:n, n:], r1[n:, :n], r1[n:, n:]
     ph, ps, th, ka = r2[:n, :n], r2[:n, n:], r2[n:, :n], r2[n:, n:]
     M = np.eye(n) - ph @ de
@@ -243,22 +240,13 @@ def make_Nb(m: int) -> np.ndarray:
     ).astype(complex)
 
 
-def _eigenspace_indices(m: int):
-    """Index ranges of the N_b eigenspaces V^(0), V^(1), V^(-1)."""
-    v0 = list(range(0, m)) + list(range(2 * m, 3 * m))
-    v1 = list(range(m, 2 * m))
-    vm1 = list(range(3 * m, 4 * m))
-    return v0, v1, vm1
-
-
 def a0_generator(A, m: int) -> np.ndarray:
     """Compression (I - N_b^2) A (I - N_b^2) onto the zero eigenspace of N_b."""
     A = as_cmatrix(A)
     if A.shape != (4 * m, 4 * m):
         raise ShapeError(f"expected shape {(4 * m, 4 * m)}")
-    Nb = make_Nb(m)
-    P0 = np.eye(4 * m) - Nb @ Nb
-    return P0 @ A @ P0
+    keep = np.diag(make_Nb(m)) == 0
+    return np.where(keep[:, None] & keep[None, :], A, 0)
 
 
 def projection_derivative(A, m: int) -> np.ndarray:
@@ -290,17 +278,12 @@ def limit_graph(A, m: int) -> LinearRelation:
     if not spc.flag:
         raise MembershipError(f"A does not have the sp_c(4m,R) block pattern (residual {spc.residual:.3e})")
     d = 4 * m
-    eA0 = expm(a0_generator(A, m))
-    v0, v1, vm1 = _eigenspace_indices(m)
-    E = np.eye(d, dtype=complex)
-    cols = []
-    for j in vm1:
-        cols.append(np.concatenate([E[:, j], np.zeros(d)]))
-    for j in v0:
-        cols.append(np.concatenate([E[:, j], eA0 @ E[:, j]]))
-    for j in v1:
-        cols.append(np.concatenate([np.zeros(d), E[:, j]]))
-    return relation_from_span(np.array(cols).T, 2 * m)
+    I, O = np.eye(d), np.zeros((d, d))
+    # block k = 0, 1, 2 gives the columns j whose e_j lies in V^(k - 1)
+    blocks = np.block([[I, I, O], [O, expm(a0_generator(A, m)), I]])
+    lam = np.diag(make_Nb(m)).real
+    cols = np.concatenate([k * d + np.flatnonzero(lam == k - 1) for k in range(3)])
+    return relation_from_span(blocks[:, cols], 2 * m)
 
 
 def graph_limit_gaps(A, m: int, nu_list) -> tuple[LinearRelation, list[float]]:

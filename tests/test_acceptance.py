@@ -9,6 +9,8 @@ the repository notes).  They are implemented faithfully at the stated
 tolerances and are expected to fail; everything else passes.
 """
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -228,13 +230,66 @@ def test_criterion_16_calibration_study():
     assert rep.wall_time < TIME_BUDGETS["calibrate"]
 
 
+def _relative_move(new: str, old: str) -> float:
+    if new == old:
+        return 0.0
+    try:
+        a, b = float(new), float(old)
+    except ValueError:  # an empty value on one side
+        return float("inf")
+    return abs(a - b) / abs(b) if b else float("inf")
+
+
+def golden_moves(new: bytes, old: bytes) -> str:
+    """The rows of a measurements CSV that differ from the golden one: each
+    moved value with its relative move, each other changed field, each row
+    on one side only, and the largest relative value move."""
+    def rows(text):
+        return {r["check"]: r for r in csv.DictReader(io.StringIO(text.decode()))}
+
+    got, want = rows(new), rows(old)
+    lines, worst = [], 0.0
+    for name in list(want) + [n for n in got if n not in want]:
+        if name not in got or name not in want:
+            lines.append(f"  {name}: only in the {'golden file' if name in want else 'new output'}")
+            continue
+        g, w = got[name], want[name]
+        if g["value"] != w["value"]:
+            move = _relative_move(g["value"], w["value"])
+            worst = max(worst, move)
+            lines.append(f"  {name}: {w['value']} -> {g['value']} (relative {move:.2g})")
+        for field in ("experiment", "threshold", "comparator", "status"):
+            if g[field] != w[field]:
+                lines.append(f"  {name}: {field} {w[field]} -> {g[field]}")
+    if list(got) != list(want) and set(got) == set(want):
+        lines.append("  the rows come in another order")
+    lines.append(f"  largest relative value move: {worst:.2g}")
+    return "\n".join(lines)
+
+
+def test_golden_moves_names_each_changed_row():
+    head = "experiment,check,value,threshold,comparator,status\n"
+    old = (head + "e,a,1.5,2,<=,pass\ne,b,4,2,<=,fail\ne,c,,,report,report\n").encode()
+    new = (head + "e,a,1.5,2,<=,pass\ne,b,1,2,<=,pass\ne,d,3,,report,report\n").encode()
+    assert golden_moves(new, old).splitlines() == [
+        "  b: 4 -> 1 (relative 0.75)",
+        "  b: status fail -> pass",
+        "  c: only in the golden file",
+        "  d: only in the new output",
+        "  largest relative value move: 0.75",
+    ]
+    assert golden_moves(old, old) == "  largest relative value move: 0"
+
+
 @pytest.mark.parametrize("name", sorted(TIME_BUDGETS))
 def test_csv_matches_golden(name, tmp_path):
     # the CSV of each checked-in config, formatted from the cached report,
     # is byte-identical to the one committed under tests/golden
     _, csv_path = write_outputs(report_for(name), tmp_path)
-    assert csv_path.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes(), (
+    new, old = csv_path.read_bytes(), (GOLDEN_DIR / f"{name}.csv").read_bytes()
+    assert new == old, (
         f"configs/{name}.json no longer writes tests/golden/{name}.csv byte for byte.  The golden "
         "bytes belong to the numpy and OpenBLAS build of the host that wrote them; another build "
         "may move the last bits of a value.  If a value moved on purpose, rewrite the file with "
-        f"`phaselab run configs/{name}.json` and state the largest move in CHANGES.md.")
+        f"`phaselab run configs/{name}.json` and state the largest move in CHANGES.md.  The rows "
+        f"that differ:\n{golden_moves(new, old)}")

@@ -27,7 +27,7 @@ from phaselab.fock import (
     vacuum_state,
     z_ops,
 )
-from phaselab.fock import _coherent_amplitudes, _disc_grid, _occupation_diagonals, _quadratic, _sector_expm
+from phaselab.fock import _coherent_amplitudes, _disc_grid, _occupation_diagonals, _quadratic
 from phaselab.linalg import ShapeError, expm
 from phaselab.relations import make_Nb
 
@@ -176,21 +176,28 @@ def test_z_ops_commuting_normal():
 
 
 def test_antinormal_quantize_basics():
+    # E_b I E_b is the identity of ran E_b, and compressing E_b X E_b again
+    # changes nothing
     space = FockSpace(1, 8)
     _, E_b = number_ops(space)
-    assert np.linalg.norm(antinormal_quantize(space, np.eye(space.dim)) - E_b, 2) == 0
+    one = antinormal_quantize(space, np.eye(space.dim))
+    assert one.shape == (space.cutoff,) * 2 and np.array_equal(one, np.eye(space.cutoff))
     X = np.random.default_rng(0).normal(size=(space.dim, space.dim))
     C = antinormal_quantize(space, X)
-    assert np.linalg.norm(antinormal_quantize(space, C) - C, 2) < 1e-12
+    assert np.linalg.norm(antinormal_quantize(space, E_b @ X @ E_b) - C, 2) < 1e-12
 
 
 def test_antinormal_quantize_equals_projector_compression():
-    # E_b is an exact 0/1 diagonal, so the masked compression is exact
+    # E_b is an exact 0/1 diagonal, so E_b X E_b is exactly the D^m x D^m
+    # result put back on the b-vacuum states, in their full-space order
     for space in (FockSpace(1, 7), FockSpace(2, 3)):
         _, E_b = number_ops(space)
+        idx = np.flatnonzero(np.diag(E_b).real)
         rng = np.random.default_rng(space.dim)
         X = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
-        assert np.array_equal(antinormal_quantize(space, X), E_b @ X @ E_b)
+        full = np.zeros_like(X)
+        full[np.ix_(idx, idx)] = antinormal_quantize(space, X)
+        assert np.array_equal(full, E_b @ X @ E_b)
 
 
 def test_sector_expm_matches_full_space():
@@ -199,19 +206,20 @@ def test_sector_expm_matches_full_space():
         _, E_b = number_ops(space)
         idx = np.flatnonzero(np.diag(E_b).real)
         assert idx.size == space.cutoff**space.m and idx[0] == 0
-        G = antinormal_quantize(space, h_A_operator(space, s))
+        H = h_A_operator(space, s)
+        G = E_b @ H @ E_b
         full = expm(G)
-        block = _sector_expm(space, G)
+        block = expm(antinormal_quantize(space, H))
         assert np.max(np.abs(block - full[np.ix_(idx, idx)])) < 1e-13
         # off the sector e^G is the identity and does not mix in
         off = np.flatnonzero(np.diag(E_b).real == 0)
         assert np.max(np.abs(full[np.ix_(off, idx)])) == 0
         # a generator outside E_b . E_b is compressed first
-        assert np.array_equal(_sector_expm(space, h_A_operator(space, s)), block)
+        assert np.array_equal(antinormal_quantize(space, G), antinormal_quantize(space, H))
     space, s = FockSpace(1, 10), sym1(9, 0.5)
     vac = vacuum_state(space)
-    G = antinormal_quantize(space, h_A_operator(space, s))
-    want = vac.conj() @ expm(G) @ vac
+    _, E_b = number_ops(space)
+    want = vac.conj() @ expm(E_b @ h_A_operator(space, s) @ E_b) @ vac
     assert abs(vacuum_expectation(space, s, None) - want) < 1e-13
 
 
@@ -234,10 +242,9 @@ def test_quantize_integral_is_the_leading_block_at_a_larger_cutoff():
     f = lambda z: hamiltonian_real_values(s, np.stack([z.real, z.imag], axis=1), 8.0)
     small = quantize_integral(FockSpace(1, D), f, 8.0, 120)
     large = quantize_integral(FockSpace(1, D + 2), f, 8.0, 120)
-    # the a-mode block on the b-vacuum: occupation (j, 0) is basis index j D
-    a_block = lambda Q, d: Q[::d, ::d]
+    assert small.shape == (D, D) and large.shape == (D + 2, D + 2)
     # equal up to the BLAS summation order, which may depend on the shape
-    assert np.max(np.abs(a_block(large, D + 2)[:D, :D] - a_block(small, D))) <= 1e-14 * np.max(np.abs(small))
+    assert np.max(np.abs(large[:D, :D] - small)) <= 1e-14 * np.max(np.abs(small))
 
 
 def test_antinormal_word_identity():
@@ -296,7 +303,7 @@ def test_strong_limit_matches_full_space_expm():
     nus = [4.0, 8.0, 12.0]
     H = h_A_operator(space, s)
     N_b, E_b = number_ops(space)
-    target = E_b @ expm(antinormal_quantize(space, H)) @ E_b
+    target = E_b @ expm(E_b @ H @ E_b) @ E_b
     for (nu, got), want_nu in zip(strong_limit_run(space, s, nus, vecs), nus):
         U = expm(H - want_nu * N_b)
         want = [np.linalg.norm(U @ p - target @ p) for p in vecs]
@@ -381,14 +388,18 @@ def test_quantize_integral_monomials_and_hermiticity():
     Z = z_ops(space)[0]
     Zc = Z.conj().T
     _, E_b = number_ops(space)
-    P3 = band_projector(space, 3, modes=[1]) @ E_b
+    # the band of a-occupation <= 3 inside ran E_b: the b-vacuum states
+    # |j, 0>, j <= 3, at full-space index j D
+    band = np.flatnonzero(np.diag(band_projector(space, 3, modes=[1]) @ E_b).real)
+    assert np.array_equal(band, space.cutoff * np.arange(4))
     # f = |z|^2 matches the compressed word a a* E_b
     Q = quantize_integral(space, lambda z: (np.abs(z) ** 2).astype(complex), 6.0, 200)
+    assert Q.shape == (space.cutoff, space.cutoff)
     ref = E_b @ Z @ Zc @ E_b
-    assert np.linalg.norm(P3 @ (Q - ref) @ P3, 2) < 1e-3
-    # f = 1 reproduces E_b
+    assert np.linalg.norm(Q[:4, :4] - ref[np.ix_(band, band)], 2) < 1e-3
+    # f = 1 reproduces E_b, the identity of ran E_b
     Q1 = quantize_integral(space, lambda z: np.ones_like(z), 6.0, 200)
-    assert np.linalg.norm(P3 @ (Q1 - E_b) @ P3, 2) < 1e-3
+    assert np.linalg.norm(Q1[:4, :4] - np.eye(4), 2) < 1e-3
     # real f gives a Hermitian operator
     Qr = quantize_integral(space, lambda z: z.real.astype(complex), 6.0, 120)
     assert np.linalg.norm(Qr - Qr.conj().T, 2) < 1e-12

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phaselab.cones import make_structural, sample
-from phaselab.linalg import expm, subspace_gap
+from phaselab.linalg import ShapeError, expm, subspace_gap
 from phaselab.relations import (
     DegenerateCompositionError,
     NotAGraphError,
@@ -211,6 +212,35 @@ def test_potapov_relation_and_product_guards():
     # delta = 1 and phi = 1, so 1 - phi delta = 0
     with pytest.raises(RankError, match="1 - phi delta"):
         potapov_product(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+
+
+def test_potapov_transforms_check_their_input():
+    # a square 2n x 2n finite matrix, as graph_of and potapov_matrix ask
+    r = potapov_relation(graph_of(sample("GammaU", 1, 0.5, 0)))
+    for bad in (np.zeros((3, 3)), np.zeros((4, 2))):
+        with pytest.raises(ShapeError, match="square 2n x 2n"):
+            potapov_inverse(bad)
+        with pytest.raises(ShapeError, match="square 2n x 2n"):
+            potapov_product(bad, bad)
+    with pytest.raises(ShapeError, match="block sizes differ"):
+        potapov_product(r, np.eye(4))
+    nan = np.full((2, 2), np.nan)
+    for call in (lambda: potapov_inverse(nan), lambda: potapov_product(r, nan), lambda: potapov_product(nan, r)):
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.floats(0.1, 1.0), st.integers(0, 2**31 - 2))
+def test_potapov_product_formula_and_inverse_property(n, scale, seed):
+    P1 = graph_of(sample("GammaU", n, scale, seed))
+    P2 = graph_of(sample("GammaU", n, scale, seed + 1))
+    r1, r2 = potapov_relation(P1), potapov_relation(P2)
+    # the product formula at the potapov runner's tolerance
+    assert np.max(np.abs(potapov_relation(compose(P1, P2)) - potapov_product(r1, r2))) < 1e-9
+    # potapov_inverse scatters the rows back where potapov_relation took them
+    for r in (r1, r2):
+        assert np.max(np.abs(potapov_relation(potapov_inverse(r)) - r)) < 1e-12
 
 
 def test_make_Nb():
