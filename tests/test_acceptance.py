@@ -279,6 +279,8 @@ def test_golden_moves_names_each_changed_row():
         "  largest relative value move: 0.75",
     ]
     assert golden_moves(old, old) == "  largest relative value move: 0"
+    swapped = (head + "e,b,4,2,<=,fail\ne,a,1.5,2,<=,pass\ne,c,,,report,report\n").encode()
+    assert golden_moves(swapped, old).splitlines()[0] == "  the rows come in another order"
 
 
 @pytest.mark.parametrize("name", sorted(TIME_BUDGETS))
