@@ -34,7 +34,7 @@ from .fock import (
     FockSpace,
     annihilator,
     antinormal_quantize,
-    band_projector,
+    band_indices,
     basis_state,
     coherent,
     creator,
@@ -327,13 +327,13 @@ def run_fock_limit(p: dict) -> RunReport:
 
     # two-route operator identity on the safe band
     space = FockSpace(1, LEMMA_CUTOFF)
-    Pband = band_projector(space, LEMMA_CUTOFF - 3)
+    band = band_indices(space, LEMMA_CUTOFF - 3)
     worst = 0.0
     for i in range(p["lemma_samples"]):
         sym = HamiltonianSymbol(1, sample("sp_c", 1, 1.0, p["seed"] + i))
         lhs = h_A_operator(space, sym)
         rhs = drho(space, hat_lift(sym))
-        worst = max(worst, float(np.linalg.norm((lhs - rhs) @ Pband, 2)))
+        worst = max(worst, float(np.linalg.norm((lhs - rhs)[:, band], 2)))
     checks.append(Check.le("symbol_equals_lifted_generator", worst, 1e-10))
 
     # strong limit residual table.  The coherent test vector (amplitude 0.5)
@@ -573,7 +573,7 @@ _NU_LIST = _row_names("g", _POSITIVE_LIST)
 _MATRIX_N_MAX, _MATRIX = math.isqrt(MAX_ARRAY_BYTES // 64), "a 2n x 2n complex matrix"
 _QUAD_GRID = _sized(100, math.isqrt(MAX_ARRAY_BYTES // (16 * QUAD_CUTOFF)), f"the cutoff x grid^2 complex table of "
                     f"fock._coherent_amplitudes at cutoff {QUAD_CUTOFF}", ", as fock.resolution_check needs,")
-_CONTRACTION_N_LIST = _sized(1, math.isqrt(MAX_ARRAY_BYTES // 128), "the 4n x 4n float Potapov permutation", each=True)
+_CONTRACTION_N_LIST = _sized(1, math.isqrt(MAX_ARRAY_BYTES // 128), "the 4n x 2n complex frame of relations.graph_of", each=True)
 # the estimator builds a block of the loop stream in small sub-blocks; the
 # limit keeps a whole block, as sample_loops returns it, within reach
 _LOOP_BLOCK = f"one block of the loop stream ({CHUNK} loops of (steps + 1) x 2m floats, as bridge.sample_loops returns it)"

@@ -113,16 +113,10 @@ def _occupation_diagonals(m: int, D: int) -> np.ndarray:
     return occ
 
 
-def band_projector(space: FockSpace, max_occ: int, modes: Sequence[int] | None = None) -> np.ndarray:
-    """Diagonal projector onto occupation <= max_occ in the given modes
-    (1-based; all modes by default).  This is the safe band on which
-    CCR-derived identities are exact."""
-    occ = _occupation_diagonals(space.m, space.cutoff)
-    sel = range(space.modes) if modes is None else [k - 1 for k in modes]
-    keep = np.ones(space.dim, dtype=bool)
-    for k in sel:
-        keep &= occ[k] <= max_occ
-    return np.diag(keep.astype(complex))
+def band_indices(space: FockSpace, max_occ: int) -> np.ndarray:
+    """Indices of the basis states with every occupation <= max_occ: the
+    safe band on which CCR-derived identities are exact."""
+    return np.flatnonzero(_occupation_diagonals(space.m, space.cutoff).max(axis=0) <= max_occ)
 
 
 def _b_vacuum(space: FockSpace) -> np.ndarray:
@@ -130,17 +124,6 @@ def _b_vacuum(space: FockSpace) -> np.ndarray:
     states whose b-occupations are all 0 (D^m of the D^{2m})."""
     occ = _occupation_diagonals(space.m, space.cutoff)
     return ~occ[space.m:].any(axis=0)
-
-
-def number_ops(space: FockSpace):
-    """(N_b, E_b): the number operator of the b-modes (the second half of
-    the modes) and the orthogonal projector onto ker N_b."""
-    m = space.m
-    N_b = sum(
-        creator(space, m + k) @ annihilator(space, m + k) for k in range(1, m + 1)
-    )
-    E_b = np.diag(_b_vacuum(space).astype(complex))
-    return N_b, E_b
 
 
 def z_ops(space: FockSpace) -> list[np.ndarray]:
@@ -209,6 +192,24 @@ def h_A_operator(space: FockSpace, sym: HamiltonianSymbol) -> np.ndarray:
     row = Z + Zc
     col = Zc + Z
     return _quadratic(row, col, 0.5 * (S.Ical @ sym.A))
+
+
+def sector_h_A(space: FockSpace, sym: HamiltonianSymbol) -> np.ndarray:
+    """E_b h_A(Z) E_b as the D^m x D^m operator on ran E_b, in the
+    coordinates of ``antinormal_quantize``: the antinormally ordered
+    quantization of the symbol, built from the a-modes alone.
+
+    On ran E_b, Z_k E_b = a_k* E_b, E_b Z_k* = E_b a_k and
+    E_b b_k b_l* E_b = delta_kl E_b, so h_A's quadratic in (Z, Z*) becomes
+    the same quadratic in (a*, a), plus tr(M[:m, :m]) from the Z_k Z_l*
+    terms, M = (1/2) Ical A.  Exact on the whole truncated space.
+    """
+    if sym.m != space.m:
+        raise ShapeError("symbol and space have different m")
+    M = 0.5 * (make_structural(space.m).Ical @ sym.A)
+    a = [antinormal_quantize(space, annihilator(space, k)) for k in range(1, space.m + 1)]
+    ac = [x.conj().T for x in a]
+    return _quadratic(ac + a, a + ac, M) + np.trace(M[: space.m, : space.m]) * np.eye(len(a[0]))
 
 
 def vacuum_state(space: FockSpace) -> np.ndarray:
@@ -284,13 +285,16 @@ def strong_limit_run(space: FockSpace, sym: HamiltonianSymbol, nu_list: Sequence
     N_b = occ[space.m:].sum(axis=0)
     parity = [np.flatnonzero(occ.sum(axis=0) % 2 == r) for r in (0, 1)]
     safe = occ.max(axis=0) <= space.cutoff / 3
+    vectors = [np.asarray(psi, dtype=complex) for psi in vectors]
     for psi in vectors:
+        if psi.shape != (space.dim,):
+            raise ShapeError(f"test vector must have shape ({space.dim},), not {psi.shape}")
         if np.linalg.norm(psi[~b_vac]) > 1e-12:
             raise ValueError("test vector not in ran E_b")
         if np.linalg.norm(psi[~safe]) > SAFE_BAND_MASS:
             raise TruncationError("test vector occupies the unsafe band")
     H = h_A_operator(space, sym)
-    block = expm(antinormal_quantize(space, H))
+    block = expm(sector_h_A(space, sym))
     targets = []
     for p in vectors:
         t = np.zeros(space.dim, dtype=complex)
@@ -392,7 +396,7 @@ def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol, tau: float | No
     cutoffs = (D, D + 2)
     spaces = [FockSpace(space.m, c) for c in cutoffs]
     if tau is None:
-        gens = [antinormal_quantize(sp, h_A_operator(sp, sym)) for sp in spaces]
+        gens = [sector_h_A(sp, sym) for sp in spaces]
     else:
         top = -1j * quantize_integral(
             spaces[-1], lambda z: hamiltonian_real_values(sym, np.stack([z.real, z.imag], axis=1), tau),

@@ -13,7 +13,7 @@ between clusters by the Dirichlet wall.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, isqrt
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cones import HamiltonianSymbol, hamiltonian_real_values
-from .fock import FockSpace, antinormal_quantize, h_A_operator
+from .fock import FockSpace, _coherent_amplitudes, sector_h_A
 from .linalg import expm
 
 
@@ -330,15 +330,9 @@ def _fock_prediction_on_grid(grid: Grid2D, sym: HamiltonianSymbol) -> np.ndarray
     the b-vacuum wavefunctions z^j e^{-|z|^2/2}/sqrt(pi j!)."""
     space = FockSpace(1, PREDICTION_CUTOFF)
     # the vacuum is the first of the sector's states |j, 0>, j = 0..cutoff-1
-    coeff = expm(antinormal_quantize(space, h_A_operator(space, sym)))[:, 0]
+    coeff = expm(sector_h_A(space, sym))[:, 0]
     X, Y = grid.coordinates()
-    z = X + 1j * Y
-    out = np.zeros_like(z, dtype=complex)
-    env = np.exp(-np.abs(z) ** 2 / 2)
-    for j, c in enumerate(coeff):
-        if c != 0:
-            out += c * z**j * env / np.sqrt(np.pi * float(factorial(j)))
-    return out
+    return coeff @ _coherent_amplitudes(X + 1j * Y, PREDICTION_CUTOFF) / np.sqrt(np.pi)
 
 
 def grid_strong_limit(grid: Grid2D, sym: HamiltonianSymbol, nu_list: Sequence[float]) -> list[tuple[float, float]]:

@@ -638,6 +638,8 @@ def test_csv_bytes_do_not_depend_on_the_thread_count(tmp_path):
     configs = [str(ROOT / "configs" / f"{name}.json") for name in ("membership", "decompose", "potapov")]
     landau = {"experiment": "landau", "parameters": {"half_width": 4.5, "spacing": 0.125, "eig_count": 38}}
     configs.append(write_config(tmp_path, landau, "landau.json"))
+    fock = {"experiment": "fock-limit", "parameters": {"seed": 1, **FOCK_SMALL}}
+    configs.append(write_config(tmp_path, fock, "fock_limit.json"))
     script = "import sys\nfrom phaselab.cli import main\nfor c in sys.argv[2:]:\n    main(['run', c, '--out', sys.argv[1]])"
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     procs = {}
@@ -648,7 +650,7 @@ def test_csv_bytes_do_not_depend_on_the_thread_count(tmp_path):
                                           env=env, stdout=subprocess.DEVNULL)
     assert [proc.wait(timeout=600) for proc in procs.values()] == [0, 0]
     one, two = (sorted((tmp_path / threads).glob("*.csv")) for threads in procs)
-    assert [f.name for f in one] == [f.name for f in two] and len(one) == 4
+    assert [f.name for f in one] == [f.name for f in two] and len(one) == 5
     for a, b in zip(one, two):
         assert a.read_bytes() == b.read_bytes(), a.name
 
@@ -664,6 +666,34 @@ def test_seed_override_changes_samples(tmp_path):
     csv_a = (tmp_path / "a" / "decompose_measurements.csv").read_text()
     csv_b = (tmp_path / "b" / "decompose_measurements.csv").read_text()
     assert csv_a != csv_b
+
+
+# a config of each experiment that runs in well under a second
+SMALL_PARAMETERS = {
+    "membership": {"n_list": [1], "n": 1, "samples": 6},
+    "decompose": {"n": 1, "samples": 3},
+    "potapov": {"n": 1, "pairs": 2, "contraction_samples": 2, "contraction_n_list": [1]},
+    "graph-limit": {"samples": 2, "nu_list": [4], "fd_samples": 2},
+    "fock-limit": FOCK_SMALL,
+    "landau": {"half_width": 2.0, "spacing": 0.125, "eig_count": 8,
+               "strong_limit_nu_list": [2], "strong_limit_half_width": 4.0},
+    "pathint": {"nu_list": [1], "steps": 16, "samples": 1000},
+    "calibrate": {"nu_list": [1], "rules": ["nu"], "steps": 16, "samples": 1000},
+}
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from(sorted(SMALL_PARAMETERS)), st.integers(0, 2**31 - 1))
+def test_seed_override_writes_the_bytes_of_the_seed_in_the_config(tmp_path_factory, tag, seed):
+    tmp = tmp_path_factory.mktemp("seed")
+    params = SMALL_PARAMETERS[tag]
+    overridden = write_config(tmp, {"experiment": tag, "parameters": {**params, "seed": 7}}, "overridden.json")
+    direct = write_config(tmp, {"experiment": tag, "parameters": {**params, "seed": seed}}, "direct.json")
+    codes = [main(["run", overridden, "--out", str(tmp / "a"), "--seed-override", str(seed)]),
+             main(["run", direct, "--out", str(tmp / "b")])]
+    assert codes[0] == codes[1]
+    a, b = (sorted((tmp / out).glob("*.csv")) for out in "ab")
+    assert len(a) == len(b) == 1 and a[0].read_bytes() == b[0].read_bytes()
 
 
 def test_unreadable_config_exits_2(tmp_path):

@@ -12,16 +12,16 @@ from phaselab.fock import (
     VACUUM_GUARD,
     annihilator,
     antinormal_quantize,
-    band_projector,
+    band_indices,
     basis_state,
     coherent,
     coherent_truncation_bound,
     creator,
     drho,
     h_A_operator,
-    number_ops,
     quantize_integral,
     resolution_check,
+    sector_h_A,
     strong_limit_run,
     vacuum_expectation,
     vacuum_state,
@@ -34,6 +34,29 @@ from phaselab.relations import make_Nb
 
 def sym1(seed, scale=1.0):
     return HamiltonianSymbol(1, sample("sp_c", 1, scale, seed))
+
+
+def number_ops(space):
+    """(N_b, E_b) as full-space matrices: the number operator of the b-modes
+    and the orthogonal projector onto its kernel, the dense reference."""
+    m = space.m
+    N_b = sum(creator(space, m + k) @ annihilator(space, m + k) for k in range(1, m + 1))
+    return N_b, np.diag((np.diag(N_b) == 0).astype(complex))
+
+
+def occ_band(space, max_occ, modes):
+    """Indices of the basis states with occupation <= max_occ in the given
+    modes (1-based)."""
+    occ = _occupation_diagonals(space.m, space.cutoff)[[k - 1 for k in modes]]
+    return np.flatnonzero(occ.max(axis=0) <= max_occ)
+
+
+def test_band_indices():
+    # two modes at cutoff 3: state (j, k) at index 3 j + k
+    space = FockSpace(1, 3)
+    assert band_indices(space, 1).tolist() == [0, 1, 3, 4]
+    assert band_indices(space, 2).tolist() == list(range(9))
+    assert occ_band(space, 0, [2]).tolist() == [0, 3, 6]
 
 
 def test_cached_operators_are_read_only():
@@ -61,10 +84,10 @@ def test_ccr_on_safe_band():
     c1 = creator(space, 1)
     assert np.linalg.norm(a1 @ a2 - a2 @ a1, 2) == 0
     assert np.linalg.norm(a1 @ a2.conj().T - a2.conj().T @ a1, 2) == 0
-    P = band_projector(space, D - 2, modes=[1])
+    band = occ_band(space, D - 2, [1])
     comm = a1 @ c1 - c1 @ a1
     # exact up to sqrt(j)*sqrt(j) rounding
-    assert np.linalg.norm((comm - np.eye(space.dim)) @ P, 2) < 1e-14
+    assert np.linalg.norm((comm - np.eye(space.dim))[:, band], 2) < 1e-14
     with pytest.raises(Exception):
         annihilator(space, 3)
 
@@ -78,10 +101,10 @@ def test_drho_worked_examples():
     space = FockSpace(1, 8)
     a = annihilator(space, 1)
     ac = creator(space, 1)
-    P = band_projector(space, space.cutoff - 2, modes=[1])
+    band = occ_band(space, space.cutoff - 2, [1])
     got = drho(space, np.diag([1j, 0.0, -1j, 0.0]))
     want = -1j * (ac @ a + 0.5 * np.eye(space.dim))
-    assert np.linalg.norm((got - want) @ P, 2) < 1e-13
+    assert np.linalg.norm((got - want)[:, band], 2) < 1e-13
 
     r, b = 0.7, 0.3 - 0.4j
     A = np.zeros((4, 4), dtype=complex)
@@ -93,8 +116,8 @@ def test_drho_worked_examples():
         + (b / 2) * (a @ a)
         - (np.conj(b) / 2) * (ac @ ac)
     )
-    Pq = band_projector(space, space.cutoff - 3, modes=[1])
-    assert np.linalg.norm((got - want) @ Pq, 2) < 1e-12
+    band = occ_band(space, space.cutoff - 3, [1])
+    assert np.linalg.norm((got - want)[:, band], 2) < 1e-12
 
 
 def test_drho_linearity_and_skewness():
@@ -102,20 +125,20 @@ def test_drho_linearity_and_skewness():
     A = sample("sp_c", 2, 1.0, 1)
     B = sample("sp_c", 2, 1.0, 2)
     assert np.linalg.norm(drho(space, A + B) - drho(space, A) - drho(space, B), 2) < 1e-12
-    P = band_projector(space, space.cutoff - 3)
+    band = band_indices(space, space.cutoff - 3)
     dA = drho(space, A)
-    assert np.linalg.norm(P @ (dA + dA.conj().T) @ P, 2) < 1e-12
+    assert np.linalg.norm((dA + dA.conj().T)[np.ix_(band, band)], 2) < 1e-12
 
 
 def test_drho_lie_algebra_homomorphism():
     space = FockSpace(1, 12)
-    P = band_projector(space, space.cutoff - 4)
+    band = band_indices(space, space.cutoff - 4)
     for i in range(10):
         A = sample("sp_c", 2, 1.0, 3 * i)
         B = sample("sp_c", 2, 1.0, 3 * i + 1)
         lhs = drho(space, A) @ drho(space, B) - drho(space, B) @ drho(space, A)
         rhs = drho(space, A @ B - B @ A)
-        assert np.linalg.norm((lhs - rhs) @ P, 2) < 1e-9
+        assert np.linalg.norm((lhs - rhs)[:, band], 2) < 1e-9
 
 
 def test_number_ops_and_projector_limit():
@@ -127,8 +150,8 @@ def test_number_ops_and_projector_limit():
     # the diagonal doubled matrix maps to -(N_b + m/2) on the safe band
     got = drho(space, make_Nb(1))
     want = -(N_b + 0.5 * np.eye(space.dim))
-    P = band_projector(space, space.cutoff - 2, modes=[2])
-    assert np.linalg.norm((got - want) @ P, 2) < 1e-13
+    band = occ_band(space, space.cutoff - 2, [2])
+    assert np.linalg.norm((got - want)[:, band], 2) < 1e-13
 
 
 def test_quadratic_matches_entrywise_reference():
@@ -165,9 +188,9 @@ def test_quadratic_operators_conserve_occupation_parity():
 def test_z_ops_commuting_normal():
     space = FockSpace(1, 8)
     Z = z_ops(space)[0]
-    P = band_projector(space, space.cutoff - 3)
+    band = band_indices(space, space.cutoff - 3)
     comm = Z @ Z.conj().T - Z.conj().T @ Z
-    assert np.linalg.norm(comm @ P, 2) < 1e-12
+    assert np.linalg.norm(comm[:, band], 2) < 1e-12
     # Z on the joint vacuum is a pure a-excitation
     vac = vacuum_state(space)
     assert np.linalg.norm(Z @ vac - basis_state(space, (1, 0))) < 1e-14
@@ -223,6 +246,23 @@ def test_sector_expm_matches_full_space():
     assert abs(vacuum_expectation(space, s, None) - want) < 1e-13
 
 
+def test_sector_h_A_is_the_compression_of_h_A():
+    # E_b h_A(Z) E_b from the a-modes alone, exact on the whole truncated
+    # space, not only on the safe band
+    cases = [(1, D) for D in (3, 4, 8, 12, 16, 18)] + [(2, D) for D in (3, 4, 5)]
+    for m, D in cases:
+        space = FockSpace(m, D)
+        for seed in range(2):
+            s = HamiltonianSymbol(m, sample("sp_c", m, 1.0, 10 * D + seed))
+            G = sector_h_A(space, s)
+            assert G.shape == (D**m, D**m)
+            assert np.max(np.abs(G - antinormal_quantize(space, h_A_operator(space, s)))) < 1e-14
+            # skew-adjoint, so exp(G) is unitary and |vacuum_expectation| <= 1
+            assert np.max(np.abs(G + G.conj().T)) < 1e-14
+    with pytest.raises(ShapeError):
+        sector_h_A(FockSpace(2, 3), sym1(1))
+
+
 def test_coherent_amplitude_table():
     z, _ = _disc_grid(8.0, 60)
     D = 18
@@ -255,23 +295,23 @@ def test_antinormal_word_identity():
     a = annihilator(space, 1)
     ac = creator(space, 1)
     _, E_b = number_ops(space)
-    P = band_projector(space, space.cutoff - 5)
+    band = band_indices(space, space.cutoff - 5)
     for p in range(4):
         for q in range(4 - p):
             lhs = E_b @ np.linalg.matrix_power(Z, p) @ np.linalg.matrix_power(Zc, q) @ E_b
             rhs = np.linalg.matrix_power(a, q) @ np.linalg.matrix_power(ac, p) @ E_b
-            assert np.linalg.norm((lhs - rhs) @ P, 2) < 1e-12
+            assert np.linalg.norm((lhs - rhs)[:, band], 2) < 1e-12
 
 
 def test_h_A_operator_equals_lifted_drho():
     space = FockSpace(1, 10)
-    P = band_projector(space, 7)
+    band = band_indices(space, 7)
     for i in range(10):
         s = sym1(i)
         lhs = h_A_operator(space, s)
         rhs = drho(space, hat_lift(s))
-        assert np.linalg.norm((lhs - rhs) @ P, 2) < 1e-10
-        assert np.linalg.norm(P @ (lhs + lhs.conj().T) @ P, 2) < 1e-10
+        assert np.linalg.norm((lhs - rhs)[:, band], 2) < 1e-10
+        assert np.linalg.norm((lhs + lhs.conj().T)[np.ix_(band, band)], 2) < 1e-10
     assert np.linalg.norm(h_A_operator(space, HamiltonianSymbol(1, np.zeros((2, 2))))) == 0
 
 
@@ -320,6 +360,11 @@ def test_strong_limit_vector_preconditions():
     top = basis_state(space, (space.cutoff - 1, 0))
     with pytest.raises(TruncationError):
         strong_limit_run(space, s, [1.0], [top])
+    # a vector of the wrong length or rank
+    space = FockSpace(1, 14)
+    for bad in (np.zeros(10), vacuum_state(space)[:, None]):
+        with pytest.raises(ShapeError):
+            strong_limit_run(space, s, [1.0], [bad])
 
 
 def test_ray_normalized_strong_limit_drift_cancels():
@@ -335,8 +380,8 @@ def test_ray_normalized_strong_limit_drift_cancels():
     vac = vacuum_state(space)
     g1 = complex(vac.conj() @ U1 @ vac)
     g2 = complex(vac.conj() @ U2 @ vac)
-    P = band_projector(space, 3)
-    diff = np.linalg.norm(P @ (U1 / g1 - U2 / g2) @ P, 2)
+    band = band_indices(space, 3)
+    diff = np.linalg.norm((U1 / g1 - U2 / g2)[np.ix_(band, band)], 2)
     assert diff < 1e-6
     # and the raw scalar ratio is e^{nu m/2}
     assert abs(g1 / g2 - np.exp(nu * 0.5)) < 1e-6
@@ -390,7 +435,7 @@ def test_quantize_integral_monomials_and_hermiticity():
     _, E_b = number_ops(space)
     # the band of a-occupation <= 3 inside ran E_b: the b-vacuum states
     # |j, 0>, j <= 3, at full-space index j D
-    band = np.flatnonzero(np.diag(band_projector(space, 3, modes=[1]) @ E_b).real)
+    band = np.intersect1d(occ_band(space, 3, [1]), occ_band(space, 0, [2]))
     assert np.array_equal(band, space.cutoff * np.arange(4))
     # f = |z|^2 matches the compressed word a a* E_b
     Q = quantize_integral(space, lambda z: (np.abs(z) ** 2).astype(complex), 6.0, 200)
