@@ -56,7 +56,6 @@ def test_band_indices():
     space = FockSpace(1, 3)
     assert band_indices(space, 1).tolist() == [0, 1, 3, 4]
     assert band_indices(space, 2).tolist() == list(range(9))
-    assert occ_band(space, 0, [2]).tolist() == [0, 3, 6]
 
 
 def test_cached_operators_are_read_only():
