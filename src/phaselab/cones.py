@@ -43,6 +43,7 @@ from .linalg import (
     expm,
     hermitian_part,
     logm_principal,
+    square_blocks,
 )
 
 
@@ -54,14 +55,9 @@ class MembershipError(ValueError):
 class StructuralMatrices:
     """The structural matrices J, W, Ical for a fixed block size n."""
 
-    n: int
     J: np.ndarray
     W: np.ndarray
     Ical: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -77,24 +73,25 @@ def make_structural(n: int) -> StructuralMatrices:
     Ical = np.diag(np.concatenate([-np.ones(n), np.ones(n)])).astype(complex)
     for A in (J, W, Ical):
         A.flags.writeable = False
-    return StructuralMatrices(n=n, J=J, W=W, Ical=Ical)
+    return StructuralMatrices(J=J, W=W, Ical=Ical)
 
 
-def cayley(A, S: StructuralMatrices) -> np.ndarray:
-    """Conjugation A -> W A W^{-1} into the complexified coordinates."""
-    A = as_cmatrix(A)
-    if A.shape != (S.dim, S.dim):
-        raise ShapeError(f"expected shape {(S.dim, S.dim)}, got {A.shape}")
-    return S.W @ A @ S.W.conj().T  # W is unitary
+def cayley(A) -> np.ndarray:
+    """Conjugation A -> W A W^{-1} of a 2n x 2n A into the complexified
+    coordinates."""
+    A, n = square_blocks(A, 2)
+    W = make_structural(n).W
+    return W @ A @ W.conj().T  # W is unitary
 
 
-def herm_form(u, v, S: StructuralMatrices) -> complex:
-    """Indefinite inner product <u|v>_I = u* Ical v."""
+def herm_form(u, v) -> complex:
+    """Indefinite inner product <u|v>_I = u* Ical v of two vectors of the
+    same length 2n."""
     u = np.asarray(u, dtype=complex).reshape(-1)
     v = np.asarray(v, dtype=complex).reshape(-1)
-    if u.shape[0] != S.dim or v.shape[0] != S.dim:
-        raise ShapeError(f"vectors must have length {S.dim}")
-    return complex(u.conj() @ (S.Ical @ v))
+    if u.shape != v.shape or not u.size or u.size % 2:
+        raise ShapeError(f"vectors must have the same even length, got {u.size} and {v.size}")
+    return complex(u.conj() @ (make_structural(u.size // 2).Ical @ v))
 
 
 @dataclass(frozen=True)
@@ -163,8 +160,9 @@ PREDICATES = {
 }
 
 
-def classify(M, S: StructuralMatrices, predicate: str) -> Membership:
-    """Whether M satisfies one group/cone predicate, with its residual.
+def classify(M, predicate: str) -> Membership:
+    """Whether a 2n x 2n M satisfies one group/cone predicate, with its
+    residual.
 
     Only that predicate's residuals are computed.  Equality-type residuals
     gate on EQ_TOL, semidefinite ones on PSD_TOL; a conjunction predicate
@@ -172,23 +170,21 @@ def classify(M, S: StructuralMatrices, predicate: str) -> Membership:
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}; known predicates: {tuple(PREDICATES)}")
-    M = as_cmatrix(M)
-    d = S.dim
-    if M.shape != (d, d):
-        raise ShapeError(f"expected shape {(d, d)}, got {M.shape}")
+    M, n = square_blocks(M, 2)
+    S = make_structural(n)
     gates = PREDICATES[predicate]
     res = tuple(_RESIDUALS[name](M, S) for name, _ in gates)
     return Membership(all(r <= tol for r, (_, tol) in zip(res, gates)), max(res))
 
 
-def split_diss(X, S: StructuralMatrices):
+def split_diss(X):
     """Split X in Diss(n,n) as Xu + Xs with Xu in u(n,n) and Xs Ical-self-
     adjoint dissipative (the direct sum Diss = u(n,n) + SDiss)."""
-    X = as_cmatrix(X)
-    diss = classify(X, S, "Diss")
+    X, n = square_blocks(X, 2)
+    diss = classify(X, "Diss")
     if not diss.flag:
         raise MembershipError(f"input is not Ical-dissipative (residual {diss.residual:.3e})")
-    Ical = S.Ical
+    Ical = make_structural(n).Ical
     Xadj = Ical @ X.conj().T @ Ical
     Xu = (X - Xadj) / 2
     Xs = (X + Xadj) / 2
@@ -212,9 +208,16 @@ def po_decompose(g, S: StructuralMatrices) -> PODecomposition:
     logarithm recovers X; then h = g e^{-X}.  Boundary elements surface as a
     BranchCutError from the logarithm rather than a wrong branch, and a
     g^[*] g without a well-conditioned eigenbasis as an EigenbasisError.
+
+    Unlike the other functions here, po_decompose still takes S, the
+    structural matrices of g's block size, because the benchmark's tracer
+    test (perfbench/test_checks.py) calls it as po_decompose(g, S).  A g
+    whose shape is not that of S.J raises ShapeError.
     """
     g = as_cmatrix(g)
-    member = classify(g, S, "GammaSp_c")
+    if g.shape != S.J.shape:
+        raise ShapeError(f"expected shape {S.J.shape}, got {g.shape}")
+    member = classify(g, "GammaSp_c")
     if not member.flag:
         raise MembershipError(f"input is not in GammaSp_c (residual {member.residual:.3e})")
     Ical = S.Ical
@@ -235,7 +238,7 @@ class HamiltonianSymbol:
         A = as_cmatrix(self.A)
         if A.shape != (2 * self.m, 2 * self.m):
             raise ShapeError(f"expected shape {(2 * self.m, 2 * self.m)}")
-        spc = classify(A, make_structural(self.m), "sp_c")
+        spc = classify(A, "sp_c")
         if not spc.flag:
             raise MembershipError(f"A does not have the sp_c block pattern (residual {spc.residual:.3e})")
         object.__setattr__(self, "A", A)

@@ -147,7 +147,7 @@ def run_membership(p: dict) -> RunReport:
     checks = []
     for n in p["n_list"]:
         S = make_structural(n)
-        Jc = cayley(S.J, S)
+        Jc = cayley(S.J)
         target = np.diag(np.concatenate([-1j * np.ones(n), 1j * np.ones(n)]))
         checks.append(Check.le(f"Jc_diagonal_n{n}", np.linalg.norm(Jc - target, 2), STRUCTURAL_TOL))
         checks.append(Check.le(f"Ical_is_minus_i_Jc_n{n}", np.linalg.norm(S.Ical - (-1j) * Jc, 2), STRUCTURAL_TOL))
@@ -169,8 +169,8 @@ def run_membership(p: dict) -> RunReport:
         else:
             # push strictly outside the cone: shift along the accretive +Ical
             X = sample("Diss", n, 0.4, p["seed"] + i) + float(rng.uniform(0.15, 0.5)) * S.Ical
-        in_cone = classify(X, S, "Diss").flag
-        contracts = all(classify(expm(t * X), S, "GammaU").flag for t in ts)
+        in_cone = classify(X, "Diss").flag
+        contracts = all(classify(expm(t * X), "GammaU").flag for t in ts)
         disagreements += int(in_cone != contracts)
     checks.append(Check.le("dissipativity_contraction_disagreements", disagreements, 0))
     return RunReport("membership", p, checks)
@@ -196,9 +196,9 @@ def run_decompose(p: dict) -> RunReport:
         )
         worst_recover = max(worst_recover, np.linalg.norm(dec.X - X0, 2))
         memberships_ok &= (
-            classify(dec.h, S, "GammaSp_c").flag
-            and classify(dec.h, S, "U").flag
-            and classify(dec.X, S, "SDiss_spc").flag
+            classify(dec.h, "GammaSp_c").flag
+            and classify(dec.h, "U").flag
+            and classify(dec.X, "SDiss_spc").flag
         )
     checks = [
         Check.le("reconstruction_residual", worst_recon, 1e-9),
@@ -213,7 +213,6 @@ def run_decompose(p: dict) -> RunReport:
 
 def run_potapov(p: dict) -> RunReport:
     checks = []
-    S1 = make_structural(1)
 
     # the diagonal one-parameter semigroup example
     X = np.diag([1.0, -1.0]).astype(complex)
@@ -222,7 +221,7 @@ def run_potapov(p: dict) -> RunReport:
     checks.append(Check.le("example_potapov_t1", np.linalg.norm(r1 - target, 2), 1e-12))
 
     P_lim = potapov_inverse(np.zeros((2, 2), dtype=complex))
-    gap16 = subspace_gap(graph_of(expm(16.0 * X)).frame, P_lim.frame)
+    gap16 = subspace_gap(graph_of(expm(16.0 * X)), P_lim)
     checks.append(Check.le("example_gap_t16", gap16, 1e-6))
 
     ker, ind = ker_indef(P_lim)
@@ -233,7 +232,7 @@ def run_potapov(p: dict) -> RunReport:
         and abs(abs(ind[0, 0]) - 1.0) < 1e-12
     )
     checks.append(Check.ge("example_ker_indef_lines", float(ker_ok), 1.0))
-    in_semigroup = is_Unn(P_lim, S1) and is_symplectic_rel(P_lim, S1)
+    in_semigroup = is_Unn(P_lim) and is_symplectic_rel(P_lim)
     checks.append(Check.ge("example_limit_in_semigroup", float(in_semigroup), 1.0))
 
     # product formula vs relation composition
@@ -265,14 +264,13 @@ def run_potapov(p: dict) -> RunReport:
 def run_graph_limit(p: dict) -> RunReport:
     m = p["m"]
     Nb = make_Nb(m)
-    S = make_structural(2 * m)
     nu_list = p["nu_list"]
     worst = np.zeros(len(nu_list))
     monotone = True
     structure_ok = True
     for i in range(p["samples"]):
-        P, gaps = graph_limit_gaps(sample("sp_c", 2 * m, 1.0, p["seed"] + i), m, nu_list)
-        structure_ok &= is_Unn(P, S) and is_symplectic_rel(P, S)
+        P, gaps = graph_limit_gaps(sample("sp_c", 2 * m, 1.0, p["seed"] + i), nu_list)
+        structure_ok &= is_Unn(P) and is_symplectic_rel(P)
         monotone &= all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
         worst = np.maximum(worst, gaps)
     checks = [
@@ -291,7 +289,7 @@ def run_graph_limit(p: dict) -> RunReport:
     for _ in range(p["fd_samples"]):
         A = rng.normal(size=(4 * m, 4 * m)) + 1j * rng.normal(size=(4 * m, 4 * m))
         A /= np.linalg.norm(A, 2)
-        closed = projection_derivative(A, m)
+        closed = projection_derivative(A)
         fd = (_cluster_projector(eps * A - Nb) - _cluster_projector(-eps * A - Nb)) / (2 * eps)
         worst_rel = max(worst_rel, np.linalg.norm(fd - closed, 2) / np.linalg.norm(closed, 2))
     checks.append(Check.le("projection_derivative_fd", worst_rel, 1e-3))
@@ -636,7 +634,7 @@ class FockLimitParams:
     """truncated-Fock quantization: operator lemma, strong limits, antinormal identities, coherent resolution"""
     seed: int = field(metadata=_SEED)
     lemma_samples: int = field(default=50, metadata=_AT_LEAST_ONE)
-    strong_norm: float = 1.0
+    strong_norm: float = field(default=1.0, metadata=_POSITIVE)
     strong_nu_list: tuple[float, ...] = field(default=tuple(float(nu) for nu in range(4, 13)), metadata=_POSITIVE_LIST)
     quad_grid: int = field(default=200, metadata=_QUAD_GRID)
     tau_list: tuple[float, ...] = field(default=(4.0, 8.0, 16.0), metadata=_POSITIVE_LIST)
@@ -660,7 +658,7 @@ class PathintParams:
     nu_list: tuple[float, ...] = field(default=(1.0, 2.0, 4.0), metadata=_NU_LIST)
     steps: int = field(default=256, metadata=_STEPS)
     samples: int = field(default=200000, metadata=_at_least(MIN_SAMPLES))
-    symbol_norm: float = 0.25
+    symbol_norm: float = field(default=0.25, metadata=_POSITIVE)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -72,16 +72,23 @@ def as_cmatrix(M) -> np.ndarray:
     return A
 
 
-def _require_square(M: np.ndarray) -> np.ndarray:
+def square_blocks(M, k: int) -> tuple[np.ndarray, int]:
+    """(M, n) for a finite square kn x kn matrix M, coerced by as_cmatrix.
+
+    The one shape check of every function that reads its block size from
+    its input: ShapeError on any other shape, ValueError on a non-finite
+    entry.
+    """
     M = as_cmatrix(M)
-    if M.shape[0] != M.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {M.shape}")
-    return M
+    if M.shape[0] != M.shape[1] or M.shape[0] % k:
+        side = f"{k}n x {k}n " if k > 1 else ""
+        raise ShapeError(f"expected a square {side}matrix, got shape {M.shape}")
+    return M, M.shape[0] // k
 
 
 def expm(X) -> np.ndarray:
     """Matrix exponential e^X (scaling-and-squaring Pade, via scipy)."""
-    return scipy.linalg.expm(_require_square(X))
+    return scipy.linalg.expm(square_blocks(X, 1)[0])
 
 
 def logm_principal(M) -> np.ndarray:
@@ -97,7 +104,7 @@ def logm_principal(M) -> np.ndarray:
     cond(V) > LOGM_COND_MAX, a defective M among others, raises
     EigenbasisError instead of returning an inaccurate logarithm.
     """
-    M = _require_square(M)
+    M, _ = square_blocks(M, 1)
     w, V = np.linalg.eig(M)
     scale = max(1.0, float(np.max(np.abs(w))))
     for lam in w:
@@ -171,6 +178,6 @@ def subspace_gap(P, Q) -> float:
 
 
 def hermitian_part(M) -> np.ndarray:
-    M = _require_square(M)
+    M, _ = square_blocks(M, 1)
     return (M + M.conj().T) / 2
 

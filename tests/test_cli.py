@@ -223,6 +223,8 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("landau", {"strong_limit_nu_list": []}),
         ("landau", {"half_width": 64.0, "spacing": 0.25, "eig_count": 200000}),
         ("calibrate", {"seed": 1, "rules": ["two_nu"]}),
+        ("fock-limit", {"seed": 1, "strong_norm": 0}),
+        ("pathint", {"seed": 1, "symbol_norm": -1}),
     ],
     ids=[
         "pathint_empty_nu_list",
@@ -312,6 +314,8 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         "landau_empty_strong_limit_nu_list",
         "landau_eig_count_beyond_lanczos_memory",
         "calibrate_rules_without_nu",
+        "fock_limit_zero_strong_norm",
+        "pathint_negative_symbol_norm",
     ],
 )
 def test_out_of_range_parameters_exit_2_without_outputs(tmp_path, capsys, experiment, params):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phaselab.cones import make_structural, sample
+from phaselab.cones import cayley, classify, herm_form, make_structural, po_decompose, sample, split_diss
 from phaselab.linalg import ShapeError, expm, subspace_gap
 from phaselab.relations import (
     DegenerateCompositionError,
@@ -34,11 +34,11 @@ def frame_of_columns(cols):
 def test_graph_of_trivial():
     g0 = graph_of(np.zeros((2, 2)))
     expected = frame_of_columns([[1, 0, 0, 0], [0, 1, 0, 0]])
-    assert subspace_gap(g0.frame, expected) < 1e-14
+    assert subspace_gap(g0, expected) < 1e-14
 
     gid = graph_of(np.eye(2))
     diag = frame_of_columns([[1, 0, 1, 0], [0, 1, 0, 1]])
-    assert subspace_gap(gid.frame, diag) < 1e-14
+    assert subspace_gap(gid, diag) < 1e-14
 
 
 def test_graph_separates_matrices():
@@ -46,8 +46,8 @@ def test_graph_separates_matrices():
     for _ in range(10):
         T = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         T2 = T + 1e-3 * rng.normal(size=(2, 2))
-        assert subspace_gap(graph_of(T).frame, graph_of(T).frame) < 1e-14
-        assert subspace_gap(graph_of(T).frame, graph_of(T2).frame) > 1e-5
+        assert subspace_gap(graph_of(T), graph_of(T)) < 1e-14
+        assert subspace_gap(graph_of(T), graph_of(T2)) > 1e-5
 
 
 def test_compose_identity_and_order():
@@ -58,8 +58,8 @@ def test_compose_identity_and_order():
         P = compose(graph_of(Smat), graph_of(Tmat))
         # the set-formula product extends matrix multiplication in reversed
         # order: graph(S) o graph(T) = graph(T S)
-        assert subspace_gap(P.frame, graph_of(Tmat @ Smat).frame) < 1e-12
-        assert subspace_gap(compose(P, graph_of(np.eye(2))).frame, P.frame) < 1e-12
+        assert subspace_gap(P, graph_of(Tmat @ Smat)) < 1e-12
+        assert subspace_gap(compose(P, graph_of(np.eye(2))), P) < 1e-12
 
 
 def test_compose_bruteforce_oracle():
@@ -74,20 +74,18 @@ def test_compose_bruteforce_oracle():
         cols.append(np.concatenate([x, y]))
     oracle = frame_of_columns(cols)
     P = compose(graph_of(Smat), graph_of(Tmat))
-    assert subspace_gap(P.frame, oracle) < 1e-13
+    assert subspace_gap(P, oracle) < 1e-13
 
 
 def test_compose_degenerate_raises():
     # {0 (+) w} composed with graph(0) collapses to the zero subspace
-    R = relation_from_span(np.eye(4, dtype=complex)[:, [2, 3]], 1)
+    R = relation_from_span(np.eye(4, dtype=complex)[:, [2, 3]])
     with pytest.raises(DegenerateCompositionError) as err:
         compose(R, graph_of(np.zeros((2, 2))))
     assert err.value.dim == 0
 
 
 def test_compose_dimension_mismatch():
-    from phaselab.linalg import ShapeError
-
     with pytest.raises(ShapeError):
         compose(graph_of(np.eye(2)), graph_of(np.eye(4)))
 
@@ -98,26 +96,24 @@ def test_ker_indef_invertible_graph():
 
 
 def test_is_unn_and_symplectic():
-    S = make_structural(2)
     for i in range(10):
         g = sample("GammaU", 2, 0.7, i)
-        assert is_Unn(graph_of(g), S)
+        assert is_Unn(graph_of(g))
     for i in range(10):
         g = sample("GammaSp_c", 2, 0.7, 100 + i)
         P = graph_of(g)
-        assert is_Unn(P, S) and is_symplectic_rel(P, S)
+        assert is_Unn(P) and is_symplectic_rel(P)
     bad = graph_of(2.0 * np.eye(4))
-    assert not is_Unn(bad, S)
-    assert not is_symplectic_rel(bad, S)
+    assert not is_Unn(bad)
+    assert not is_symplectic_rel(bad)
 
 
 def test_semigroup_closure():
-    S = make_structural(2)
     for i in range(20):
         P1 = graph_of(sample("GammaSp_c", 2, 0.6, 2 * i))
         P2 = graph_of(sample("GammaSp_c", 2, 0.6, 2 * i + 1))
         P = compose(P1, P2)
-        assert is_Unn(P, S) and is_symplectic_rel(P, S)
+        assert is_Unn(P) and is_symplectic_rel(P)
 
 
 def test_potapov_matrix_examples():
@@ -169,7 +165,7 @@ def test_potapov_bijection_roundtrip():
         P = graph_of(sample("GammaU", 2, 0.7, i))
         r = potapov_relation(P)
         back = potapov_inverse(r)
-        assert subspace_gap(P.frame, back.frame) < 1e-10
+        assert subspace_gap(P, back) < 1e-10
 
 
 def test_potapov_product_identity_case():
@@ -206,7 +202,7 @@ def test_potapov_product_continuity():
 def test_potapov_relation_and_product_guards():
     # span{e_- (+) 0, 0 (+) e_+}: Pi moves both columns into the second summand
     with pytest.raises(NotAGraphError):
-        potapov_relation(relation_from_span([[1, 0], [0, 0], [0, 0], [0, 1]], 1))
+        potapov_relation(relation_from_span([[1, 0], [0, 0], [0, 0], [0, 1]]))
     from phaselab.linalg import RankError
 
     # delta = 1 and phi = 1, so 1 - phi delta = 0
@@ -255,7 +251,7 @@ def test_make_Nb():
 
 def test_limit_graph_zero_generator():
     # A = 0: the limit is spanned by e4(+)0, e1(+)e1, e3(+)e3, 0(+)e2
-    P = limit_graph(np.zeros((4, 4)), 1)
+    P = limit_graph(np.zeros((4, 4)))
     E = np.eye(4, dtype=complex)
     cols = [
         np.concatenate([E[:, 3], np.zeros(4)]),
@@ -263,17 +259,16 @@ def test_limit_graph_zero_generator():
         np.concatenate([E[:, 2], E[:, 2]]),
         np.concatenate([np.zeros(4), E[:, 1]]),
     ]
-    assert subspace_gap(P.frame, frame_of_columns(cols)) < 1e-14
+    assert subspace_gap(P, frame_of_columns(cols)) < 1e-14
 
 
 def test_limit_graph_structure_and_ker_indef():
-    S = make_structural(2)
     E = np.eye(4, dtype=complex)
     for i in range(10):
         A = sample("sp_c", 2, 1.0, i)
-        P = limit_graph(A, 1)
-        assert is_Unn(P, S)
-        assert is_symplectic_rel(P, S)
+        P = limit_graph(A)
+        assert is_Unn(P)
+        assert is_symplectic_rel(P)
         ker, ind = ker_indef(P)
         # ker P = V^(-1) (fourth block), indef P = V^(1) (second block)
         assert subspace_gap(ker, E[:, [3]]) < 1e-12
@@ -283,43 +278,43 @@ def test_limit_graph_structure_and_ker_indef():
 def test_limit_graph_convergence_with_rate():
     # gap to the limit decays like ||A||/nu for generic generators
     A = sample("sp_c", 2, 0.8, 3)
-    P, (g4, g8, g16) = graph_limit_gaps(A, 1, [4.0, 8.0, 16.0])
-    assert np.array_equal(P.frame, limit_graph(A, 1).frame)
+    P, (g4, g8, g16) = graph_limit_gaps(A, [4.0, 8.0, 16.0])
+    assert np.array_equal(P, limit_graph(A))
     assert g8 < g4 and g16 < g8
     assert 1.6 < g4 / g8 < 2.4 and 1.6 < g8 / g16 < 2.4
     # the gaps at each nu are those of separate calls
-    assert graph_limit_gaps(A, 1, [8.0])[1] == [g8]
+    assert graph_limit_gaps(A, [8.0])[1] == [g8]
     # block-preserving generators converge exponentially instead
     Adiag = np.diag([0.3j, 0.7j, -0.3j, -0.7j])
-    assert graph_limit_gaps(Adiag, 1, [16.0])[1][0] < 1e-6
+    assert graph_limit_gaps(Adiag, [16.0])[1][0] < 1e-6
 
 
 def test_limit_graph_middle_block_consistency():
     # over V^(0) the limit relation is the graph of the compressed flow
     A = sample("sp_c", 2, 1.0, 9)
-    P = limit_graph(A, 1)
-    eA0 = expm(a0_generator(A, 1))
+    P = limit_graph(A)
+    eA0 = expm(a0_generator(A))
     for j in (0, 2):
         v = np.zeros(4, dtype=complex)
         v[j] = 1.0
         vec = np.concatenate([v, eA0 @ v])
         vec /= np.linalg.norm(vec)
-        proj = P.frame @ (P.frame.conj().T @ vec)
+        proj = P @ (P.conj().T @ vec)
         assert np.linalg.norm(proj - vec) < 1e-12
 
 
 def test_a0_generator_idempotent_compression():
     A = sample("sp_c", 2, 1.0, 4)
-    A0 = a0_generator(A, 1)
-    assert np.linalg.norm(a0_generator(A0, 1) - A0, 2) < 1e-14
-    assert np.linalg.norm(a0_generator(np.zeros((4, 4)), 1)) == 0
+    A0 = a0_generator(A)
+    assert np.linalg.norm(a0_generator(A0) - A0, 2) < 1e-14
+    assert np.linalg.norm(a0_generator(np.zeros((4, 4)))) == 0
 
 
 def test_projection_derivative_closed_form():
-    assert np.linalg.norm(projection_derivative(np.zeros((4, 4)), 1)) == 0
+    assert np.linalg.norm(projection_derivative(np.zeros((4, 4)))) == 0
     # diagonal A commutes with the eigenprojections: derivative vanishes
     D = np.diag([0.3, -1.2, 0.7, 2.0]).astype(complex)
-    assert np.linalg.norm(projection_derivative(D, 1), 2) < 1e-14
+    assert np.linalg.norm(projection_derivative(D), 2) < 1e-14
 
 
 def test_projection_derivative_fd_oracle():
@@ -337,7 +332,7 @@ def test_projection_derivative_fd_oracle():
         A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         A /= np.linalg.norm(A, 2)
         fd = (cluster_projector(eps * A - Nb) - cluster_projector(-eps * A - Nb)) / (2 * eps)
-        cf = projection_derivative(A, 1)
+        cf = projection_derivative(A)
         assert np.linalg.norm(fd - cf, 2) / np.linalg.norm(cf, 2) < 1e-3
 
 
@@ -345,4 +340,50 @@ def test_relation_from_span_validates():
     from phaselab.linalg import RankError
 
     with pytest.raises(RankError):
-        relation_from_span(np.eye(4, dtype=complex)[:, [0]], 1)
+        relation_from_span(np.eye(4, dtype=complex)[:, [0]])
+
+
+_SIX = np.eye(6, 2, dtype=complex)  # a frame whose row count is not 4n
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: classify(np.zeros((3, 3)), "U"),
+        lambda: classify(np.zeros((2, 4)), "U"),
+        lambda: cayley(np.zeros((3, 3))),
+        lambda: cayley(np.zeros((4, 2))),
+        lambda: split_diss(np.zeros((3, 3))),
+        lambda: split_diss(np.zeros((2, 4))),
+        lambda: herm_form(np.zeros(2), np.zeros(4)),
+        lambda: herm_form(np.zeros(3), np.zeros(3)),
+        lambda: po_decompose(np.eye(4), make_structural(1)),
+        lambda: a0_generator(np.zeros((6, 6))),
+        lambda: a0_generator(np.zeros((4, 8))),
+        lambda: projection_derivative(np.zeros((2, 2))),
+        lambda: projection_derivative(np.zeros((4, 8))),
+        lambda: limit_graph(np.zeros((6, 6))),
+        lambda: graph_limit_gaps(np.zeros((2, 2)), [4.0]),
+        lambda: compose(_SIX, _SIX),
+        lambda: compose(graph_of(np.eye(2)), _SIX),
+        lambda: ker_indef(_SIX),
+        lambda: is_Unn(_SIX),
+        lambda: is_symplectic_rel(_SIX),
+        lambda: potapov_relation(_SIX),
+        lambda: relation_from_span(_SIX),
+    ],
+    ids=[
+        "classify_odd", "classify_non_square", "cayley_odd", "cayley_non_square",
+        "split_diss_odd", "split_diss_non_square", "herm_form_unequal", "herm_form_odd",
+        "po_decompose_other_S", "a0_generator_not_4m", "a0_generator_non_square",
+        "projection_derivative_not_4m", "projection_derivative_non_square", "limit_graph_not_4m",
+        "graph_limit_gaps_not_4m", "compose_6_rows", "compose_mixed_rows", "ker_indef_6_rows",
+        "is_Unn_6_rows", "is_symplectic_rel_6_rows", "potapov_relation_6_rows",
+        "relation_from_span_6_rows",
+    ],
+)
+def test_sizes_come_from_shapes(call):
+    # every function that reads its block size from its input rejects a
+    # shape that has none with ShapeError, not a numpy error
+    with pytest.raises(ShapeError):
+        call()
