@@ -3,10 +3,10 @@ the Potapov transform, and graph limits of e^{A + nu N_b}.
 
 A relation is a 2n-dimensional subspace of C^{4n}, and it is nothing but an
 orthonormal 4n x 2n frame, a plain ndarray: rows 0..2n-1 lie in the domain
-summand, rows 2n..4n-1 in the image summand.  No function here takes the
-block size; each reads it from the shape of its input (2n x 2n for a
-matrix, 4n rows for a frame, 4m x 4m for a graph-limit generator) and
-raises ShapeError when the shape has no such block size.
+summand, rows 2n..4n-1 in the image summand.  Apart from the constructor
+make_Nb, no function here takes the block size: each reads it from the
+shape of its input (2n x 2n for a matrix, 4n rows for a frame, 4m x 4m for
+a graph-limit generator) and raises ShapeError when the shape has none.
 
 graph(T) = {v (+) Tv} embeds matrices; the relation product
 
