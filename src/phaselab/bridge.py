@@ -3,31 +3,33 @@ integral: Stratonovich line integral of the symplectic 1-form, discretized
 actions, the scaled estimator e^{nu m} E[e^{iS}], and an exact Gaussian
 determinant oracle for quadratic actions.
 
-Loops are pinned to 0 at both ends of [0, 1]; loop i of a seed's stream is
-drawn from default_rng((seed, i // CHUNK)), a block of CHUNK loops at a
-time.  The default variance rule sigma^2(nu) = nu is the literal time
-rescaling phi(nu t) of the standard bridge; alternative rules exist only for
-the calibration study, which documents (rather than resolves) the
-normalization gap of the reference measure: for sigma^2 = nu the exact
-value is
+Loops are exact discrete bridges, pinned to 0 at both ends of [0, 1]
+(covariance sigma^2 (min(s, t) - s t) per coordinate at grid times s, t).
+Loop i of a seed's stream is drawn from default_rng((seed, i // CHUNK)), a
+block of CHUNK loops of (steps + 1) x 2m floats at a time: the increments
+of a block's first n loops are sqrt(sigma^2/steps) times that generator's
+standard_normal((n, steps, 2m)), a prefix of any longer draw of the block.
+The default variance rule sigma^2(nu) = nu is the literal time rescaling
+phi(nu t) of the standard bridge; alternative rules exist only for the
+calibration study, which documents (rather than resolves) the normalization
+gap of the reference measure: for sigma^2 = nu the exact value is
 
     e^{nu m} E[e^{i S_0}] = (e^{nu} nu / sinh nu)^m = (2 nu / (1 - e^{-2 nu}))^m,
 
 which grows like (2 nu)^m instead of tending to 1.
 
 One ``QuadraticAction`` (the area, plus an optional x^T M x) describes an
-action to both sides: ``loop_actions`` evaluates it on sampled loops for the
-estimator, and ``_form_blocks`` discretizes it for the oracle.  A sweep over
-nu and variance rules is one pass.  The loop at sigma^2 is sqrt(sigma^2)
-times the sigma^2 = 1 loop of the same increments, and every action is a
-quadratic form of the loop, so S_{sigma^2} = sigma^2 S_1: ``estimate_actions``
-draws the unit loops of a seed once for every spec.  It works block by
-block, and draws, builds and evaluates each block in sub-blocks of at most
-SUB_BLOCK_BYTES of points, in buffers reused from one sub-block to the next,
-so that its arrays stay in cache; ``sample_loops`` and ``loop_actions``
-remain the definition of the stream and of the action, and the sub-block
-size moves no value.  ``gaussian_oracles`` runs the oracle's recursion once
-for a batch of (spec, action) pairs, of one m and any steps.
+action to both sides: ``_loop_actions`` evaluates it on sampled loops for
+the estimator, and ``_form_blocks`` discretizes it for the oracle.  A sweep
+over nu and variance rules is one pass.  The loop at sigma^2 is
+sqrt(sigma^2) times the sigma^2 = 1 loop of the same increments, and every
+action is a quadratic form of the loop, so S_{sigma^2} = sigma^2 S_1:
+``estimate_actions`` draws the unit loops of a seed once for every spec.
+It works block by block, and draws, builds and evaluates each block in
+sub-blocks of at most SUB_BLOCK_BYTES of points, in buffers reused from one
+sub-block to the next, so that its arrays stay in cache; the sub-block size
+moves no value.  ``gaussian_oracles`` runs the oracle's recursion once for a
+batch of (spec, action) pairs, of one m and any steps.
 """
 
 from __future__ import annotations
@@ -97,39 +99,16 @@ class EstimateReport:
     spec: MeasureSpec
 
 
-def sample_loops(spec: MeasureSpec, lo: int, hi: int) -> np.ndarray:
-    """Loops lo, ..., hi-1 of the seed's stream as a (hi-lo, steps+1, 2m)
-    array of exact discrete bridges (covariance sigma^2 (min(s,t) - s t) per
-    coordinate at grid times s, t): the increments of a block's first n loops
-    are sqrt(sigma^2/steps) times default_rng((seed, block)).standard_normal(
-    (n, steps, 2m)), a prefix of any longer draw of that block (and bitwise
-    its normal(0, sqrt(sigma^2/steps), ...) draw).  The draw goes straight
-    into one contiguous increment buffer, which then holds the pinning term."""
-    if not 0 <= lo < hi:
-        raise ValueError("need 0 <= lo < hi")
-    K, d = spec.steps, 2 * spec.m
-    incr = np.empty((hi - lo, K, d))
-    for block in range(lo // CHUNK, (hi - 1) // CHUNK + 1):
-        first, end = block * CHUNK, min(hi, (block + 1) * CHUNK)
-        rng = np.random.default_rng((spec.seed, block))
-        if lo > first:  # the block's loops before lo
-            rng.standard_normal((lo - first, K, d))
-        rng.standard_normal(out=incr[max(first - lo, 0):end - lo])
-    pts = np.empty((hi - lo, K + 1, d))
-    _build_loops(incr, spec.sigma2, pts)
-    return pts
-
-
-def _build_loops(incr: np.ndarray, sigma2: float, pts: np.ndarray) -> None:
-    """The loops of the standard-normal increments ``incr`` (n, K, 2m) into
-    ``pts`` (n, K+1, 2m): scale by sqrt(sigma^2/K) in place, sum from 0 and
-    subtract (k/K) times the end point at step k; ``incr`` is left holding
-    that pinning term.  The sum runs on coordinate pairs viewed as complex
-    numbers (a complex add is the two real adds, so the sums are bitwise the
-    real ones), and the term is formed one coordinate at a time, so each
-    multiply runs along a whole loop rather than 2m values."""
+def _build_loops(incr: np.ndarray, pts: np.ndarray) -> None:
+    """The sigma^2 = 1 loops of the standard-normal increments ``incr``
+    (n, K, 2m) into ``pts`` (n, K+1, 2m): scale by sqrt(1/K) in place, sum
+    from 0 and subtract (k/K) times the end point at step k; ``incr`` is left
+    holding that pinning term.  The sum runs on coordinate pairs viewed as
+    complex numbers (a complex add is the two real adds, so the sums are
+    bitwise the real ones), and the term is formed one coordinate at a time,
+    so each multiply runs along a whole loop rather than 2m values."""
     K = incr.shape[1]
-    incr *= np.sqrt(sigma2 / K)
+    incr *= np.sqrt(1.0 / K)
     pts[:, 0] = 0.0
     np.cumsum(incr.view(complex), axis=1, out=pts[:, 1:].view(complex))
     walk = pts[:, 1:]
@@ -137,18 +116,6 @@ def _build_loops(incr: np.ndarray, sigma2: float, pts: np.ndarray) -> None:
     for c in range(incr.shape[2]):
         np.multiply(end[:, c, None], t, out=incr[:, :, c])
     walk -= incr
-
-
-def loop_actions(points: np.ndarray, actions: Sequence[QuadraticAction]) -> list[np.ndarray]:
-    """Actions of the loops ``points`` (n, steps+1, 2m), one array per entry
-    of ``actions``: the midpoint (Stratonovich) line integral of
-    sum_k (y_k dx_k - x_k dy_k), computed once, plus the mean of x^T M x over
-    the step midpoints x for an action with an hmatrix M.  On each segment
-    the midpoint rule ((y_j + y_{j+1}) (x_{j+1} - x_j) - (x_j + x_{j+1})
-    (y_{j+1} - y_j)) / 2 is exactly the shoelace term x_{j+1} y_j - x_j y_{j+1},
-    so the line integral is the shoelace sum for any polygon, closed or not
-    (-2 times the signed area of a closed one)."""
-    return _loop_actions(points, actions, _action_buffers(points.shape[0], points.shape[1] - 1, points.shape[2]))
 
 
 def _action_buffers(n: int, K: int, d: int) -> tuple[np.ndarray, ...]:
@@ -160,12 +127,18 @@ def _action_buffers(n: int, K: int, d: int) -> tuple[np.ndarray, ...]:
 
 def _loop_actions(points: np.ndarray, actions: Sequence[QuadraticAction],
                   buffers: tuple[np.ndarray, ...]) -> list[np.ndarray]:
-    """``loop_actions`` with its loop-sized intermediates written into the
-    leading rows of ``buffers`` (from ``_action_buffers``), so that a caller
-    that reuses them allocates none per call."""
+    """Actions of the loops ``points`` (n, steps+1, 2m), one array per entry
+    of ``actions``: the midpoint (Stratonovich) line integral of
+    sum_k (y_k dx_k - x_k dy_k), computed once, plus the mean of x^T M x over
+    the step midpoints x for an action with an hmatrix M.  On each segment
+    the midpoint rule ((y_j + y_{j+1}) (x_{j+1} - x_j) - (x_j + x_{j+1})
+    (y_{j+1} - y_j)) / 2 is exactly the shoelace term x_{j+1} y_j - x_j y_{j+1},
+    so the line integral is the shoelace sum for any polygon, closed or not
+    (-2 times the signed area of a closed one).  The loop-sized
+    intermediates go into the leading rows of ``buffers`` (from
+    ``_action_buffers``), so that a caller that reuses them allocates none
+    per call."""
     n, K, d = points.shape[0], points.shape[1] - 1, points.shape[2]
-    if d % 2:
-        raise ShapeError("points must have even dimension 2m")
     left, right, mid, hmid, quad = (b[:n] for b in buffers)
     x, y = points[:, :, : d // 2], points[:, :, d // 2 :]
     np.multiply(x[:, 1:], y[:, :-1], out=left)
@@ -187,13 +160,11 @@ SUB_BLOCK_BYTES = 2**19
 
 def _block_actions(spec: MeasureSpec, actions: Sequence[QuadraticAction], samples: int) -> Iterator[list[np.ndarray]]:
     """For each CHUNK block of the first ``samples`` sigma^2 = 1 loops of
-    ``spec``'s stream, the ``loop_actions`` of its loops, one array per
-    action: bitwise ``loop_actions(sample_loops(unit, lo, hi), actions)``.
-    The block's one generator draws a sub-block at a time (sequential draws
-    equal one long draw) into buffers reused for every sub-block, which
-    ``_build_loops`` turns into loops as for ``sample_loops``; every step
-    works along each loop on its own, so the cut into sub-blocks moves no
-    bit."""
+    ``spec``'s stream, the ``_loop_actions`` of its loops, one array per
+    action.  The block's one generator draws a sub-block at a time
+    (sequential draws equal one long draw) into buffers reused for every
+    sub-block, which ``_build_loops`` turns into loops; every step works
+    along each loop on its own, so the cut into sub-blocks moves no bit."""
     K, d = spec.steps, 2 * spec.m
     size = max(1, SUB_BLOCK_BYTES // (8 * (K + 1) * d))
     incr, pts, buffers = np.empty((size, K, d)), np.empty((size, K + 1, d)), _action_buffers(size, K, d)
@@ -203,7 +174,7 @@ def _block_actions(spec: MeasureSpec, actions: Sequence[QuadraticAction], sample
         acts = [np.empty(n) for _ in actions]
         for first in range(0, n, size):
             b = min(size, n - first)
-            _build_loops(rng.standard_normal(out=incr[:b]), 1.0, pts[:b])
+            _build_loops(rng.standard_normal(out=incr[:b]), pts[:b])
             for S, part in zip(acts, _loop_actions(pts[:b], actions, buffers)):
                 S[first:first + b] = part
         yield acts
@@ -212,8 +183,8 @@ def _block_actions(spec: MeasureSpec, actions: Sequence[QuadraticAction], sample
 def estimate_actions(specs: Sequence[MeasureSpec], actions: Sequence[QuadraticAction],
                      samples: int) -> list[list[EstimateReport]]:
     """The scaled estimator e^{nu m} E[e^{i S}] for each spec and each of
-    ``actions``, with S its ``loop_actions`` value; one list of reports per
-    spec.
+    ``actions``, with S its ``_loop_actions`` value; one list of reports
+    per spec.
 
     Every action is a quadratic form of the loop, so at variance sigma^2 it
     is sigma^2 times the action of the sigma^2 = 1 loop with the same

@@ -84,16 +84,6 @@ def cayley(A) -> np.ndarray:
     return W @ A @ W.conj().T  # W is unitary
 
 
-def herm_form(u, v) -> complex:
-    """Indefinite inner product <u|v>_I = u* Ical v of two vectors of the
-    same length 2n."""
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if u.shape != v.shape or not u.size or u.size % 2:
-        raise ShapeError(f"vectors must have the same even length, got {u.size} and {v.size}")
-    return complex(u.conj() @ (make_structural(u.size // 2).Ical @ v))
-
-
 @dataclass(frozen=True)
 class Membership:
     flag: bool
@@ -177,20 +167,6 @@ def classify(M, predicate: str) -> Membership:
     return Membership(all(r <= tol for r, (_, tol) in zip(res, gates)), max(res))
 
 
-def split_diss(X):
-    """Split X in Diss(n,n) as Xu + Xs with Xu in u(n,n) and Xs Ical-self-
-    adjoint dissipative (the direct sum Diss = u(n,n) + SDiss)."""
-    X, n = square_blocks(X, 2)
-    diss = classify(X, "Diss")
-    if not diss.flag:
-        raise MembershipError(f"input is not Ical-dissipative (residual {diss.residual:.3e})")
-    Ical = make_structural(n).Ical
-    Xadj = Ical @ X.conj().T @ Ical
-    Xu = (X - Xadj) / 2
-    Xs = (X + Xadj) / 2
-    return Xu, Xs
-
-
 @dataclass(frozen=True)
 class PODecomposition:
     """Unique factorization g = h e^X with h in Sp_c(2n,R), X in SDiss_spc."""
@@ -242,24 +218,6 @@ class HamiltonianSymbol:
         if not spc.flag:
             raise MembershipError(f"A does not have the sp_c block pattern (residual {spc.residual:.3e})")
         object.__setattr__(self, "A", A)
-
-
-def _doubled(z: np.ndarray):
-    # bold z = (conj z, z)^T and its conjugate row (z, conj z)
-    return np.concatenate([z.conj(), z]), np.concatenate([z, z.conj()])
-
-
-def hamiltonian_value(sym: HamiltonianSymbol, z) -> complex:
-    """The quadratic symbol (1/2) z* Ical A z on doubled coordinates.
-
-    Values are pure imaginary for A in sp_c(2m,R).
-    """
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.shape[0] != sym.m:
-        raise ShapeError(f"expected a vector of length {sym.m}")
-    S = make_structural(sym.m)
-    zvec, zstar = _doubled(z)
-    return complex(0.5 * zstar @ (S.Ical @ sym.A @ zvec))
 
 
 def symbol_quadratic_matrix(sym: HamiltonianSymbol) -> np.ndarray:

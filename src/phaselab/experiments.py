@@ -68,7 +68,7 @@ from .bridge import (
     estimate_actions,
     gaussian_oracles,
 )
-from .linalg import expm, subspace_gap
+from .linalg import RANK_TOL, expm, subspace_gap
 from .relations import (
     compose,
     graph_limit_gaps,
@@ -568,13 +568,23 @@ _SEED = _at_least(0, ", as numpy's default_rng needs")
 _POSITIVE = _range(lambda v, p: v > 0, "positive")
 _POSITIVE_LIST = _range(lambda v, p: len(v) > 0 and all(x > 0 for x in v), "a non-empty list of positive numbers")
 _NU_LIST = _row_names("g", _POSITIVE_LIST)
+# the largest nu m at which the estimator's scale e^{nu m} is a finite float
+_NU_M_MAX = math.floor(math.log(np.finfo(float).max))
+_SCALED_NU_LIST = _row_names("g", _range(lambda v, p: len(v) > 0 and all(0 < x and x * p.get("m", 1) <= _NU_M_MAX for x in v),
+                                         f"a non-empty list of positive numbers with nu m at most {_NU_M_MAX} (m = 1 for "
+                                         "pathint), the most at which the estimator's scale e^(nu m) is a finite float"))
+_GRAPH_NU_MAX = math.floor(math.log(1 / RANK_TOL) - 1)
+_GRAPH_NU_LIST = _row_names("g", _range(lambda v, p: len(v) > 0 and all(0 < x <= _GRAPH_NU_MAX for x in v),
+                                        f"a non-empty list of positive numbers at most {_GRAPH_NU_MAX}: the runner's A has "
+                                        "spectral norm 1, so ||e^(A + nu N_b)|| <= e^(nu + 1), and the frame [I; e^(A + nu N_b)] "
+                                        "of relations.graph_of, whose smallest singular value is at least 1, passes its rank "
+                                        f"test (RANK_TOL = {RANK_TOL:g}) while sqrt(1 + e^(2 (nu + 1))) < 1 / RANK_TOL"))
 _MATRIX_N_MAX, _MATRIX = math.isqrt(MAX_ARRAY_BYTES // 64), "a 2n x 2n complex matrix"
 _QUAD_GRID = _sized(100, math.isqrt(MAX_ARRAY_BYTES // (16 * QUAD_CUTOFF)), f"the cutoff x grid^2 complex table of "
                     f"fock._coherent_amplitudes at cutoff {QUAD_CUTOFF}", ", as fock.resolution_check needs,")
 _CONTRACTION_N_LIST = _sized(1, math.isqrt(MAX_ARRAY_BYTES // 128), "the 4n x 2n complex frame of relations.graph_of", each=True)
-# the estimator builds a block of the loop stream in small sub-blocks; the
-# limit keeps a whole block, as sample_loops returns it, within reach
-_LOOP_BLOCK = f"one block of the loop stream ({CHUNK} loops of (steps + 1) x 2m floats, as bridge.sample_loops returns it)"
+# the estimator works in sub-blocks; the limit keeps a whole block within reach
+_LOOP_BLOCK = f"one block of the loop stream ({CHUNK} loops of (steps + 1) x 2m floats)"
 _LOOP_POINTS = MAX_ARRAY_BYTES // (16 * CHUNK)  # the most (steps + 1) m
 _STEPS = _sized(MIN_STEPS, _LOOP_POINTS - 1, f"{_LOOP_BLOCK} at m = 1")
 _LOOP_M = _range(lambda v, p: 1 <= v <= _LOOP_POINTS // (p["steps"] + 1),
@@ -625,7 +635,7 @@ class GraphLimitParams:
     seed: int = field(metadata=_SEED)
     m: int = field(default=1, metadata=_sized(1, math.isqrt(MAX_ARRAY_BYTES // 1024), "an 8m x 8m projector of subspace_gap"))
     samples: int = field(default=50, metadata=_AT_LEAST_ONE)
-    nu_list: tuple[float, ...] = field(default=tuple(float(nu) for nu in range(4, 17)), metadata=_NU_LIST)
+    nu_list: tuple[float, ...] = field(default=tuple(float(nu) for nu in range(4, 17)), metadata=_GRAPH_NU_LIST)
     fd_samples: int = field(default=50, metadata=_AT_LEAST_ONE)
 
 
@@ -655,7 +665,7 @@ class LandauParams:
 class PathintParams:
     """oscillatory path-integral Monte Carlo vs the exact Gaussian determinant"""
     seed: int = field(metadata=_SEED)
-    nu_list: tuple[float, ...] = field(default=(1.0, 2.0, 4.0), metadata=_NU_LIST)
+    nu_list: tuple[float, ...] = field(default=(1.0, 2.0, 4.0), metadata=_SCALED_NU_LIST)
     steps: int = field(default=256, metadata=_STEPS)
     samples: int = field(default=200000, metadata=_at_least(MIN_SAMPLES))
     symbol_norm: float = field(default=0.25, metadata=_POSITIVE)
@@ -665,7 +675,7 @@ class PathintParams:
 class CalibrateParams:
     """reference-measure normalization study for the scaled loop estimator"""
     seed: int = field(metadata=_SEED)
-    nu_list: tuple[float, ...] = field(default=(1.0, 2.0, 4.0, 8.0), metadata=_NU_LIST)
+    nu_list: tuple[float, ...] = field(default=(1.0, 2.0, 4.0, 8.0), metadata=_SCALED_NU_LIST)
     rules: tuple[str, ...] = field(default=("nu", "nu_half", "two_nu", "nu_plus_log"), metadata=_RULES)
     steps: int = field(default=256, metadata=_STEPS)
     samples: int = field(default=20000, metadata=_at_least(MIN_SAMPLES))

@@ -15,11 +15,10 @@ from phaselab.bridge import (
     estimate_actions,
     gaussian_oracle,
     gaussian_oracles,
-    loop_actions,
-    sample_loops,
     symbol_quadratic_matrix,
 )
-from phaselab.cones import HamiltonianSymbol, hamiltonian_real_values, hamiltonian_value, sample
+from phaselab.cones import HamiltonianSymbol, hamiltonian_real_values, sample
+from reference import hamiltonian_value, loop_actions, sample_loops
 
 AREA = QuadraticAction()
 

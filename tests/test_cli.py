@@ -225,6 +225,9 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("calibrate", {"seed": 1, "rules": ["two_nu"]}),
         ("fock-limit", {"seed": 1, "strong_norm": 0}),
         ("pathint", {"seed": 1, "symbol_norm": -1}),
+        ("pathint", {"seed": 1, "nu_list": [1, 710]}),
+        ("calibrate", {"seed": 1, "m": 2, "nu_list": [1, 355]}),
+        ("graph-limit", {"seed": 1, "nu_list": [4, 17.5]}),
     ],
     ids=[
         "pathint_empty_nu_list",
@@ -316,6 +319,9 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         "calibrate_rules_without_nu",
         "fock_limit_zero_strong_norm",
         "pathint_negative_symbol_norm",
+        "pathint_scale_e_nu_beyond_float",
+        "calibrate_scale_e_nu_m_beyond_float",
+        "graph_limit_nu_beyond_rank_test",
     ],
 )
 def test_out_of_range_parameters_exit_2_without_outputs(tmp_path, capsys, experiment, params):
@@ -698,6 +704,20 @@ def test_seed_override_writes_the_bytes_of_the_seed_in_the_config(tmp_path_facto
     assert codes[0] == codes[1]
     a, b = (sorted((tmp / out).glob("*.csv")) for out in "ab")
     assert len(a) == len(b) == 1 and a[0].read_bytes() == b[0].read_bytes()
+
+
+@pytest.mark.parametrize("tag, params", [
+    ("pathint", {"nu_list": [709]}),
+    ("calibrate", {"m": 2, "nu_list": [354]}),
+    ("graph-limit", {"nu_list": [4, 17]}),
+], ids=["pathint_nu_709", "calibrate_m2_nu_354", "graph_limit_nu_17"])
+def test_nu_at_its_bound_writes_finite_rows(tmp_path, tag, params):
+    # the largest nu each range admits runs to finite values in every row
+    cfg = write_config(tmp_path, {"experiment": tag, "parameters": {**SMALL_PARAMETERS[tag], **params, "seed": 1}})
+    assert main(["run", cfg, "--out", str(tmp_path)]) in (0, 1)
+    [csv] = tmp_path.glob("*.csv")
+    values = [float(line.split(",")[2]) for line in csv.read_text().splitlines()[1:]]
+    assert values and all(math.isfinite(v) for v in values)
 
 
 def test_unreadable_config_exits_2(tmp_path):
