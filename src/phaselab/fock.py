@@ -17,7 +17,6 @@ from math import factorial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.blas import zgemm
 
 from .cones import HamiltonianSymbol, hamiltonian_real_values, make_structural
 from .linalg import ShapeError, expm
@@ -356,6 +355,8 @@ def quantize_integral(
     p_z lies in ran E_b, so Q(f) is returned as the D x D operator there, in
     the coordinates of ``antinormal_quantize``: entry (j, k) is
     <j, 0| Q(f) |k, 0>."""
+    from scipy.linalg.blas import zgemm
+
     _require_single_mode(space)
     D = space.cutoff
     z, w = _disc_grid(radius, grid)

@@ -14,15 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .cones import HamiltonianSymbol, hamiltonian_real_values
 from .fock import FockSpace, _coherent_amplitudes, sector_h_A
 from .linalg import expm
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 
 # the fewest spacings in a half width that Grid2D accepts
@@ -66,6 +68,8 @@ def magnetic_laplacian(grid: Grid2D) -> sp.csr_matrix:
     have modulus 1, so the entrywise modulus is the standard Dirichlet
     5-point Laplacian.
     """
+    import scipy.sparse as sp
+
     h = grid.spacing
     side = grid.side
     X, Y = grid.coordinates()
@@ -89,6 +93,8 @@ def magnetic_laplacian(grid: Grid2D) -> sp.csr_matrix:
 
 def landau_hamiltonian(grid: Grid2D) -> sp.csr_matrix:
     """The grid realization of the b-mode number operator: (1/4) Lap - 1/2."""
+    import scipy.sparse as sp
+
     N = grid.npoints
     return (0.25 * magnetic_laplacian(grid) - 0.5 * sp.identity(N, format="csr")).tocsr()
 
@@ -143,6 +149,8 @@ def rotation_sectors(H: sp.spmatrix) -> list[sp.csc_matrix]:
     square and R H R^T == H and F H F^T == conj(H) hold exactly, and if a
     sector keeps a nonzero imaginary part.
     """
+    import scipy.sparse as sp
+
     N = H.shape[0]
     side = isqrt(N)
     if side * side != N:
@@ -220,6 +228,9 @@ def _factor(Hq: sp.csc_matrix, shift: float) -> spla.SuperLU:
     column permutation: minimum degree on the pattern of A^T + A, diagonal
     pivots only.  Raises ``TypeError`` for a complex Hq, and
     ``InertiaError`` on a zero pivot or one off the diagonal."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     if np.iscomplexobj(Hq.data):
         raise TypeError(f"a real symmetric sector is needed, not {Hq.dtype}")
     shifted = (Hq - shift * sp.identity(Hq.shape[0], format="csc")).tocsc()
@@ -234,6 +245,8 @@ def _factor(Hq: sp.csc_matrix, shift: float) -> spla.SuperLU:
 
 
 def _sector_low(Hq: sp.csc_matrix, k: int) -> np.ndarray:
+    import scipy.sparse.linalg as spla
+
     n = Hq.shape[0]
     solve = spla.LinearOperator((n, n), matvec=_factor(Hq, SHIFT).solve, dtype=float)
     # a fixed real normal start vector, so that a run repeats exactly
@@ -343,6 +356,9 @@ def grid_strong_limit(grid: Grid2D, sym: HamiltonianSymbol, nu_list: Sequence[fl
     This is a report-producing experiment; the contract is qualitative
     decay of the deviation in nu until discretization error dominates.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     if sym.m != 1:
         raise ValueError("grid experiment is m = 1 only")
     X, Y = grid.coordinates()

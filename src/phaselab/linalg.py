@@ -9,7 +9,6 @@ point of a Grassmannian has no canonical matrix representative.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 
 class ShapeError(ValueError):
@@ -88,6 +87,8 @@ def square_blocks(M, k: int) -> tuple[np.ndarray, int]:
 
 def expm(X) -> np.ndarray:
     """Matrix exponential e^X (scaling-and-squaring Pade, via scipy)."""
+    import scipy.linalg
+
     return scipy.linalg.expm(square_blocks(X, 1)[0])
 
 

@@ -228,6 +228,12 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("pathint", {"seed": 1, "nu_list": [1, 710]}),
         ("calibrate", {"seed": 1, "m": 2, "nu_list": [1, 355]}),
         ("graph-limit", {"seed": 1, "nu_list": [4, 17.5]}),
+        ("pathint", {"seed": 1, "symbol_norm": 1e50}),
+        ("pathint", {"seed": 1, "symbol_norm": 1e160}),
+        ("fock-limit", {"seed": 1, "strong_norm": 1e300}),
+        ("fock-limit", {"seed": 1, "strong_nu_list": [4, 1e300]}),
+        ("landau", {"strong_limit_nu_list": [2, 1e8]}),
+        ("landau", {"strong_limit_nu_list": [1e300]}),
     ],
     ids=[
         "pathint_empty_nu_list",
@@ -322,6 +328,12 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         "pathint_scale_e_nu_beyond_float",
         "calibrate_scale_e_nu_m_beyond_float",
         "graph_limit_nu_beyond_rank_test",
+        "pathint_symbol_norm_beyond_oracle_cancellation",
+        "pathint_symbol_norm_beyond_oracle_overflow",
+        "fock_limit_strong_norm_beyond_rounding_floor",
+        "fock_limit_strong_nu_beyond_expm_power",
+        "landau_strong_limit_nu_beyond_expm_multiply_cost",
+        "landau_strong_limit_nu_beyond_float_in_expm_multiply",
     ],
 )
 def test_out_of_range_parameters_exit_2_without_outputs(tmp_path, capsys, experiment, params):
@@ -642,6 +654,16 @@ def test_rerun_is_byte_identical(tmp_path):
     assert csv_a == csv_b
 
 
+# a fresh process: runs each config given after the output directory
+RUN_CONFIGS = "import sys\nfrom phaselab.cli import main\nfor c in sys.argv[2:]:\n    main(['run', c, '--out', sys.argv[1]])"
+
+
+def fresh_env(**extra):
+    """This process's environment with src/ on PYTHONPATH, and ``extra``."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def test_csv_bytes_do_not_depend_on_the_thread_count(tmp_path):
     # one process per BLAS thread count (this contract is checked on two
     # cores, so 1 and 2), each running every config through cli.main
@@ -650,19 +672,34 @@ def test_csv_bytes_do_not_depend_on_the_thread_count(tmp_path):
     configs.append(write_config(tmp_path, landau, "landau.json"))
     fock = {"experiment": "fock-limit", "parameters": {"seed": 1, **FOCK_SMALL}}
     configs.append(write_config(tmp_path, fock, "fock_limit.json"))
-    script = "import sys\nfrom phaselab.cli import main\nfor c in sys.argv[2:]:\n    main(['run', c, '--out', sys.argv[1]])"
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    # two CHUNK blocks of loops
+    pathint = {"experiment": "pathint", "parameters": {"seed": 1, "nu_list": [1], "steps": 16, "samples": 5000}}
+    configs.append(write_config(tmp_path, pathint, "pathint.json"))
+    calibrate = {"experiment": "calibrate", "parameters": {"seed": 1, **SMALL_PARAMETERS["calibrate"]}}
+    configs.append(write_config(tmp_path, calibrate, "calibrate.json"))
     procs = {}
     for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": path,
-               **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)}
-        procs[threads] = subprocess.Popen([sys.executable, "-c", script, str(tmp_path / threads), *configs],
-                                          env=env, stdout=subprocess.DEVNULL)
+        env = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+        procs[threads] = subprocess.Popen([sys.executable, "-c", RUN_CONFIGS, str(tmp_path / threads), *configs],
+                                          env=fresh_env(**env), stdout=subprocess.DEVNULL)
     assert [proc.wait(timeout=600) for proc in procs.values()] == [0, 0]
     one, two = (sorted((tmp_path / threads).glob("*.csv")) for threads in procs)
-    assert [f.name for f in one] == [f.name for f in two] and len(one) == 5
+    assert [f.name for f in one] == [f.name for f in two] and len(one) == 7
     for a, b in zip(one, two):
         assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_pathint_and_calibrate_runs_never_import_scipy(tmp_path):
+    # neither runner calls scipy, which linalg, fock and landau import where
+    # they call it; a fresh process, since this one has imported scipy
+    configs = [write_config(tmp_path, {"experiment": tag, "parameters": {**SMALL_PARAMETERS[tag], "seed": 1}}, f"{tag}.json")
+               for tag in ("pathint", "calibrate")]
+    script = RUN_CONFIGS + "\nprint(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out"), *configs],
+                          env=fresh_env(), stdout=subprocess.PIPE, text=True, timeout=600)
+    assert proc.returncode == 0
+    assert len(list((tmp_path / "out").glob("*.csv"))) == 2
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_seed_override_changes_samples(tmp_path):
@@ -718,6 +755,27 @@ def test_nu_at_its_bound_writes_finite_rows(tmp_path, tag, params):
     [csv] = tmp_path.glob("*.csv")
     values = [float(line.split(",")[2]) for line in csv.read_text().splitlines()[1:]]
     assert values and all(math.isfinite(v) for v in values)
+
+
+@pytest.mark.parametrize("tag, params, guarded", [
+    ("pathint", {"nu_list": [1e-8]}, {"mc_vs_oracle_area_nu1e-08_stderr_guard": "mc_vs_oracle_area_nu1e-08_in_stderr",
+                                      "mc_vs_oracle_quadratic_nu1e-08_stderr_guard": "mc_vs_oracle_quadratic_nu1e-08_in_stderr"}),
+    ("calibrate", {"nu_list": [1e-8]}, {"mc_vs_oracle_nu_nu1e-08_stderr_guard": "mc_vs_oracle_nu_nu1e-08_in_stderr"}),
+    ("pathint", {"steps": 64, "symbol_norm": 1e8}, {"oracle_refinement_nu1_underflow_guard": "oracle_refinement_nu1"}),
+], ids=["pathint_nu_1e-8_zero_stderr", "calibrate_nu_1e-8_zero_stderr", "pathint_symbol_norm_1e8_fine_oracle_underflow"])
+def test_guard_row_stands_in_for_a_zero_divisor(tmp_path, tag, params, guarded):
+    # where the draws leave a divisor at exactly 0 (every phase rounded to
+    # one value, so the stderr is 0, or the symbol drawn underflows the fine
+    # oracle), a failed guard row with a finite value stands in place of the
+    # row it guards
+    cfg = write_config(tmp_path, {"experiment": tag, "parameters": {**SMALL_PARAMETERS[tag], **params, "seed": 1}})
+    assert main(["run", cfg, "--out", str(tmp_path)]) == 1
+    [csv] = tmp_path.glob("*.csv")
+    rows = {name: rest for _, name, *rest in (line.split(",") for line in csv.read_text().splitlines()[1:])}
+    assert all(math.isfinite(float(value)) for value, *_ in rows.values())
+    assert [name for name in rows if name.endswith("_guard")] == list(guarded)
+    for guard, row in guarded.items():
+        assert rows[guard] == ["0", "0", ">", "fail"] and row not in rows
 
 
 def test_unreadable_config_exits_2(tmp_path):

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import phaselab.landau as landau
 from phaselab.cones import HamiltonianSymbol, sample
@@ -175,15 +176,15 @@ def test_count_below_refuses_complex_matrices():
 def test_one_factorization_per_sector_and_shift(monkeypatch):
     # eigsh factors A - sigma I itself unless given OPinv; it calls the splu
     # that its own module imported, so that one is counted too
-    arpack = sys.modules[landau.spla.eigsh.__module__]
+    arpack = sys.modules[spla.eigsh.__module__]
     calls, shifts = [], []
-    original_splu, original_factor = landau.spla.splu, landau._factor
+    original_splu, original_factor = spla.splu, landau._factor
 
     def counting_splu(A, *args, **kwargs):
         calls.append(A.shape)
         return original_splu(A, *args, **kwargs)
 
-    monkeypatch.setattr(landau.spla, "splu", counting_splu)
+    monkeypatch.setattr(spla, "splu", counting_splu)
     monkeypatch.setattr(arpack, "splu", counting_splu)
     monkeypatch.setattr(landau, "_factor", lambda Hq, shift: shifts.append(shift) or original_factor(Hq, shift))
     low_spectrum(landau_hamiltonian(Grid2D(2.0, 0.125)), k=12)  # no sector reruns
