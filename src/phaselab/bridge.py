@@ -76,6 +76,9 @@ class MeasureSpec:
             raise ValueError(f"need at least {MIN_STEPS} steps")
         if self.variance_rule not in VARIANCE_RULES:
             raise ValueError(f"unknown variance rule {self.variance_rule!r}")
+        if not self.sigma2 > 0:
+            raise ValueError(f"variance rule {self.variance_rule!r} gives sigma^2 = {self.sigma2:.4g} "
+                             f"at nu = {self.nu:g}; it must be positive")
 
     @property
     def sigma2(self) -> float:

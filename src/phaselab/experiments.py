@@ -89,6 +89,11 @@ class ConfigError(ValueError):
     """Config failed schema validation (maps to exit status 2)."""
 
 
+class NonFiniteCheckError(ValueError):
+    """A check row with a non-finite value or threshold: a run ends in this
+    instead of writing nan or inf as a measurement."""
+
+
 @dataclass(frozen=True)
 class Check:
     name: str
@@ -96,6 +101,12 @@ class Check:
     threshold: float | None
     comparator: str  # "<=", "<", ">=", "==", or "report"
     passed: bool | None  # None for report-only rows
+
+    def __post_init__(self):
+        # every constructor below comes through here
+        if not all(math.isfinite(x) for x in (self.value, self.threshold) if x is not None):
+            raise NonFiniteCheckError(f"check {self.name!r} has value {self.value!r} and threshold "
+                                      f"{self.threshold!r}; both must be finite")
 
     @staticmethod
     def le(name: str, value: float, threshold: float) -> "Check":
@@ -641,9 +652,13 @@ _EIG_COUNT = _range(lambda v, p: _eig_count_ok(v, Grid2D(p["half_width"], p["spa
                     "first excited level, at most landau.max_eig_count of its point count, and small enough that "
                     "low_spectrum's Lanczos basis (landau.lanczos_bytes) stays within 256 MiB")
 _STRONG_LIMIT_GRID = _fine_grid(lambda p: STRONG_LIMIT_SPACING, f"the spacing {STRONG_LIMIT_SPACING}")
-_RULES = _row_names("", _range(lambda v, p: "nu" in v and set(v) <= set(VARIANCE_RULES),
+# a rule's variance must be positive at each nu of nu_list (validated first)
+_RULES = _row_names("", _range(lambda v, p: "nu" in v and set(v) <= set(VARIANCE_RULES)
+                               and all(VARIANCE_RULES[rule](nu) > 0 for rule in v for nu in p["nu_list"]),
                                f"a list of {sorted(VARIANCE_RULES)} that holds 'nu', the rule of the "
-                               "closed-form cross-check"))
+                               "closed-form cross-check, each rule giving a positive variance at every nu of "
+                               "nu_list: nu_plus_log's nu + ln(2 nu) is positive only where 2 nu e^nu > 1, "
+                               "nu above about 0.3517"))
 
 
 @dataclass(frozen=True, kw_only=True)

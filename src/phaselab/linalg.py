@@ -118,47 +118,27 @@ def logm_principal(M) -> np.ndarray:
     return (V * np.log(w)) @ np.linalg.inv(V)
 
 
-def orthonormal_frame(cols) -> np.ndarray:
-    """Orthonormal basis (via SVD) for the column span of ``cols``.
-
-    Raises RankError if the columns are rank-deficient within RANK_TOL.
-    """
-    A = as_cmatrix(cols)
-    u, s, _ = np.linalg.svd(A, full_matrices=False)
-    if s[0] == 0 or s[-1] <= RANK_TOL * s[0]:
-        raise RankError(
-            f"input of shape {A.shape} is rank-deficient "
-            f"(singular values {s[0]:.3e} .. {s[-1]:.3e})"
-        )
-    return u
+def _rank(s: np.ndarray) -> int:
+    """Numerical rank from descending singular values: the count above
+    RANK_TOL times the largest, 0 for an empty or zero ``s``."""
+    return int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
 
 
 def span_frame(cols) -> np.ndarray:
-    """Orthonormal frame for the span, dropping numerically null columns.
-
-    Unlike orthonormal_frame this never raises on rank deficiency; it returns
-    a frame of whatever rank the span actually has, and accepts (or returns)
-    zero-column matrices for zero-dimensional subspaces.
-    """
+    """Orthonormal frame (via SVD) for the span, dropping numerically null
+    columns: a frame of whatever rank the span has, with zero columns for a
+    zero-dimensional one, which a zero-column ``cols`` also gives."""
     A = np.asarray(cols, dtype=complex)
     if A.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got shape {A.shape}")
-    if A.shape[1] == 0:
-        return A.copy()
     u, s, _ = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        return u[:, :0]
-    rank = int(np.sum(s > RANK_TOL * s[0]))
-    return u[:, :rank]
+    return u[:, :_rank(s)]
 
 
 def nullspace(M) -> np.ndarray:
     """Orthonormal basis of the (right) nullspace of M."""
-    M = as_cmatrix(M)
-    _, s, vh = np.linalg.svd(M)
-    smax = s[0] if s.size else 0.0
-    keep = int(np.sum(s > RANK_TOL * smax)) if smax > 0 else 0
-    return vh.conj().T[:, keep:]
+    _, s, vh = np.linalg.svd(as_cmatrix(M))
+    return vh.conj().T[:, _rank(s):]
 
 
 def subspace_gap(P, Q) -> float:

@@ -41,7 +41,6 @@ from .linalg import (
     expm,
     hermitian_part,
     nullspace,
-    orthonormal_frame,
     span_frame,
     square_blocks,
     subspace_gap,
@@ -92,7 +91,7 @@ def relation_from_span(cols) -> np.ndarray:
 def graph_of(T) -> np.ndarray:
     """The relation {v (+) Tv} of a 2n x 2n matrix."""
     T, n = square_blocks(T, 2)
-    return orthonormal_frame(np.vstack([np.eye(2 * n, dtype=complex), T]))
+    return relation_from_span(np.vstack([np.eye(2 * n, dtype=complex), T]))
 
 
 def compose(A, B) -> np.ndarray:
@@ -126,6 +125,12 @@ def ker_indef(P):
     return ker, ind
 
 
+def _form_eigvals(G: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian part of G, a form on a frame; none when
+    the frame has no columns (G is 0 x 0)."""
+    return np.linalg.eigvalsh(hermitian_part(G)) if G.size else np.zeros(0)
+
+
 def is_Unn(P) -> bool:
     """Membership in the contraction-relation semigroup.
 
@@ -135,21 +140,11 @@ def is_Unn(P) -> bool:
     """
     V, W = _halves(P)
     Ical = make_structural(len(V) // 2).Ical
-    G = V.conj().T @ Ical @ V - W.conj().T @ Ical @ W
-    contraction = -float(np.linalg.eigvalsh(hermitian_part(G)).min())
+    on_P = _form_eigvals(V.conj().T @ Ical @ V - W.conj().T @ Ical @ W)
     ker, ind = ker_indef(P)
-
-    if ind.shape[1]:
-        Gi = ind.conj().T @ Ical @ ind
-        indef_top = float(np.linalg.eigvalsh(hermitian_part(Gi)).max())
-    else:
-        indef_top = -np.inf
-    if ker.shape[1]:
-        Gk = ker.conj().T @ Ical @ ker
-        ker_bot = float(np.linalg.eigvalsh(hermitian_part(Gk)).min())
-    else:
-        ker_bot = np.inf
-    return contraction <= PSD_TOL and indef_top <= -PSD_TOL and ker_bot >= PSD_TOL
+    on_ind = _form_eigvals(ind.conj().T @ Ical @ ind)
+    on_ker = _form_eigvals(ker.conj().T @ Ical @ ker)
+    return bool(np.all(on_P >= -PSD_TOL) and np.all(on_ind <= -PSD_TOL) and np.all(on_ker >= PSD_TOL))
 
 
 def is_symplectic_rel(P) -> bool:

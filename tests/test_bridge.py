@@ -39,6 +39,10 @@ def test_measure_spec_validation():
         MeasureSpec(nu=1.0, steps=8, seed=0)
     with pytest.raises(ValueError):
         MeasureSpec(nu=1.0, steps=64, seed=0, variance_rule="bogus")
+    # nu + ln(2 nu) is negative below the root of 2 nu e^nu = 1, nu = 0.3517
+    with pytest.raises(ValueError, match="must be positive"):
+        MeasureSpec(nu=0.1, steps=64, seed=0, variance_rule="nu_plus_log")
+    assert MeasureSpec(nu=0.36, steps=64, seed=0, variance_rule="nu_plus_log").sigma2 > 0
     assert spec64(2.0).sigma2 == 2.0
     assert MeasureSpec(nu=2.0, steps=64, seed=0, variance_rule="two_nu").sigma2 == 4.0
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import phaselab
 from phaselab import experiments
 from phaselab.cli import main
-from phaselab.experiments import EXPERIMENTS, MAX_ARRAY_BYTES, ConfigError, validate_config
+from phaselab.experiments import EXPERIMENTS, MAX_ARRAY_BYTES, Check, ConfigError, NonFiniteCheckError, validate_config
 from phaselab.landau import Grid2D, flux_count, lanczos_bytes
 
 
@@ -234,6 +234,7 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         ("fock-limit", {"seed": 1, "strong_nu_list": [4, 1e300]}),
         ("landau", {"strong_limit_nu_list": [2, 1e8]}),
         ("landau", {"strong_limit_nu_list": [1e300]}),
+        ("calibrate", {"seed": 1, "nu_list": [0.1], "rules": ["nu", "nu_plus_log"], "steps": 16, "samples": 1000}),
     ],
     ids=[
         "pathint_empty_nu_list",
@@ -334,6 +335,7 @@ def test_malformed_list_elements_exit_2_without_outputs(tmp_path, capsys, experi
         "fock_limit_strong_nu_beyond_expm_power",
         "landau_strong_limit_nu_beyond_expm_multiply_cost",
         "landau_strong_limit_nu_beyond_float_in_expm_multiply",
+        "calibrate_nu_plus_log_variance_not_positive",
     ],
 )
 def test_out_of_range_parameters_exit_2_without_outputs(tmp_path, capsys, experiment, params):
@@ -391,6 +393,28 @@ def test_integer_past_the_digit_limit_exits_2_without_outputs(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(out_dir)]) == 2
     assert list(out_dir.iterdir()) == []
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_calibrate_rules_range_names_the_nu_plus_log_bound():
+    config = {"experiment": "calibrate", "parameters": {"seed": 1, "nu_list": [0.35, 1.0], "rules": ["nu", "nu_plus_log"]}}
+    with pytest.raises(ConfigError, match=r"2 nu e\^nu > 1"):
+        validate_config(config)
+    config["parameters"]["nu_list"] = [0.36, 1.0]
+    validate_config(config)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("make", [
+    lambda x: Check.le("row", x, 1.0), lambda x: Check.le("row", 1.0, x),
+    lambda x: Check.lt("row", x, 1.0), lambda x: Check.lt("row", 1.0, x),
+    lambda x: Check.gt("row", x, 1.0), lambda x: Check.gt("row", 1.0, x),
+    lambda x: Check.ge("row", x, 1.0), lambda x: Check.ge("row", 1.0, x),
+    lambda x: Check.report("row", x),
+], ids=["le_value", "le_threshold", "lt_value", "lt_threshold", "gt_value", "gt_threshold",
+        "ge_value", "ge_threshold", "report_value"])
+def test_check_refuses_a_non_finite_value_or_threshold(make, bad):
+    with pytest.raises(NonFiniteCheckError):
+        make(bad)
 
 
 FOCK_SMALL = {"lemma_samples": 2, "strong_nu_list": [4], "quad_grid": 100, "tau_list": [4]}
@@ -495,6 +519,25 @@ def load_perfbench(name, monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_bench_pairs_summary_sums_operations(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    def run(seed, wall, attempted, failed, correct):
+        metrics = {m: {"value": wall} for m in bench_pairs.METRICS}
+        return {"seed": seed, "result": {"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}}
+
+    runs = {"parent": [run(1, 1.0, 100, 0, True), run(2, 2.0, 110, 0, True)],
+            "change": [run(1, 0.5, 100, 3, True), run(2, 3.0, 90, 1, False)]}
+    summary = bench_pairs.summary(runs)
+    assert summary["operations"] == {"parent": {"attempted": 210, "failed": 0, "all_correct": True},
+                                     "change": {"attempted": 190, "failed": 4, "all_correct": False}}
+    assert summary["wall_s"]["change_lower_in"] == "1 of 2"
+    assert summary["wall_s"]["parent"] == {"median": 1.5, "q1": 1.25, "q3": 1.75, "n": 2}
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from phaselab.linalg import (
     LOGM_COND_MAX,
+    RANK_TOL,
     BranchCutError,
     EigenbasisError,
     RankError,
@@ -12,10 +13,10 @@ from phaselab.linalg import (
     expm,
     logm_principal,
     nullspace,
-    orthonormal_frame,
     span_frame,
     subspace_gap,
 )
+from phaselab.relations import relation_from_span
 
 
 def expm_series(X, terms=60):
@@ -131,19 +132,20 @@ def test_logm_defective_input_raises():
     assert err.value.cond > LOGM_COND_MAX
 
 
-def test_orthonormal_frame_examples():
-    f = orthonormal_frame(np.array([[2.0], [0.0]]))
+def test_span_frame_examples():
+    f = span_frame(np.array([[2.0], [0.0]]))
     assert np.allclose(np.abs(f), [[1.0], [0.0]], atol=1e-14)
-    with pytest.raises(RankError):
-        orthonormal_frame(np.array([[1.0, 1.0], [2.0, 2.0]]))
+    # rank deficiency drops a column here; relation_from_span and graph_of
+    # raise RankError on it (tests/test_relations.py)
+    assert span_frame(np.array([[1.0, 1.0], [2.0, 2.0]])).shape == (2, 1)
 
 
-def test_orthonormal_frame_random():
+def test_span_frame_random():
     rng = np.random.default_rng(5)
     A = random_complex(rng, (8, 4))
-    f = orthonormal_frame(A)
+    f = span_frame(A)
     assert np.linalg.norm(f.conj().T @ f - np.eye(4), 2) < 1e-12
-    assert subspace_gap(f, orthonormal_frame(A @ random_complex(rng, (4, 4)))) < 1e-12
+    assert subspace_gap(f, span_frame(A @ random_complex(rng, (4, 4)))) < 1e-12
 
 
 def test_subspace_gap_examples():
@@ -158,13 +160,13 @@ def test_subspace_gap_examples():
 
 def test_subspace_gap_frame_invariance_and_pseudometric():
     rng = np.random.default_rng(6)
-    A = orthonormal_frame(random_complex(rng, (6, 3)))
+    A = span_frame(random_complex(rng, (6, 3)))
     U, _ = np.linalg.qr(random_complex(rng, (3, 3)))
-    assert subspace_gap(A, orthonormal_frame(A @ U)) < 1e-13
+    assert subspace_gap(A, span_frame(A @ U)) < 1e-13
     for _ in range(20):
-        P = orthonormal_frame(random_complex(rng, (6, 3)))
-        Q = orthonormal_frame(random_complex(rng, (6, 3)))
-        R = orthonormal_frame(random_complex(rng, (6, 3)))
+        P = span_frame(random_complex(rng, (6, 3)))
+        Q = span_frame(random_complex(rng, (6, 3)))
+        R = span_frame(random_complex(rng, (6, 3)))
         assert subspace_gap(P, Q) == subspace_gap(Q, P)
         assert subspace_gap(P, R) <= subspace_gap(P, Q) + subspace_gap(Q, R) + 1e-12
         assert -1e-15 <= subspace_gap(P, Q) <= 1.0 + 1e-12
@@ -182,3 +184,20 @@ def test_nullspace_and_span_frame():
     assert N.shape[1] == 3
     assert np.linalg.norm(M @ N, 2) < 1e-12
     assert span_frame(np.zeros((4, 2))).shape[1] == 0
+
+
+@pytest.mark.parametrize("factor, rank", [(1.01, 2), (0.99, 1)], ids=["above", "below"])
+def test_rank_boundary_is_shared(factor, rank):
+    # singular values 1 and just above or below RANK_TOL, in a rotated 4 x 2
+    # matrix: span_frame, nullspace and relation_from_span draw one line
+    rng = np.random.default_rng(11)
+    U, _ = np.linalg.qr(random_complex(rng, (4, 2)))
+    V, _ = np.linalg.qr(random_complex(rng, (2, 2)))
+    M = U @ np.diag([1.0, factor * RANK_TOL]) @ V.conj().T
+    assert span_frame(M).shape[1] == rank
+    assert nullspace(M).shape[1] == 2 - rank
+    if rank == 2:
+        assert relation_from_span(M).shape == (4, 2)
+    else:
+        with pytest.raises(RankError):
+            relation_from_span(M)

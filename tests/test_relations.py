@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phaselab.cones import cayley, classify, make_structural, po_decompose, sample
-from phaselab.linalg import ShapeError, expm, subspace_gap
+from phaselab.linalg import RankError, ShapeError, expm, subspace_gap
 from phaselab.relations import (
     DegenerateCompositionError,
     NotAGraphError,
@@ -338,10 +338,17 @@ def test_projection_derivative_fd_oracle():
 
 
 def test_relation_from_span_validates():
-    from phaselab.linalg import RankError
-
     with pytest.raises(RankError):
         relation_from_span(np.eye(4, dtype=complex)[:, [0]])
+
+
+def test_rank_deficiency_raises():
+    # rank-1 4 x 2 inputs: exactly, and [I; T] numerically (singular
+    # values about 1e9 and 1, a ratio below RANK_TOL)
+    with pytest.raises(RankError):
+        relation_from_span(np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0], [3.0, 3.0]]))
+    with pytest.raises(RankError):
+        graph_of(np.diag([1e9, 0.0]))
 
 
 _SIX = np.eye(6, 2, dtype=complex)  # a frame whose row count is not 4n

@@ -13,7 +13,9 @@ after every pair, so an interrupted run keeps the pairs it finished.
 The layout is that of the BENCH_*.json files at the root of the repository:
 command, host, order, seeds, revisions, runs (per side, one seed and result
 per run) and summary (per end-to-end metric, the median and quartiles of
-each side and the number of pairs in which the change is lower).
+each side and the number of pairs in which the change is lower; under
+``operations``, per side, the attempted and failed operations summed over
+its runs and whether every run was correct).
 
 Standard library only.
 """
@@ -62,6 +64,10 @@ def summary(runs: dict) -> dict:
         lower = sum(c < p for p, c in zip(values["parent"], values["change"]))
         out[metric] = {**{side: side_stats(values[side]) for side in SIDES},
                        "change_lower_in": f"{lower} of {len(values['change'])}"}
+    out["operations"] = {side: {"attempted": sum(r["result"]["attempted"] for r in runs[side]),
+                                "failed": sum(r["result"]["failed"] for r in runs[side]),
+                                "all_correct": all(r["result"]["correct"] for r in runs[side])}
+                         for side in SIDES}
     return out
 
 
