@@ -98,8 +98,6 @@ class QuadraticAction:
 class EstimateReport:
     mean: complex
     stderr: float
-    samples: int
-    spec: MeasureSpec
 
 
 def _build_loops(incr: np.ndarray, pts: np.ndarray) -> None:
@@ -210,8 +208,8 @@ def estimate_actions(specs: Sequence[MeasureSpec], actions: Sequence[QuadraticAc
     reports = []
     for spec, ts, vs in zip(specs, total, var):
         scale = float(np.exp(spec.nu * spec.m))
-        reports.append([EstimateReport(complex(scale * (t / samples)), scale * float(np.sqrt(max(v, 0.0) / samples)),
-                                       samples, spec) for t, v in zip(ts, vs)])
+        reports.append([EstimateReport(complex(scale * (t / samples)), scale * float(np.sqrt(max(v, 0.0) / samples)))
+                        for t, v in zip(ts, vs)])
     return reports
 
 

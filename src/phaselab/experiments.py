@@ -45,7 +45,7 @@ from .fock import (
     strong_limit_run,
     vacuum_expectation,
     vacuum_state,
-    z_ops,
+    z_op,
 )
 from .landau import (
     MIN_HALF_CELLS,
@@ -99,7 +99,7 @@ class Check:
     name: str
     value: float
     threshold: float | None
-    comparator: str  # "<=", "<", ">=", "==", or "report"
+    comparator: str  # "<=", "<", ">", ">=", or "report"
     passed: bool | None  # None for report-only rows
 
     def __post_init__(self):
@@ -339,7 +339,7 @@ def run_fock_limit(p: dict) -> RunReport:
     checks = []
 
     # two-route operator identity on the safe band
-    space = FockSpace(1, LEMMA_CUTOFF)
+    space = FockSpace(LEMMA_CUTOFF)
     band = band_indices(space, LEMMA_CUTOFF - 3)
     worst = 0.0
     for i in range(p["lemma_samples"]):
@@ -352,11 +352,11 @@ def run_fock_limit(p: dict) -> RunReport:
     # strong limit residual table.  The coherent test vector (amplitude 0.5)
     # must fit strong_limit_run's safe band, occupations <= cutoff / 3, so
     # the cutoff is at least 12
-    sl_space = FockSpace(1, 14)
+    sl_space = FockSpace(14)
     sym = HamiltonianSymbol(1, sample("sp_c", 1, p["strong_norm"], p["seed"] + 101))
     vectors = [
         vacuum_state(sl_space),
-        coherent(sl_space, [0.5]),
+        coherent(sl_space, 0.5),
         basis_state(sl_space, (1, 0)),
     ]
     table = strong_limit_run(sl_space, sym, p["strong_nu_list"], vectors)
@@ -369,8 +369,8 @@ def run_fock_limit(p: dict) -> RunReport:
 
     # antinormal monomial identities, exact on the safe band of occupations
     # <= cutoff - 5: the leading cutoff - 4 of the states |j, 0> of ran E_b
-    an_space = FockSpace(1, ANTINORMAL_CUTOFF)
-    Z = z_ops(an_space)[0]
+    an_space = FockSpace(ANTINORMAL_CUTOFF)
+    Z = z_op(an_space)
     Zc = Z.conj().T
     a, ac = annihilator(an_space, 1), creator(an_space, 1)
     worst = 0.0
@@ -382,8 +382,8 @@ def run_fock_limit(p: dict) -> RunReport:
     checks.append(Check.le("antinormal_word_identity", worst, 1e-12))
 
     # quadrature monomials vs compressed operator words, on a-occupations <= QUAD_MAX_OCC
-    q_space = FockSpace(1, QUAD_CUTOFF)
-    Zq = z_ops(q_space)[0]
+    q_space = FockSpace(QUAD_CUTOFF)
+    Zq = z_op(q_space)
     Zqc = Zq.conj().T
     band = QUAD_MAX_OCC + 1
     worst = 0.0
@@ -403,7 +403,7 @@ def run_fock_limit(p: dict) -> RunReport:
     # cutoff-Hamiltonian convergence of the vacuum expectation.  Whether
     # the cutoff suffices depends on the symbol, so a tripped cutoff guard
     # is a failed check in place of the rows it guards
-    ve_space = FockSpace(1, VACUUM_CUTOFF)
+    ve_space = FockSpace(VACUUM_CUTOFF)
     sym2 = HamiltonianSymbol(1, sample("sp_c", 1, 0.5, p["seed"] + 202))
     try:
         v_uncut = vacuum_expectation(ve_space, sym2, None)
@@ -537,10 +537,11 @@ def run_calibrate(p: dict) -> RunReport:
 # docstring the topic.  A field's annotation is its type, its default the
 # default (none: required), and its metadata "range" is (holds(value,
 # params), what the value must be), run on the filled parameters after the
-# type checks, so a range may read any field.  Outside a range a runner
-# raises, or a run checks nothing.
+# type checks, so a range may read any field; what the value must be is a
+# string, or a function of the parameters for a range that quotes another
+# field.  Outside a range a runner raises, or a run checks nothing.
 
-def _range(holds: Callable[[object, dict], bool], want: str) -> dict:
+def _range(holds: Callable[[object, dict], bool], want: str | Callable[[dict], str]) -> dict:
     return {"range": (holds, want)}
 
 
@@ -571,12 +572,13 @@ _GRID_POINTS = MAX_ARRAY_BYTES // 80
 
 def _fine_grid(spacing: Callable[[dict], float], what: str) -> dict:
     """The range of a half width on the grid of spacing ``spacing(params)``,
-    which the message calls ``what``."""
+    which the message calls ``what`` and quotes."""
     return _range(lambda v, p: spacing(p) > 0 and MIN_HALF_CELLS <= v / spacing(p) < math.inf
                   and Grid2D(v, spacing(p)).npoints <= _GRID_POINTS,
-                  f"finite and at least {MIN_HALF_CELLS} times {what}, on a grid of at most "
-                  f"{_GRID_POINTS} points, the most at which the CSR data of the grid Hamiltonian "
-                  "(fewer than 5 x npoints complex values) stays within 256 MiB")
+                  lambda p: f"finite and at least {MIN_HALF_CELLS} times {what}, which is {spacing(p)!r} "
+                  f"and must be positive, on a grid of at most {_GRID_POINTS} points, the most at which "
+                  "the CSR data of the grid Hamiltonian (fewer than 5 x npoints complex values) stays "
+                  "within 256 MiB")
 
 
 def _row_names(fmt: str, within: dict | None = None) -> dict:
@@ -651,7 +653,7 @@ _EIG_COUNT = _range(lambda v, p: _eig_count_ok(v, Grid2D(p["half_width"], p["spa
                     "at least ceil(landau.flux_count) + 2 of the grid, enough to reach the "
                     "first excited level, at most landau.max_eig_count of its point count, and small enough that "
                     "low_spectrum's Lanczos basis (landau.lanczos_bytes) stays within 256 MiB")
-_STRONG_LIMIT_GRID = _fine_grid(lambda p: STRONG_LIMIT_SPACING, f"the spacing {STRONG_LIMIT_SPACING}")
+_STRONG_LIMIT_GRID = _fine_grid(lambda p: STRONG_LIMIT_SPACING, "the strong-limit spacing")
 # a rule's variance must be positive at each nu of nu_list (validated first)
 _RULES = _row_names("", _range(lambda v, p: "nu" in v and set(v) <= set(VARIANCE_RULES)
                                and all(VARIANCE_RULES[rule](nu) > 0 for rule in v for nu in p["nu_list"]),
@@ -712,7 +714,7 @@ class FockLimitParams:
 @dataclass(frozen=True, kw_only=True)
 class LandauParams:
     """Landau levels of the gauge-covariant lattice Laplacian"""
-    half_width: float = field(default=8.0, metadata=_fine_grid(lambda p: p["spacing"], "a positive spacing"))
+    half_width: float = field(default=8.0, metadata=_fine_grid(lambda p: p["spacing"], "the parameter 'spacing'"))
     spacing: float = field(default=0.125, metadata=_POSITIVE)
     eig_count: int = field(default=120, metadata=_EIG_COUNT)
     seed: int = field(default=0, metadata=_SEED)
@@ -840,6 +842,7 @@ def validate_config(config: dict) -> tuple[str, dict]:
         if "range" in f.metadata:
             holds, want = f.metadata["range"]
             if not holds(filled[f.name], filled):
+                want = want(filled) if callable(want) else want
                 raise ConfigError(f"parameter {f.name!r} of {tag!r} must be {want}, got {filled[f.name]!r}")
     return tag, filled
 

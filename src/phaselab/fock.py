@@ -1,12 +1,12 @@
-"""Truncated bosonic Fock space over n = 2m modes and the quantization
-machinery on it: quadratic generators, the b-vacuum compression (antinormal
-quantization), coherent states, quadrature quantization, and the strong-limit
-experiment.
+"""Truncated bosonic Fock space over one mode pair (a, b) and the
+quantization machinery on it: quadratic generators, the b-vacuum compression
+(antinormal quantization), coherent states, quadrature quantization, and the
+strong-limit experiment.
 
-Operators are plain complex ndarrays on the D^n-dimensional truncated space
-(per-mode occupation 0..D-1, modes ordered a_1..a_m, b_1..b_m left to right
-in the tensor product).  CCR-derived identities hold exactly on the "safe
-band" of occupations away from the cutoff and are only ever asserted there.
+Operators are plain complex ndarrays on the D^2-dimensional truncated space
+(per-mode occupation 0..D-1, the a-mode left of the b-mode in the tensor
+product).  CCR-derived identities hold exactly on the "safe band" of
+occupations away from the cutoff and are only ever asserted there.
 """
 
 from __future__ import annotations
@@ -48,24 +48,17 @@ VACUUM_GUARD = 1e-4
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Truncated Fock space: n = 2m modes, per-mode occupation < cutoff."""
+    """Truncated Fock space of the mode pair (a, b), per-mode occupation < cutoff."""
 
-    m: int
     cutoff: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
         if self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
 
     @property
-    def modes(self) -> int:
-        return 2 * self.m
-
-    @property
     def dim(self) -> int:
-        return self.cutoff ** self.modes
+        return self.cutoff ** 2
 
 
 def _ladder(D: int) -> np.ndarray:
@@ -76,24 +69,20 @@ def _ladder(D: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _mode_annihilators(m: int, D: int) -> tuple:
-    ops = []
+def _mode_annihilators(D: int) -> tuple:
     a1, I = _ladder(D), np.eye(D)
-    for k in range(2 * m):
-        out = np.array([[1.0 + 0j]])
-        for j in range(2 * m):
-            out = np.kron(out, a1 if j == k else I)
+    ops = (np.kron(a1, I), np.kron(I, a1))
+    for out in ops:
         out.flags.writeable = False  # cached and shared
-        ops.append(out)
-    return tuple(ops)
+    return ops
 
 
 def annihilator(space: FockSpace, k: int) -> np.ndarray:
-    """a_k for mode k (1-based, k = 1..n; b_j = a_{m+j}), built once per
-    space and shared, so read-only."""
-    if not 1 <= k <= space.modes:
-        raise ShapeError(f"mode index {k} out of range 1..{space.modes}")
-    return _mode_annihilators(space.m, space.cutoff)[k - 1]
+    """a for k = 1 and b for k = 2, built once per cutoff and shared, so
+    read-only."""
+    if k not in (1, 2):
+        raise ShapeError(f"mode index {k} out of range 1..2")
+    return _mode_annihilators(space.cutoff)[k - 1]
 
 
 def creator(space: FockSpace, k: int) -> np.ndarray:
@@ -101,36 +90,31 @@ def creator(space: FockSpace, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _occupation_diagonals(m: int, D: int) -> np.ndarray:
-    """(2m, dim) array of per-mode occupation numbers along the diagonal."""
-    n = 2 * m
-    occ = np.zeros((n, D**n))
-    for k in range(n):
-        pattern = np.repeat(np.arange(D), D ** (n - k - 1))
-        occ[k] = np.tile(pattern, D**k)
+def _occupation_diagonals(D: int) -> np.ndarray:
+    """(2, D^2) array of the a- and b-occupation numbers along the diagonal."""
+    j = np.arange(D)
+    occ = np.stack([np.repeat(j, D), np.tile(j, D)]).astype(float)
     occ.flags.writeable = False  # cached and shared
     return occ
 
 
 def band_indices(space: FockSpace, max_occ: int) -> np.ndarray:
-    """Indices of the basis states with every occupation <= max_occ: the
+    """Indices of the basis states with both occupations <= max_occ: the
     safe band on which CCR-derived identities are exact."""
-    return np.flatnonzero(_occupation_diagonals(space.m, space.cutoff).max(axis=0) <= max_occ)
+    return np.flatnonzero(_occupation_diagonals(space.cutoff).max(axis=0) <= max_occ)
 
 
 def _b_vacuum(space: FockSpace) -> np.ndarray:
     """Boolean mask of the b-vacuum sector ran E_b = ker N_b: the basis
-    states whose b-occupations are all 0 (D^m of the D^{2m})."""
-    occ = _occupation_diagonals(space.m, space.cutoff)
-    return ~occ[space.m:].any(axis=0)
+    states |j, 0> (D of the D^2)."""
+    return _occupation_diagonals(space.cutoff)[1] == 0
 
 
-def z_ops(space: FockSpace) -> list[np.ndarray]:
-    """The commuting normal operators Z_k = a_k* + b_k, k = 1..m."""
+def z_op(space: FockSpace) -> np.ndarray:
+    """The normal operator Z = a* + b."""
     if space.cutoff < 3:
-        raise TruncationError("z_ops needs cutoff >= 3")
-    m = space.m
-    return [creator(space, k) + annihilator(space, m + k) for k in range(1, m + 1)]
+        raise TruncationError("z_op needs cutoff >= 3")
+    return creator(space, 1) + annihilator(space, 2)
 
 
 def _quadratic(row_ops, col_ops, M: np.ndarray) -> np.ndarray:
@@ -146,27 +130,25 @@ def _quadratic(row_ops, col_ops, M: np.ndarray) -> np.ndarray:
 
 def drho(space: FockSpace, A) -> np.ndarray:
     """The quadratic generator (1/2) a* Ical A a, with the doubled vector
-    a = (a_1*..a_n*, a_1..a_n)^T and Ical = diag(-I_n, I_n).
+    a = (a*, b*, a, b)^T and Ical = diag(-I_2, I_2).
 
-    Skew-adjoint on the safe band for A in sp_c(2n,R).  Linear in A, so it
+    Skew-adjoint on the safe band for A in sp_c(4,R).  Linear in A, so it
     extends to the complexification; e.g. the doubled number matrix
-    N_b = diag(0,I,0,-I) (which lies in i.sp_c) maps to -(N_b + m/2).
+    N_b = diag(0,1,0,-1) (which lies in i.sp_c) maps to -(N_b + 1/2).
     """
     A = np.asarray(A, dtype=complex)
-    n = space.modes
-    if A.shape != (2 * n, 2 * n):
-        raise ShapeError(f"expected shape {(2 * n, 2 * n)}")
-    S = make_structural(n)
-    ann = [annihilator(space, k) for k in range(1, n + 1)]
-    cre = [creator(space, k) for k in range(1, n + 1)]
-    row = ann + cre   # entries of the conjugate row (a_1..a_n, a_1*..a_n*)
-    col = cre + ann   # entries of the doubled column
-    return _quadratic(row, col, 0.5 * (S.Ical @ A))
+    if A.shape != (4, 4):
+        raise ShapeError("expected shape (4, 4)")
+    a, b = _mode_annihilators(space.cutoff)
+    # the entries of the conjugate row (a, b, a*, b*); the doubled column
+    # has them in the order (a*, b*, a, b)
+    row = [a, b, a.conj().T, b.conj().T]
+    return _quadratic(row, row[2:] + row[:2], 0.5 * (make_structural(2).Ical @ A))
 
 
 def antinormal_quantize(space: FockSpace, X) -> np.ndarray:
     """The compression E_b X E_b as an operator on ran E_b = ker N_b: the
-    D^m x D^m block of X on the b-vacuum basis states, in their order in the
+    D x D block of X on the b-vacuum basis states, in their order in the
     full space (the vacuum first).  Those states are |j, 0> with j running
     over the a-occupations, so the block is in a-mode Fock coordinates.
     E_b X E_b vanishes off ran E_b, so exp(E_b X E_b) is the expm of this
@@ -179,36 +161,33 @@ def antinormal_quantize(space: FockSpace, X) -> np.ndarray:
 
 
 def h_A_operator(space: FockSpace, sym: HamiltonianSymbol) -> np.ndarray:
-    """The symbol evaluated on the Z operators: (1/2) Z* Ical_{2m} A Z.
+    """The symbol evaluated on Z: (1/2) (Z, Z*) Ical A (Z*, Z)^T.
 
     Agrees with drho(hat_lift(sym)) on the safe band.
     """
-    if sym.m != space.m:
-        raise ShapeError("symbol and space have different m")
-    S = make_structural(space.m)
-    Z = z_ops(space)
-    Zc = [z.conj().T for z in Z]
-    row = Z + Zc
-    col = Zc + Z
-    return _quadratic(row, col, 0.5 * (S.Ical @ sym.A))
+    if sym.m != 1:
+        raise ShapeError(f"the Fock space has one mode pair: need a symbol with m = 1, not {sym.m}")
+    Z = z_op(space)
+    row = [Z, Z.conj().T]
+    return _quadratic(row, row[::-1], 0.5 * (make_structural(1).Ical @ sym.A))
 
 
 def sector_h_A(space: FockSpace, sym: HamiltonianSymbol) -> np.ndarray:
-    """E_b h_A(Z) E_b as the D^m x D^m operator on ran E_b, in the
-    coordinates of ``antinormal_quantize``: the antinormally ordered
-    quantization of the symbol, built from the a-modes alone.
+    """E_b h_A(Z) E_b as the D x D operator on ran E_b, in the coordinates
+    of ``antinormal_quantize``: the antinormally ordered quantization of the
+    symbol, built from the a-mode alone.
 
-    On ran E_b, Z_k E_b = a_k* E_b, E_b Z_k* = E_b a_k and
-    E_b b_k b_l* E_b = delta_kl E_b, so h_A's quadratic in (Z, Z*) becomes
-    the same quadratic in (a*, a), plus tr(M[:m, :m]) from the Z_k Z_l*
-    terms, M = (1/2) Ical A.  Exact on the whole truncated space.
+    On ran E_b, Z E_b = a* E_b, E_b Z* = E_b a and E_b b b* E_b = E_b, so
+    h_A's quadratic in (Z, Z*) becomes the same quadratic in (a*, a), plus
+    M[0, 0] from the Z Z* term, M = (1/2) Ical A.  On ran E_b, a is the
+    one-mode ladder.  Exact on the whole truncated space.
     """
-    if sym.m != space.m:
-        raise ShapeError("symbol and space have different m")
-    M = 0.5 * (make_structural(space.m).Ical @ sym.A)
-    a = [antinormal_quantize(space, annihilator(space, k)) for k in range(1, space.m + 1)]
-    ac = [x.conj().T for x in a]
-    return _quadratic(ac + a, a + ac, M) + np.trace(M[: space.m, : space.m]) * np.eye(len(a[0]))
+    if sym.m != 1:
+        raise ShapeError(f"the Fock space has one mode pair: need a symbol with m = 1, not {sym.m}")
+    M = 0.5 * (make_structural(1).Ical @ sym.A)
+    a = _ladder(space.cutoff)
+    ac = a.conj().T
+    return _quadratic([ac, a], [a, ac], M) + M[0, 0] * np.eye(space.cutoff)
 
 
 def vacuum_state(space: FockSpace) -> np.ndarray:
@@ -218,9 +197,9 @@ def vacuum_state(space: FockSpace) -> np.ndarray:
 
 
 def basis_state(space: FockSpace, occupations: Sequence[int]) -> np.ndarray:
-    """Occupation-basis vector |j_1 .. j_n> (mode 1 leftmost)."""
-    if len(occupations) != space.modes:
-        raise ShapeError(f"need {space.modes} occupation numbers")
+    """Occupation-basis vector |j_a, j_b> (the a-mode leftmost)."""
+    if len(occupations) != 2:
+        raise ShapeError("need 2 occupation numbers")
     D = space.cutoff
     idx = 0
     for j in occupations:
@@ -232,35 +211,27 @@ def basis_state(space: FockSpace, occupations: Sequence[int]) -> np.ndarray:
     return vec
 
 
-def coherent_truncation_bound(space: FockSpace, z) -> float:
-    """Bound on || (a_k - z_k) Omega_z || from the series tail at the cutoff."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
+def coherent_truncation_bound(space: FockSpace, z: complex) -> float:
+    """Bound on || (a - z) Omega_z || from the series tail at the cutoff."""
     D = space.cutoff
-    return float(
-        sum(abs(zk) ** D / np.sqrt(float(factorial(D - 1))) for zk in z)
-    )
+    return float(abs(z) ** D / np.sqrt(float(factorial(D - 1))))
 
 
-def coherent(space: FockSpace, z) -> np.ndarray:
-    """Truncated coherent state vector in the a-modes tensored with the
-    b-vacuum.  Raises TruncationError when the truncation-error bound
-    exceeds COHERENT_BOUND.
+def coherent(space: FockSpace, z: complex) -> np.ndarray:
+    """Truncated coherent state vector of amplitude z in the a-mode
+    tensored with the b-vacuum.  Raises TruncationError when the
+    truncation-error bound exceeds COHERENT_BOUND.
     """
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.shape[0] != space.m:
-        raise ShapeError(f"expected {space.m} amplitudes")
     err = coherent_truncation_bound(space, z)
     if err > COHERENT_BOUND:
         raise TruncationError(
             f"coherent amplitude too large for cutoff {space.cutoff} "
             f"(error bound {err:.2e} > {COHERENT_BOUND:.2e})"
         )
-    amps = np.array([1.0 + 0j])
-    for col in _coherent_amplitudes(z, space.cutoff).T:
-        amps = np.kron(amps, col / np.linalg.norm(col))
+    amps = _coherent_amplitudes(np.array([z], dtype=complex), space.cutoff)[:, 0]
     # the b-vacuum states are the a-mode basis states, in the same order
     vec = np.zeros(space.dim, dtype=complex)
-    vec[_b_vacuum(space)] = amps
+    vec[_b_vacuum(space)] = amps / np.linalg.norm(amps)
     return vec
 
 
@@ -280,8 +251,8 @@ def strong_limit_run(space: FockSpace, sym: HamiltonianSymbol, nu_list: Sequence
     sectors and is exponentiated block by block.
     """
     b_vac = _b_vacuum(space)
-    occ = _occupation_diagonals(space.m, space.cutoff)
-    N_b = occ[space.m:].sum(axis=0)
+    occ = _occupation_diagonals(space.cutoff)
+    N_b = occ[1]
     parity = [np.flatnonzero(occ.sum(axis=0) % 2 == r) for r in (0, 1)]
     safe = occ.max(axis=0) <= space.cutoff / 3
     vectors = [np.asarray(psi, dtype=complex) for psi in vectors]
@@ -311,12 +282,7 @@ def strong_limit_run(space: FockSpace, sym: HamiltonianSymbol, nu_list: Sequence
 
 
 # ---------------------------------------------------------------------------
-# quadrature quantization on the disc (m = 1)
-
-def _require_single_mode(space: FockSpace):
-    if space.m != 1:
-        raise ShapeError("quadrature operations are implemented for m = 1")
-
+# quadrature quantization on the disc
 
 def _disc_grid(radius: float, grid: int):
     """Midpoint lattice on [-R, R]^2 masked to the disc |z| <= R."""
@@ -350,14 +316,13 @@ def quantize_integral(
 ) -> np.ndarray:
     """Quadrature quantization Q(f) = integral of f(z) p_z dmu(z) over the
     disc |z| <= radius, with p_z the (normalized, truncated) coherent-state
-    projector.  Midpoint rule on a grid x grid lattice; m = 1.
+    projector.  Midpoint rule on a grid x grid lattice.
 
     p_z lies in ran E_b, so Q(f) is returned as the D x D operator there, in
     the coordinates of ``antinormal_quantize``: entry (j, k) is
     <j, 0| Q(f) |k, 0>."""
     from scipy.linalg.blas import zgemm
 
-    _require_single_mode(space)
     D = space.cutoff
     z, w = _disc_grid(radius, grid)
     C = _coherent_amplitudes(z, D)
@@ -373,7 +338,6 @@ def quantize_integral(
 def resolution_check(space: FockSpace, grid: int) -> float:
     """Distance || integral p_z dmu - E_b || over |z| <= QUAD_RADIUS, on the
     block of a-occupation <= QUAD_MAX_OCC (inside the b-vacuum sector)."""
-    _require_single_mode(space)
     if grid < 100:
         raise ValueError("resolution check needs grid >= 100")
     Q = quantize_integral(space, lambda z: np.ones_like(z, dtype=complex), QUAD_RADIUS, grid)
@@ -392,10 +356,9 @@ def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol, tau: float | No
     table at cutoff D is the first D rows of the table at D + 2, so the
     sector generator at D is the leading D x D block of the one at D + 2.
     """
-    _require_single_mode(space)
     D = space.cutoff
     cutoffs = (D, D + 2)
-    spaces = [FockSpace(space.m, c) for c in cutoffs]
+    spaces = [FockSpace(c) for c in cutoffs]
     if tau is None:
         gens = [sector_h_A(sp, sym) for sp in spaces]
     else:

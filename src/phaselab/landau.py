@@ -341,7 +341,7 @@ def flux_count(grid: Grid2D) -> float:
 def _fock_prediction_on_grid(grid: Grid2D, sym: HamiltonianSymbol) -> np.ndarray:
     """exp(E_b h E_b) E_b Omega_0 from the Fock side, sampled on the grid via
     the b-vacuum wavefunctions z^j e^{-|z|^2/2}/sqrt(pi j!)."""
-    space = FockSpace(1, PREDICTION_CUTOFF)
+    space = FockSpace(PREDICTION_CUTOFF)
     # the vacuum is the first of the sector's states |j, 0>, j = 0..cutoff-1
     coeff = expm(sector_h_A(space, sym))[:, 0]
     X, Y = grid.coordinates()

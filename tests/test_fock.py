@@ -25,7 +25,7 @@ from phaselab.fock import (
     strong_limit_run,
     vacuum_expectation,
     vacuum_state,
-    z_ops,
+    z_op,
 )
 from phaselab.fock import _coherent_amplitudes, _disc_grid, _occupation_diagonals, _quadratic
 from phaselab.linalg import ShapeError, expm
@@ -37,39 +37,38 @@ def sym1(seed, scale=1.0):
 
 
 def number_ops(space):
-    """(N_b, E_b) as full-space matrices: the number operator of the b-modes
+    """(N_b, E_b) as full-space matrices: the number operator of the b-mode
     and the orthogonal projector onto its kernel, the dense reference."""
-    m = space.m
-    N_b = sum(creator(space, m + k) @ annihilator(space, m + k) for k in range(1, m + 1))
+    N_b = creator(space, 2) @ annihilator(space, 2)
     return N_b, np.diag((np.diag(N_b) == 0).astype(complex))
 
 
 def occ_band(space, max_occ, modes):
     """Indices of the basis states with occupation <= max_occ in the given
     modes (1-based)."""
-    occ = _occupation_diagonals(space.m, space.cutoff)[[k - 1 for k in modes]]
+    occ = _occupation_diagonals(space.cutoff)[[k - 1 for k in modes]]
     return np.flatnonzero(occ.max(axis=0) <= max_occ)
 
 
 def test_band_indices():
     # two modes at cutoff 3: state (j, k) at index 3 j + k
-    space = FockSpace(1, 3)
+    space = FockSpace(3)
     assert band_indices(space, 1).tolist() == [0, 1, 3, 4]
     assert band_indices(space, 2).tolist() == list(range(9))
 
 
 def test_cached_operators_are_read_only():
-    space = FockSpace(1, 4)
+    space = FockSpace(4)
     a1 = annihilator(space, 1)
     with pytest.raises(ValueError):
         a1[0, 1] = 9.0
     with pytest.raises(ValueError):
-        _occupation_diagonals(space.m, space.cutoff)[0, 0] = 9.0
+        _occupation_diagonals(space.cutoff)[0, 0] = 9.0
     assert annihilator(space, 1)[0, 1] == a1[0, 1] != 9.0
 
 
 def test_ladder_matrices_qubit_truncation():
-    space = FockSpace(1, 2)
+    space = FockSpace(2)
     a1 = annihilator(space, 1)
     # mode 1 of two modes at cutoff 2: a (x) I on C^2 (x) C^2
     single = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -77,7 +76,7 @@ def test_ladder_matrices_qubit_truncation():
 
 
 def test_ccr_on_safe_band():
-    space = FockSpace(1, 6)
+    space = FockSpace(6)
     D = space.cutoff
     a1, a2 = annihilator(space, 1), annihilator(space, 2)
     c1 = creator(space, 1)
@@ -92,12 +91,12 @@ def test_ccr_on_safe_band():
 
 
 def test_drho_worked_examples():
-    # The single-mode worked examples, embedded into the two-mode space as
-    # mode-1-only generators (pad the second mode with zeros).  With
+    # The single-mode worked examples, embedded into the mode pair as
+    # a-mode-only generators (pad the b-mode with zeros).  With
     # Ical = diag(-1, 1) the literal quadratic gives
     # drho(diag(i,-i)) = -i(a*a + 1/2); the displays carrying the opposite
     # sign use the opposite Ical, see the ledger.
-    space = FockSpace(1, 8)
+    space = FockSpace(8)
     a = annihilator(space, 1)
     ac = creator(space, 1)
     band = occ_band(space, space.cutoff - 2, [1])
@@ -120,7 +119,7 @@ def test_drho_worked_examples():
 
 
 def test_drho_linearity_and_skewness():
-    space = FockSpace(1, 8)
+    space = FockSpace(8)
     A = sample("sp_c", 2, 1.0, 1)
     B = sample("sp_c", 2, 1.0, 2)
     assert np.linalg.norm(drho(space, A + B) - drho(space, A) - drho(space, B), 2) < 1e-12
@@ -130,7 +129,7 @@ def test_drho_linearity_and_skewness():
 
 
 def test_drho_lie_algebra_homomorphism():
-    space = FockSpace(1, 12)
+    space = FockSpace(12)
     band = band_indices(space, space.cutoff - 4)
     for i in range(10):
         A = sample("sp_c", 2, 1.0, 3 * i)
@@ -141,12 +140,12 @@ def test_drho_lie_algebra_homomorphism():
 
 
 def test_number_ops_and_projector_limit():
-    space = FockSpace(1, 10)
+    space = FockSpace(10)
     N_b, E_b = number_ops(space)
     assert np.linalg.norm(E_b @ E_b - E_b, 2) == 0
     assert np.linalg.norm(expm(-10.0 * N_b) - E_b, 2) <= np.exp(-10) + 1e-12
     assert np.linalg.norm(expm(-30.0 * N_b) - E_b, 2) < 1e-13
-    # the diagonal doubled matrix maps to -(N_b + m/2) on the safe band
+    # the diagonal doubled matrix maps to -(N_b + 1/2) on the safe band
     got = drho(space, make_Nb(1))
     want = -(N_b + 0.5 * np.eye(space.dim))
     band = occ_band(space, space.cutoff - 2, [2])
@@ -156,7 +155,7 @@ def test_number_ops_and_projector_limit():
 def test_quadratic_matches_entrywise_reference():
     # one product per row, row_i (sum_j M_ij col_j), against one product per
     # nonzero entry
-    space = FockSpace(1, 6)
+    space = FockSpace(6)
     rows = [annihilator(space, k) for k in (1, 2)] + [creator(space, k) for k in (1, 2)]
     cols = rows[::-1]
     rng = np.random.default_rng(11)
@@ -175,18 +174,17 @@ def test_quadratic_matches_entrywise_reference():
 def test_quadratic_operators_conserve_occupation_parity():
     # quadratic generators move the total occupation by 0 or +-2, so their
     # entries between the even and odd sectors are exactly zero
-    for space in (FockSpace(1, 7), FockSpace(2, 3)):
-        parity = _occupation_diagonals(space.m, space.cutoff).sum(axis=0) % 2
-        between = parity[:, None] != parity[None, :]
-        for seed in range(3):
-            s = HamiltonianSymbol(space.m, sample("sp_c", space.m, 1.0, seed))
-            assert not np.any(h_A_operator(space, s)[between])
-            assert not np.any(drho(space, sample("sp_c", space.modes, 1.0, seed))[between])
+    space = FockSpace(7)
+    parity = _occupation_diagonals(space.cutoff).sum(axis=0) % 2
+    between = parity[:, None] != parity[None, :]
+    for seed in range(3):
+        assert not np.any(h_A_operator(space, sym1(seed))[between])
+        assert not np.any(drho(space, sample("sp_c", 2, 1.0, seed))[between])
 
 
-def test_z_ops_commuting_normal():
-    space = FockSpace(1, 8)
-    Z = z_ops(space)[0]
+def test_z_op_commuting_normal():
+    space = FockSpace(8)
+    Z = z_op(space)
     band = band_indices(space, space.cutoff - 3)
     comm = Z @ Z.conj().T - Z.conj().T @ Z
     assert np.linalg.norm(comm[:, band], 2) < 1e-12
@@ -194,13 +192,13 @@ def test_z_ops_commuting_normal():
     vac = vacuum_state(space)
     assert np.linalg.norm(Z @ vac - basis_state(space, (1, 0))) < 1e-14
     with pytest.raises(TruncationError):
-        z_ops(FockSpace(1, 2))
+        z_op(FockSpace(2))
 
 
 def test_antinormal_quantize_basics():
     # E_b I E_b is the identity of ran E_b, and compressing E_b X E_b again
     # changes nothing
-    space = FockSpace(1, 8)
+    space = FockSpace(8)
     _, E_b = number_ops(space)
     one = antinormal_quantize(space, np.eye(space.dim))
     assert one.shape == (space.cutoff,) * 2 and np.array_equal(one, np.eye(space.cutoff))
@@ -210,35 +208,34 @@ def test_antinormal_quantize_basics():
 
 
 def test_antinormal_quantize_equals_projector_compression():
-    # E_b is an exact 0/1 diagonal, so E_b X E_b is exactly the D^m x D^m
+    # E_b is an exact 0/1 diagonal, so E_b X E_b is exactly the D x D
     # result put back on the b-vacuum states, in their full-space order
-    for space in (FockSpace(1, 7), FockSpace(2, 3)):
-        _, E_b = number_ops(space)
-        idx = np.flatnonzero(np.diag(E_b).real)
-        rng = np.random.default_rng(space.dim)
-        X = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
-        full = np.zeros_like(X)
-        full[np.ix_(idx, idx)] = antinormal_quantize(space, X)
-        assert np.array_equal(full, E_b @ X @ E_b)
+    space = FockSpace(7)
+    _, E_b = number_ops(space)
+    idx = np.flatnonzero(np.diag(E_b).real)
+    rng = np.random.default_rng(space.dim)
+    X = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
+    full = np.zeros_like(X)
+    full[np.ix_(idx, idx)] = antinormal_quantize(space, X)
+    assert np.array_equal(full, E_b @ X @ E_b)
 
 
 def test_sector_expm_matches_full_space():
-    cases = [(FockSpace(1, 9), sym1(7)), (FockSpace(2, 3), HamiltonianSymbol(2, sample("sp_c", 2, 1.0, 8)))]
-    for space, s in cases:
-        _, E_b = number_ops(space)
-        idx = np.flatnonzero(np.diag(E_b).real)
-        assert idx.size == space.cutoff**space.m and idx[0] == 0
-        H = h_A_operator(space, s)
-        G = E_b @ H @ E_b
-        full = expm(G)
-        block = expm(antinormal_quantize(space, H))
-        assert np.max(np.abs(block - full[np.ix_(idx, idx)])) < 1e-13
-        # off the sector e^G is the identity and does not mix in
-        off = np.flatnonzero(np.diag(E_b).real == 0)
-        assert np.max(np.abs(full[np.ix_(off, idx)])) == 0
-        # a generator outside E_b . E_b is compressed first
-        assert np.array_equal(antinormal_quantize(space, G), antinormal_quantize(space, H))
-    space, s = FockSpace(1, 10), sym1(9, 0.5)
+    space, s = FockSpace(9), sym1(7)
+    _, E_b = number_ops(space)
+    idx = np.flatnonzero(np.diag(E_b).real)
+    assert idx.size == space.cutoff and idx[0] == 0
+    H = h_A_operator(space, s)
+    G = E_b @ H @ E_b
+    full = expm(G)
+    block = expm(antinormal_quantize(space, H))
+    assert np.max(np.abs(block - full[np.ix_(idx, idx)])) < 1e-13
+    # off the sector e^G is the identity and does not mix in
+    off = np.flatnonzero(np.diag(E_b).real == 0)
+    assert np.max(np.abs(full[np.ix_(off, idx)])) == 0
+    # a generator outside E_b . E_b is compressed first
+    assert np.array_equal(antinormal_quantize(space, G), antinormal_quantize(space, H))
+    space, s = FockSpace(10), sym1(9, 0.5)
     vac = vacuum_state(space)
     _, E_b = number_ops(space)
     want = vac.conj() @ expm(E_b @ h_A_operator(space, s) @ E_b) @ vac
@@ -248,18 +245,25 @@ def test_sector_expm_matches_full_space():
 def test_sector_h_A_is_the_compression_of_h_A():
     # E_b h_A(Z) E_b from the a-modes alone, exact on the whole truncated
     # space, not only on the safe band
-    cases = [(1, D) for D in (3, 4, 8, 12, 16, 18)] + [(2, D) for D in (3, 4, 5)]
-    for m, D in cases:
-        space = FockSpace(m, D)
+    for D in (3, 4, 8, 12, 16, 18):
+        space = FockSpace(D)
         for seed in range(2):
-            s = HamiltonianSymbol(m, sample("sp_c", m, 1.0, 10 * D + seed))
+            s = sym1(10 * D + seed)
             G = sector_h_A(space, s)
-            assert G.shape == (D**m, D**m)
+            assert G.shape == (D, D)
             assert np.max(np.abs(G - antinormal_quantize(space, h_A_operator(space, s)))) < 1e-14
             # skew-adjoint, so exp(G) is unitary and |vacuum_expectation| <= 1
             assert np.max(np.abs(G + G.conj().T)) < 1e-14
-    with pytest.raises(ShapeError):
-        sector_h_A(FockSpace(2, 3), sym1(1))
+
+
+def test_symbols_beyond_one_mode_are_refused():
+    # the space is one mode pair, so a symbol with m = 2 has no quantization
+    # on it: each entry point refuses it, on either vacuum_expectation route
+    space, s2 = FockSpace(6), HamiltonianSymbol(2, sample("sp_c", 2, 1.0, 8))
+    for call in (lambda: h_A_operator(space, s2), lambda: sector_h_A(space, s2),
+                 lambda: vacuum_expectation(space, s2, None), lambda: vacuum_expectation(space, s2, 8.0)):
+        with pytest.raises(ShapeError):
+            call()
 
 
 def test_coherent_amplitude_table():
@@ -279,8 +283,8 @@ def test_quantize_integral_is_the_leading_block_at_a_larger_cutoff():
     assert np.array_equal(_coherent_amplitudes(z, D + 2)[:D], _coherent_amplitudes(z, D))
     s = sym1(12, 0.5)
     f = lambda z: hamiltonian_real_values(s, np.stack([z.real, z.imag], axis=1), 8.0)
-    small = quantize_integral(FockSpace(1, D), f, 8.0, 120)
-    large = quantize_integral(FockSpace(1, D + 2), f, 8.0, 120)
+    small = quantize_integral(FockSpace(D), f, 8.0, 120)
+    large = quantize_integral(FockSpace(D + 2), f, 8.0, 120)
     assert small.shape == (D, D) and large.shape == (D + 2, D + 2)
     # equal up to the BLAS summation order, which may depend on the shape
     assert np.max(np.abs(large[:D, :D] - small)) <= 1e-14 * np.max(np.abs(small))
@@ -288,8 +292,8 @@ def test_quantize_integral_is_the_leading_block_at_a_larger_cutoff():
 
 def test_antinormal_word_identity():
     # E_b Z^p Z*^q E_b = a^q a*^p E_b (the verified index order; see ledger)
-    space = FockSpace(1, 10)
-    Z = z_ops(space)[0]
+    space = FockSpace(10)
+    Z = z_op(space)
     Zc = Z.conj().T
     a = annihilator(space, 1)
     ac = creator(space, 1)
@@ -303,7 +307,7 @@ def test_antinormal_word_identity():
 
 
 def test_h_A_operator_equals_lifted_drho():
-    space = FockSpace(1, 10)
+    space = FockSpace(10)
     band = band_indices(space, 7)
     for i in range(10):
         s = sym1(i)
@@ -315,7 +319,7 @@ def test_h_A_operator_equals_lifted_drho():
 
 
 def test_strong_limit_zero_generator_exact():
-    space = FockSpace(1, 8)
+    space = FockSpace(8)
     s0 = HamiltonianSymbol(1, np.zeros((2, 2)))
     rows = strong_limit_run(space, s0, [1.0, 4.0], [vacuum_state(space)])
     for _, residuals in rows:
@@ -323,7 +327,7 @@ def test_strong_limit_zero_generator_exact():
 
 
 def test_strong_limit_monotone_and_rate():
-    space = FockSpace(1, 12)
+    space = FockSpace(12)
     s = sym1(5, 0.8)
     vecs = [vacuum_state(space), basis_state(space, (1, 0))]
     rows = strong_limit_run(space, s, [4.0, 6.0, 8.0, 12.0, 16.0], vecs)
@@ -336,9 +340,9 @@ def test_strong_limit_monotone_and_rate():
 
 def test_strong_limit_matches_full_space_expm():
     # the two parity blocks against one full-space expm(H - nu N_b)
-    space = FockSpace(1, 12)
+    space = FockSpace(12)
     s = sym1(6, 0.8)
-    vecs = [vacuum_state(space), coherent(space, [0.5]), basis_state(space, (1, 0))]
+    vecs = [vacuum_state(space), coherent(space, 0.5), basis_state(space, (1, 0))]
     nus = [4.0, 8.0, 12.0]
     H = h_A_operator(space, s)
     N_b, E_b = number_ops(space)
@@ -351,7 +355,7 @@ def test_strong_limit_matches_full_space_expm():
 
 
 def test_strong_limit_vector_preconditions():
-    space = FockSpace(1, 9)
+    space = FockSpace(9)
     s = sym1(1)
     bad = basis_state(space, (0, 1))  # b-occupied: not in ran E_b
     with pytest.raises(ValueError):
@@ -360,7 +364,7 @@ def test_strong_limit_vector_preconditions():
     with pytest.raises(TruncationError):
         strong_limit_run(space, s, [1.0], [top])
     # a vector of the wrong length or rank
-    space = FockSpace(1, 14)
+    space = FockSpace(14)
     for bad in (np.zeros(10), vacuum_state(space)[:, None]):
         with pytest.raises(ShapeError):
             strong_limit_run(space, s, [1.0], [bad])
@@ -368,9 +372,9 @@ def test_strong_limit_vector_preconditions():
 
 def test_ray_normalized_strong_limit_drift_cancels():
     # exp(h_A(Z) - nu N_b) and exp(drho(hat A + nu N_b)) differ by exactly
-    # the scalar e^{nu m / 2} up to truncation; after gauge-normalizing both
+    # the scalar e^{nu / 2} up to truncation; after gauge-normalizing both
     # by their vacuum matrix element the drift cancels
-    space = FockSpace(1, 12)
+    space = FockSpace(12)
     s = sym1(3, 0.4)
     N_b, _ = number_ops(space)
     nu = 2.0
@@ -382,54 +386,54 @@ def test_ray_normalized_strong_limit_drift_cancels():
     band = band_indices(space, 3)
     diff = np.linalg.norm((U1 / g1 - U2 / g2)[np.ix_(band, band)], 2)
     assert diff < 1e-6
-    # and the raw scalar ratio is e^{nu m/2}
+    # and the raw scalar ratio is e^{nu/2}
     assert abs(g1 / g2 - np.exp(nu * 0.5)) < 1e-6
 
 
 def test_coherent_states():
-    space = FockSpace(1, 20)
-    vac = coherent(space, [0.0])
+    space = FockSpace(20)
+    vac = coherent(space, 0.0)
     assert np.linalg.norm(vac - vacuum_state(space)) == 0
 
-    st = coherent(space, [0.8])
+    st = coherent(space, 0.8)
     a = annihilator(space, 1)
     resid = np.linalg.norm(a @ st - 0.8 * st)
-    assert resid <= coherent_truncation_bound(space, [0.8]) + 1e-12
+    assert resid <= coherent_truncation_bound(space, 0.8) + 1e-12
     assert abs(np.linalg.norm(st) - 1.0) < 1e-12
     # lies in ran E_b
     _, E_b = number_ops(space)
     assert np.linalg.norm((np.eye(space.dim) - E_b) @ st) == 0
 
     with pytest.raises(TruncationError):
-        coherent(FockSpace(1, 6), [3.0])
+        coherent(FockSpace(6), 3.0)
 
 
 def test_coherent_overlap_gaussian_formula():
     # probes up to |z| = 2, at cutoff 30, where the truncation bound stays
     # within COHERENT_BOUND for every such z
-    space = FockSpace(1, 30)
-    assert coherent_truncation_bound(space, [2.0]) <= COHERENT_BOUND
+    space = FockSpace(30)
+    assert coherent_truncation_bound(space, 2.0) <= COHERENT_BOUND
     rng = np.random.default_rng(2)
     for _ in range(20):
         z = 2.0 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / np.sqrt(2)
         w = 2.0 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / np.sqrt(2)
-        got = np.vdot(coherent(space, [z]), coherent(space, [w]))
+        got = np.vdot(coherent(space, z), coherent(space, w))
         want = np.exp(-abs(z) ** 2 / 2 - abs(w) ** 2 / 2 + np.conj(z) * w)
         assert abs(got - want) < 1e-8
 
 
 def test_resolution_of_identity_and_trace():
-    space = FockSpace(1, 12)
+    space = FockSpace(12)
     assert resolution_check(space, 200) < 1e-3
     # the normalized coherent projector has unit trace (safe amplitudes:
     # at cutoff 16 the truncation bound of |z| = 1 is within COHERENT_BOUND)
-    st = coherent(FockSpace(1, 16), [1.0])
+    st = coherent(FockSpace(16), 1.0)
     assert abs(np.vdot(st, st) - 1.0) < 1e-12
 
 
 def test_quantize_integral_monomials_and_hermiticity():
-    space = FockSpace(1, 12)
-    Z = z_ops(space)[0]
+    space = FockSpace(12)
+    Z = z_op(space)
     Zc = Z.conj().T
     _, E_b = number_ops(space)
     # the band of a-occupation <= 3 inside ran E_b: the b-vacuum states
@@ -470,7 +474,7 @@ def test_symbol_clip():
 
 
 def test_vacuum_expectation():
-    space = FockSpace(1, 12)
+    space = FockSpace(12)
     s0 = HamiltonianSymbol(1, np.zeros((2, 2)))
     assert vacuum_expectation(space, s0, None) == pytest.approx(1.0)
     for i in range(5):
@@ -478,7 +482,7 @@ def test_vacuum_expectation():
         v = vacuum_expectation(space, s, None)
         assert abs(v) <= 1.0 + 1e-9
     # cutoff route converges to the uncut value
-    space16 = FockSpace(1, 16)
+    space16 = FockSpace(16)
     s = sym1(30, 0.5)
     v_un = vacuum_expectation(space16, s, None)
     assert abs(vacuum_expectation(space16, s, 16.0) - v_un) < 1e-3
@@ -488,22 +492,17 @@ def test_vacuum_expectation_guard_trips():
     # the values at cutoffs 6 and 8 differ by 4.0e-4
     s = sym1(40, 2.5)
     with pytest.raises(ConvergenceGuardError) as err:
-        vacuum_expectation(FockSpace(1, 6), s, None)
+        vacuum_expectation(FockSpace(6), s, None)
     assert err.value.guard == VACUUM_GUARD == 1e-4 and err.value.delta >= VACUUM_GUARD
     # the quadrature route checks its leading block against the whole one:
     # at tau = 8 the blocks of cutoffs 4 and 6 differ by 1.5e-3
     with pytest.raises(ConvergenceGuardError):
-        vacuum_expectation(FockSpace(1, 4), s, 8.0)
+        vacuum_expectation(FockSpace(4), s, 8.0)
 
 
 def test_space_validation():
     with pytest.raises(ValueError):
-        FockSpace(0, 4)
-    with pytest.raises(ValueError):
-        FockSpace(1, 1)
-    space = FockSpace(2, 3)
-    assert space.dim == 81
-    with pytest.raises(ShapeError, match="m = 1"):
-        resolution_check(space, 200)  # quadrature is m = 1 only
+        FockSpace(1)
+    assert FockSpace(3).dim == 9
     with pytest.raises(ValueError, match="grid >= 100"):
-        resolution_check(FockSpace(1, 12), 99)
+        resolution_check(FockSpace(12), 99)
