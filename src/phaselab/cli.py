@@ -2,7 +2,7 @@
 JSON config, write a JSON report plus a CSV of measurements.
 
 Exit status: 0 all assertive checks passed, 1 a numerical check failed,
-2 the config failed schema validation (no output files are written).
+2 the config or --out failed validation (no output files are written).
 """
 
 from __future__ import annotations
@@ -62,6 +62,11 @@ def cmd_list(args) -> int:
 
 
 def cmd_run(args) -> int:
+    out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        print(f"error: --out {out}: {existing} is not a directory", file=sys.stderr)
+        return 2
     try:
         config = json.loads(Path(args.config).read_text())
     except (OSError, ValueError) as exc:
@@ -79,7 +84,7 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    json_path, csv_path = write_outputs(report, Path(args.out))
+    json_path, csv_path = write_outputs(report, out)
     failed = [c for c in report.checks if c.passed is False]
     for c in report.checks:
         status = "report" if c.passed is None else ("PASS" if c.passed else "FAIL")

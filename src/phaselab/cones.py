@@ -9,16 +9,14 @@ Conventions (fixed once, used everywhere):
     Ical = -i J_c = diag(-I, I)
     <u|v>_I = u* Ical v                    (indefinite Hermitian form)
 
-Group/cone predicates, with X a 2n x 2n complex matrix:
+The predicates of ``classify``, with M a 2n x 2n complex matrix:
 
-    Sp(2n,K):    M^T J M = J         sp(2n,K):  J X + X^T J = 0
-    U(n,n):      M* Ical M = Ical    u(n,n):    Ical X + X* Ical = 0
-    sp_c(2n,R):  block pattern (A B; conj B conj A), A* = -A, B^T = B
+    sp_c:        block pattern (A B; conj B conj A), A* = -A, B^T = B
+    U:           M* Ical M = Ical                    (the group U(n,n))
     GammaU:      Ical - M* Ical M >= 0
-    Diss:        Ical X + X* Ical <= 0
-    SDiss:       X in i.u(n,n) and Ical X <= 0   (Ical X is then Hermitian)
-    SDiss_spc:   X in i.sp_c(2n,R) and Ical X <= 0
-    Diss_spc:    X in sp(2n,C) and Ical X + X* Ical <= 0
+    GammaSp_c:   GammaU and M^T J M = J              (the Olshanski semigroup)
+    Diss:        Ical M + M* Ical <= 0
+    SDiss_spc:   M in i.sp_c(2n,R) and Ical M <= 0   (Ical M is then Hermitian)
 
 Note one fact that the sign conventions force and that is load-bearing for
 the whole graph-limit machinery: with Ical = diag(-I, I) the *dissipative*
@@ -114,14 +112,9 @@ def _ical_top(M: np.ndarray, S: StructuralMatrices) -> float:
 
 # residual name -> its formula on (M, S)
 _RESIDUALS = {
-    "realness": lambda M, S: _norm(M.imag),
     "sp_grp": lambda M, S: _norm(M.T @ S.J @ M - S.J),
-    "sp_alg": lambda M, S: _norm(S.J @ M + M.T @ S.J),
     "spc": lambda M, S: spc_residual(M),
     "u_grp": lambda M, S: _norm(M.conj().T @ S.Ical @ M - S.Ical),
-    "u_alg": lambda M, S: _norm(S.Ical @ M + M.conj().T @ S.Ical),
-    # zero when Ical M is Hermitian
-    "iu_alg": lambda M, S: _norm(S.Ical @ M - M.conj().T @ S.Ical),
     "ispc": lambda M, S: spc_residual(-1j * M),
     "gamma_u": lambda M, S: max(
         -float(np.linalg.eigvalsh(hermitian_part(S.Ical - M.conj().T @ S.Ical @ M)).min()), 0.0
@@ -134,18 +127,11 @@ _RESIDUALS = {
 
 # predicate -> its residuals, each with the tolerance it gates on
 PREDICATES = {
-    "Sp_R": (("sp_grp", EQ_TOL), ("realness", EQ_TOL)),
-    "Sp_C": (("sp_grp", EQ_TOL),),
-    "sp_R": (("sp_alg", EQ_TOL), ("realness", EQ_TOL)),
-    "sp_C": (("sp_alg", EQ_TOL),),
     "sp_c": (("spc", EQ_TOL),),
     "U": (("u_grp", EQ_TOL),),
-    "u": (("u_alg", EQ_TOL),),
     "GammaU": (("gamma_u", PSD_TOL),),
     "GammaSp_c": (("gamma_u", PSD_TOL), ("sp_grp", EQ_TOL)),
     "Diss": (("diss", PSD_TOL),),
-    "SDiss": (("iu_alg", EQ_TOL), ("icalM_top", PSD_TOL)),
-    "Diss_spc": (("sp_alg", EQ_TOL), ("diss", PSD_TOL)),
     "SDiss_spc": (("ispc", EQ_TOL), ("icalM_top", PSD_TOL)),
 }
 
@@ -278,15 +264,14 @@ def hat_lift(sym: HamiltonianSymbol) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # random sampling of groups and cones (deterministic in the seed)
 
-SAMPLE_KINDS = (
-    "sp_R", "sp_C", "sp_c", "u", "Sp_c", "U",
-    "SDiss", "SDiss_spc", "Diss", "GammaU", "GammaSp_c",
-)
+SAMPLE_KINDS = ("sp_c", "u", "Sp_c", "U", "SDiss", "SDiss_spc", "Diss", "GammaU", "GammaSp_c")
 
 
 def sample(kind: str, n: int, scale: float, seed: int) -> np.ndarray:
-    """Draw a matrix passing the requested membership flag.
+    """Draw a seeded element of a group, algebra or cone.
 
+    The kinds are the sets of PREDICATES, Sp_c, and two building blocks:
+    u(n,n) (Ical X skew-Hermitian) and SDiss (X in i.u(n,n), Ical X <= 0).
     Algebra samples fill the defining block pattern with Gaussian entries and
     symmetrize; group samples exponentiate algebra samples; dissipative
     samples are pushed strictly inside the cone by a spectral shift along
@@ -307,14 +292,6 @@ def sample(kind: str, n: int, scale: float, seed: int) -> np.ndarray:
     def normalized(M):
         return M / np.linalg.norm(M, 2) * scale
 
-    if kind == "sp_R":
-        Sym = rng.normal(size=(2 * n, 2 * n))
-        Sym = Sym + Sym.T
-        return normalized((np.linalg.inv(S.J) @ Sym).astype(complex))
-    if kind == "sp_C":
-        Sym = gauss((2 * n, 2 * n))
-        Sym = Sym + Sym.T
-        return normalized(np.linalg.inv(S.J) @ Sym)
     if kind == "sp_c":
         A = gauss((n, n))
         A = (A - A.conj().T) / 2

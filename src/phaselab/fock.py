@@ -160,16 +160,22 @@ def antinormal_quantize(space: FockSpace, X) -> np.ndarray:
     return X[np.ix_(idx, idx)]
 
 
+def _symbol_matrix(sym: HamiltonianSymbol) -> np.ndarray:
+    """M = (1/2) Ical A of the symbol; ShapeError unless m = 1 (one mode pair)."""
+    if sym.m != 1:
+        raise ShapeError(f"the Fock space has one mode pair: need a symbol with m = 1, not {sym.m}")
+    return 0.5 * (make_structural(1).Ical @ sym.A)
+
+
 def h_A_operator(space: FockSpace, sym: HamiltonianSymbol) -> np.ndarray:
     """The symbol evaluated on Z: (1/2) (Z, Z*) Ical A (Z*, Z)^T.
 
     Agrees with drho(hat_lift(sym)) on the safe band.
     """
-    if sym.m != 1:
-        raise ShapeError(f"the Fock space has one mode pair: need a symbol with m = 1, not {sym.m}")
+    M = _symbol_matrix(sym)
     Z = z_op(space)
     row = [Z, Z.conj().T]
-    return _quadratic(row, row[::-1], 0.5 * (make_structural(1).Ical @ sym.A))
+    return _quadratic(row, row[::-1], M)
 
 
 def sector_h_A(space: FockSpace, sym: HamiltonianSymbol) -> np.ndarray:
@@ -182,9 +188,7 @@ def sector_h_A(space: FockSpace, sym: HamiltonianSymbol) -> np.ndarray:
     M[0, 0] from the Z Z* term, M = (1/2) Ical A.  On ran E_b, a is the
     one-mode ladder.  Exact on the whole truncated space.
     """
-    if sym.m != 1:
-        raise ShapeError(f"the Fock space has one mode pair: need a symbol with m = 1, not {sym.m}")
-    M = 0.5 * (make_structural(1).Ical @ sym.A)
+    M = _symbol_matrix(sym)
     a = _ladder(space.cutoff)
     ac = a.conj().T
     return _quadratic([ac, a], [a, ac], M) + M[0, 0] * np.eye(space.cutoff)

@@ -359,15 +359,14 @@ def grid_strong_limit(grid: Grid2D, sym: HamiltonianSymbol, nu_list: Sequence[fl
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    if sym.m != 1:
-        raise ValueError("grid experiment is m = 1 only")
+    # the Fock side first: its sector_h_A refuses a symbol with m != 1
+    target = _fock_prediction_on_grid(grid, sym)
+    target = target / np.linalg.norm(target)
     X, Y = grid.coordinates()
     pts = np.stack([X, Y], axis=1)
     hvals = -1j * hamiltonian_real_values(sym, pts)  # h_A is pure imaginary
     Hnum = landau_hamiltonian(grid)
     psi0 = np.exp(-(X**2 + Y**2) / 2) / np.sqrt(np.pi)
-    target = _fock_prediction_on_grid(grid, sym)
-    target = target / np.linalg.norm(target)
 
     rows = []
     for nu in nu_list:

@@ -88,6 +88,21 @@ def test_malformed_config_shape_exits_2_without_outputs(tmp_path, capsys, payloa
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["out_is_a_file", "out_below_a_file"])
+def test_out_that_cannot_be_a_directory_exits_2_before_the_run(tmp_path, capsys, below):
+    # refused before the runner starts, so a long run never ends in an
+    # error writing its outputs
+    cfg = write_config(tmp_path, small_membership())
+    blocker = tmp_path / "F"
+    blocker.write_text("kept")
+    out = blocker / "x" if below else blocker
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert blocker.read_text() == "kept"
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out {out}: {blocker} is not a directory\n"
+    assert captured.out == ""
+
+
 def test_run_missing_seed_exits_2_without_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path, {"experiment": "decompose", "parameters": {}})
     out_dir = tmp_path / "out"

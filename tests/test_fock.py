@@ -28,6 +28,7 @@ from phaselab.fock import (
     z_op,
 )
 from phaselab.fock import _coherent_amplitudes, _disc_grid, _occupation_diagonals, _quadratic
+from phaselab.landau import Grid2D, grid_strong_limit
 from phaselab.linalg import ShapeError, expm
 from phaselab.relations import make_Nb
 
@@ -258,12 +259,18 @@ def test_sector_h_A_is_the_compression_of_h_A():
 
 def test_symbols_beyond_one_mode_are_refused():
     # the space is one mode pair, so a symbol with m = 2 has no quantization
-    # on it: each entry point refuses it, on either vacuum_expectation route
+    # on it: each entry point refuses it, on either vacuum_expectation route.
+    # The builders and the grid experiment, whose prediction is built on
+    # them, give one message; the quadrature route refuses the symbol's
+    # point shape instead
     space, s2 = FockSpace(6), HamiltonianSymbol(2, sample("sp_c", 2, 1.0, 8))
     for call in (lambda: h_A_operator(space, s2), lambda: sector_h_A(space, s2),
-                 lambda: vacuum_expectation(space, s2, None), lambda: vacuum_expectation(space, s2, 8.0)):
-        with pytest.raises(ShapeError):
+                 lambda: vacuum_expectation(space, s2, None),
+                 lambda: grid_strong_limit(Grid2D(5.0, 0.25), s2, [2.0])):
+        with pytest.raises(ShapeError, match="one mode pair: need a symbol with m = 1, not 2"):
             call()
+    with pytest.raises(ShapeError):
+        vacuum_expectation(space, s2, 8.0)
 
 
 def test_coherent_amplitude_table():
