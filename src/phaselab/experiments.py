@@ -28,8 +28,6 @@ from .cones import (
     symbol_quadratic_matrix,
 )
 from .fock import (
-    QUAD_MAX_OCC,
-    QUAD_RADIUS,
     ConvergenceGuardError,
     FockSpace,
     annihilator,
@@ -41,7 +39,6 @@ from .fock import (
     drho,
     h_A_operator,
     quantize_integral,
-    resolution_check,
     strong_limit_run,
     vacuum_expectation,
     vacuum_state,
@@ -329,8 +326,10 @@ def _cluster_projector(M: np.ndarray) -> np.ndarray:
 LEMMA_CUTOFF = 10
 # the safe band of the antinormal words, occupations <= cutoff - 5, is not empty
 ANTINORMAL_CUTOFF = 10
-# the quadrature rows run at the Fock cutoff QUAD_CUTOFF
+# the quadrature rows run at the Fock cutoff QUAD_CUTOFF on the disc of
+# radius QUAD_RADIUS, and compare a-occupations <= QUAD_MAX_OCC
 QUAD_TOL, QUAD_CUTOFF = 1e-3, 12
+QUAD_RADIUS, QUAD_MAX_OCC = 6.0, 3
 # the Fock cutoff of the cutoff-convergence rows; the guard reruns at cutoff + 2
 VACUUM_CUTOFF = 16
 
@@ -386,19 +385,17 @@ def run_fock_limit(p: dict) -> RunReport:
     Zq = z_op(q_space)
     Zqc = Zq.conj().T
     band = QUAD_MAX_OCC + 1
-    worst = 0.0
+    devs = {}
     for pp in range(3):
         for qq in range(3 - pp):
             Q = quantize_integral(
                 q_space, lambda z: z**pp * np.conj(z) ** qq, QUAD_RADIUS, p["quad_grid"]
             )
             ref = antinormal_quantize(q_space, np.linalg.matrix_power(Zq, qq) @ np.linalg.matrix_power(Zqc, pp))
-            worst = max(worst, float(np.linalg.norm((Q - ref)[:band, :band], 2)))
-    checks.append(Check.le("quadrature_monomials", worst, QUAD_TOL))
-
-    # resolution of identity
-    res = resolution_check(q_space, p["quad_grid"])
-    checks.append(Check.le("resolution_of_identity", res, QUAD_TOL))
+            devs[pp, qq] = float(np.linalg.norm((Q - ref)[:band, :band], 2))
+    checks.append(Check.le("quadrature_monomials", max(devs.values()), QUAD_TOL))
+    # the resolution of identity is the monomial f = 1: its quadrature against E_b
+    checks.append(Check.le("resolution_of_identity", devs[0, 0], QUAD_TOL))
 
     # cutoff-Hamiltonian convergence of the vacuum expectation.  Whether
     # the cutoff suffices depends on the symbol, so a tripped cutoff guard
@@ -638,7 +635,7 @@ _STRONG_LIMIT_NU_LIST = _row_names("g", _range(
     "and by nu = 128 the deviation has reached the grid's discretization floor"))
 _MATRIX_N_MAX, _MATRIX = math.isqrt(MAX_ARRAY_BYTES // 64), "a 2n x 2n complex matrix"
 _QUAD_GRID = _sized(100, math.isqrt(MAX_ARRAY_BYTES // (16 * QUAD_CUTOFF)), f"the cutoff x grid^2 complex table of "
-                    f"fock._coherent_amplitudes at cutoff {QUAD_CUTOFF}", ", as fock.resolution_check needs,")
+                    f"fock._coherent_amplitudes at cutoff {QUAD_CUTOFF}", ", the coarsest lattice the quadrature rows are stated on,")
 _CONTRACTION_N_LIST = _sized(1, math.isqrt(MAX_ARRAY_BYTES // 128), "the 4n x 2n complex frame of relations.graph_of", each=True)
 # the estimator works in sub-blocks; the limit keeps a whole block within reach
 _LOOP_BLOCK = f"one block of the loop stream ({CHUNK} loops of (steps + 1) x 2m floats)"

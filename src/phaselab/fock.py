@@ -11,9 +11,10 @@ occupations away from the cutoff and are only ever asserted there.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import exp, inf, lgamma, log
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,8 +38,6 @@ class ConvergenceGuardError(RuntimeError):
 
 
 SAFE_BAND_MASS = 1e-2
-# resolution_check's disc radius and the largest a-occupation it compares
-QUAD_RADIUS, QUAD_MAX_OCC = 6.0, 3
 COHERENT_BOUND = 1e-6
 # vacuum_expectation quantizes the clipped symbol on this disc and lattice
 CLIP_RADIUS, CLIP_GRID = 8.0, 320
@@ -117,10 +116,13 @@ def z_op(space: FockSpace) -> np.ndarray:
     return creator(space, 1) + annihilator(space, 2)
 
 
-def _quadratic(row_ops, col_ops, M: np.ndarray) -> np.ndarray:
-    """sum_ij M_ij row_i col_j, with one operator product per row:
+def _quadratic(ops, M: np.ndarray) -> np.ndarray:
+    """sum_ij M_ij row_i col_j over the doubled vectors: the rows are
+    (ops, ops*) and the columns (ops*, ops).  One operator product per row,
     row_i (sum_j M_ij col_j)."""
-    dim = row_ops[0].shape[0]
+    adjoints = [op.conj().T for op in ops]
+    row_ops, col_ops = [*ops, *adjoints], [*adjoints, *ops]
+    dim = ops[0].shape[0]
     out = np.zeros((dim, dim), dtype=complex)
     for row, coeffs in zip(row_ops, M):
         if np.any(coeffs):
@@ -139,11 +141,7 @@ def drho(space: FockSpace, A) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.shape != (4, 4):
         raise ShapeError("expected shape (4, 4)")
-    a, b = _mode_annihilators(space.cutoff)
-    # the entries of the conjugate row (a, b, a*, b*); the doubled column
-    # has them in the order (a*, b*, a, b)
-    row = [a, b, a.conj().T, b.conj().T]
-    return _quadratic(row, row[2:] + row[:2], 0.5 * (make_structural(2).Ical @ A))
+    return _quadratic(_mode_annihilators(space.cutoff), 0.5 * (make_structural(2).Ical @ A))
 
 
 def antinormal_quantize(space: FockSpace, X) -> np.ndarray:
@@ -172,10 +170,7 @@ def h_A_operator(space: FockSpace, sym: HamiltonianSymbol) -> np.ndarray:
 
     Agrees with drho(hat_lift(sym)) on the safe band.
     """
-    M = _symbol_matrix(sym)
-    Z = z_op(space)
-    row = [Z, Z.conj().T]
-    return _quadratic(row, row[::-1], M)
+    return _quadratic([z_op(space)], _symbol_matrix(sym))
 
 
 def sector_h_A(space: FockSpace, sym: HamiltonianSymbol) -> np.ndarray:
@@ -189,9 +184,7 @@ def sector_h_A(space: FockSpace, sym: HamiltonianSymbol) -> np.ndarray:
     one-mode ladder.  Exact on the whole truncated space.
     """
     M = _symbol_matrix(sym)
-    a = _ladder(space.cutoff)
-    ac = a.conj().T
-    return _quadratic([ac, a], [a, ac], M) + M[0, 0] * np.eye(space.cutoff)
+    return _quadratic([_ladder(space.cutoff).conj().T], M) + M[0, 0] * np.eye(space.cutoff)
 
 
 def vacuum_state(space: FockSpace) -> np.ndarray:
@@ -216,9 +209,13 @@ def basis_state(space: FockSpace, occupations: Sequence[int]) -> np.ndarray:
 
 
 def coherent_truncation_bound(space: FockSpace, z: complex) -> float:
-    """Bound on || (a - z) Omega_z || from the series tail at the cutoff."""
-    D = space.cutoff
-    return float(abs(z) ** D / np.sqrt(float(factorial(D - 1))))
+    """Bound on || (a - z) Omega_z || from the series tail at the cutoff,
+    |z|^D / sqrt((D - 1)!), formed in log space so that no factorial
+    overflows; inf where the bound itself exceeds the float range."""
+    if z == 0:
+        return 0.0
+    log_bound = space.cutoff * log(abs(z)) - lgamma(space.cutoff) / 2
+    return exp(log_bound) if log_bound < log(sys.float_info.max) else inf
 
 
 def coherent(space: FockSpace, z: complex) -> np.ndarray:
@@ -339,16 +336,6 @@ def quantize_integral(
     return zgemm(1.0, C.T, (C * (w * fvals)).T, trans_a=2).T
 
 
-def resolution_check(space: FockSpace, grid: int) -> float:
-    """Distance || integral p_z dmu - E_b || over |z| <= QUAD_RADIUS, on the
-    block of a-occupation <= QUAD_MAX_OCC (inside the b-vacuum sector)."""
-    if grid < 100:
-        raise ValueError("resolution check needs grid >= 100")
-    Q = quantize_integral(space, lambda z: np.ones_like(z, dtype=complex), QUAD_RADIUS, grid)
-    block = Q[: QUAD_MAX_OCC + 1, : QUAD_MAX_OCC + 1]
-    return float(np.linalg.norm(block - np.eye(len(block)), 2))
-
-
 def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol, tau: float | None = None) -> complex:
     """<Omega_0 | exp(E_b h_A(Z) E_b) Omega_0>, or with h_A replaced by the
     quadrature quantization of the tau-clipped symbol.
@@ -360,6 +347,7 @@ def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol, tau: float | No
     table at cutoff D is the first D rows of the table at D + 2, so the
     sector generator at D is the leading D x D block of the one at D + 2.
     """
+    _symbol_matrix(sym)  # both routes refuse m != 1 with the one message
     D = space.cutoff
     cutoffs = (D, D + 2)
     spaces = [FockSpace(c) for c in cutoffs]

@@ -536,11 +536,17 @@ def load_perfbench(name, monkeypatch):
     return module
 
 
-def test_bench_pairs_summary_sums_operations(monkeypatch):
+def load_bench_pairs(monkeypatch):
+    """tools/bench_pairs.py, loaded by path without writing bytecode there."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_sums_operations(monkeypatch):
+    bench_pairs = load_bench_pairs(monkeypatch)
 
     def run(seed, wall, attempted, failed, correct):
         metrics = {m: {"value": wall} for m in bench_pairs.METRICS}
@@ -553,6 +559,25 @@ def test_bench_pairs_summary_sums_operations(monkeypatch):
                                      "change": {"attempted": 190, "failed": 4, "all_correct": False}}
     assert summary["wall_s"]["change_lower_in"] == "1 of 2"
     assert summary["wall_s"]["parent"] == {"median": 1.5, "q1": 1.25, "q3": 1.75, "n": 2}
+
+
+def test_bench_pairs_revision_marks_a_dirty_checkout(monkeypatch, tmp_path):
+    bench_pairs = load_bench_pairs(monkeypatch)
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", *args],
+                              cwd=tmp_path, check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "one")
+    sha = git("rev-parse", "HEAD")
+    assert bench_pairs.revision(tmp_path) == sha
+    (tmp_path / "new.txt").write_text("untracked\n")  # an untracked file is not an edit
+    assert bench_pairs.revision(tmp_path) == sha
+    (tmp_path / "a.txt").write_text("two\n")
+    assert bench_pairs.revision(tmp_path) == f"{sha}-dirty"
 
 
 @pytest.fixture

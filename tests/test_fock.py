@@ -1,4 +1,4 @@
-from math import factorial
+from math import factorial, inf
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from phaselab.fock import (
     drho,
     h_A_operator,
     quantize_integral,
-    resolution_check,
     sector_h_A,
     strong_limit_run,
     vacuum_expectation,
@@ -155,10 +154,11 @@ def test_number_ops_and_projector_limit():
 
 def test_quadratic_matches_entrywise_reference():
     # one product per row, row_i (sum_j M_ij col_j), against one product per
-    # nonzero entry
+    # nonzero entry, over the doubled rows (a, b, a*, b*) and columns
+    # (a*, b*, a, b)
     space = FockSpace(6)
     rows = [annihilator(space, k) for k in (1, 2)] + [creator(space, k) for k in (1, 2)]
-    cols = rows[::-1]
+    cols = rows[2:] + rows[:2]
     rng = np.random.default_rng(11)
     M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     M[1] = 0  # a row with no terms
@@ -168,7 +168,7 @@ def test_quadratic_matches_entrywise_reference():
         for j in range(4):
             if M[i, j] != 0:
                 ref += M[i, j] * (rows[i] @ cols[j])
-    got = _quadratic(rows, cols, M)
+    got = _quadratic(rows[:2], M)
     assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
@@ -259,18 +259,15 @@ def test_sector_h_A_is_the_compression_of_h_A():
 
 def test_symbols_beyond_one_mode_are_refused():
     # the space is one mode pair, so a symbol with m = 2 has no quantization
-    # on it: each entry point refuses it, on either vacuum_expectation route.
-    # The builders and the grid experiment, whose prediction is built on
-    # them, give one message; the quadrature route refuses the symbol's
-    # point shape instead
+    # on it: each entry point refuses it with one message, on either
+    # vacuum_expectation route, and so does the grid experiment, whose
+    # prediction is built on them
     space, s2 = FockSpace(6), HamiltonianSymbol(2, sample("sp_c", 2, 1.0, 8))
     for call in (lambda: h_A_operator(space, s2), lambda: sector_h_A(space, s2),
-                 lambda: vacuum_expectation(space, s2, None),
+                 lambda: vacuum_expectation(space, s2, None), lambda: vacuum_expectation(space, s2, 8.0),
                  lambda: grid_strong_limit(Grid2D(5.0, 0.25), s2, [2.0])):
         with pytest.raises(ShapeError, match="one mode pair: need a symbol with m = 1, not 2"):
             call()
-    with pytest.raises(ShapeError):
-        vacuum_expectation(space, s2, 8.0)
 
 
 def test_coherent_amplitude_table():
@@ -415,6 +412,23 @@ def test_coherent_states():
         coherent(FockSpace(6), 3.0)
 
 
+def test_coherent_truncation_bound_past_the_factorial_range():
+    # (D - 1)! is past the float range from D = 172 on; the bound is formed
+    # in log space and agrees with |z|^D / sqrt((D - 1)!) where that is finite
+    assert coherent_truncation_bound(FockSpace(200), 0.5) < COHERENT_BOUND
+    assert coherent_truncation_bound(FockSpace(200), 0.0) == 0.0
+    st = coherent(FockSpace(200), 0.5)
+    assert abs(np.linalg.norm(st) - 1.0) < 1e-12
+    for z in (0.5, 1.0, 3.0, 0.3 + 0.4j, 20.0):
+        for D in range(2, 172):
+            want = abs(z) ** D / np.sqrt(float(factorial(D - 1)))
+            assert coherent_truncation_bound(FockSpace(D), z) == pytest.approx(want, rel=1e-12, abs=0)
+    # a bound past the float range is inf, and coherent refuses the amplitude
+    assert coherent_truncation_bound(FockSpace(200), 1e10) == inf
+    with pytest.raises(TruncationError):
+        coherent(FockSpace(200), 1e10)
+
+
 def test_coherent_overlap_gaussian_formula():
     # probes up to |z| = 2, at cutoff 30, where the truncation bound stays
     # within COHERENT_BOUND for every such z
@@ -430,10 +444,10 @@ def test_coherent_overlap_gaussian_formula():
 
 
 def test_resolution_of_identity_and_trace():
-    space = FockSpace(12)
-    assert resolution_check(space, 200) < 1e-3
-    # the normalized coherent projector has unit trace (safe amplitudes:
-    # at cutoff 16 the truncation bound of |z| = 1 is within COHERENT_BOUND)
+    # the resolution of identity, the quadrature of f = 1, is checked in
+    # test_quantize_integral_monomials_and_hermiticity.  The normalized
+    # coherent projector has unit trace (safe amplitudes: at cutoff 16 the
+    # truncation bound of |z| = 1 is within COHERENT_BOUND)
     st = coherent(FockSpace(16), 1.0)
     assert abs(np.vdot(st, st) - 1.0) < 1e-12
 
@@ -458,26 +472,6 @@ def test_quantize_integral_monomials_and_hermiticity():
     # real f gives a Hermitian operator
     Qr = quantize_integral(space, lambda z: z.real.astype(complex), 6.0, 120)
     assert np.linalg.norm(Qr - Qr.conj().T, 2) < 1e-12
-
-
-def test_symbol_clip():
-    # the quadrature's clipped symbol, at z = x + iy given as points p = (x, y)
-    s = sym1(4)
-    pts = np.array([[0.1, 0.1], [3.0, -2.0], [0.0, 0.5]])
-    clipped, raw = hamiltonian_real_values(s, pts, 2.0), hamiltonian_real_values(s, pts)
-    assert np.all(clipped <= 2.0 + 1e-15) and np.all(clipped >= -2.0 - 1e-15)
-    assert np.any(np.abs(raw) > 2.0)  # the clip is exercised
-    small = np.abs(raw) <= 2.0
-    assert np.allclose(clipped[small], raw[small])
-    assert np.allclose(hamiltonian_real_values(s, pts, 1e9), raw)
-    for bad in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            hamiltonian_real_values(s, pts, bad)
-    # points come as an (N, 2m) array: one point alone, a stack of arrays
-    # and points of the wrong dimension are refused
-    for bad_pts in (pts[0], pts[None], pts[:, :1]):
-        with pytest.raises(ShapeError):
-            hamiltonian_real_values(s, bad_pts)
 
 
 def test_vacuum_expectation():
@@ -511,5 +505,3 @@ def test_space_validation():
     with pytest.raises(ValueError):
         FockSpace(1)
     assert FockSpace(3).dim == 9
-    with pytest.raises(ValueError, match="grid >= 100"):
-        resolution_check(FockSpace(12), 99)

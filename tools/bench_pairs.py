@@ -11,11 +11,13 @@ last line of each run's output is its result.  The record is rewritten
 after every pair, so an interrupted run keeps the pairs it finished.
 
 The layout is that of the BENCH_*.json files at the root of the repository:
-command, host, order, seeds, revisions, runs (per side, one seed and result
-per run) and summary (per end-to-end metric, the median and quartiles of
-each side and the number of pairs in which the change is lower; under
-``operations``, per side, the attempted and failed operations summed over
-its runs and whether every run was correct).
+command, host, order, seeds, revisions (each side's commit, as
+``<sha>-dirty`` when the checkout has uncommitted edits to tracked files),
+runs (per side, one seed and result per run) and summary (per end-to-end
+metric, the median and quartiles of each side and the number of pairs in
+which the change is lower; under ``operations``, per side, the attempted
+and failed operations summed over its runs and whether every run was
+correct).
 
 Standard library only.
 """
@@ -46,8 +48,12 @@ def run_bench(checkout: Path, workload: str, seed: int) -> dict:
 
 
 def revision(checkout: Path) -> str:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, stdout=subprocess.PIPE, text=True)
-    return proc.stdout.strip() or "unknown"
+    """The checkout's HEAD commit, as ``<sha>-dirty`` when a tracked file
+    differs from it: the commit alone would not name what ran."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=checkout, stdout=subprocess.PIPE, text=True).stdout.strip()
+    sha = git("rev-parse", "HEAD") or "unknown"
+    return f"{sha}-dirty" if git("status", "--porcelain", "--untracked-files=no") else sha
 
 
 def side_stats(values: list[float]) -> dict:
