@@ -17,7 +17,7 @@ from phaselab.bridge import (
     gaussian_oracles,
     symbol_quadratic_matrix,
 )
-from phaselab.cones import HamiltonianSymbol, sample
+from phaselab.cones import HamiltonianSymbol, hamiltonian_real_values, sample
 from reference import hamiltonian_value, loop_actions, sample_loops
 
 AREA = QuadraticAction()
@@ -115,6 +115,23 @@ def test_action_constant_hamiltonian():
     base, with_h = loop_actions(pts[None], [AREA, QuadraticAction(hmatrix=np.eye(2))])
     assert base[0] == line_integral(pts)
     assert with_h[0] == pytest.approx(-1.25)
+
+
+def test_cutoff_h_clipping():
+    # the cutoff Hamiltonian H_tau of fock.vacuum_expectation:
+    # hamiltonian_real_values clipped to [-tau, tau]
+    sym = HamiltonianSymbol(1, sample("sp_c", 1, 1.0, 1))
+    pts = np.array([[0.1, 0.2], [4.0, -3.0], [0.5, 0.0]])
+    clipped, raw = hamiltonian_real_values(sym, pts, 1.5), hamiltonian_real_values(sym, pts)
+    assert np.all(np.abs(clipped) <= 1.5 + 1e-15)
+    assert np.any(np.abs(raw) > 1.5)  # the clip is exercised
+    small = np.abs(raw) <= 1.5
+    assert np.allclose(clipped[small], raw[small])
+    # tau -> infinity pointwise recovery on a bounded set
+    assert np.allclose(hamiltonian_real_values(sym, pts, 1e9), raw)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            hamiltonian_real_values(sym, pts, bad)
 
 
 def test_quadratic_matrix_matches_symbol():

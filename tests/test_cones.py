@@ -16,7 +16,7 @@ from phaselab.cones import (
     sample,
     spc_residual,
 )
-from phaselab.linalg import EQ_TOL, PSD_TOL, BranchCutError, ShapeError, expm
+from phaselab.linalg import EQ_TOL, PSD_TOL, BranchCutError, expm
 from phaselab.relations import limit_graph, make_Nb
 from reference import hamiltonian_value, herm_form, split_diss
 
@@ -332,29 +332,6 @@ def test_hamiltonian_additivity_and_real_values():
         rv = hamiltonian_real_values(HamiltonianSymbol(2, A), pts)[0]
         direct = 1j * hamiltonian_value(HamiltonianSymbol(2, A), z)
         assert abs(rv - direct.real) < 1e-12 * max(1.0, abs(rv))
-
-
-def test_hamiltonian_real_values_clip():
-    # the cutoff Hamiltonian H_tau of fock.vacuum_expectation's quadrature:
-    # the symbol at z = x + iy, given as points p = (x, y), clipped to [-tau, tau]
-    for seed, pts, tau in ((1, np.array([[0.1, 0.2], [4.0, -3.0], [0.5, 0.0]]), 1.5),
-                           (4, np.array([[0.1, 0.1], [3.0, -2.0], [0.0, 0.5]]), 2.0)):
-        s = HamiltonianSymbol(1, sample("sp_c", 1, 1.0, seed))
-        clipped, raw = hamiltonian_real_values(s, pts, tau), hamiltonian_real_values(s, pts)
-        assert np.all(clipped <= tau + 1e-15) and np.all(clipped >= -tau - 1e-15)
-        assert np.any(np.abs(raw) > tau)  # the clip is exercised
-        small = np.abs(raw) <= tau
-        assert np.allclose(clipped[small], raw[small])
-        # tau -> infinity pointwise recovery on a bounded set
-        assert np.allclose(hamiltonian_real_values(s, pts, 1e9), raw)
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                hamiltonian_real_values(s, pts, bad)
-        # points come as an (N, 2m) array: one point alone, a stack of
-        # arrays and points of the wrong dimension are refused
-        for bad_pts in (pts[0], pts[None], pts[:, :1]):
-            with pytest.raises(ShapeError):
-                hamiltonian_real_values(s, bad_pts)
 
 
 def test_hat_lift():

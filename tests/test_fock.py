@@ -474,6 +474,26 @@ def test_quantize_integral_monomials_and_hermiticity():
     assert np.linalg.norm(Qr - Qr.conj().T, 2) < 1e-12
 
 
+def test_symbol_clip():
+    # the quadrature's clipped symbol, at z = x + iy given as points p = (x, y)
+    s = sym1(4)
+    pts = np.array([[0.1, 0.1], [3.0, -2.0], [0.0, 0.5]])
+    clipped, raw = hamiltonian_real_values(s, pts, 2.0), hamiltonian_real_values(s, pts)
+    assert np.all(clipped <= 2.0 + 1e-15) and np.all(clipped >= -2.0 - 1e-15)
+    assert np.any(np.abs(raw) > 2.0)  # the clip is exercised
+    small = np.abs(raw) <= 2.0
+    assert np.allclose(clipped[small], raw[small])
+    assert np.allclose(hamiltonian_real_values(s, pts, 1e9), raw)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            hamiltonian_real_values(s, pts, bad)
+    # points come as an (N, 2m) array: one point alone, a stack of arrays
+    # and points of the wrong dimension are refused
+    for bad_pts in (pts[0], pts[None], pts[:, :1]):
+        with pytest.raises(ShapeError):
+            hamiltonian_real_values(s, bad_pts)
+
+
 def test_vacuum_expectation():
     space = FockSpace(12)
     s0 = HamiltonianSymbol(1, np.zeros((2, 2)))
