@@ -41,6 +41,7 @@ from .linalg import (
     expm,
     hermitian_part,
     logm_principal,
+    opnorm,
     square_blocks,
 )
 
@@ -84,45 +85,44 @@ def cayley(A) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Membership:
-    flag: bool
-    residual: float
+    """A verdict and its residual: a bool and a float for one matrix, a bool
+    array and a float array for a stack."""
+
+    flag: bool | np.ndarray
+    residual: float | np.ndarray
 
 
-def _norm(M) -> float:
-    return float(np.linalg.norm(M, 2))
-
-
-def spc_residual(M: np.ndarray) -> float:
+def spc_residual(M: np.ndarray):
     """Block-pattern residual for sp_c(2n,R): (A B; conj B conj A), A* = -A,
-    B^T = B."""
-    n = M.shape[0] // 2
-    A, B = M[:n, :n], M[:n, n:]
-    return max(
-        _norm(M[n:, :n] - B.conj()),
-        _norm(M[n:, n:] - A.conj()),
-        _norm(A + A.conj().T),
-        _norm(B - B.T),
-    )
+    B^T = B; one per matrix of a stack."""
+    n = M.shape[-1] // 2
+    A, B = M[..., :n, :n], M[..., :n, n:]
+    return np.maximum.reduce([
+        opnorm(M[..., n:, :n] - B.conj()),
+        opnorm(M[..., n:, n:] - A.conj()),
+        opnorm(A + A.conj().mT),
+        opnorm(B - B.mT),
+    ])
 
 
-def _ical_top(M: np.ndarray, S: StructuralMatrices) -> float:
+def _ical_top(M: np.ndarray, S: StructuralMatrices) -> np.ndarray:
     # the largest eigenvalue of the Hermitian part of Ical M
-    return float(np.linalg.eigvalsh(hermitian_part(S.Ical @ M)).max())
+    return np.linalg.eigvalsh(hermitian_part(S.Ical @ M)).max(axis=-1)
 
 
-# residual name -> its formula on (M, S)
+# residual name -> its formula on (M, S), one value per matrix of a stack
 _RESIDUALS = {
-    "sp_grp": lambda M, S: _norm(M.T @ S.J @ M - S.J),
+    "sp_grp": lambda M, S: opnorm(M.mT @ S.J @ M - S.J),
     "spc": lambda M, S: spc_residual(M),
-    "u_grp": lambda M, S: _norm(M.conj().T @ S.Ical @ M - S.Ical),
+    "u_grp": lambda M, S: opnorm(M.conj().mT @ S.Ical @ M - S.Ical),
     "ispc": lambda M, S: spc_residual(-1j * M),
-    "gamma_u": lambda M, S: max(
-        -float(np.linalg.eigvalsh(hermitian_part(S.Ical - M.conj().T @ S.Ical @ M)).min()), 0.0
+    "gamma_u": lambda M, S: np.maximum(
+        -np.linalg.eigvalsh(hermitian_part(S.Ical - M.conj().mT @ S.Ical @ M)).min(axis=-1), 0.0
     ),
-    "diss": lambda M, S: max(_ical_top(M, S) * 2, 0.0),
+    "diss": lambda M, S: np.maximum(_ical_top(M, S) * 2, 0.0),
     # for X in i.u(n,n), Ical X is Hermitian; its largest eigenvalue is the
     # cone residual for SDiss-type membership
-    "icalM_top": lambda M, S: max(_ical_top(M, S), 0.0),
+    "icalM_top": lambda M, S: np.maximum(_ical_top(M, S), 0.0),
 }
 
 # predicate -> its residuals, each with the tolerance it gates on
@@ -137,8 +137,8 @@ PREDICATES = {
 
 
 def classify(M, predicate: str) -> Membership:
-    """Whether a 2n x 2n M satisfies one group/cone predicate, with its
-    residual.
+    """Whether a 2n x 2n M, or each matrix of a stack of them, satisfies one
+    group/cone predicate, with its residual.
 
     Only that predicate's residuals are computed.  Equality-type residuals
     gate on EQ_TOL, semidefinite ones on PSD_TOL; a conjunction predicate
@@ -149,8 +149,12 @@ def classify(M, predicate: str) -> Membership:
     M, n = square_blocks(M, 2)
     S = make_structural(n)
     gates = PREDICATES[predicate]
-    res = tuple(_RESIDUALS[name](M, S) for name, _ in gates)
-    return Membership(all(r <= tol for r, (_, tol) in zip(res, gates)), max(res))
+    res = [_RESIDUALS[name](M, S) for name, _ in gates]
+    flag = np.logical_and.reduce([r <= tol for r, (_, tol) in zip(res, gates)])
+    residual = np.maximum.reduce(res)
+    if M.ndim == 2:
+        return Membership(bool(flag), float(residual))
+    return Membership(flag, residual)
 
 
 @dataclass(frozen=True)
@@ -267,8 +271,8 @@ def hat_lift(sym: HamiltonianSymbol) -> np.ndarray:
 SAMPLE_KINDS = ("sp_c", "u", "Sp_c", "U", "SDiss", "SDiss_spc", "Diss", "GammaU", "GammaSp_c")
 
 
-def sample(kind: str, n: int, scale: float, seed: int) -> np.ndarray:
-    """Draw a seeded element of a group, algebra or cone.
+def sample(kind: str, n: int, scale, seed) -> np.ndarray:
+    """Draw a seeded element of a group, algebra or cone, or a stack of them.
 
     The kinds are the sets of PREDICATES, Sp_c, and two building blocks:
     u(n,n) (Ical X skew-Hermitian) and SDiss (X in i.u(n,n), Ical X <= 0).
@@ -278,55 +282,65 @@ def sample(kind: str, n: int, scale: float, seed: int) -> np.ndarray:
     -Ical (the canonical strictly dissipative direction).  Deterministic in
     (kind, n, scale, seed); matrices are normalized to spectral norm
     ``scale`` (algebra/cone kinds).
+
+    An int ``seed`` gives one 2n x 2n matrix.  A sequence of seeds gives
+    the stack of their matrices, with ``scale`` one scale for all or one per
+    seed; each seed's matrix is bitwise the one it draws alone, from its own
+    generator, default_rng((crc32(kind), n, seed)).
     """
-    if scale <= 0:
+    if kind not in SAMPLE_KINDS:
+        raise ValueError(f"unknown sample kind {kind!r}; known kinds: {SAMPLE_KINDS}")
+    one = np.ndim(seed) == 0
+    seeds = [seed] if one else list(seed)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    scales = np.broadcast_to(np.asarray(scale, dtype=float), (len(seeds),))
+    if np.any(scales <= 0):
         raise ValueError("scale must be positive")
-    # crc32, not hash(): hash() is salted per process and would break the
-    # bit-identical-output contract
-    rng = np.random.default_rng((zlib.crc32(kind.encode()), n, seed))
     S = make_structural(n)
 
-    def gauss(shape):
-        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    def shifted(k):
+        return [s + k for s in seeds]
+
+    def gauss(shape, count=1):
+        # crc32, not hash(): hash() is salted per process and would break
+        # the bit-identical-output contract.  Only the kinds that draw build
+        # generators; each draws its ``count`` matrices in order
+        rngs = [np.random.default_rng((zlib.crc32(kind.encode()), n, s)) for s in seeds]
+        draws = [[rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(count)] for rng in rngs]
+        return [np.stack(mats) for mats in zip(*draws)]
 
     def normalized(M):
-        return M / np.linalg.norm(M, 2) * scale
+        return M / opnorm(M)[:, None, None] * scales[:, None, None]
 
     if kind == "sp_c":
-        A = gauss((n, n))
-        A = (A - A.conj().T) / 2
-        B = gauss((n, n))
-        B = (B + B.T) / 2
-        return normalized(np.block([[A, B], [B.conj(), A.conj()]]))
-    if kind == "u":
+        A, B = gauss((n, n), 2)
+        A = (A - A.conj().mT) / 2
+        B = (B + B.mT) / 2
+        X = normalized(np.block([[A, B], [B.conj(), A.conj()]]))
+    elif kind == "u":
         # Ical X skew-Hermitian
-        K = gauss((2 * n, 2 * n))
-        K = (K - K.conj().T) / 2
-        return normalized(S.Ical @ K)
-    if kind == "Sp_c":
-        return expm(sample("sp_c", n, scale, seed + 1))
-    if kind == "U":
-        return expm(sample("u", n, scale, seed + 1))
-    if kind == "SDiss":
-        K = gauss((2 * n, 2 * n))
-        K = (K + K.conj().T) / 2
-        lam = float(np.linalg.eigvalsh(K).max())
+        [K] = gauss((2 * n, 2 * n))
+        K = (K - K.conj().mT) / 2
+        X = normalized(S.Ical @ K)
+    elif kind == "Sp_c":
+        X = expm(sample("sp_c", n, scales, shifted(1)))
+    elif kind == "U":
+        X = expm(sample("u", n, scales, shifted(1)))
+    elif kind == "SDiss":
+        [K] = gauss((2 * n, 2 * n))
+        K = (K + K.conj().mT) / 2
+        lam = np.linalg.eigvalsh(K).max(axis=-1)[:, None, None]
         # Ical X = K - (lam + margin) I  <=  -margin
-        X = S.Ical @ (K - (lam + 0.3) * np.eye(2 * n))
-        return normalized(X)
-    if kind == "SDiss_spc":
-        X = 1j * sample("sp_c", n, 1.0, seed + 1)
-        lam = float(np.linalg.eigvalsh(hermitian_part(S.Ical @ X)).max())
-        X = X - (lam + 0.3) * S.Ical  # -Ical is strictly dissipative in i.sp_c
-        return normalized(X)
-    if kind == "Diss":
-        Xu = sample("u", n, 1.0, seed + 1)
-        Xs = sample("SDiss", n, 1.0, seed + 2)
-        return normalized(Xu + Xs)
-    if kind == "GammaU":
-        return sample("U", n, scale, seed + 1) @ expm(sample("SDiss", n, scale, seed + 2))
-    if kind == "GammaSp_c":
-        return sample("Sp_c", n, scale, seed + 1) @ expm(
-            sample("SDiss_spc", n, scale, seed + 2)
-        )
-    raise ValueError(f"unknown sample kind {kind!r}; known kinds: {SAMPLE_KINDS}")
+        X = normalized(S.Ical @ (K - (lam + 0.3) * np.eye(2 * n)))
+    elif kind == "SDiss_spc":
+        X = 1j * sample("sp_c", n, 1.0, shifted(1))
+        lam = np.linalg.eigvalsh(hermitian_part(S.Ical @ X)).max(axis=-1)[:, None, None]
+        X = normalized(X - (lam + 0.3) * S.Ical)  # -Ical is strictly dissipative in i.sp_c
+    elif kind == "Diss":
+        X = normalized(sample("u", n, 1.0, shifted(1)) + sample("SDiss", n, 1.0, shifted(2)))
+    elif kind == "GammaU":
+        X = sample("U", n, scales, shifted(1)) @ expm(sample("SDiss", n, scales, shifted(2)))
+    else:  # GammaSp_c
+        X = sample("Sp_c", n, scales, shifted(1)) @ expm(sample("SDiss_spc", n, scales, shifted(2)))
+    return X[0] if one else X

@@ -65,7 +65,7 @@ from .bridge import (
     estimate_actions,
     gaussian_oracles,
 )
-from .linalg import RANK_TOL, expm, subspace_gap
+from .linalg import RANK_TOL, expm, opnorm, stack_runs, subspace_gap
 from .relations import (
     compose,
     graph_limit_gaps,
@@ -161,10 +161,10 @@ def run_membership(p: dict) -> RunReport:
         S = make_structural(n)
         Jc = cayley(S.J)
         target = np.diag(np.concatenate([-1j * np.ones(n), 1j * np.ones(n)]))
-        checks.append(Check.le(f"Jc_diagonal_n{n}", np.linalg.norm(Jc - target, 2), STRUCTURAL_TOL))
-        checks.append(Check.le(f"Ical_is_minus_i_Jc_n{n}", np.linalg.norm(S.Ical - (-1j) * Jc, 2), STRUCTURAL_TOL))
-        checks.append(Check.le(f"J_squared_n{n}", np.linalg.norm(S.J @ S.J + np.eye(2 * n), 2), STRUCTURAL_TOL))
-        checks.append(Check.le(f"W_unitary_n{n}", np.linalg.norm(S.W @ S.W.conj().T - np.eye(2 * n), 2), STRUCTURAL_TOL))
+        checks.append(Check.le(f"Jc_diagonal_n{n}", opnorm(Jc - target), STRUCTURAL_TOL))
+        checks.append(Check.le(f"Ical_is_minus_i_Jc_n{n}", opnorm(S.Ical - (-1j) * Jc), STRUCTURAL_TOL))
+        checks.append(Check.le(f"J_squared_n{n}", opnorm(S.J @ S.J + np.eye(2 * n)), STRUCTURAL_TOL))
+        checks.append(Check.le(f"W_unitary_n{n}", opnorm(S.W @ S.W.conj().T - np.eye(2 * n)), STRUCTURAL_TOL))
 
     # cone test vs contraction test at six time points.  Member samples are
     # kept at norm <= 0.4 so that ||e^{10X}||^2 stays small enough for the
@@ -172,18 +172,24 @@ def run_membership(p: dict) -> RunReport:
     # so their size costs nothing.
     n = p["n"]
     S = make_structural(n)
-    ts = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0]
+    ts = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
     rng = np.random.default_rng(p["seed"])
     disagreements = 0
-    for i in range(p["samples"]):
-        if i % 2 == 0:
-            X = sample("Diss", n, 0.4, p["seed"] + i)
-        else:
-            # push strictly outside the cone: shift along the accretive +Ical
-            X = sample("Diss", n, 0.4, p["seed"] + i) + float(rng.uniform(0.15, 0.5)) * S.Ical
+    # a sample's share of a stack: its exponentials at the six times; where
+    # one sample's exceed the budget, its times are cut in turn
+    item = 16 * (2 * n) ** 2
+    for run in stack_runs(p["samples"], len(ts) * item):
+        idx = range(p["samples"])[run]
+        X = sample("Diss", n, 0.4, [p["seed"] + i for i in idx])
+        for k, i in enumerate(idx):
+            if i % 2:
+                # push strictly outside the cone: shift along the accretive +Ical
+                X[k] += float(rng.uniform(0.15, 0.5)) * S.Ical
         in_cone = classify(X, "Diss").flag
-        contracts = all(classify(expm(t * X), "GammaU").flag for t in ts)
-        disagreements += int(in_cone != contracts)
+        contracts = np.ones(len(idx), dtype=bool)
+        for times in stack_runs(len(ts), len(idx) * item):
+            contracts &= classify(expm(ts[times, None, None, None] * X), "GammaU").flag.all(axis=0)
+        disagreements += int(np.sum(in_cone != contracts))
     checks.append(Check.le("dissipativity_contraction_disagreements", disagreements, 0))
     return RunReport("membership", p, checks)
 
@@ -197,21 +203,20 @@ def run_decompose(p: dict) -> RunReport:
     rng = np.random.default_rng(p["seed"])
     worst_recon = worst_recover = 0.0
     memberships_ok = True
-    for i in range(p["samples"]):
-        h0 = sample("Sp_c", n, float(rng.uniform(0.2, 1.0)), p["seed"] + 2 * i)
-        X0 = sample("SDiss_spc", n, float(rng.uniform(0.1, 1.0)), p["seed"] + 2 * i + 1)
+    # a sample's share of a stack: h0, X0, g and the two factors of g
+    for run in stack_runs(p["samples"], 5 * 16 * (2 * n) ** 2):
+        idx = range(p["samples"])[run]
+        scales = [(float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.1, 1.0))) for _ in idx]
+        h0 = sample("Sp_c", n, [a for a, _ in scales], [p["seed"] + 2 * i for i in idx])
+        X0 = sample("SDiss_spc", n, [b for _, b in scales], [p["seed"] + 2 * i + 1 for i in idx])
         g = h0 @ expm(X0)
-        dec = po_decompose(g, S)
-        worst_recon = max(
-            worst_recon,
-            np.linalg.norm(dec.h @ expm(dec.X) - g, 2) / np.linalg.norm(g, 2),
-        )
-        worst_recover = max(worst_recover, np.linalg.norm(dec.X - X0, 2))
-        memberships_ok &= (
-            classify(dec.h, "GammaSp_c").flag
-            and classify(dec.h, "U").flag
-            and classify(dec.X, "SDiss_spc").flag
-        )
+        decs = [po_decompose(gk, S) for gk in g]
+        h, X = np.stack([dec.h for dec in decs]), np.stack([dec.X for dec in decs])
+        worst_recon = max(worst_recon, float(np.max(opnorm(h @ expm(X) - g) / opnorm(g))))
+        worst_recover = max(worst_recover, float(np.max(opnorm(X - X0))))
+        memberships_ok &= bool(np.all(
+            classify(h, "GammaSp_c").flag & classify(h, "U").flag & classify(X, "SDiss_spc").flag
+        ))
     checks = [
         Check.le("reconstruction_residual", worst_recon, 1e-9),
         Check.le("generator_recovery", worst_recover, 1e-7),
@@ -230,7 +235,7 @@ def run_potapov(p: dict) -> RunReport:
     X = np.diag([1.0, -1.0]).astype(complex)
     r1 = potapov_matrix(expm(1.0 * X))
     target = np.array([[0.0, np.exp(-1.0)], [np.exp(-1.0), 0.0]], dtype=complex)
-    checks.append(Check.le("example_potapov_t1", np.linalg.norm(r1 - target, 2), 1e-12))
+    checks.append(Check.le("example_potapov_t1", opnorm(r1 - target), 1e-12))
 
     P_lim = potapov_inverse(np.zeros((2, 2), dtype=complex))
     gap16 = subspace_gap(graph_of(expm(16.0 * X)), P_lim)
@@ -250,11 +255,15 @@ def run_potapov(p: dict) -> RunReport:
     # product formula vs relation composition
     n = p["n"]
     worst = 0.0
-    for i in range(p["pairs"]):
-        g1 = sample("GammaU", n, 0.6, p["seed"] + 2 * i)
-        g2 = sample("GammaU", n, 0.6, p["seed"] + 2 * i + 1)
+    # a pair's share of a stack: its draws, their graphs and transforms, and
+    # the composed frame; compose runs per pair, its nullspace rank being
+    # the data's
+    for run in stack_runs(p["pairs"], 12 * 16 * (2 * n) ** 2):
+        idx = range(p["pairs"])[run]
+        g1 = sample("GammaU", n, 0.6, [p["seed"] + 2 * i for i in idx])
+        g2 = sample("GammaU", n, 0.6, [p["seed"] + 2 * i + 1 for i in idx])
         P1, P2 = graph_of(g1), graph_of(g2)
-        lhs = potapov_relation(compose(P1, P2))
+        lhs = potapov_relation(np.stack([compose(a, b) for a, b in zip(P1, P2)]))
         rhs = potapov_product(potapov_relation(P1), potapov_relation(P2))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     checks.append(Check.le("product_formula_deviation", worst, 1e-9))
@@ -263,9 +272,10 @@ def run_potapov(p: dict) -> RunReport:
     worst_norm = 0.0
     per_n = p["contraction_samples"] // len(p["contraction_n_list"])
     for nn in p["contraction_n_list"]:
-        for i in range(per_n):
-            g = sample("GammaU", nn, 0.8, p["seed"] + 1000 + i)
-            worst_norm = max(worst_norm, float(np.linalg.norm(potapov_relation(graph_of(g)), 2)))
+        seeds = range(p["seed"] + 1000, p["seed"] + 1000 + per_n)
+        for run in stack_runs(per_n, 8 * 16 * (2 * nn) ** 2):
+            g = sample("GammaU", nn, 0.8, seeds[run])
+            worst_norm = max(worst_norm, float(np.max(opnorm(potapov_relation(graph_of(g))))))
     checks.append(Check.le("transform_operator_norm", worst_norm, 1.0 + 1e-10))
     return RunReport("potapov", p, checks)
 
@@ -300,10 +310,10 @@ def run_graph_limit(p: dict) -> RunReport:
     rng = np.random.default_rng(p["seed"])
     for _ in range(p["fd_samples"]):
         A = rng.normal(size=(4 * m, 4 * m)) + 1j * rng.normal(size=(4 * m, 4 * m))
-        A /= np.linalg.norm(A, 2)
+        A /= opnorm(A)
         closed = projection_derivative(A)
         fd = (_cluster_projector(eps * A - Nb) - _cluster_projector(-eps * A - Nb)) / (2 * eps)
-        worst_rel = max(worst_rel, np.linalg.norm(fd - closed, 2) / np.linalg.norm(closed, 2))
+        worst_rel = max(worst_rel, opnorm(fd - closed) / opnorm(closed))
     checks.append(Check.le("projection_derivative_fd", worst_rel, 1e-3))
     return RunReport("graph-limit", p, checks)
 
@@ -345,7 +355,7 @@ def run_fock_limit(p: dict) -> RunReport:
         sym = HamiltonianSymbol(1, sample("sp_c", 1, 1.0, p["seed"] + i))
         lhs = h_A_operator(space, sym)
         rhs = drho(space, hat_lift(sym))
-        worst = max(worst, float(np.linalg.norm((lhs - rhs)[:, band], 2)))
+        worst = max(worst, float(opnorm((lhs - rhs)[:, band])))
     checks.append(Check.le("symbol_equals_lifted_generator", worst, 1e-10))
 
     # strong limit residual table.  The coherent test vector (amplitude 0.5)
@@ -377,7 +387,7 @@ def run_fock_limit(p: dict) -> RunReport:
         for qq in range(4 - pp):
             lhs = antinormal_quantize(an_space, np.linalg.matrix_power(Z, pp) @ np.linalg.matrix_power(Zc, qq))
             rhs = antinormal_quantize(an_space, np.linalg.matrix_power(a, qq) @ np.linalg.matrix_power(ac, pp))
-            worst = max(worst, float(np.linalg.norm((lhs - rhs)[:, : ANTINORMAL_CUTOFF - 4], 2)))
+            worst = max(worst, float(opnorm((lhs - rhs)[:, : ANTINORMAL_CUTOFF - 4])))
     checks.append(Check.le("antinormal_word_identity", worst, 1e-12))
 
     # quadrature monomials vs compressed operator words, on a-occupations <= QUAD_MAX_OCC
@@ -385,14 +395,14 @@ def run_fock_limit(p: dict) -> RunReport:
     Zq = z_op(q_space)
     Zqc = Zq.conj().T
     band = QUAD_MAX_OCC + 1
+    degrees = [(pp, qq) for pp in range(3) for qq in range(3 - pp)]
+    # one amplitude table serves every monomial
+    Qs = quantize_integral(q_space, [lambda z, pp=pp, qq=qq: z**pp * np.conj(z) ** qq for pp, qq in degrees],
+                           QUAD_RADIUS, p["quad_grid"])
     devs = {}
-    for pp in range(3):
-        for qq in range(3 - pp):
-            Q = quantize_integral(
-                q_space, lambda z: z**pp * np.conj(z) ** qq, QUAD_RADIUS, p["quad_grid"]
-            )
-            ref = antinormal_quantize(q_space, np.linalg.matrix_power(Zq, qq) @ np.linalg.matrix_power(Zqc, pp))
-            devs[pp, qq] = float(np.linalg.norm((Q - ref)[:band, :band], 2))
+    for (pp, qq), Q in zip(degrees, Qs):
+        ref = antinormal_quantize(q_space, np.linalg.matrix_power(Zq, qq) @ np.linalg.matrix_power(Zqc, pp))
+        devs[pp, qq] = float(opnorm((Q - ref)[:band, :band]))
     checks.append(Check.le("quadrature_monomials", max(devs.values()), QUAD_TOL))
     # the resolution of identity is the monomial f = 1: its quadrature against E_b
     checks.append(Check.le("resolution_of_identity", devs[0, 0], QUAD_TOL))
@@ -403,8 +413,9 @@ def run_fock_limit(p: dict) -> RunReport:
     ve_space = FockSpace(VACUUM_CUTOFF)
     sym2 = HamiltonianSymbol(1, sample("sp_c", 1, 0.5, p["seed"] + 202))
     try:
-        v_uncut = vacuum_expectation(ve_space, sym2, None)
-        devs = [abs(vacuum_expectation(ve_space, sym2, float(tau)) - v_uncut) for tau in p["tau_list"]]
+        # one amplitude table serves every clip
+        v_uncut, *v_clipped = vacuum_expectation(ve_space, sym2, [None, *map(float, p["tau_list"])])
+        devs = [abs(v - v_uncut) for v in v_clipped]
     except ConvergenceGuardError as exc:
         checks.append(Check.lt("vacuum_expectation_cutoff_guard", exc.delta, exc.guard))
     else:

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cones import HamiltonianSymbol, hamiltonian_real_values, make_structural
-from .linalg import ShapeError, expm
+from .linalg import ShapeError, expm, stack_runs
 
 
 class TruncationError(ValueError):
@@ -312,55 +312,76 @@ def _coherent_amplitudes(z: np.ndarray, D: int) -> np.ndarray:
     return C
 
 
-def quantize_integral(
-    space: FockSpace, f: Callable[[np.ndarray], np.ndarray], radius: float, grid: int
-) -> np.ndarray:
+def quantize_integral(space: FockSpace, f: Callable[[np.ndarray], np.ndarray] | Sequence[Callable],
+                      radius: float, grid: int):
     """Quadrature quantization Q(f) = integral of f(z) p_z dmu(z) over the
     disc |z| <= radius, with p_z the (normalized, truncated) coherent-state
     projector.  Midpoint rule on a grid x grid lattice.
 
     p_z lies in ran E_b, so Q(f) is returned as the D x D operator there, in
     the coordinates of ``antinormal_quantize``: entry (j, k) is
-    <j, 0| Q(f) |k, 0>."""
+    <j, 0| Q(f) |k, 0>.  ``f`` is a function of the grid points, or a
+    sequence of them for the list of their operators: the grid and the
+    amplitude table are built once and serve every function."""
     from scipy.linalg.blas import zgemm
 
-    D = space.cutoff
+    fs = [f] if callable(f) else list(f)
     z, w = _disc_grid(radius, grid)
-    C = _coherent_amplitudes(z, D)
-    fvals = np.asarray(f(z), dtype=complex).reshape(-1)
-    if fvals.shape != z.shape:
-        raise ShapeError("f must map the grid to one value per point")
-    # Q = (C w f) C^H, as the transpose of conj(C) (C w f)^T: BLAS reads
-    # the Fortran-ordered C.T conjugate-transposed in place, where C.conj()
-    # would copy the whole table
-    return zgemm(1.0, C.T, (C * (w * fvals)).T, trans_a=2).T
+    C = _coherent_amplitudes(z, space.cutoff)
+    out = []
+    for fn in fs:
+        fvals = np.asarray(fn(z), dtype=complex).reshape(-1)
+        if fvals.shape != z.shape:
+            raise ShapeError("f must map the grid to one value per point")
+        # Q = (C w f) C^H, as the transpose of conj(C) (C w f)^T: BLAS reads
+        # the Fortran-ordered C.T conjugate-transposed in place, where
+        # C.conj() would copy the whole table
+        out.append(zgemm(1.0, C.T, (C * (w * fvals)).T, trans_a=2).T)
+    return out[0] if callable(f) else out
 
 
-def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol, tau: float | None = None) -> complex:
+def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol,
+                       tau: float | None | Sequence[float | None] = None):
     """<Omega_0 | exp(E_b h_A(Z) E_b) Omega_0>, or with h_A replaced by the
-    quadrature quantization of the tau-clipped symbol.
+    quadrature quantization of the tau-clipped symbol.  ``tau`` is None (no
+    clip), a clip, or a sequence of them for the list of their values, in
+    stacks of linalg.stack_runs: the clipped symbols of a stack are
+    quantized on one amplitude table.
 
     The modulus never exceeds 1 (the compressed generator is skew-adjoint on
     the b-vacuum sector).  The value is recomputed at cutoff + 2 and must
-    agree within VACUUM_GUARD, else ConvergenceGuardError.
+    agree within VACUUM_GUARD, else ConvergenceGuardError, raised for the
+    first value of the sequence that trips it.
     The quadrature route runs once, at the larger cutoff: its amplitude
     table at cutoff D is the first D rows of the table at D + 2, so the
     sector generator at D is the leading D x D block of the one at D + 2.
     """
     _symbol_matrix(sym)  # both routes refuse m != 1 with the one message
+    one = tau is None or np.ndim(tau) == 0
+    taus = [tau] if one else list(tau)
     D = space.cutoff
     cutoffs = (D, D + 2)
-    spaces = [FockSpace(c) for c in cutoffs]
-    if tau is None:
-        gens = [sector_h_A(sp, sym) for sp in spaces]
-    else:
-        top = -1j * quantize_integral(
-            spaces[-1], lambda z: hamiltonian_real_values(sym, np.stack([z.real, z.imag], axis=1), tau),
-            CLIP_RADIUS, CLIP_GRID)
-        gens = [top[:c, :c] for c in cutoffs]
-    # the vacuum is the sector's first basis state
-    val, val2 = (complex(expm(G)[0, 0]) for G in gens)
-    delta = abs(val - val2)
-    if delta >= VACUUM_GUARD:
-        raise ConvergenceGuardError(delta, VACUUM_GUARD)
-    return val
+    out = []
+    # a tau's share of a stack: its quadrature operator, and its generator
+    # and exponential at each cutoff
+    for run in stack_runs(len(taus), 6 * 16 * (D + 2) ** 2):
+        clips = [t for t in taus[run] if t is not None]
+        tables = iter(quantize_integral(
+            FockSpace(D + 2),
+            [lambda z, t=t: hamiltonian_real_values(sym, np.stack([z.real, z.imag], axis=1), t) for t in clips],
+            CLIP_RADIUS, CLIP_GRID) if clips else [])
+        gens = []  # per tau, its generators at the two cutoffs
+        for t in taus[run]:
+            if t is None:
+                gens.append([sector_h_A(FockSpace(c), sym) for c in cutoffs])
+            else:
+                top = -1j * next(tables)
+                gens.append([top[:c, :c] for c in cutoffs])
+        # the vacuum is the sector's first basis state; one expm stack per cutoff
+        vals, vals2 = (expm(np.stack(G))[:, 0, 0] for G in zip(*gens))
+        for val, val2 in zip(vals.tolist(), vals2.tolist()):
+            delta = abs(val - val2)
+            if delta >= VACUUM_GUARD:
+                raise ConvergenceGuardError(delta, VACUUM_GUARD)
+            out.append(val)
+    return out[0] if one else out

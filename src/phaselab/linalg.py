@@ -1,9 +1,16 @@
 """Dense complex linear-algebra kernel shared by every module.
 
-All matrices are plain ``numpy.ndarray`` with dtype complex128.  Subspaces
-are always carried around as orthonormal frames (matrices with orthonormal
-columns); equality of subspaces is span-based and tolerance-gated, since a
-point of a Grassmannian has no canonical matrix representative.
+All matrices are plain ``numpy.ndarray`` with dtype complex128.  The
+kernels take a matrix or a stack of them, an (..., rows, cols) array whose
+last two axes are the matrix: ``expm``, ``hermitian_part``, ``opnorm`` (the
+spectral norm, bitwise that of ``np.linalg.norm(M, 2)``), ``subspace_gap``
+and ``span_frame`` act on each matrix of a stack as they act on it alone,
+with the same LAPACK call, so a stacked sweep returns the same bits as a
+loop over it.  A sweep is cut into stacks of at most STACK_BYTES
+(``stack_runs``).  Subspaces are always carried around as orthonormal frames
+(matrices with orthonormal columns); equality of subspaces is span-based
+and tolerance-gated, since a point of a Grassmannian has no canonical matrix
+representative.
 """
 
 from __future__ import annotations
@@ -61,32 +68,57 @@ PSD_TOL = 1e-9
 RANK_TOL = 1e-8
 
 
+# A sweep of matrices is evaluated in stacks of at most this many bytes of
+# its items, and at least one item each
+STACK_BYTES = 2**22
+
+
+def stack_runs(count: int, item_bytes: int):
+    """The consecutive slices, in order, that cut a sweep of ``count`` items
+    of ``item_bytes`` bytes each into stacks of at most STACK_BYTES, and at
+    least one item each."""
+    step = max(1, STACK_BYTES // item_bytes)
+    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
+
+
 def as_cmatrix(M) -> np.ndarray:
-    """Coerce to a 2-d complex128 array and validate finiteness."""
+    """Coerce to a complex128 matrix, or a stack of them (..., rows, cols),
+    and validate finiteness."""
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or min(A.shape) < 1:
-        raise ShapeError(f"expected a 2-d matrix, got shape {A.shape}")
+    if A.ndim < 2 or min(A.shape[-2:]) < 1:
+        raise ShapeError(f"expected a 2-d matrix or a stack of them, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
     return A
 
 
 def square_blocks(M, k: int) -> tuple[np.ndarray, int]:
-    """(M, n) for a finite square kn x kn matrix M, coerced by as_cmatrix.
+    """(M, n) for a finite square kn x kn matrix M, or a stack of them,
+    coerced by as_cmatrix.
 
     The one shape check of every function that reads its block size from
     its input: ShapeError on any other shape, ValueError on a non-finite
     entry.
     """
     M = as_cmatrix(M)
-    if M.shape[0] != M.shape[1] or M.shape[0] % k:
+    rows, cols = M.shape[-2:]
+    if rows != cols or rows % k:
         side = f"{k}n x {k}n " if k > 1 else ""
         raise ShapeError(f"expected a square {side}matrix, got shape {M.shape}")
-    return M, M.shape[0] // k
+    return M, rows // k
+
+
+def opnorm(M):
+    """Spectral norm of a matrix, or of each matrix of a stack: the largest
+    singular value, from the gesdd call of ``np.linalg.norm(M, 2)`` without
+    its axis moves and reduction, so bitwise equal to it."""
+    return np.linalg.svd(M, compute_uv=False)[..., 0]
 
 
 def expm(X) -> np.ndarray:
-    """Matrix exponential e^X (scaling-and-squaring Pade, via scipy)."""
+    """Matrix exponential e^X of a matrix or of each matrix of a stack
+    (scaling-and-squaring Pade, via scipy, which picks each matrix's own
+    order and scaling)."""
     import scipy.linalg
 
     return scipy.linalg.expm(square_blocks(X, 1)[0])
@@ -118,47 +150,65 @@ def logm_principal(M) -> np.ndarray:
     return (V * np.log(w)) @ np.linalg.inv(V)
 
 
-def _rank(s: np.ndarray) -> int:
-    """Numerical rank from descending singular values: the count above
-    RANK_TOL times the largest, 0 for an empty or zero ``s``."""
-    return int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
+def _rank(s: np.ndarray) -> np.ndarray:
+    """Numerical rank of each matrix from its descending singular values
+    (the last axis of ``s``): the count above RANK_TOL times the largest, 0
+    for an empty or zero one."""
+    if not s.shape[-1]:
+        return np.zeros(s.shape[:-1], dtype=int)
+    return np.sum(s > RANK_TOL * s[..., :1], axis=-1)
+
+
+def _frame_ranks(cols) -> tuple[np.ndarray, np.ndarray]:
+    """(u, r): the left singular vectors of a matrix or of each matrix of a
+    stack, and the numerical rank of each, so that u[..., :r] is an
+    orthonormal frame for the span of a matrix of rank r."""
+    A = np.asarray(cols, dtype=complex)
+    if A.ndim < 2:
+        raise ShapeError(f"expected a 2-d matrix or a stack of them, got shape {A.shape}")
+    u, s, _ = np.linalg.svd(A, full_matrices=False)
+    return u, _rank(s)
 
 
 def span_frame(cols) -> np.ndarray:
     """Orthonormal frame (via SVD) for the span, dropping numerically null
     columns: a frame of whatever rank the span has, with zero columns for a
-    zero-dimensional one, which a zero-column ``cols`` also gives."""
-    A = np.asarray(cols, dtype=complex)
-    if A.ndim != 2:
-        raise ShapeError(f"expected a 2-d matrix, got shape {A.shape}")
-    u, s, _ = np.linalg.svd(A, full_matrices=False)
-    return u[:, :_rank(s)]
+    zero-dimensional one, which a zero-column ``cols`` also gives.  The
+    matrices of a stack must span one dimension, else RankError."""
+    u, ranks = _frame_ranks(cols)
+    rank = int(ranks.flat[0]) if ranks.size else 0
+    if np.any(ranks != rank):
+        raise RankError(f"the stack spans dimensions {sorted(set(ranks.flat))}, not one")
+    return u[..., :rank]
 
 
 def nullspace(M) -> np.ndarray:
     """Orthonormal basis of the (right) nullspace of M."""
     _, s, vh = np.linalg.svd(as_cmatrix(M))
-    return vh.conj().T[:, _rank(s):]
+    return vh.conj().T[:, int(_rank(s)):]
 
 
-def subspace_gap(P, Q) -> float:
-    """Operator-norm distance of the orthogonal projectors of two frames.
+def subspace_gap(P, Q):
+    """Operator-norm distance of the orthogonal projectors of two frames, or
+    of each pair of frames of two stacks (broadcast against each other).
 
     Both arguments must be orthonormal frames of the same ambient dimension
     and the same rank.  This is the gap metric on the Grassmannian; it is
     symmetric, satisfies the triangle inequality, takes values in [0, 1],
-    and vanishes exactly on equal spans.
+    and vanishes exactly on equal spans.  A float for two frames, an array
+    for stacks.
     """
     P = as_cmatrix(P)
     Q = as_cmatrix(Q)
-    if P.shape != Q.shape:
+    if P.shape[-2:] != Q.shape[-2:]:
         raise ShapeError(f"frame shapes differ: {P.shape} vs {Q.shape}")
-    dP = P @ P.conj().T
-    dQ = Q @ Q.conj().T
-    return float(np.linalg.norm(dP - dQ, 2))
+    dP = P @ P.conj().mT
+    dQ = Q @ Q.conj().mT
+    gap = opnorm(dP - dQ)
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def hermitian_part(M) -> np.ndarray:
     M, _ = square_blocks(M, 1)
-    return (M + M.conj().T) / 2
+    return (M + M.conj().mT) / 2
 

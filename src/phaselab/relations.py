@@ -7,6 +7,10 @@ summand, rows 2n..4n-1 in the image summand.  Apart from the constructor
 make_Nb, no function here takes the block size: each reads it from the
 shape of its input (2n x 2n for a matrix, 4n rows for a frame, 4m x 4m for
 a graph-limit generator) and raises ShapeError when the shape has none.
+graph_of, relation_from_span, potapov_relation and potapov_product also
+take a stack of inputs, (..., rows, cols), and return the stack of what
+each gives alone; a member that the function refuses alone raises the same
+error in a stack.
 
 graph(T) = {v (+) Tv} embeds matrices; the relation product
 
@@ -37,12 +41,15 @@ from .linalg import (
     RANK_TOL,
     RankError,
     ShapeError,
+    _frame_ranks,
     as_cmatrix,
     expm,
     hermitian_part,
     nullspace,
+    opnorm,
     span_frame,
     square_blocks,
+    stack_runs,
     subspace_gap,
 )
 
@@ -62,36 +69,42 @@ class NotAGraphError(ValueError):
 
 
 def _halves(P) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of a 4n-row frame in the domain summand and in the image
-    summand; ShapeError unless the row count is a multiple of 4."""
+    """The rows of a 4n-row frame, or of each frame of a stack, in the
+    domain summand and in the image summand; ShapeError unless the row count
+    is a multiple of 4."""
     P = as_cmatrix(P)
-    if P.shape[0] % 4:
+    if P.shape[-2] % 4:
         raise ShapeError(f"expected a frame with 4n rows, got shape {P.shape}")
-    d = P.shape[0] // 2
-    return P[:d], P[d:]
+    d = P.shape[-2] // 2
+    return P[..., :d, :], P[..., d:, :]
 
 
 def _singular(M: np.ndarray) -> bool:
     """Whether M's smallest singular value is within RANK_TOL of
-    max(largest, 1): the invertibility test of the Potapov transforms."""
+    max(largest, 1): the invertibility test of the Potapov transforms.
+    For a stack, whether that holds for any of its matrices."""
     s = np.linalg.svd(M, compute_uv=False)
-    return s[-1] <= RANK_TOL * max(s[0], 1.0)
+    return bool(np.any(s[..., -1] <= RANK_TOL * np.maximum(s[..., 0], 1.0)))
 
 
 def relation_from_span(cols) -> np.ndarray:
-    """Orthonormalize a spanning set of 4n rows into a relation; rank must be
-    exactly 2n."""
+    """Orthonormalize a spanning set of 4n rows, or each of a stack, into a
+    relation; rank must be exactly 2n, else RankError naming the first
+    other rank."""
     top, _ = _halves(cols)
-    F = span_frame(cols)
-    if F.shape[1] != len(top):
-        raise RankError(f"span has dimension {F.shape[1]}, expected {len(top)}")
-    return F
+    d = top.shape[-2]
+    u, ranks = _frame_ranks(cols)
+    bad = ranks[ranks != d]
+    if bad.size:
+        raise RankError(f"span has dimension {bad[0]}, expected {d}")
+    return u[..., :d]
 
 
 def graph_of(T) -> np.ndarray:
-    """The relation {v (+) Tv} of a 2n x 2n matrix."""
+    """The relation {v (+) Tv} of a 2n x 2n matrix, or of each of a stack."""
     T, n = square_blocks(T, 2)
-    return relation_from_span(np.vstack([np.eye(2 * n, dtype=complex), T]))
+    eye = np.broadcast_to(np.eye(2 * n, dtype=complex), T.shape)
+    return relation_from_span(np.concatenate([eye, T], axis=-2))
 
 
 def compose(A, B) -> np.ndarray:
@@ -152,7 +165,7 @@ def is_symplectic_rel(P) -> bool:
     V, W = _halves(P)
     J = make_structural(len(V) // 2).J
     R = V.T @ J @ V - W.T @ J @ W
-    return float(np.linalg.norm(R, 2)) <= EQ_TOL
+    return float(opnorm(R)) <= EQ_TOL
 
 
 def potapov_matrix(g) -> np.ndarray:
@@ -166,12 +179,14 @@ def potapov_matrix(g) -> np.ndarray:
 
 
 def potapov_relation(P) -> np.ndarray:
-    """Potapov transform of a relation: permute the frame by Pi, then solve
-    for the matrix whose graph is the permuted subspace."""
+    """Potapov transform of a relation, or of each of a stack: permute the
+    frame by Pi, then solve for the matrix whose graph is the permuted
+    subspace."""
     V, W = _halves(P)
-    n = len(V) // 2
+    n = V.shape[-2] // 2
     # Pi (v-, v+) (+) (w-, w+) = (v+, w-) (+) (v-, w+)
-    top, bottom = np.vstack([V[n:], W[:n]]), np.vstack([V[:n], W[n:]])
+    top = np.concatenate([V[..., n:, :], W[..., :n, :]], axis=-2)
+    bottom = np.concatenate([V[..., :n, :], W[..., n:, :]], axis=-2)
     if _singular(top):
         raise NotAGraphError(
             "permuted subspace is not a graph (input outside the contraction semigroup)"
@@ -188,12 +203,13 @@ def potapov_inverse(r) -> np.ndarray:
 
 def potapov_product(r1, r2) -> np.ndarray:
     """Product formula: Pi(P1 P2) from the 2n x 2n transforms
-    r1 = Pi(P1) = (alpha beta; gamma delta) and r2 = Pi(P2) = (phi psi; theta kappa)."""
+    r1 = Pi(P1) = (alpha beta; gamma delta) and r2 = Pi(P2) = (phi psi; theta kappa),
+    or from each pair of two stacks of them."""
     (r1, n), (r2, n2) = square_blocks(r1, 2), square_blocks(r2, 2)
     if n != n2:
         raise ShapeError("block sizes differ")
-    al, be, ga, de = r1[:n, :n], r1[:n, n:], r1[n:, :n], r1[n:, n:]
-    ph, ps, th, ka = r2[:n, :n], r2[:n, n:], r2[n:, :n], r2[n:, n:]
+    al, be, ga, de = r1[..., :n, :n], r1[..., :n, n:], r1[..., n:, :n], r1[..., n:, n:]
+    ph, ps, th, ka = r2[..., :n, :n], r2[..., :n, n:], r2[..., n:, :n], r2[..., n:, n:]
     M = np.eye(n) - ph @ de
     if _singular(M):
         raise RankError("1 - phi delta is singular")
@@ -267,7 +283,7 @@ def limit_graph(A) -> np.ndarray:
 def graph_limit_gaps(A, nu_list) -> tuple[np.ndarray, list[float]]:
     """Convergence diagnostic for a 4m x 4m A: the limit relation
     P = limit_graph(A) and gap(graph(e^{A + nu N_b}), P) for each nu of
-    ``nu_list``.
+    ``nu_list``, the sweep in stacks of generators (linalg.stack_runs).
 
     Decays like ||A||/nu for generic A (exponentially only when A commutes
     with N_b^2).
@@ -275,4 +291,9 @@ def graph_limit_gaps(A, nu_list) -> tuple[np.ndarray, list[float]]:
     A, m = square_blocks(A, 4)
     Nb = make_Nb(m)
     P = limit_graph(A)
-    return P, [subspace_gap(graph_of(expm(A + nu * Nb)), P) for nu in nu_list]
+    nus = np.asarray(nu_list, dtype=float)
+    gaps = []
+    # the largest array of a nu is the 8m x 8m projector of subspace_gap
+    for run in stack_runs(len(nus), 16 * (8 * m) ** 2):
+        gaps += subspace_gap(graph_of(expm(A + nus[run, None, None] * Nb)), P).tolist()
+    return P, gaps

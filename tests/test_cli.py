@@ -561,6 +561,33 @@ def test_bench_pairs_summary_sums_operations(monkeypatch):
     assert summary["wall_s"]["parent"] == {"median": 1.5, "q1": 1.25, "q3": 1.75, "n": 2}
 
 
+
+def test_bench_pairs_summary_reads_pair_ratios_and_the_gain_rule(monkeypatch):
+    bench_pairs = load_bench_pairs(monkeypatch)
+
+    def run(seed, value):
+        metrics = {m: {"value": value} for m in bench_pairs.METRICS}
+        return {"seed": seed, "result": {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}}
+
+    def wall(parent, change):
+        return bench_pairs.summary({"parent": [run(k, v) for k, v in enumerate(parent)],
+                                    "change": [run(k, v) for k, v in enumerate(change)]})["wall_s"]
+
+    # a host that slows down over the record: each side spreads, while every
+    # pair's ratio stays 0.5
+    parent = [1.0 + 0.1 * k for k in range(10)]  # median 1.45, quartiles 1.225 and 1.675
+    half = wall(parent, [v / 2 for v in parent])
+    assert half["ratio"] == {"median": 0.5, "q1": 0.5, "q3": 0.5, "n": 10}
+    assert half["change_lower_in"] == "10 of 10" and half["gain_holds"]
+    # a tie counts for neither side: nine of ten still holds, eight does not
+    tie = wall(parent, [1.0] + [v / 2 for v in parent[1:]])
+    assert tie["change_lower_in"] == "9 of 10" and tie["gain_holds"]
+    two_ties = wall(parent, [1.0, 1.1] + [v / 2 for v in parent[2:]])
+    assert two_ties["change_lower_in"] == "8 of 10" and not two_ties["gain_holds"]
+    # lower in every pair, by less than the parent's interquartile range 0.45
+    near = wall(parent, [v - 0.1 for v in parent])
+    assert near["change_lower_in"] == "10 of 10" and not near["gain_holds"]
+
 def test_bench_pairs_revision_marks_a_dirty_checkout(monkeypatch, tmp_path):
     bench_pairs = load_bench_pairs(monkeypatch)
 
@@ -871,6 +898,54 @@ def test_guard_row_stands_in_for_a_zero_divisor(tmp_path, tag, params, guarded):
     for guard, row in guarded.items():
         assert rows[guard] == ["0", "0", ">", "fail"] and row not in rows
 
+
+
+# the runners that evaluate their sweeps in stacks of linalg.STACK_BYTES;
+# graph-limit at three nu, so that its sweep is more than one matrix
+STACKED_RUNNERS = {tag: SMALL_PARAMETERS[tag] for tag in ("membership", "decompose", "potapov", "fock-limit")}
+STACKED_RUNNERS["graph-limit"] = {**SMALL_PARAMETERS["graph-limit"], "nu_list": [4, 9, 16]}
+
+
+@pytest.mark.parametrize("tag", sorted(STACKED_RUNNERS))
+def test_stack_budget_moves_no_value(tmp_path, monkeypatch, tag):
+    # a budget of one byte puts every item of a sweep in a stack of its own;
+    # the CSV bytes are those of the default budget
+    cfg = write_config(tmp_path, {"experiment": tag, "parameters": {**STACKED_RUNNERS[tag], "seed": 3}})
+    codes = [main(["run", cfg, "--out", str(tmp_path / "a")])]
+    monkeypatch.setattr("phaselab.linalg.STACK_BYTES", 1)
+    codes.append(main(["run", cfg, "--out", str(tmp_path / "b")]))
+    assert codes[0] == codes[1] in (0, 1)
+    a, b = (sorted((tmp_path / out).glob("*.csv")) for out in "ab")
+    assert len(a) == len(b) == 1 and a[0].read_bytes() == b[0].read_bytes()
+
+
+# each float field of the stacked runners, with the largest value its range
+# admits and whether the field is a list
+FLOAT_FIELDS = [("graph-limit", "nu_list", 17.0, True), ("fock-limit", "strong_norm", 1e5, False),
+                ("fock-limit", "strong_nu_list", 1e36, True), ("fock-limit", "tau_list", sys.float_info.max, True)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(FLOAT_FIELDS),
+       st.floats(math.log(sys.float_info.min * sys.float_info.epsilon), math.log(sys.float_info.max)))
+def test_a_valid_float_field_ends_in_finite_rows_or_a_typed_refusal(tmp_path_factory, field, log_value):
+    # one float drawn log-uniform over (0, its bound] on a small config: the
+    # run exits 0 or 1 with only finite values in its CSV, or 2 having
+    # written nothing, and never raises out of main
+    tag, name, high, is_list = field
+    value = min(math.exp(min(log_value, math.log(high))), high) or sys.float_info.min * sys.float_info.epsilon
+    tmp = tmp_path_factory.mktemp("float")
+    cfg = write_config(tmp, {"experiment": tag, "parameters": {**SMALL_PARAMETERS[tag], name: [value] if is_list else value,
+                                                               "seed": 1}})
+    code = main(["run", cfg, "--out", str(tmp / "out")])
+    assert code in (0, 1, 2)
+    outputs = sorted((tmp / "out").glob("*")) if (tmp / "out").exists() else []
+    if code == 2:
+        assert outputs == []
+        return
+    [csv] = [path for path in outputs if path.suffix == ".csv"]
+    values = [float(line.split(",")[2]) for line in csv.read_text().splitlines()[1:]]
+    assert values and all(math.isfinite(v) for v in values)
 
 def test_unreadable_config_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2

@@ -362,3 +362,39 @@ def test_spc_gates_use_the_equality_tolerance():
         assert EQ_TOL < spc_residual(lifted) < 1e-9
         with pytest.raises(MembershipError):
             limit_graph(lifted)
+
+
+@pytest.mark.parametrize("kind", SAMPLE_KINDS)
+def test_seed_sequence_draws_each_seed_as_alone(kind):
+    # a seed's matrix in a stack is bitwise the one it draws alone, with one
+    # scale for all seeds or one per seed
+    seeds = [5, 6, 11, 40]
+    for n in (1, 2):
+        for scale in (0.7, [0.2, 0.5, 0.9, 1.3]):
+            scales = np.broadcast_to(scale, (len(seeds),))
+            stack = sample(kind, n, scale, seeds)
+            assert stack.shape == (len(seeds), 2 * n, 2 * n)
+            for got, seed, s in zip(stack, seeds, scales):
+                assert np.array_equal(got, sample(kind, n, float(s), seed))
+        assert np.array_equal(sample(kind, n, 0.7, [9]), sample(kind, n, 0.7, 9)[None])
+        assert np.array_equal(sample(kind, n, 0.7, range(3, 6)), sample(kind, n, 0.7, [3, 4, 5]))
+
+
+def test_seed_sequence_refusals():
+    with pytest.raises(ValueError, match="at least one seed"):
+        sample("u", 1, 1.0, [])
+    with pytest.raises(ValueError, match="positive"):
+        sample("u", 1, [1.0, 0.0], [1, 2])
+
+
+@pytest.mark.parametrize("predicate", sorted(PREDICATES))
+def test_stacked_classify_equals_the_loop(predicate):
+    # a draw of every kind, so that each predicate meets members and others
+    stack = np.concatenate([sample(kind, 2, 0.5, [1, 2]) for kind in SAMPLE_KINDS])
+    for mats in (stack, stack[:1]):
+        got = classify(mats, predicate)
+        alone = [classify(M, predicate) for M in mats]
+        assert np.array_equal(got.flag, [m.flag for m in alone])
+        assert np.array_equal(got.residual, [m.residual for m in alone])
+    one = classify(stack[0], predicate)
+    assert type(one.flag) is bool and type(one.residual) is float

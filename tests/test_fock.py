@@ -525,3 +525,21 @@ def test_space_validation():
     with pytest.raises(ValueError):
         FockSpace(1)
     assert FockSpace(3).dim == 9
+
+
+def test_quantize_integral_of_a_list_equals_one_call_per_function():
+    space = FockSpace(6)
+    fs = [lambda z: np.ones_like(z), lambda z: z**2 * np.conj(z), lambda z: np.exp(-abs(z))]
+    Qs = quantize_integral(space, fs, 4.0, 60)
+    assert len(Qs) == len(fs)
+    for Q, f in zip(Qs, fs):
+        assert np.array_equal(Q, quantize_integral(space, f, 4.0, 60))
+    [Q1] = quantize_integral(space, fs[:1], 4.0, 60)
+    assert np.array_equal(Q1, Qs[0])
+
+
+def test_vacuum_expectation_of_a_tau_list_equals_one_call_per_tau():
+    space = FockSpace(8)
+    sym = sym1(202, 0.5)
+    taus = [None, 4.0, 8.0]
+    assert vacuum_expectation(space, sym, taus) == [vacuum_expectation(space, sym, t) for t in taus]

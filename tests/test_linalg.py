@@ -10,10 +10,14 @@ from phaselab.linalg import (
     EigenbasisError,
     RankError,
     ShapeError,
+    STACK_BYTES,
     expm,
+    hermitian_part,
     logm_principal,
     nullspace,
+    opnorm,
     span_frame,
+    stack_runs,
     subspace_gap,
 )
 from phaselab.relations import relation_from_span
@@ -201,3 +205,38 @@ def test_rank_boundary_is_shared(factor, rank):
     else:
         with pytest.raises(RankError):
             relation_from_span(M)
+
+
+def test_opnorm_is_the_spectral_norm_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for shape in ((3, 3), (1, 4, 4), (6, 4, 4), (2, 3, 5, 2)):
+        for M in (rng.normal(size=shape), rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+            flat = M.reshape(-1, *shape[-2:])
+            want = np.array([np.linalg.norm(m, 2) for m in flat]).reshape(shape[:-2])
+            assert np.array_equal(opnorm(M), want)
+
+
+def test_stacked_kernels_equal_the_loop_over_their_matrices():
+    # the norms spread over five decades, so expm picks several Pade orders
+    # and scalings within one stack
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    X *= np.array([1e-3, 0.1, 0.7, 3.0, 20.0, 90.0])[:, None, None]
+    for stack in (X, X[:1]):
+        assert np.array_equal(expm(stack), np.stack([expm(x) for x in stack]))
+        assert np.array_equal(hermitian_part(stack), np.stack([hermitian_part(x) for x in stack]))
+    P = np.linalg.qr(rng.normal(size=(5, 8, 4)) + 1j * rng.normal(size=(5, 8, 4)))[0]
+    Q = np.linalg.qr(rng.normal(size=(5, 8, 4)) + 1j * rng.normal(size=(5, 8, 4)))[0]
+    for p, q in ((P, Q), (P[:1], Q[:1])):
+        assert np.array_equal(subspace_gap(p, q), [subspace_gap(a, b) for a, b in zip(p, q)])
+    # one frame against a stack, as graph_limit_gaps measures its sweep
+    assert np.array_equal(subspace_gap(P, Q[0]), [subspace_gap(a, Q[0]) for a in P])
+    assert isinstance(subspace_gap(P[0], Q[0]), float)
+
+
+def test_stack_runs_cut_a_sweep_in_order():
+    assert list(stack_runs(0, 8)) == []
+    assert list(stack_runs(5, 8)) == [slice(0, 5)]
+    assert list(stack_runs(5, STACK_BYTES // 2)) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+    # an item past the budget is a stack of its own
+    assert list(stack_runs(3, 2 * STACK_BYTES)) == [slice(0, 1), slice(1, 2), slice(2, 3)]

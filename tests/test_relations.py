@@ -395,3 +395,42 @@ def test_sizes_come_from_shapes(call):
     # shape that has none with ShapeError, not a numpy error
     with pytest.raises(ShapeError):
         call()
+
+
+def test_stacked_graphs_and_transforms_equal_the_loop():
+    g = sample("GammaU", 2, 0.6, range(8))
+    for gs in (g, g[:1]):
+        P = graph_of(gs)
+        assert np.array_equal(P, np.stack([graph_of(x) for x in gs]))
+        r = potapov_relation(P)
+        assert np.array_equal(r, np.stack([potapov_relation(x) for x in P]))
+    r = potapov_relation(graph_of(g))
+    assert np.array_equal(potapov_product(r[:4], r[4:]), np.stack([potapov_product(a, b) for a, b in zip(r[:4], r[4:])]))
+
+
+def test_graph_limit_sweep_equals_the_loop_over_nu():
+    A = sample("sp_c", 2, 1.0, 4)
+    nus = [4.0, 5.5, 9.0, 16.0]
+    P, gaps = graph_limit_gaps(A, nus)
+    Nb = make_Nb(1)
+    assert gaps == [subspace_gap(graph_of(expm(A + nu * Nb)), P) for nu in nus]
+
+
+def test_a_bad_member_of_a_stack_raises_what_it_raises_alone():
+    g = sample("GammaU", 1, 0.6, range(4))
+    # [I; T] with T = 1e10 times a rank-one matrix fails the rank test of
+    # its frame: its singular values are about 1e10 and 1
+    huge = g.copy()
+    huge[2] = 1e10
+    with pytest.raises(RankError, match="span has dimension 1, expected 2") as alone:
+        graph_of(huge[2])
+    with pytest.raises(RankError) as stacked:
+        graph_of(huge)
+    assert str(stacked.value) == str(alone.value)
+    # graph(0) = {v (+) 0} is a relation, but its Potapov permutation is not a graph
+    zero = g.copy()
+    zero[1] = 0
+    with pytest.raises(NotAGraphError):
+        potapov_relation(graph_of(zero[1]))
+    with pytest.raises(NotAGraphError):
+        potapov_relation(graph_of(zero))

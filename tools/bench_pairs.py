@@ -14,10 +14,14 @@ The layout is that of the BENCH_*.json files at the root of the repository:
 command, host, order, seeds, revisions (each side's commit, as
 ``<sha>-dirty`` when the checkout has uncommitted edits to tracked files),
 runs (per side, one seed and result per run) and summary (per end-to-end
-metric, the median and quartiles of each side and the number of pairs in
-which the change is lower; under ``operations``, per side, the attempted
-and failed operations summed over its runs and whether every run was
-correct).
+metric, the median and quartiles of each side, the number of pairs in
+which the change is lower, the median and quartiles of the per-pair ratio
+change/parent, and whether a gain holds: the change lower in at least nine
+tenths of the pairs, ties counting for neither, and its median below the
+parent's by more than the parent's interquartile range; under
+``operations``, per side, the attempted and failed operations summed over
+its runs and whether every run was correct).  On a host whose speed drifts
+during a record, the pair ratios stay steadier than either side's median.
 
 Standard library only.
 """
@@ -67,9 +71,15 @@ def summary(runs: dict) -> dict:
     out = {}
     for metric in METRICS:
         values = {side: [r["result"]["metrics"][metric]["value"] for r in runs[side]] for side in SIDES}
-        lower = sum(c < p for p, c in zip(values["parent"], values["change"]))
-        out[metric] = {**{side: side_stats(values[side]) for side in SIDES},
-                       "change_lower_in": f"{lower} of {len(values['change'])}"}
+        pairs = list(zip(values["parent"], values["change"]))
+        lower = sum(c < p for p, c in pairs)
+        stats = {side: side_stats(values[side]) for side in SIDES}
+        parent_iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        out[metric] = {**stats,
+                       "change_lower_in": f"{lower} of {len(pairs)}",
+                       "ratio": side_stats([c / p for p, c in pairs]),
+                       "gain_holds": 10 * lower >= 9 * len(pairs)
+                       and stats["parent"]["median"] - stats["change"]["median"] > parent_iqr}
     out["operations"] = {side: {"attempted": sum(r["result"]["attempted"] for r in runs[side]),
                                 "failed": sum(r["result"]["failed"] for r in runs[side]),
                                 "all_correct": all(r["result"]["correct"] for r in runs[side])}
