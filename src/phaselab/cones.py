@@ -157,53 +157,52 @@ def classify(M, predicate: str) -> Membership:
     return Membership(flag, residual)
 
 
-@dataclass(frozen=True)
-class PODecomposition:
-    """Unique factorization g = h e^X with h in Sp_c(2n,R), X in SDiss_spc."""
-
-    h: np.ndarray
-    X: np.ndarray
-
-
-def po_decompose(g, S: StructuralMatrices) -> PODecomposition:
-    """Potapov-Olshanski decomposition of g in GammaSp_c(2n).
+def po_decompose(g, S: StructuralMatrices) -> tuple[np.ndarray, np.ndarray]:
+    """Potapov-Olshanski decomposition g = h e^X of g in GammaSp_c(2n), or
+    of each matrix of a stack of them: the pair (h, X), h in Sp_c(2n,R) and
+    X in SDiss_spc, each a matrix or a stack like g.
 
     Algorithm: with the Ical-adjoint g^[*] = Ical g* Ical one has
     g^[*] g = e^{2X} (X is Ical-self-adjoint), and the spectrum of e^{2X} is
     strictly positive for interior semigroup elements, so the principal
     logarithm recovers X; then h = g e^{-X}.  Boundary elements surface as a
     BranchCutError from the logarithm rather than a wrong branch, and a
-    g^[*] g without a well-conditioned eigenbasis as an EigenbasisError.
+    g^[*] g without a well-conditioned eigenbasis as an EigenbasisError.  In
+    a stack, the first matrix that fails a test raises what it raises alone.
 
-    Unlike the other functions here, po_decompose still takes S, the
-    structural matrices of g's block size, because the benchmark's tracer
-    test (perfbench/test_checks.py) calls it as po_decompose(g, S).  A g
-    whose shape is not that of S.J raises ShapeError.
+    Unlike the other functions here, po_decompose takes S, the structural
+    matrices of g's block size, because the benchmark's tracer test
+    (perfbench/test_checks.py) calls it as po_decompose(g, S).  A g whose
+    matrices do not have the shape of S.J raises ShapeError.
     """
     g = as_cmatrix(g)
-    if g.shape != S.J.shape:
-        raise ShapeError(f"expected shape {S.J.shape}, got {g.shape}")
+    if g.shape[-2:] != S.J.shape:
+        raise ShapeError(f"expected matrices of shape {S.J.shape}, got {g.shape}")
     member = classify(g, "GammaSp_c")
-    if not member.flag:
-        raise MembershipError(f"input is not in GammaSp_c (residual {member.residual:.3e})")
-    Ical = S.Ical
-    M = Ical @ g.conj().T @ Ical @ g
+    outside = np.flatnonzero(~np.asarray(member.flag))
+    if outside.size:
+        residual = np.ravel(member.residual)[outside[0]]
+        raise MembershipError(f"input is not in GammaSp_c (residual {residual:.3e})")
+    M = S.Ical @ g.conj().mT @ S.Ical @ g
     X = 0.5 * logm_principal(M)
-    h = g @ expm(-X)
-    return PODecomposition(h=h, X=X)
+    return g @ expm(-X), X
 
 
 @dataclass(frozen=True)
 class HamiltonianSymbol:
-    """A generator A in sp_c(2m,R) viewed as a quadratic Hamiltonian symbol."""
+    """A generator A in sp_c(2,R) viewed as a quadratic Hamiltonian symbol
+    on one mode pair.  ``m``, the number of mode pairs, must be 1; the field
+    stays because the benchmark builds symbols as HamiltonianSymbol(1, A)."""
 
     m: int
     A: np.ndarray
 
     def __post_init__(self):
+        if self.m != 1:
+            raise ShapeError(f"the Fock space has one mode pair: need a symbol with m = 1, not {self.m}")
         A = as_cmatrix(self.A)
-        if A.shape != (2 * self.m, 2 * self.m):
-            raise ShapeError(f"expected shape {(2 * self.m, 2 * self.m)}")
+        if A.shape != (2, 2):
+            raise ShapeError(f"expected shape (2, 2), got {A.shape}")
         spc = classify(A, "sp_c")
         if not spc.flag:
             raise MembershipError(f"A does not have the sp_c block pattern (residual {spc.residual:.3e})")
@@ -211,32 +210,30 @@ class HamiltonianSymbol:
 
 
 def symbol_quadratic_matrix(sym: HamiltonianSymbol) -> np.ndarray:
-    """The real symmetric matrix M with i h_A(x + iy) = p^T M p, p = (x, y).
+    """The real symmetric 2 x 2 M with i h_A(x + iy) = p^T M p, p = (x, y).
 
-    With C = (I, -iI; I, iI) the doubled vector is (conj z, z) = C p and its
+    With C = (1, -i; 1, i) the doubled vector is (conj z, z) = C p and its
     row partner (z, conj z) is conj(C) p, so i h_A(p) = p^T K p with
     K = (i/2) C* Ical A C; M is the symmetric part of K, which is real for
-    A in sp_c(2m,R).
+    A in sp_c(2,R).
     """
-    m = sym.m
-    I = np.eye(m)
-    C = np.block([[I, -1j * I], [I, 1j * I]])
-    K = 0.5j * C.conj().T @ make_structural(m).Ical @ sym.A @ C
+    C = np.array([[1, -1j], [1, 1j]])
+    K = 0.5j * C.conj().T @ make_structural(1).Ical @ sym.A @ C
     return ((K + K.T) / 2).real
 
 
 def hamiltonian_real_values(sym: HamiltonianSymbol, pts, tau: float | None = None) -> np.ndarray:
     """Vectorized evaluation of the real symbol i h_A on phase-space points.
 
-    ``pts`` has shape (N, 2m) with rows (x_1..x_m, y_1..y_m); returns the
-    real values p^T M p of i times the (pure imaginary) quadratic symbol,
-    clipped to [-tau, tau] when ``tau`` is given (the cutoff Hamiltonian).
+    ``pts`` has shape (N, 2) with rows (x, y); returns the real values
+    p^T M p of i times the (pure imaginary) quadratic symbol, clipped to
+    [-tau, tau] when ``tau`` is given (the cutoff Hamiltonian).
     """
     if tau is not None and tau <= 0:
         raise ValueError("tau must be positive")
     pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 * sym.m:
-        raise ShapeError(f"expected an (N, {2 * sym.m}) array of points, got shape {pts.shape}")
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ShapeError(f"expected an (N, 2) array of points, got shape {pts.shape}")
     vals = np.einsum("gi,gi->g", pts @ symbol_quadratic_matrix(sym), pts)
     if tau is not None:
         vals = np.clip(vals, -tau, tau)
@@ -244,16 +241,15 @@ def hamiltonian_real_values(sym: HamiltonianSymbol, pts, tau: float | None = Non
 
 
 def hat_lift(sym: HamiltonianSymbol) -> np.ndarray:
-    """The 4m x 4m lift of A = (A B; conj B conj A) whose quadratic
-    expression in the doubled creation/annihilation vector reproduces the
-    symbol evaluated on the commuting normal operators Z_k.
+    """The 4 x 4 lift of A = (a b; conj b conj a) whose quadratic expression
+    in the doubled creation/annihilation vector reproduces the symbol
+    evaluated on the commuting normal operator Z.
 
-    Row blocks: (-conj A, -conj B, -conj B, -conj A; B, A, A, B;
-                 -B, -A, -A, -B; conj A, conj B, conj B, conj A).
-    The result lies in sp_c(4m, R).
+    Row blocks: (-conj a, -conj b, -conj b, -conj a; b, a, a, b;
+                 -b, -a, -a, -b; conj a, conj b, conj b, conj a).
+    The result lies in sp_c(4, R).
     """
-    m = sym.m
-    A, B = sym.A[:m, :m], sym.A[:m, m:]
+    A, B = sym.A[:1, :1], sym.A[:1, 1:]
     Ab, Bb = A.conj(), B.conj()
     return np.block(
         [

@@ -203,15 +203,15 @@ def run_decompose(p: dict) -> RunReport:
     rng = np.random.default_rng(p["seed"])
     worst_recon = worst_recover = 0.0
     memberships_ok = True
-    # a sample's share of a stack: h0, X0, g and the two factors of g
-    for run in stack_runs(p["samples"], 5 * 16 * (2 * n) ** 2):
+    # a sample's share of a stack: h0, X0, g, h, X and the logarithm's
+    # intermediates g^[*] g, its eigenbasis and that basis's inverse
+    for run in stack_runs(p["samples"], 8 * 16 * (2 * n) ** 2):
         idx = range(p["samples"])[run]
         scales = [(float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.1, 1.0))) for _ in idx]
         h0 = sample("Sp_c", n, [a for a, _ in scales], [p["seed"] + 2 * i for i in idx])
         X0 = sample("SDiss_spc", n, [b for _, b in scales], [p["seed"] + 2 * i + 1 for i in idx])
         g = h0 @ expm(X0)
-        decs = [po_decompose(gk, S) for gk in g]
-        h, X = np.stack([dec.h for dec in decs]), np.stack([dec.X for dec in decs])
+        h, X = po_decompose(g, S)
         worst_recon = max(worst_recon, float(np.max(opnorm(h @ expm(X) - g) / opnorm(g))))
         worst_recover = max(worst_recover, float(np.max(opnorm(X - X0))))
         memberships_ok &= bool(np.all(

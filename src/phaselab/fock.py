@@ -159,9 +159,7 @@ def antinormal_quantize(space: FockSpace, X) -> np.ndarray:
 
 
 def _symbol_matrix(sym: HamiltonianSymbol) -> np.ndarray:
-    """M = (1/2) Ical A of the symbol; ShapeError unless m = 1 (one mode pair)."""
-    if sym.m != 1:
-        raise ShapeError(f"the Fock space has one mode pair: need a symbol with m = 1, not {sym.m}")
+    """M = (1/2) Ical A of the symbol."""
     return 0.5 * (make_structural(1).Ical @ sym.A)
 
 
@@ -312,20 +310,19 @@ def _coherent_amplitudes(z: np.ndarray, D: int) -> np.ndarray:
     return C
 
 
-def quantize_integral(space: FockSpace, f: Callable[[np.ndarray], np.ndarray] | Sequence[Callable],
-                      radius: float, grid: int):
+def quantize_integral(space: FockSpace, fs: Sequence[Callable[[np.ndarray], np.ndarray]],
+                      radius: float, grid: int) -> list[np.ndarray]:
     """Quadrature quantization Q(f) = integral of f(z) p_z dmu(z) over the
     disc |z| <= radius, with p_z the (normalized, truncated) coherent-state
     projector.  Midpoint rule on a grid x grid lattice.
 
     p_z lies in ran E_b, so Q(f) is returned as the D x D operator there, in
     the coordinates of ``antinormal_quantize``: entry (j, k) is
-    <j, 0| Q(f) |k, 0>.  ``f`` is a function of the grid points, or a
-    sequence of them for the list of their operators: the grid and the
+    <j, 0| Q(f) |k, 0>.  ``fs`` is a sequence of functions of the grid
+    points, and the result the list of their operators: the grid and the
     amplitude table are built once and serve every function."""
     from scipy.linalg.blas import zgemm
 
-    fs = [f] if callable(f) else list(f)
     z, w = _disc_grid(radius, grid)
     C = _coherent_amplitudes(z, space.cutoff)
     out = []
@@ -337,16 +334,16 @@ def quantize_integral(space: FockSpace, f: Callable[[np.ndarray], np.ndarray] | 
         # the Fortran-ordered C.T conjugate-transposed in place, where
         # C.conj() would copy the whole table
         out.append(zgemm(1.0, C.T, (C * (w * fvals)).T, trans_a=2).T)
-    return out[0] if callable(f) else out
+    return out
 
 
 def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol,
-                       tau: float | None | Sequence[float | None] = None):
+                       taus: Sequence[float | None]) -> list[complex]:
     """<Omega_0 | exp(E_b h_A(Z) E_b) Omega_0>, or with h_A replaced by the
-    quadrature quantization of the tau-clipped symbol.  ``tau`` is None (no
-    clip), a clip, or a sequence of them for the list of their values, in
-    stacks of linalg.stack_runs: the clipped symbols of a stack are
-    quantized on one amplitude table.
+    quadrature quantization of the tau-clipped symbol: the list of values
+    for a sequence of clips tau, None for no clip, in stacks of
+    linalg.stack_runs: the clipped symbols of a stack are quantized on one
+    amplitude table.
 
     The modulus never exceeds 1 (the compressed generator is skew-adjoint on
     the b-vacuum sector).  The value is recomputed at cutoff + 2 and must
@@ -356,9 +353,6 @@ def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol,
     table at cutoff D is the first D rows of the table at D + 2, so the
     sector generator at D is the leading D x D block of the one at D + 2.
     """
-    _symbol_matrix(sym)  # both routes refuse m != 1 with the one message
-    one = tau is None or np.ndim(tau) == 0
-    taus = [tau] if one else list(tau)
     D = space.cutoff
     cutoffs = (D, D + 2)
     out = []
@@ -384,4 +378,4 @@ def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol,
             if delta >= VACUUM_GUARD:
                 raise ConvergenceGuardError(delta, VACUUM_GUARD)
             out.append(val)
-    return out[0] if one else out
+    return out

@@ -359,7 +359,6 @@ def grid_strong_limit(grid: Grid2D, sym: HamiltonianSymbol, nu_list: Sequence[fl
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    # the Fock side first: its sector_h_A refuses a symbol with m != 1
     target = _fock_prediction_on_grid(grid, sym)
     target = target / np.linalg.norm(target)
     X, Y = grid.coordinates()

@@ -2,12 +2,14 @@
 
 All matrices are plain ``numpy.ndarray`` with dtype complex128.  The
 kernels take a matrix or a stack of them, an (..., rows, cols) array whose
-last two axes are the matrix: ``expm``, ``hermitian_part``, ``opnorm`` (the
-spectral norm, bitwise that of ``np.linalg.norm(M, 2)``), ``subspace_gap``
-and ``span_frame`` act on each matrix of a stack as they act on it alone,
-with the same LAPACK call, so a stacked sweep returns the same bits as a
-loop over it.  A sweep is cut into stacks of at most STACK_BYTES
-(``stack_runs``).  Subspaces are always carried around as orthonormal frames
+last two axes are the matrix: ``expm``, ``logm_principal``,
+``hermitian_part``, ``opnorm`` (the spectral norm, bitwise that of
+``np.linalg.norm(M, 2)``) and ``subspace_gap`` act on each matrix of a
+stack as they act on it alone, with the same LAPACK call, so a stacked sweep
+returns the same bits as a loop over it.  A sweep is cut into stacks of at
+most STACK_BYTES of its items (``stack_runs``): the budget bounds each
+stack's items, not the process peak, which the kernels' intermediates add
+to.  Subspaces are always carried around as orthonormal frames
 (matrices with orthonormal columns); equality of subspaces is span-based
 and tolerance-gated, since a point of a Grassmannian has no canonical matrix
 representative.
@@ -126,8 +128,8 @@ def expm(X) -> np.ndarray:
 
 def logm_principal(M) -> np.ndarray:
     """Principal matrix logarithm V log(w) V^{-1} from the eigendecomposition
-    M = V diag(w) V^{-1}, with an explicit branch-cut guard and a
-    conditioning certificate.
+    M = V diag(w) V^{-1} of a matrix or of each matrix of a stack, with an
+    explicit branch-cut guard and a conditioning certificate.
 
     Eigenvalues are checked first: if any lies within RANK_TOL (scaled by
     max(1, spectral radius)) of the closed ray (-inf, 0], a BranchCutError
@@ -135,19 +137,22 @@ def logm_principal(M) -> np.ndarray:
     silently wrong branch.  The eigen route is accurate to about
     cond(V) * eps (Higham, Functions of Matrices, SIAM 2008, sec. 4.5), so
     cond(V) > LOGM_COND_MAX, a defective M among others, raises
-    EigenbasisError instead of returning an inaccurate logarithm.
+    EigenbasisError instead of returning an inaccurate logarithm.  In a
+    stack, the first matrix that fails either test raises what it raises
+    alone.
     """
     M, _ = square_blocks(M, 1)
     w, V = np.linalg.eig(M)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    for lam in w:
-        dist = abs(lam.imag) if lam.real <= 0 else abs(lam)
-        if dist <= RANK_TOL * scale:
-            raise BranchCutError(lam)
-    cond = float(np.linalg.cond(V))
-    if not cond <= LOGM_COND_MAX:
-        raise EigenbasisError(cond)
-    return (V * np.log(w)) @ np.linalg.inv(V)
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1, keepdims=True))
+    cut = np.where(w.real <= 0, np.abs(w.imag), np.abs(w)) <= RANK_TOL * scale
+    cond = np.linalg.cond(V)
+    bad = np.flatnonzero(cut.any(axis=-1) | ~(cond <= LOGM_COND_MAX))
+    if bad.size:
+        lams, cuts = (a.reshape(-1, a.shape[-1])[bad[0]] for a in (w, cut))
+        if cuts.any():
+            raise BranchCutError(lams[np.argmax(cuts)])
+        raise EigenbasisError(float(np.ravel(cond)[bad[0]]))
+    return (V * np.log(w)[..., None, :]) @ np.linalg.inv(V)
 
 
 def _rank(s: np.ndarray) -> np.ndarray:
@@ -171,15 +176,12 @@ def _frame_ranks(cols) -> tuple[np.ndarray, np.ndarray]:
 
 
 def span_frame(cols) -> np.ndarray:
-    """Orthonormal frame (via SVD) for the span, dropping numerically null
-    columns: a frame of whatever rank the span has, with zero columns for a
-    zero-dimensional one, which a zero-column ``cols`` also gives.  The
-    matrices of a stack must span one dimension, else RankError."""
-    u, ranks = _frame_ranks(cols)
-    rank = int(ranks.flat[0]) if ranks.size else 0
-    if np.any(ranks != rank):
-        raise RankError(f"the stack spans dimensions {sorted(set(ranks.flat))}, not one")
-    return u[..., :rank]
+    """Orthonormal frame (via SVD) for the span of a matrix's columns,
+    dropping numerically null columns: a frame of whatever rank the span
+    has, with zero columns for a zero-dimensional one, which a zero-column
+    ``cols`` also gives."""
+    u, rank = _frame_ranks(cols)
+    return u[..., :int(rank)]
 
 
 def nullspace(M) -> np.ndarray:

@@ -45,13 +45,13 @@ def loop_actions(points, actions):
 
 def hamiltonian_value(sym, z):
     """The quadratic symbol (1/2) z* Ical A z on the doubled coordinates
-    bold z = (conj z, z), with conjugate row (z, conj z); pure imaginary for
-    A in sp_c(2m,R)."""
+    bold z = (conj z, z) of one mode pair, z a vector of length 1, with
+    conjugate row (z, conj z); pure imaginary for A in sp_c(2,R)."""
     z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.shape[0] != sym.m:
-        raise ShapeError(f"expected a vector of length {sym.m}")
+    if z.shape != (1,):
+        raise ShapeError(f"expected a vector of length 1, got shape {z.shape}")
     zvec, zstar = np.concatenate([z.conj(), z]), np.concatenate([z, z.conj()])
-    return complex(0.5 * zstar @ (make_structural(sym.m).Ical @ sym.A @ zvec))
+    return complex(0.5 * zstar @ (make_structural(1).Ical @ sym.A @ zvec))
 
 
 def herm_form(u, v):

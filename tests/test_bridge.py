@@ -27,9 +27,20 @@ def spec64(nu=1.0, seed=0, rule="nu"):
     return MeasureSpec(nu=nu, steps=64, seed=seed, variance_rule=rule)
 
 
+def hmatrix(m, norm, seed):
+    """A seeded real symmetric 2m x 2m M: a sampled symbol's at m = 1, and
+    for m >= 2, where the bridge still runs but symbols are one mode pair, a
+    random one of spectral norm ``norm`` (every real symmetric M is the
+    quadratic form of some quadratic Hamiltonian)."""
+    if m == 1:
+        return symbol_quadratic_matrix(HamiltonianSymbol(1, sample("sp_c", 1, norm, seed)))
+    G = np.random.default_rng((m, seed)).normal(size=(2 * m, 2 * m))
+    return (G + G.T) * (norm / np.linalg.norm(G + G.T, 2))
+
+
 def quadratic(m, norm, seed):
-    """The action of a sampled symbol: the area plus its x^T M x."""
-    return QuadraticAction(hmatrix=symbol_quadratic_matrix(HamiltonianSymbol(m, sample("sp_c", m, norm, seed))))
+    """The action of a seeded M: the area plus its x^T M x."""
+    return QuadraticAction(hmatrix=hmatrix(m, norm, seed))
 
 
 def test_measure_spec_validation():
@@ -137,13 +148,13 @@ def test_cutoff_h_clipping():
 def test_quadratic_matrix_matches_symbol():
     # the closed-form M against the complex reference value i h_A(z)
     rng = np.random.default_rng(0)
-    for m in (1, 2, 3):
-        sym = HamiltonianSymbol(m, sample("sp_c", m, 1.0, 7 + m))
+    for seed in range(8, 11):
+        sym = HamiltonianSymbol(1, sample("sp_c", 1, 1.0, seed))
         M = symbol_quadratic_matrix(sym)
         assert M.dtype == float and np.array_equal(M, M.T)
         for _ in range(20):
-            p = rng.normal(size=2 * m)
-            direct = (1j * hamiltonian_value(sym, p[:m] + 1j * p[m:])).real
+            p = rng.normal(size=2)
+            direct = (1j * hamiltonian_value(sym, p[:1] + 1j * p[1:])).real
             assert p @ M @ p == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
@@ -293,7 +304,7 @@ def test_oracle_batch_matches_single_calls(m, monkeypatch):
     pairs = []
     for k, (nu, rule) in enumerate(((1.0, "nu"), (2.5, "nu_half"), (4.0, "two_nu"), (0.7, "nu_plus_log"))):
         spec = MeasureSpec(nu=nu, steps=48, seed=k, variance_rule=rule, m=m)
-        hmat = symbol_quadratic_matrix(HamiltonianSymbol(m, sample("sp_c", m, 2.0, 30 + k)))
+        hmat = hmatrix(m, 2.0, 30 + k)
         pairs += [(spec, QuadraticAction()), (spec, QuadraticAction(hmatrix=hmat))]
     single = [gaussian_oracle(spec, q) for spec, q in pairs]
     assert gaussian_oracles(pairs) == single
@@ -404,9 +415,8 @@ def test_oracle_branch_property(seed, norm, nu):
 )
 def test_oracle_matches_dense_property(m, steps, nu, norm, rule, seed):
     # the pivot recursion against the dense eigenvalue route
-    sym = HamiltonianSymbol(m, sample("sp_c", m, norm, seed))
     spec = MeasureSpec(nu=nu, steps=steps, seed=0, variance_rule=rule, m=m)
-    q = QuadraticAction(hmatrix=symbol_quadratic_matrix(sym))
+    q = quadratic(m, norm, seed)
     want = dense_oracle(spec, q)
     assume(abs(want) > 1e-290)  # relative accuracy is void once the value underflows
     got = gaussian_oracle(spec, q)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -588,6 +589,31 @@ def test_bench_pairs_summary_reads_pair_ratios_and_the_gain_rule(monkeypatch):
     near = wall(parent, [v - 0.1 for v in parent])
     assert near["change_lower_in"] == "10 of 10" and not near["gain_holds"]
 
+
+def test_bench_pairs_summary_reads_the_no_regression_verdict(monkeypatch):
+    bench_pairs = load_bench_pairs(monkeypatch)
+
+    def run(seed, value):
+        metrics = {m: {"value": value} for m in bench_pairs.METRICS}
+        return {"seed": seed, "result": {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}}
+
+    def verdict(parent, change, metric="wall_s"):
+        return bench_pairs.summary({"parent": [run(k, v) for k, v in enumerate(parent)],
+                                    "change": [run(k, v) for k, v in enumerate(change)]})[metric]["regression"]
+
+    # BENCHMARK.json bounds wall_s at 0.25 and peak_rss_mib at 0.05 of the parent's median
+    tight = [1.0 + 0.01 * k for k in range(10)]  # median 1.045, interquartile range 0.045
+    assert verdict(tight, [v * 1.2 for v in tight]) == "not_worse"
+    assert verdict(tight, [v * 1.3 for v in tight]) == "worse"
+    assert verdict(tight, [v * 1.04 for v in tight], "peak_rss_mib") == "not_worse"
+    assert verdict(tight, [v * 1.06 for v in tight], "peak_rss_mib") == "worse"
+    # a parent spread of 0.45 over a median of 1.45 is wider than the bound
+    wide = [1.0 + 0.1 * k for k in range(10)]
+    assert verdict(wide, wide) == "unresolved"
+    assert verdict(wide, [v - 0.2 for v in wide]) == "unresolved"  # lower, but not every run below 1.0
+    assert verdict(wide, [0.5 + 0.04 * k for k in range(10)]) == "not_worse"  # every run below 1.0
+    assert verdict(wide, [v * 1.3 for v in wide]) == "worse"
+
 def test_bench_pairs_revision_marks_a_dirty_checkout(monkeypatch, tmp_path):
     bench_pairs = load_bench_pairs(monkeypatch)
 
@@ -917,6 +943,36 @@ def test_stack_budget_moves_no_value(tmp_path, monkeypatch, tag):
     assert codes[0] == codes[1] in (0, 1)
     a, b = (sorted((tmp_path / out).glob("*.csv")) for out in "ab")
     assert len(a) == len(b) == 1 and a[0].read_bytes() == b[0].read_bytes()
+
+
+# each stacked runner's sweep of k items, at block sizes where an item
+# weighs a few KiB
+SWEEPS = {
+    "membership": lambda k: {"n": 4, "samples": k},
+    "decompose": lambda k: {"n": 4, "samples": k},
+    "potapov": lambda k: {"n": 4, "pairs": k, "contraction_n_list": [4], "contraction_samples": k},
+    "graph-limit": lambda k: {"m": 2, "nu_list": list(range(4, 4 + k))},
+    "fock-limit": lambda k: {"tau_list": [4.0 + j for j in range(k)]},
+}
+
+
+@pytest.mark.parametrize("tag", sorted(STACKED_RUNNERS))
+def test_a_longer_sweep_of_stacks_holds_no_more_memory(monkeypatch, tag):
+    # with a budget of one byte every item is a stack of its own, so a sweep
+    # of 8 stacks must peak where one of 2 does: within 16 KiB, where holding
+    # the 8 items at once (the default budget) adds 33-187 KiB
+    def traced_peak(k):
+        _, params = validate_config({"experiment": tag, "parameters": {**STACKED_RUNNERS[tag], **SWEEPS[tag](k), "seed": 3}})
+        tracemalloc.start()
+        try:
+            EXPERIMENTS[tag].runner(params)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr("phaselab.linalg.STACK_BYTES", 1)
+    traced_peak(2)  # fill the caches the runner keeps
+    assert traced_peak(8) - traced_peak(2) <= 16 * 1024
 
 
 # each float field of the stacked runners, with the largest value its range

@@ -16,7 +16,7 @@ from phaselab.cones import (
     sample,
     spc_residual,
 )
-from phaselab.linalg import EQ_TOL, PSD_TOL, BranchCutError, expm
+from phaselab.linalg import EQ_TOL, PSD_TOL, BranchCutError, ShapeError, expm
 from phaselab.relations import limit_graph, make_Nb
 from reference import hamiltonian_value, herm_form, split_diss
 
@@ -240,15 +240,15 @@ def test_split_diss():
 def test_po_decompose_trivial_and_boundary():
     S = make_structural(2)
     h0 = sample("Sp_c", 2, 0.7, 3)
-    dec = po_decompose(h0, S)
-    assert np.linalg.norm(dec.X, 2) < 1e-9
-    assert np.linalg.norm(dec.h - h0, 2) < 1e-9
+    h, X = po_decompose(h0, S)
+    assert np.linalg.norm(X, 2) < 1e-9
+    assert np.linalg.norm(h - h0, 2) < 1e-9
 
     # Ical-self-adjoint generator: h = identity, X recovered exactly
     X0 = make_Nb(1)
-    dec = po_decompose(expm(X0), S)
-    assert np.linalg.norm(dec.h - np.eye(4), 2) < 1e-9
-    assert np.linalg.norm(dec.X - X0, 2) < 1e-9
+    h, X = po_decompose(expm(X0), S)
+    assert np.linalg.norm(h - np.eye(4), 2) < 1e-9
+    assert np.linalg.norm(X - X0, 2) < 1e-9
 
 
 def test_po_decompose_generate_recover_and_continuity():
@@ -258,17 +258,17 @@ def test_po_decompose_generate_recover_and_continuity():
         h0 = sample("Sp_c", 2, float(rng.uniform(0.2, 1.0)), 50 + 2 * i)
         X0 = sample("SDiss_spc", 2, float(rng.uniform(0.1, 1.0)), 51 + 2 * i)
         g = h0 @ expm(X0)
-        dec = po_decompose(g, S)
-        assert np.linalg.norm(dec.h @ expm(dec.X) - g, 2) < 1e-9 * np.linalg.norm(g, 2)
-        assert np.linalg.norm(dec.X - X0, 2) < 1e-7
+        h, X = po_decompose(g, S)
+        assert np.linalg.norm(h @ expm(X) - g, 2) < 1e-9 * np.linalg.norm(g, 2)
+        assert np.linalg.norm(X - X0, 2) < 1e-7
         # determinism / uniqueness: a second run agrees
-        dec2 = po_decompose(g, S)
-        assert np.linalg.norm(dec2.X - dec.X, 2) < 1e-9
+        _, X2 = po_decompose(g, S)
+        assert np.linalg.norm(X2 - X, 2) < 1e-9
     # continuity smoke test
     g = sample("Sp_c", 2, 0.5, 1) @ expm(sample("SDiss_spc", 2, 0.5, 2))
     gp = g @ expm(1e-6 * sample("sp_c", 2, 1.0, 3))
-    d1, d2 = po_decompose(g, S), po_decompose(gp, S)
-    assert np.linalg.norm(d1.X - d2.X, 2) < 1e-4
+    (_, X1), (_, X2) = po_decompose(g, S), po_decompose(gp, S)
+    assert np.linalg.norm(X1 - X2, 2) < 1e-4
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,9 +286,9 @@ def test_po_decompose_roundtrip_property(n, seed, h_scale, x_scale):
     h0 = sample("Sp_c", n, h_scale, seed)
     X0 = sample("SDiss_spc", n, x_scale, seed + 1)
     g = h0 @ expm(X0)
-    dec = po_decompose(g, S)
-    assert np.linalg.norm(dec.h @ expm(dec.X) - g, 2) <= 1e-9 * np.linalg.norm(g, 2)
-    assert np.linalg.norm(dec.X - X0, 2) <= 1e-7
+    h, X = po_decompose(g, S)
+    assert np.linalg.norm(h @ expm(X) - g, 2) <= 1e-9 * np.linalg.norm(g, 2)
+    assert np.linalg.norm(X - X0, 2) <= 1e-7
 
 
 def test_po_decompose_rejects_non_members():
@@ -309,9 +309,8 @@ def test_hamiltonian_value():
     assert abs(hamiltonian_value(sym, [1.0]) - (-1j)) < 1e-14
     rng = np.random.default_rng(11)
     for i in range(1000):
-        m = 1 + i % 2
-        symr = HamiltonianSymbol(m, sample("sp_c", m, 1.0, i))
-        z = rng.normal(size=m) + 1j * rng.normal(size=m)
+        symr = HamiltonianSymbol(1, sample("sp_c", 1, 1.0, i))
+        z = rng.normal(size=1) + 1j * rng.normal(size=1)
         val = hamiltonian_value(symr, z)
         assert abs(val.real) < 1e-12 * max(1.0, abs(val))
 
@@ -319,45 +318,48 @@ def test_hamiltonian_value():
 def test_hamiltonian_additivity_and_real_values():
     rng = np.random.default_rng(13)
     for i in range(20):
-        A = sample("sp_c", 2, 1.0, 2 * i)
-        B = sample("sp_c", 2, 1.0, 2 * i + 1)
-        z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        lhs = hamiltonian_value(HamiltonianSymbol(2, A + B), z)
-        rhs = hamiltonian_value(HamiltonianSymbol(2, A), z) + hamiltonian_value(
-            HamiltonianSymbol(2, B), z
+        A = sample("sp_c", 1, 1.0, 2 * i)
+        B = sample("sp_c", 1, 1.0, 2 * i + 1)
+        z = rng.normal(size=1) + 1j * rng.normal(size=1)
+        lhs = hamiltonian_value(HamiltonianSymbol(1, A + B), z)
+        rhs = hamiltonian_value(HamiltonianSymbol(1, A), z) + hamiltonian_value(
+            HamiltonianSymbol(1, B), z
         )
         assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(lhs))
         # the vectorized real evaluator agrees with i * pointwise values
         pts = np.concatenate([z.real, z.imag])[None, :]
-        rv = hamiltonian_real_values(HamiltonianSymbol(2, A), pts)[0]
-        direct = 1j * hamiltonian_value(HamiltonianSymbol(2, A), z)
+        rv = hamiltonian_real_values(HamiltonianSymbol(1, A), pts)[0]
+        direct = 1j * hamiltonian_value(HamiltonianSymbol(1, A), z)
         assert abs(rv - direct.real) < 1e-12 * max(1.0, abs(rv))
 
 
 def test_hat_lift():
     assert np.linalg.norm(hat_lift(HamiltonianSymbol(1, np.zeros((2, 2))))) == 0
     for i in range(100):
-        m = 1 + i % 3
-        sym = HamiltonianSymbol(m, sample("sp_c", m, 1.0, i))
+        sym = HamiltonianSymbol(1, sample("sp_c", 1, 1.0, i))
         lifted = hat_lift(sym)
-        assert lifted.shape == (4 * m, 4 * m)
+        assert lifted.shape == (4, 4)
         assert spc_residual(lifted) < 1e-12
 
 
 def test_hamiltonian_symbol_validates():
     with pytest.raises(MembershipError):
         HamiltonianSymbol(1, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    # one mode pair: A is 2 x 2, an sp_c(4, R) generator included
+    for A in (sample("sp_c", 2, 1.0, 1), np.zeros((1, 2))):
+        with pytest.raises(ShapeError, match=r"expected shape \(2, 2\)"):
+            HamiltonianSymbol(1, A)
 
 
 def test_spc_gates_use_the_equality_tolerance():
     # an sp_c residual of about 1e-9 is over EQ_TOL, so both sp_c gates reject
-    for m in (1, 2):
-        A = sample("sp_c", m, 1.0, 3)
-        A[0, 0] += 4e-10  # A + A* moves by twice that
-        assert EQ_TOL < spc_residual(A) < 1e-9
-        with pytest.raises(MembershipError):
-            HamiltonianSymbol(m, A)
-        lifted = hat_lift(HamiltonianSymbol(m, sample("sp_c", m, 1.0, 3)))
+    A = sample("sp_c", 1, 1.0, 3)
+    A[0, 0] += 4e-10  # A + A* moves by twice that
+    assert EQ_TOL < spc_residual(A) < 1e-9
+    with pytest.raises(MembershipError):
+        HamiltonianSymbol(1, A)
+    # limit_graph's gate at m = 1 (a lifted symbol) and m = 2 (8 x 8)
+    for lifted in (hat_lift(HamiltonianSymbol(1, sample("sp_c", 1, 1.0, 3))), sample("sp_c", 4, 1.0, 3)):
         lifted[0, 0] += 4e-10
         assert EQ_TOL < spc_residual(lifted) < 1e-9
         with pytest.raises(MembershipError):

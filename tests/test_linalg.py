@@ -20,6 +20,7 @@ from phaselab.linalg import (
     stack_runs,
     subspace_gap,
 )
+from phaselab.cones import make_structural, po_decompose, sample
 from phaselab.relations import relation_from_span
 
 
@@ -232,6 +233,18 @@ def test_stacked_kernels_equal_the_loop_over_their_matrices():
     # one frame against a stack, as graph_limit_gaps measures its sweep
     assert np.array_equal(subspace_gap(P, Q[0]), [subspace_gap(a, Q[0]) for a in P])
     assert isinstance(subspace_gap(P[0], Q[0]), float)
+    # spectral radii up to 3 < pi keep every eigenvalue of e^X off the cut
+    Y = X[:5] / opnorm(X[:5])[:, None, None] * np.array([1e-3, 0.1, 0.7, 2.0, 3.0])[:, None, None]
+    M = expm(Y)
+    for stack in (M, M[:1]):
+        assert np.array_equal(logm_principal(stack), np.stack([logm_principal(x) for x in stack]))
+    # the Potapov-Olshanski factors of a stack, through the logarithm
+    S = make_structural(2)
+    g = sample("GammaSp_c", 2, 0.5, range(6))
+    for stack in (g, g[:1]):
+        h, Xg = po_decompose(stack, S)
+        pairs = [po_decompose(x, S) for x in stack]
+        assert np.array_equal(h, np.stack([a for a, _ in pairs])) and np.array_equal(Xg, np.stack([b for _, b in pairs]))
 
 
 def test_stack_runs_cut_a_sweep_in_order():

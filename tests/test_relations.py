@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phaselab.cones import cayley, classify, make_structural, po_decompose, sample
-from phaselab.linalg import RankError, ShapeError, expm, subspace_gap
+from phaselab.cones import MembershipError, cayley, classify, make_structural, po_decompose, sample
+from phaselab.linalg import (
+    BranchCutError,
+    EigenbasisError,
+    RankError,
+    ShapeError,
+    expm,
+    logm_principal,
+    subspace_gap,
+)
 from phaselab.relations import (
     DegenerateCompositionError,
     NotAGraphError,
@@ -434,3 +442,31 @@ def test_a_bad_member_of_a_stack_raises_what_it_raises_alone():
         potapov_relation(graph_of(zero[1]))
     with pytest.raises(NotAGraphError):
         potapov_relation(graph_of(zero))
+    # po_decompose and its logarithm on a stack with one bad member, or two:
+    # the first member that a loop refuses decides the error, and within it
+    # the branch cut comes before the eigenbasis certificate
+    S = make_structural(1)
+    outside = sample("GammaSp_c", 1, 0.5, range(4))
+    outside[2] = 2.0 * np.eye(2)
+    with pytest.raises(MembershipError) as alone:
+        po_decompose(outside[2], S)
+    with pytest.raises(MembershipError) as stacked:
+        po_decompose(outside, S)
+    assert str(stacked.value) == str(alone.value)
+    good = expm(sample("sp_c", 1, 0.5, range(4)))  # spectral radius 0.5 keeps e^A off the cut
+    jordan_cut = np.array([[-1.0, 1.0], [0.0, -1.0]])  # defective and on the cut
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])  # defective only
+    cut = good.copy()
+    cut[1], cut[3] = jordan_cut, jordan
+    with pytest.raises(BranchCutError) as alone:
+        logm_principal(jordan_cut)
+    with pytest.raises(BranchCutError) as stacked:
+        logm_principal(cut)
+    assert stacked.value.eigenvalue == alone.value.eigenvalue
+    defective = good.copy()
+    defective[1], defective[2] = jordan, np.diag([-1.0, 2.0])
+    with pytest.raises(EigenbasisError) as alone:
+        logm_principal(jordan)
+    with pytest.raises(EigenbasisError) as stacked:
+        logm_principal(defective)
+    assert stacked.value.cond == alone.value.cond

@@ -16,11 +16,17 @@ command, host, order, seeds, revisions (each side's commit, as
 runs (per side, one seed and result per run) and summary (per end-to-end
 metric, the median and quartiles of each side, the number of pairs in
 which the change is lower, the median and quartiles of the per-pair ratio
-change/parent, and whether a gain holds: the change lower in at least nine
+change/parent, whether a gain holds: the change lower in at least nine
 tenths of the pairs, ties counting for neither, and its median below the
-parent's by more than the parent's interquartile range; under
-``operations``, per side, the attempted and failed operations summed over
-its runs and whether every run was correct).  On a host whose speed drifts
+parent's by more than the parent's interquartile range, and the
+no-regression verdict, under ``regression``; under ``operations``, per
+side, the attempted and failed operations summed over its runs and whether
+every run was correct).  The verdict reads the metric's bound, a fraction
+of the parent's median, from the end-to-end metrics of the repository's
+BENCHMARK.json: ``worse`` when the change's median exceeds the parent's by
+more than the bound; else ``unresolved`` when the parent's interquartile
+range is wider than the bound, unless every change run reads lower than
+every parent run; else ``not_worse``.  Every metric here is lower-better.  On a host whose speed drifts
 during a record, the pair ratios stay steadier than either side's median.
 
 Standard library only.
@@ -67,7 +73,20 @@ def side_stats(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def regression(parent: list[float], change: list[float], bound: float) -> str:
+    """The no-regression verdict on one lower-better metric, of bound
+    ``bound`` relative to the parent's median."""
+    p, c = side_stats(parent), side_stats(change)
+    if c["median"] - p["median"] > bound * p["median"]:
+        return "worse"
+    if p["q3"] - p["q1"] > bound * p["median"] and not max(change) < min(parent):
+        return "unresolved"
+    return "not_worse"
+
+
 def summary(runs: dict) -> dict:
+    benchmark = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     out = {}
     for metric in METRICS:
         values = {side: [r["result"]["metrics"][metric]["value"] for r in runs[side]] for side in SIDES}
@@ -79,7 +98,8 @@ def summary(runs: dict) -> dict:
                        "change_lower_in": f"{lower} of {len(pairs)}",
                        "ratio": side_stats([c / p for p, c in pairs]),
                        "gain_holds": 10 * lower >= 9 * len(pairs)
-                       and stats["parent"]["median"] - stats["change"]["median"] > parent_iqr}
+                       and stats["parent"]["median"] - stats["change"]["median"] > parent_iqr,
+                       "regression": regression(values["parent"], values["change"], bounds[metric])}
     out["operations"] = {side: {"attempted": sum(r["result"]["attempted"] for r in runs[side]),
                                 "failed": sum(r["result"]["failed"] for r in runs[side]),
                                 "all_correct": all(r["result"]["correct"] for r in runs[side])}
