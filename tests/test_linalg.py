@@ -244,7 +244,8 @@ def test_stacked_kernels_equal_the_loop_over_their_matrices():
     for stack in (g, g[:1]):
         h, Xg = po_decompose(stack, S)
         pairs = [po_decompose(x, S) for x in stack]
-        assert np.array_equal(h, np.stack([a for a, _ in pairs])) and np.array_equal(Xg, np.stack([b for _, b in pairs]))
+        assert np.array_equal(h, np.stack([a for a, _ in pairs]))
+        assert np.array_equal(Xg, np.stack([b for _, b in pairs]))
 
 
 def test_stack_runs_cut_a_sweep_in_order():

@@ -26,8 +26,9 @@ of the parent's median, from the end-to-end metrics of the repository's
 BENCHMARK.json: ``worse`` when the change's median exceeds the parent's by
 more than the bound; else ``unresolved`` when the parent's interquartile
 range is wider than the bound, unless every change run reads lower than
-every parent run; else ``not_worse``.  Every metric here is lower-better.  On a host whose speed drifts
-during a record, the pair ratios stay steadier than either side's median.
+every parent run; else ``not_worse``.  Every metric here is lower-better.
+On a host whose speed drifts during a record, the pair ratios stay steadier
+than either side's median.
 
 Standard library only.
 """
