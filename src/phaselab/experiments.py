@@ -29,7 +29,6 @@ from .cones import (
 )
 from .fock import (
     ConvergenceGuardError,
-    FockSpace,
     annihilator,
     antinormal_quantize,
     band_indices,
@@ -41,7 +40,6 @@ from .fock import (
     quantize_integral,
     strong_limit_run,
     vacuum_expectation,
-    vacuum_state,
     z_op,
 )
 from .landau import (
@@ -348,27 +346,26 @@ def run_fock_limit(p: dict) -> RunReport:
     checks = []
 
     # two-route operator identity on the safe band
-    space = FockSpace(LEMMA_CUTOFF)
-    band = band_indices(space, LEMMA_CUTOFF - 3)
+    band = band_indices(LEMMA_CUTOFF, LEMMA_CUTOFF - 3)
     worst = 0.0
     for i in range(p["lemma_samples"]):
         sym = HamiltonianSymbol(1, sample("sp_c", 1, 1.0, p["seed"] + i))
-        lhs = h_A_operator(space, sym)
-        rhs = drho(space, hat_lift(sym))
+        lhs = h_A_operator(LEMMA_CUTOFF, sym)
+        rhs = drho(LEMMA_CUTOFF, hat_lift(sym))
         worst = max(worst, float(opnorm((lhs - rhs)[:, band])))
     checks.append(Check.le("symbol_equals_lifted_generator", worst, 1e-10))
 
     # strong limit residual table.  The coherent test vector (amplitude 0.5)
     # must fit strong_limit_run's safe band, occupations <= cutoff / 3, so
     # the cutoff is at least 12
-    sl_space = FockSpace(14)
+    sl_cutoff = 14
     sym = HamiltonianSymbol(1, sample("sp_c", 1, p["strong_norm"], p["seed"] + 101))
     vectors = [
-        vacuum_state(sl_space),
-        coherent(sl_space, 0.5),
-        basis_state(sl_space, (1, 0)),
+        basis_state(sl_cutoff, (0, 0)),
+        coherent(sl_cutoff, 0.5),
+        basis_state(sl_cutoff, (1, 0)),
     ]
-    table = strong_limit_run(sl_space, sym, p["strong_nu_list"], vectors)
+    table = strong_limit_run(sl_cutoff, sym, p["strong_nu_list"], vectors)
     finals = table[-1][1]
     residuals = np.array([row[1] for row in table])
     monotone = bool(np.all(residuals[1:] <= residuals[:-1] + 1e-12))
@@ -378,30 +375,28 @@ def run_fock_limit(p: dict) -> RunReport:
 
     # antinormal monomial identities, exact on the safe band of occupations
     # <= cutoff - 5: the leading cutoff - 4 of the states |j, 0> of ran E_b
-    an_space = FockSpace(ANTINORMAL_CUTOFF)
-    Z = z_op(an_space)
+    Z = z_op(ANTINORMAL_CUTOFF)
     Zc = Z.conj().T
-    a, ac = annihilator(an_space, 1), creator(an_space, 1)
+    a, ac = annihilator(ANTINORMAL_CUTOFF, 1), creator(ANTINORMAL_CUTOFF, 1)
     worst = 0.0
     for pp in range(4):
         for qq in range(4 - pp):
-            lhs = antinormal_quantize(an_space, np.linalg.matrix_power(Z, pp) @ np.linalg.matrix_power(Zc, qq))
-            rhs = antinormal_quantize(an_space, np.linalg.matrix_power(a, qq) @ np.linalg.matrix_power(ac, pp))
+            lhs = antinormal_quantize(ANTINORMAL_CUTOFF, np.linalg.matrix_power(Z, pp) @ np.linalg.matrix_power(Zc, qq))
+            rhs = antinormal_quantize(ANTINORMAL_CUTOFF, np.linalg.matrix_power(a, qq) @ np.linalg.matrix_power(ac, pp))
             worst = max(worst, float(opnorm((lhs - rhs)[:, : ANTINORMAL_CUTOFF - 4])))
     checks.append(Check.le("antinormal_word_identity", worst, 1e-12))
 
     # quadrature monomials vs compressed operator words, on a-occupations <= QUAD_MAX_OCC
-    q_space = FockSpace(QUAD_CUTOFF)
-    Zq = z_op(q_space)
+    Zq = z_op(QUAD_CUTOFF)
     Zqc = Zq.conj().T
     band = QUAD_MAX_OCC + 1
     degrees = [(pp, qq) for pp in range(3) for qq in range(3 - pp)]
     # one amplitude table serves every monomial
-    Qs = quantize_integral(q_space, [lambda z, pp=pp, qq=qq: z**pp * np.conj(z) ** qq for pp, qq in degrees],
+    Qs = quantize_integral(QUAD_CUTOFF, [lambda z, pp=pp, qq=qq: z**pp * np.conj(z) ** qq for pp, qq in degrees],
                            QUAD_RADIUS, p["quad_grid"])
     devs = {}
     for (pp, qq), Q in zip(degrees, Qs):
-        ref = antinormal_quantize(q_space, np.linalg.matrix_power(Zq, qq) @ np.linalg.matrix_power(Zqc, pp))
+        ref = antinormal_quantize(QUAD_CUTOFF, np.linalg.matrix_power(Zq, qq) @ np.linalg.matrix_power(Zqc, pp))
         devs[pp, qq] = float(opnorm((Q - ref)[:band, :band]))
     checks.append(Check.le("quadrature_monomials", max(devs.values()), QUAD_TOL))
     # the resolution of identity is the monomial f = 1: its quadrature against E_b
@@ -410,11 +405,10 @@ def run_fock_limit(p: dict) -> RunReport:
     # cutoff-Hamiltonian convergence of the vacuum expectation.  Whether
     # the cutoff suffices depends on the symbol, so a tripped cutoff guard
     # is a failed check in place of the rows it guards
-    ve_space = FockSpace(VACUUM_CUTOFF)
     sym2 = HamiltonianSymbol(1, sample("sp_c", 1, 0.5, p["seed"] + 202))
     try:
         # one amplitude table serves every clip
-        v_uncut, *v_clipped = vacuum_expectation(ve_space, sym2, [None, *map(float, p["tau_list"])])
+        v_uncut, *v_clipped = vacuum_expectation(VACUUM_CUTOFF, sym2, [None, *map(float, p["tau_list"])])
         devs = [abs(v - v_uncut) for v in v_clipped]
     except ConvergenceGuardError as exc:
         checks.append(Check.lt("vacuum_expectation_cutoff_guard", exc.delta, exc.guard))

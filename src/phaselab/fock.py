@@ -3,6 +3,7 @@ quantization machinery on it: quadratic generators, the b-vacuum compression
 (antinormal quantization), coherent states, quadrature quantization, and the
 strong-limit experiment.
 
+A truncated space is its cutoff D: the functions here take D itself.
 Operators are plain complex ndarrays on the D^2-dimensional truncated space
 (per-mode occupation 0..D-1, the a-mode left of the b-mode in the tensor
 product).  CCR-derived identities hold exactly on the "safe band" of
@@ -12,7 +13,6 @@ occupations away from the cutoff and are only ever asserted there.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, inf, lgamma, log
 from typing import Callable, Sequence
@@ -45,21 +45,6 @@ CLIP_RADIUS, CLIP_GRID = 8.0, 320
 VACUUM_GUARD = 1e-4
 
 
-@dataclass(frozen=True)
-class FockSpace:
-    """Truncated Fock space of the mode pair (a, b), per-mode occupation < cutoff."""
-
-    cutoff: int
-
-    def __post_init__(self):
-        if self.cutoff < 2:
-            raise ValueError("cutoff must be >= 2")
-
-    @property
-    def dim(self) -> int:
-        return self.cutoff ** 2
-
-
 def _ladder(D: int) -> np.ndarray:
     a = np.zeros((D, D), dtype=complex)
     for j in range(D - 1):
@@ -76,16 +61,16 @@ def _mode_annihilators(D: int) -> tuple:
     return ops
 
 
-def annihilator(space: FockSpace, k: int) -> np.ndarray:
+def annihilator(D: int, k: int) -> np.ndarray:
     """a for k = 1 and b for k = 2, built once per cutoff and shared, so
     read-only."""
     if k not in (1, 2):
         raise ShapeError(f"mode index {k} out of range 1..2")
-    return _mode_annihilators(space.cutoff)[k - 1]
+    return _mode_annihilators(D)[k - 1]
 
 
-def creator(space: FockSpace, k: int) -> np.ndarray:
-    return annihilator(space, k).conj().T
+def creator(D: int, k: int) -> np.ndarray:
+    return annihilator(D, k).conj().T
 
 
 @lru_cache(maxsize=None)
@@ -97,23 +82,23 @@ def _occupation_diagonals(D: int) -> np.ndarray:
     return occ
 
 
-def band_indices(space: FockSpace, max_occ: int) -> np.ndarray:
+def band_indices(D: int, max_occ: int) -> np.ndarray:
     """Indices of the basis states with both occupations <= max_occ: the
     safe band on which CCR-derived identities are exact."""
-    return np.flatnonzero(_occupation_diagonals(space.cutoff).max(axis=0) <= max_occ)
+    return np.flatnonzero(_occupation_diagonals(D).max(axis=0) <= max_occ)
 
 
-def _b_vacuum(space: FockSpace) -> np.ndarray:
+def _b_vacuum(D: int) -> np.ndarray:
     """Boolean mask of the b-vacuum sector ran E_b = ker N_b: the basis
     states |j, 0> (D of the D^2)."""
-    return _occupation_diagonals(space.cutoff)[1] == 0
+    return _occupation_diagonals(D)[1] == 0
 
 
-def z_op(space: FockSpace) -> np.ndarray:
+def z_op(D: int) -> np.ndarray:
     """The normal operator Z = a* + b."""
-    if space.cutoff < 3:
+    if D < 3:
         raise TruncationError("z_op needs cutoff >= 3")
-    return creator(space, 1) + annihilator(space, 2)
+    return creator(D, 1) + annihilator(D, 2)
 
 
 def _quadratic(ops, M: np.ndarray) -> np.ndarray:
@@ -130,7 +115,7 @@ def _quadratic(ops, M: np.ndarray) -> np.ndarray:
     return out
 
 
-def drho(space: FockSpace, A) -> np.ndarray:
+def drho(D: int, A) -> np.ndarray:
     """The quadratic generator (1/2) a* Ical A a, with the doubled vector
     a = (a*, b*, a, b)^T and Ical = diag(-I_2, I_2).
 
@@ -141,10 +126,10 @@ def drho(space: FockSpace, A) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.shape != (4, 4):
         raise ShapeError("expected shape (4, 4)")
-    return _quadratic(_mode_annihilators(space.cutoff), 0.5 * (make_structural(2).Ical @ A))
+    return _quadratic(_mode_annihilators(D), 0.5 * (make_structural(2).Ical @ A))
 
 
-def antinormal_quantize(space: FockSpace, X) -> np.ndarray:
+def antinormal_quantize(D: int, X) -> np.ndarray:
     """The compression E_b X E_b as an operator on ran E_b = ker N_b: the
     D x D block of X on the b-vacuum basis states, in their order in the
     full space (the vacuum first).  Those states are |j, 0> with j running
@@ -152,9 +137,9 @@ def antinormal_quantize(space: FockSpace, X) -> np.ndarray:
     E_b X E_b vanishes off ran E_b, so exp(E_b X E_b) is the expm of this
     block on ran E_b and the identity elsewhere."""
     X = np.asarray(X, dtype=complex)
-    if X.shape != (space.dim, space.dim):
+    if X.shape != (D**2, D**2):
         raise ShapeError("operator dimension mismatch")
-    idx = np.flatnonzero(_b_vacuum(space))
+    idx = np.flatnonzero(_b_vacuum(D))
     return X[np.ix_(idx, idx)]
 
 
@@ -163,15 +148,15 @@ def _symbol_matrix(sym: HamiltonianSymbol) -> np.ndarray:
     return 0.5 * (make_structural(1).Ical @ sym.A)
 
 
-def h_A_operator(space: FockSpace, sym: HamiltonianSymbol) -> np.ndarray:
+def h_A_operator(D: int, sym: HamiltonianSymbol) -> np.ndarray:
     """The symbol evaluated on Z: (1/2) (Z, Z*) Ical A (Z*, Z)^T.
 
     Agrees with drho(hat_lift(sym)) on the safe band.
     """
-    return _quadratic([z_op(space)], _symbol_matrix(sym))
+    return _quadratic([z_op(D)], _symbol_matrix(sym))
 
 
-def sector_h_A(space: FockSpace, sym: HamiltonianSymbol) -> np.ndarray:
+def sector_h_A(D: int, sym: HamiltonianSymbol) -> np.ndarray:
     """E_b h_A(Z) E_b as the D x D operator on ran E_b, in the coordinates
     of ``antinormal_quantize``: the antinormally ordered quantization of the
     symbol, built from the a-mode alone.
@@ -182,59 +167,52 @@ def sector_h_A(space: FockSpace, sym: HamiltonianSymbol) -> np.ndarray:
     one-mode ladder.  Exact on the whole truncated space.
     """
     M = _symbol_matrix(sym)
-    return _quadratic([_ladder(space.cutoff).conj().T], M) + M[0, 0] * np.eye(space.cutoff)
+    return _quadratic([_ladder(D).conj().T], M) + M[0, 0] * np.eye(D)
 
 
-def vacuum_state(space: FockSpace) -> np.ndarray:
-    vec = np.zeros(space.dim, dtype=complex)
-    vec[0] = 1.0
-    return vec
-
-
-def basis_state(space: FockSpace, occupations: Sequence[int]) -> np.ndarray:
+def basis_state(D: int, occupations: Sequence[int]) -> np.ndarray:
     """Occupation-basis vector |j_a, j_b> (the a-mode leftmost)."""
     if len(occupations) != 2:
         raise ShapeError("need 2 occupation numbers")
-    D = space.cutoff
     idx = 0
     for j in occupations:
         if not 0 <= j < D:
             raise TruncationError(f"occupation {j} outside 0..{D - 1}")
         idx = idx * D + j
-    vec = np.zeros(space.dim, dtype=complex)
+    vec = np.zeros(D**2, dtype=complex)
     vec[idx] = 1.0
     return vec
 
 
-def coherent_truncation_bound(space: FockSpace, z: complex) -> float:
+def coherent_truncation_bound(D: int, z: complex) -> float:
     """Bound on || (a - z) Omega_z || from the series tail at the cutoff,
     |z|^D / sqrt((D - 1)!), formed in log space so that no factorial
     overflows; inf where the bound itself exceeds the float range."""
     if z == 0:
         return 0.0
-    log_bound = space.cutoff * log(abs(z)) - lgamma(space.cutoff) / 2
+    log_bound = D * log(abs(z)) - lgamma(D) / 2
     return exp(log_bound) if log_bound < log(sys.float_info.max) else inf
 
 
-def coherent(space: FockSpace, z: complex) -> np.ndarray:
+def coherent(D: int, z: complex) -> np.ndarray:
     """Truncated coherent state vector of amplitude z in the a-mode
     tensored with the b-vacuum.  Raises TruncationError when the
     truncation-error bound exceeds COHERENT_BOUND.
     """
-    err = coherent_truncation_bound(space, z)
+    err = coherent_truncation_bound(D, z)
     if err > COHERENT_BOUND:
         raise TruncationError(
-            f"coherent amplitude too large for cutoff {space.cutoff} "
+            f"coherent amplitude too large for cutoff {D} "
             f"(error bound {err:.2e} > {COHERENT_BOUND:.2e})"
         )
-    amps = _coherent_amplitudes(np.array([z], dtype=complex), space.cutoff)[:, 0]
+    amps = _coherent_amplitudes(np.array([z], dtype=complex), D)[:, 0]
     # the b-vacuum states are the a-mode basis states, in the same order
-    vec = np.zeros(space.dim, dtype=complex)
-    vec[_b_vacuum(space)] = amps / np.linalg.norm(amps)
+    vec = np.zeros(D**2, dtype=complex)
+    vec[_b_vacuum(D)] = amps / np.linalg.norm(amps)
     return vec
 
 
-def strong_limit_run(space: FockSpace, sym: HamiltonianSymbol, nu_list: Sequence[float],
+def strong_limit_run(D: int, sym: HamiltonianSymbol, nu_list: Sequence[float],
                      vectors: Sequence[np.ndarray]) -> list[tuple[float, list[float]]]:
     """Residual table for the strong-limit theorem: for each nu,
 
@@ -249,29 +227,29 @@ def strong_limit_run(space: FockSpace, sym: HamiltonianSymbol, nu_list: Sequence
     occupation, so h_A(Z) - nu N_b is block-diagonal in the even and odd
     sectors and is exponentiated block by block.
     """
-    b_vac = _b_vacuum(space)
-    occ = _occupation_diagonals(space.cutoff)
+    b_vac = _b_vacuum(D)
+    occ = _occupation_diagonals(D)
     N_b = occ[1]
     parity = [np.flatnonzero(occ.sum(axis=0) % 2 == r) for r in (0, 1)]
-    safe = occ.max(axis=0) <= space.cutoff / 3
+    safe = occ.max(axis=0) <= D / 3
     vectors = [np.asarray(psi, dtype=complex) for psi in vectors]
     for psi in vectors:
-        if psi.shape != (space.dim,):
-            raise ShapeError(f"test vector must have shape ({space.dim},), not {psi.shape}")
+        if psi.shape != (D**2,):
+            raise ShapeError(f"test vector must have shape ({D**2},), not {psi.shape}")
         if np.linalg.norm(psi[~b_vac]) > 1e-12:
             raise ValueError("test vector not in ran E_b")
         if np.linalg.norm(psi[~safe]) > SAFE_BAND_MASS:
             raise TruncationError("test vector occupies the unsafe band")
-    H = h_A_operator(space, sym)
-    block = expm(sector_h_A(space, sym))
+    H = h_A_operator(D, sym)
+    block = expm(sector_h_A(D, sym))
     targets = []
     for p in vectors:
-        t = np.zeros(space.dim, dtype=complex)
+        t = np.zeros(D**2, dtype=complex)
         t[b_vac] = block @ p[b_vac]
         targets.append(t)
     rows = []
     for nu in nu_list:
-        images = [np.zeros(space.dim, dtype=complex) for _ in vectors]
+        images = [np.zeros(D**2, dtype=complex) for _ in vectors]
         for idx in parity:
             U = expm(H[np.ix_(idx, idx)] - np.diag(nu * N_b[idx]))
             for p, out in zip(vectors, images):
@@ -310,7 +288,7 @@ def _coherent_amplitudes(z: np.ndarray, D: int) -> np.ndarray:
     return C
 
 
-def quantize_integral(space: FockSpace, fs: Sequence[Callable[[np.ndarray], np.ndarray]],
+def quantize_integral(D: int, fs: Sequence[Callable[[np.ndarray], np.ndarray]],
                       radius: float, grid: int) -> list[np.ndarray]:
     """Quadrature quantization Q(f) = integral of f(z) p_z dmu(z) over the
     disc |z| <= radius, with p_z the (normalized, truncated) coherent-state
@@ -324,7 +302,7 @@ def quantize_integral(space: FockSpace, fs: Sequence[Callable[[np.ndarray], np.n
     from scipy.linalg.blas import zgemm
 
     z, w = _disc_grid(radius, grid)
-    C = _coherent_amplitudes(z, space.cutoff)
+    C = _coherent_amplitudes(z, D)
     out = []
     for fn in fs:
         fvals = np.asarray(fn(z), dtype=complex).reshape(-1)
@@ -337,7 +315,7 @@ def quantize_integral(space: FockSpace, fs: Sequence[Callable[[np.ndarray], np.n
     return out
 
 
-def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol,
+def vacuum_expectation(D: int, sym: HamiltonianSymbol,
                        taus: Sequence[float | None]) -> list[complex]:
     """<Omega_0 | exp(E_b h_A(Z) E_b) Omega_0>, or with h_A replaced by the
     quadrature quantization of the tau-clipped symbol: the list of values
@@ -353,7 +331,6 @@ def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol,
     table at cutoff D is the first D rows of the table at D + 2, so the
     sector generator at D is the leading D x D block of the one at D + 2.
     """
-    D = space.cutoff
     cutoffs = (D, D + 2)
     out = []
     # a tau's share of a stack: its quadrature operator, and its generator
@@ -361,13 +338,13 @@ def vacuum_expectation(space: FockSpace, sym: HamiltonianSymbol,
     for run in stack_runs(len(taus), 6 * 16 * (D + 2) ** 2):
         clips = [t for t in taus[run] if t is not None]
         tables = iter(quantize_integral(
-            FockSpace(D + 2),
+            D + 2,
             [lambda z, t=t: hamiltonian_real_values(sym, np.stack([z.real, z.imag], axis=1), t) for t in clips],
             CLIP_RADIUS, CLIP_GRID) if clips else [])
         gens = []  # per tau, its generators at the two cutoffs
         for t in taus[run]:
             if t is None:
-                gens.append([sector_h_A(FockSpace(c), sym) for c in cutoffs])
+                gens.append([sector_h_A(c, sym) for c in cutoffs])
             else:
                 top = -1j * next(tables)
                 gens.append([top[:c, :c] for c in cutoffs])

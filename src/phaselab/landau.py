@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .cones import HamiltonianSymbol, hamiltonian_real_values
-from .fock import FockSpace, _coherent_amplitudes, sector_h_A
+from .fock import _coherent_amplitudes, sector_h_A
 from .linalg import expm
 
 if TYPE_CHECKING:
@@ -341,9 +341,8 @@ def flux_count(grid: Grid2D) -> float:
 def _fock_prediction_on_grid(grid: Grid2D, sym: HamiltonianSymbol) -> np.ndarray:
     """exp(E_b h E_b) E_b Omega_0 from the Fock side, sampled on the grid via
     the b-vacuum wavefunctions z^j e^{-|z|^2/2}/sqrt(pi j!)."""
-    space = FockSpace(PREDICTION_CUTOFF)
     # the vacuum is the first of the sector's states |j, 0>, j = 0..cutoff-1
-    coeff = expm(sector_h_A(space, sym))[:, 0]
+    coeff = expm(sector_h_A(PREDICTION_CUTOFF, sym))[:, 0]
     X, Y = grid.coordinates()
     return coeff @ _coherent_amplitudes(X + 1j * Y, PREDICTION_CUTOFF) / np.sqrt(np.pi)
 

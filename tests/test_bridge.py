@@ -18,6 +18,7 @@ from phaselab.bridge import (
     symbol_quadratic_matrix,
 )
 from phaselab.cones import HamiltonianSymbol, hamiltonian_real_values, sample
+from phaselab.linalg import ShapeError
 from reference import hamiltonian_value, loop_actions, sample_loops
 
 AREA = QuadraticAction()
@@ -248,6 +249,9 @@ def test_shared_draw_needs_one_stream():
         gaussian_oracles([(base, QuadraticAction()), (MeasureSpec(nu=2.0, steps=64, seed=6, m=2), QuadraticAction())])
     with pytest.raises(ValueError):
         gaussian_oracles([])
+    # an hmatrix is 2m x 2m for the spec's m
+    with pytest.raises(ShapeError, match=r"hmatrix must be \(4, 4\)"):
+        gaussian_oracle(MeasureSpec(nu=2.0, steps=64, seed=6, m=2), QuadraticAction(hmatrix=np.eye(2)))
 
 
 def test_sub_block_size_moves_no_value(monkeypatch):

@@ -537,13 +537,17 @@ def load_perfbench(name, monkeypatch):
     return module
 
 
-def load_bench_pairs(monkeypatch):
-    """tools/bench_pairs.py, loaded by path without writing bytecode there."""
+def load_tool(name, monkeypatch):
+    """tools/<name>.py, loaded by path without writing bytecode there."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_bench_pairs(monkeypatch):
+    return load_tool("bench_pairs", monkeypatch)
 
 
 def test_bench_pairs_summary_sums_operations(monkeypatch):
@@ -631,6 +635,38 @@ def test_bench_pairs_revision_marks_a_dirty_checkout(monkeypatch, tmp_path):
     assert bench_pairs.revision(tmp_path) == sha
     (tmp_path / "a.txt").write_text("two\n")
     assert bench_pairs.revision(tmp_path) == f"{sha}-dirty"
+
+
+def test_linecov_reports_each_line_that_never_ran(monkeypatch, tmp_path):
+    linecov = load_tool("linecov", monkeypatch)
+    package = (tmp_path / "pkg").resolve()
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy\n"
+        "def sign(x):\n"
+        "    if x < 0:\n"
+        "        return -1\n"
+        "    return 1\n"
+        "if __name__ == '__main__':\n"
+        "    print(sign(2))\n"
+    )
+    (package / "unused.py").write_text("X = 1\n")
+
+    def run():
+        spec = importlib.util.spec_from_file_location("mod", package / "mod.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.sign(2)
+
+    before = sys.gettrace()
+    result, ran = linecov.trace(package, run)
+    assert result == 1 and sys.gettrace() is before
+    assert ran == {str(package / "mod.py"): {1, 2, 4, 5, 7, 8}}
+    # the two excluded blocks' bodies (lines 3 and 9) are not executable
+    assert linecov.executable_lines(package / "mod.py") == {1, 2, 4, 5, 6, 7, 8}
+    assert linecov.never_run(package, ran) == [(package / "mod.py", 6), (package / "unused.py", 1)]
 
 
 @pytest.fixture

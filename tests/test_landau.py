@@ -193,7 +193,7 @@ def test_one_factorization_per_sector_and_shift(monkeypatch):
     assert len(set(shifts[4:])) == 1 and shifts[4] > landau.SHIFT
 
 
-def test_low_spectrum_rejects_asymmetric_operators():
+def test_low_spectrum_rejects_asymmetric_operators(monkeypatch):
     with pytest.raises(SymmetryError, match="square"):
         low_spectrum(sp.identity(1090, dtype=complex, format="csr"), k=4)
     H = landau_hamiltonian(small_grid()).tolil()
@@ -211,11 +211,19 @@ def test_low_spectrum_rejects_asymmetric_operators():
         rotation_sectors(landau_hamiltonian(g) + sp.diags(potential))
     with pytest.raises(ValueError, match="outside"):
         low_spectrum(landau_hamiltonian(small_grid()), k=landau.max_eig_count(1089) + 1)
+    # sector columns that T does not fix: with each sqrt(i^m) taken as 1,
+    # sector 1 of a symmetric H comes out complex
+    monkeypatch.setattr(landau, "_SQRT_I_POWERS", np.ones(4, dtype=complex))
+    with pytest.raises(SymmetryError, match="sector 1 is not real"):
+        rotation_sectors(landau_hamiltonian(g))
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid2D(4.0, 0.5)  # ratio 8 < 16
+    for spacing in (0.0, -0.25):
+        with pytest.raises(ValueError, match="spacing must be positive"):
+            Grid2D(4.0, spacing)
     g = small_grid()
     assert g.side == 33
     X, Y = g.coordinates()
@@ -358,3 +366,7 @@ def test_grid_strong_limit_zero_symbol():
     sym0 = HamiltonianSymbol(1, np.zeros((2, 2)))
     rows = grid_strong_limit(g, sym0, [4.0])
     assert rows[0][1] < 1e-4
+    # a negative nu amplifies the vacuum's high-lying components past the
+    # float range, and the evolution is refused rather than reported
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError, match="nu = -25"):
+        grid_strong_limit(g, sym0, [4.0, -25.0])

@@ -56,6 +56,9 @@ def test_expm_rotation_vs_series_oracle():
 def test_expm_nonsquare_rejected():
     with pytest.raises(ShapeError):
         expm(np.ones((2, 3)))
+    # a vector is not a matrix
+    with pytest.raises(ShapeError, match="2-d matrix"):
+        expm(np.ones(4))
 
 
 def test_expm_inverse_identity():
@@ -143,6 +146,9 @@ def test_span_frame_examples():
     # rank deficiency drops a column here; relation_from_span and graph_of
     # raise RankError on it (tests/test_relations.py)
     assert span_frame(np.array([[1.0, 1.0], [2.0, 2.0]])).shape == (2, 1)
+    # a vector is not a matrix of columns
+    with pytest.raises(ShapeError, match="2-d matrix"):
+        span_frame(np.ones(2))
 
 
 def test_span_frame_random():
