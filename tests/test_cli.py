@@ -546,12 +546,8 @@ def load_tool(name, monkeypatch):
     return module
 
 
-def load_bench_pairs(monkeypatch):
-    return load_tool("bench_pairs", monkeypatch)
-
-
 def test_bench_pairs_summary_sums_operations(monkeypatch):
-    bench_pairs = load_bench_pairs(monkeypatch)
+    bench_pairs = load_tool("bench_pairs", monkeypatch)
 
     def run(seed, wall, attempted, failed, correct):
         metrics = {m: {"value": wall} for m in bench_pairs.METRICS}
@@ -568,7 +564,7 @@ def test_bench_pairs_summary_sums_operations(monkeypatch):
 
 
 def test_bench_pairs_summary_reads_pair_ratios_and_the_gain_rule(monkeypatch):
-    bench_pairs = load_bench_pairs(monkeypatch)
+    bench_pairs = load_tool("bench_pairs", monkeypatch)
 
     def run(seed, value):
         metrics = {m: {"value": value} for m in bench_pairs.METRICS}
@@ -595,7 +591,7 @@ def test_bench_pairs_summary_reads_pair_ratios_and_the_gain_rule(monkeypatch):
 
 
 def test_bench_pairs_summary_reads_the_no_regression_verdict(monkeypatch):
-    bench_pairs = load_bench_pairs(monkeypatch)
+    bench_pairs = load_tool("bench_pairs", monkeypatch)
 
     def run(seed, value):
         metrics = {m: {"value": value} for m in bench_pairs.METRICS}
@@ -619,7 +615,7 @@ def test_bench_pairs_summary_reads_the_no_regression_verdict(monkeypatch):
     assert verdict(wide, [v * 1.3 for v in wide]) == "worse"
 
 def test_bench_pairs_revision_marks_a_dirty_checkout(monkeypatch, tmp_path):
-    bench_pairs = load_bench_pairs(monkeypatch)
+    bench_pairs = load_tool("bench_pairs", monkeypatch)
 
     def git(*args):
         return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", *args],

@@ -1,11 +1,11 @@
 """Print the lines of src/phaselab that no Tier-1 test runs.
 
-    python3 tools/linecov.py [PYTEST_ARG ...]
+    python3 tools/linecov.py
 
 Runs the Tier-1 suite (``pytest -q --continue-on-collection-errors`` over
-the ``tests`` directory, plus any arguments given) in this process, under a
-line tracer set with ``sys.settrace`` and ``threading.settrace``.  The
-tracer follows only frames whose code comes from a file under src/phaselab.
+the ``tests`` directory) in this process, under a line tracer set with
+``sys.settrace`` and ``threading.settrace``.  The tracer follows only
+frames whose code comes from a file under src/phaselab.
 The executable lines of a file are the line numbers that ``co_lines``
 yields for its module code and every code object nested in it.  Each
 executable line that never ran is printed as ``path:line: source``.
@@ -107,11 +107,11 @@ def never_run(package: Path, ran: dict[str, set[int]]) -> list[tuple[Path, int]]
     return out
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     import pytest
 
     sys.path.insert(0, str(PACKAGE.parent))
-    status, ran = trace(PACKAGE, lambda: pytest.main([*PYTEST_ARGS, *argv]))
+    status, ran = trace(PACKAGE, lambda: pytest.main(PYTEST_ARGS))
     if status > 1:
         print(f"pytest could not run the suite: exit status {int(status)}", file=sys.stderr)
         return int(status)
@@ -124,4 +124,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
